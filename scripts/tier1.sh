@@ -6,8 +6,8 @@
 #   2. ThreadSanitizer pass over the concurrency-critical tests
 #      (thread pool, shared simulation repository, shared trace
 #      cache, metrics registry, perf-model backend registry, the
-#      evaluation service with its concurrent-client storm, and the
-#      multi-core chip model with its shared LLC)
+#      gather scheduler, and the multi-core chip model with its
+#      shared LLC)
 #   3. AddressSanitizer+UBSan pass over the full test suite
 #   4. -DADAPTSIM_OBS=OFF build proving the instrumentation compiles
 #      out cleanly
@@ -29,14 +29,13 @@ san_available() {
 }
 
 # 1. Build + full suite (lint gate included).  The perf micro-
-# benchmarks and the adaptsimd daemon build here too so they cannot
-# rot; the benches only run via scripts/perf.sh.
+# benchmarks build here too so they cannot rot; they only run via
+# scripts/perf.sh.
 cmake -B build -S .
 cmake --build build -j
 cmake --build build -j \
     --target perf_pipeline perf_chip perf_interval perf_tracegen \
-             perf_gather perf_gather_warm perf_train perf_learned \
-             perf_service adaptsimd
+             perf_gather perf_gather_warm perf_train perf_learned
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
 # 2. TSan over the concurrency tests.
@@ -44,10 +43,10 @@ if san_available thread; then
     cmake -B build-tsan -S . -DADAPTSIM_SANITIZE=thread
     cmake --build build-tsan -j \
         --target test_thread_pool test_repository test_trace_cache \
-                 test_obs test_sim test_svc test_gather_scheduler \
+                 test_obs test_sim test_gather_scheduler \
                  test_shared_llc test_chip
     ctest --test-dir build-tsan --output-on-failure \
-        -R 'test_thread_pool|test_repository|test_trace_cache|test_obs|test_sim$|test_svc|test_gather_scheduler|test_shared_llc|test_chip'
+        -R 'test_thread_pool|test_repository|test_trace_cache|test_obs|test_sim$|test_gather_scheduler|test_shared_llc|test_chip'
 else
     echo "tier1: ThreadSanitizer unavailable; skipping TSan pass"
 fi
@@ -83,7 +82,7 @@ if command -v clang++ >/dev/null 2>&1; then
     cmake -B build-threadsafety -S . \
         -DCMAKE_CXX_COMPILER=clang++ -DADAPTSIM_THREAD_SAFETY=ON
     cmake --build build-threadsafety -j \
-        --target adaptsim adaptsimd adaptsim_lint
+        --target adaptsim adaptsim_lint
 else
     echo "tier1: clang++ unavailable; skipping thread-safety pass"
 fi

@@ -152,37 +152,6 @@ surrogatePath()
     return envString("ADAPTSIM_SURROGATE", "");
 }
 
-std::string
-evalSocketPath()
-{
-    return envString("ADAPTSIM_EVAL_SOCKET", "");
-}
-
-std::size_t
-evalShards()
-{
-    const long n = envLong("ADAPTSIM_EVAL_SHARDS", 1);
-    if (n < 1)
-        return 1;
-    if (n > 64)
-        return 64;
-    return static_cast<std::size_t>(n);
-}
-
-std::size_t
-svcMaxQueue()
-{
-    const long n = envLong("ADAPTSIM_SVC_MAX_QUEUE", 256);
-    return n > 0 ? static_cast<std::size_t>(n) : 0;
-}
-
-std::size_t
-svcClientCap()
-{
-    const long n = envLong("ADAPTSIM_SVC_CLIENT_CAP", 64);
-    return n > 0 ? static_cast<std::size_t>(n) : 1;
-}
-
 bool
 cycleTraceEnabled()
 {

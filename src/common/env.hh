@@ -72,27 +72,6 @@ double cascadeThreshold();
  *  (saveLearnedSurrogate() format); empty when unset. */
 std::string surrogatePath();
 
-/** ADAPTSIM_EVAL_SOCKET: Unix-domain socket path of a running
- *  adaptsimd evaluation daemon.  When set, harness gather batches
- *  are evaluated remotely through the daemon's shared warm cache
- *  (falling back to the in-process path when the daemon is
- *  unreachable); empty when unset. */
-std::string evalSocketPath();
-
-/** ADAPTSIM_EVAL_SHARDS: number of shard files the on-disk .evc
- *  store of each phase is hash-split across (default 1 — the
- *  classic single-file layout; clamped to 1..64). */
-std::size_t evalShards();
-
-/** ADAPTSIM_SVC_MAX_QUEUE: evaluation-daemon admission bound —
- *  requests queued beyond this are shed with a typed backpressure
- *  reply (default 256; 0 = unlimited). */
-std::size_t svcMaxQueue();
-
-/** ADAPTSIM_SVC_CLIENT_CAP: per-client in-flight request cap
- *  enforced by the evaluation daemon (default 64, minimum 1). */
-std::size_t svcClientCap();
-
 /** ADAPTSIM_GATHER_MEMO: phase-memoised gather scheduling.  Truthy
  *  (default) lets gathers recognise previously characterised phases
  *  through the persistent memo index and skip resimulation; "0"/

@@ -18,7 +18,7 @@
  *    lock held but are analysed as separate unannotated functions.
  *  - MutexLock is a scoped capability with explicit unlock()/lock()
  *    so the repository's append fast path (drop the repository lock,
- *    write under the per-shard file lock, reacquire) stays visible
+ *    write under the per-phase file lock, reacquire) stays visible
  *    to the analysis.
  *  - CondVar deliberately offers only the predicate wait() overload:
  *    waiting without a predicate invites lost-wakeup and

@@ -12,10 +12,9 @@
  * each incoming phase against the index before dispatching any
  * simulation.  A recognised phase skips the shared-pool resimulation
  * entirely: its samples are satisfied from the memo (whose records
- * the `.evc` store, the learned/cascade backend, or the daemon's
- * warm cache already back), and the cycle-level budget is spent only
- * on a probe of the incumbent best plus the one-at-a-time sweep
- * around it.  Low-confidence hits — probe uncertainty above the
+ * the `.evc` store or the learned/cascade backend already back),
+ * and the cycle-level budget is spent only on a probe of the
+ * incumbent best plus the one-at-a-time sweep around it.  Low-confidence hits — probe uncertainty above the
  * backend's comfort (sim::CoreSession::lastUncertainty()) or
  * efficiency drift beyond ADAPTSIM_GATHER_MEMO_TOLERANCE — escalate
  * to full re-characterisation, which overwrites the memo entry.

@@ -164,7 +164,7 @@ class PerfModel
      * @p budget caps how many ground-truth runs the caller is
      * willing to pay for (kUnlimitedRefinement when it has no
      * opinion; 0 when the batch is already trusted, e.g. a memoised
-     * gather or an all-cache-hit daemon batch).  Only consulted when
+     * gather).  Only consulted when
      * groundTruthModel() is non-null; default none.
      */
     static constexpr std::size_t kUnlimitedRefinement =

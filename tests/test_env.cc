@@ -200,47 +200,6 @@ TEST(Env, SurrogatePathDefaultsEmpty)
     unsetenv("ADAPTSIM_SURROGATE");
 }
 
-TEST(Env, EvalSocketPathDefaultsEmpty)
-{
-    unsetenv("ADAPTSIM_EVAL_SOCKET");
-    EXPECT_EQ(evalSocketPath(), "");
-    setenv("ADAPTSIM_EVAL_SOCKET", "/tmp/d.sock", 1);
-    EXPECT_EQ(evalSocketPath(), "/tmp/d.sock");
-    unsetenv("ADAPTSIM_EVAL_SOCKET");
-}
-
-TEST(Env, EvalShardsDefaultAndClamp)
-{
-    unsetenv("ADAPTSIM_EVAL_SHARDS");
-    EXPECT_EQ(evalShards(), 1u);
-    setenv("ADAPTSIM_EVAL_SHARDS", "8", 1);
-    EXPECT_EQ(evalShards(), 8u);
-    // Clamped to the 1..64 file-probe range.
-    setenv("ADAPTSIM_EVAL_SHARDS", "0", 1);
-    EXPECT_EQ(evalShards(), 1u);
-    setenv("ADAPTSIM_EVAL_SHARDS", "-4", 1);
-    EXPECT_EQ(evalShards(), 1u);
-    setenv("ADAPTSIM_EVAL_SHARDS", "1000", 1);
-    EXPECT_EQ(evalShards(), 64u);
-    setenv("ADAPTSIM_EVAL_SHARDS", "garbage", 1);
-    EXPECT_EQ(evalShards(), 1u);
-    unsetenv("ADAPTSIM_EVAL_SHARDS");
-}
-
-TEST(Env, SvcMaxQueueDefaultAndUnlimited)
-{
-    unsetenv("ADAPTSIM_SVC_MAX_QUEUE");
-    EXPECT_EQ(svcMaxQueue(), 256u);
-    setenv("ADAPTSIM_SVC_MAX_QUEUE", "16", 1);
-    EXPECT_EQ(svcMaxQueue(), 16u);
-    // Zero (and anything negative) disables the bound entirely.
-    setenv("ADAPTSIM_SVC_MAX_QUEUE", "0", 1);
-    EXPECT_EQ(svcMaxQueue(), 0u);
-    setenv("ADAPTSIM_SVC_MAX_QUEUE", "-1", 1);
-    EXPECT_EQ(svcMaxQueue(), 0u);
-    unsetenv("ADAPTSIM_SVC_MAX_QUEUE");
-}
-
 TEST(Env, GatherMemoOnOffSwitch)
 {
     unsetenv("ADAPTSIM_GATHER_MEMO");
@@ -287,20 +246,6 @@ TEST(Env, GatherMemoProbesDefaultAndMinimum)
     setenv("ADAPTSIM_GATHER_MEMO_PROBES", "-2", 1);
     EXPECT_EQ(gatherMemoProbes(), 1u);
     unsetenv("ADAPTSIM_GATHER_MEMO_PROBES");
-}
-
-TEST(Env, SvcClientCapDefaultAndMinimum)
-{
-    unsetenv("ADAPTSIM_SVC_CLIENT_CAP");
-    EXPECT_EQ(svcClientCap(), 64u);
-    setenv("ADAPTSIM_SVC_CLIENT_CAP", "4", 1);
-    EXPECT_EQ(svcClientCap(), 4u);
-    // A client must always be allowed one request in flight.
-    setenv("ADAPTSIM_SVC_CLIENT_CAP", "0", 1);
-    EXPECT_EQ(svcClientCap(), 1u);
-    setenv("ADAPTSIM_SVC_CLIENT_CAP", "-7", 1);
-    EXPECT_EQ(svcClientCap(), 1u);
-    unsetenv("ADAPTSIM_SVC_CLIENT_CAP");
 }
 
 TEST(Env, ChipCoresRejectsOutOfRange)

@@ -65,15 +65,6 @@ class RepositoryTest : public ::testing::Test
         return dir_ + "/" + spec().key() + ".csv";
     }
 
-    std::string
-    shardFile(std::size_t i) const
-    {
-        if (i == 0)
-            return binPath();
-        return dir_ + "/" + spec().key() + ".s" +
-               std::to_string(i) + ".evc";
-    }
-
     std::string dir_;
 };
 
@@ -264,146 +255,72 @@ TEST_F(RepositoryTest, InterruptedFlushKeepsCompletedRecords)
     EXPECT_EQ(s.dropped, 2u);   // corrupt record + torn tail
 }
 
-TEST_F(RepositoryTest, ShardedStoreRoundTripsAcrossRestart)
+TEST_F(RepositoryTest, DamagedStoreIsRewrittenNotAppendedTo)
 {
-    Rng rng(31);
+    Rng rng(19);
     const auto configs =
-        space::dedupe(space::uniformRandomSet(rng, 12));
-    std::vector<EvalRecord> fresh;
+        space::dedupe(space::uniformRandomSet(rng, 4));
+    ASSERT_EQ(configs.size(), 4u);
     {
-        EvalRepository repo(workload::specSuite(60000), dir_, 2, 4);
-        ASSERT_EQ(repo.shards(), 4u);
-        fresh = repo.evaluateBatch(spec(), configs);
-        repo.flush();
+        EvalRepository repo(workload::specSuite(60000), dir_, 0);
+        (void)repo.evaluate(spec(), configs[0]);
+        (void)repo.evaluate(spec(), configs[1]);
     }
+    ASSERT_TRUE(appendFileSync(binPath(), "torn"));
 
-    // Twelve hash-spread records land in more than one shard file.
-    std::size_t shard_files = 0;
-    for (std::size_t i = 0; i < 4; ++i)
-        if (std::filesystem::exists(shardFile(i)))
-            ++shard_files;
-    EXPECT_GE(shard_files, 2u);
+    // New records must not land behind the torn tail, where they
+    // would be misaligned and lost on every later load.
+    {
+        EvalRepository repo(workload::specSuite(60000), dir_, 0);
+        for (const auto &cfg : configs)
+            (void)repo.evaluate(spec(), cfg);
+        EXPECT_EQ(repo.simulationsRun(), 2u);
+        EXPECT_EQ(repo.stats().dropped, 1u);
+    }
+    EXPECT_EQ(std::filesystem::file_size(binPath()), 24u + 4u * 88u);
 
-    EvalRepository repo(workload::specSuite(60000), dir_, 0, 4);
-    for (std::size_t i = 0; i < configs.size(); ++i)
-        EXPECT_TRUE(
-            bitIdentical(repo.evaluate(spec(), configs[i]),
-                         fresh[i]));
+    EvalRepository repo(workload::specSuite(60000), dir_, 0);
+    for (const auto &cfg : configs)
+        (void)repo.evaluate(spec(), cfg);
     EXPECT_EQ(repo.simulationsRun(), 0u);
-    EXPECT_EQ(repo.stats().loaded, configs.size());
+    EXPECT_EQ(repo.stats().loaded, 4u);
+    EXPECT_EQ(repo.stats().dropped, 0u);
 }
 
-TEST_F(RepositoryTest, ReshardingAdoptsAndRewritesTheStore)
-{
-    Rng rng(37);
-    const auto configs =
-        space::dedupe(space::uniformRandomSet(rng, 10));
-    std::vector<EvalRecord> fresh;
-    {
-        EvalRepository repo(workload::specSuite(60000), dir_, 2, 4);
-        fresh = repo.evaluateBatch(spec(), configs);
-        repo.flush();
-    }
-    {
-        // Reopened under a different shard count: the old layout is
-        // adopted wholesale — no record is lost or re-simulated...
-        EvalRepository repo(workload::specSuite(60000), dir_, 0, 2);
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            EXPECT_TRUE(
-                bitIdentical(repo.evaluate(spec(), configs[i]),
-                             fresh[i]));
-        EXPECT_EQ(repo.simulationsRun(), 0u);
-        // ...and the next flush rewrites the two-shard layout,
-        // deleting the stray files of the old four-shard one.
-        repo.flush();
-    }
-    EXPECT_FALSE(std::filesystem::exists(shardFile(2)));
-    EXPECT_FALSE(std::filesystem::exists(shardFile(3)));
-
-    EvalRepository repo(workload::specSuite(60000), dir_, 0, 2);
-    for (std::size_t i = 0; i < configs.size(); ++i)
-        EXPECT_TRUE(
-            bitIdentical(repo.evaluate(spec(), configs[i]),
-                         fresh[i]));
-    EXPECT_EQ(repo.simulationsRun(), 0u);
-    EXPECT_EQ(repo.stats().loaded, configs.size());
-}
-
-TEST_F(RepositoryTest, ShardTornTailOnlyCostsTheTornRecords)
-{
-    Rng rng(41);
-    const auto configs =
-        space::dedupe(space::uniformRandomSet(rng, 9));
-    std::vector<EvalRecord> fresh;
-    {
-        EvalRepository repo(workload::specSuite(60000), dir_, 2, 3);
-        fresh = repo.evaluateBatch(spec(), configs);
-        repo.flush();
-    }
-
-    // Simulate a daemon killed mid-append on one shard: a full-size
-    // garbage record (checksum cannot match) plus a torn partial
-    // record on the same file's tail.
-    std::string victim;
-    for (std::size_t i = 0; i < 3; ++i)
-        if (std::filesystem::exists(shardFile(i)))
-            victim = shardFile(i);
-    ASSERT_FALSE(victim.empty());
-    ASSERT_TRUE(appendFileSync(victim, std::string(88, '\xcd')));
-    ASSERT_TRUE(appendFileSync(victim, "torn"));
-
-    EvalRepository repo(workload::specSuite(60000), dir_, 0, 3);
-    for (std::size_t i = 0; i < configs.size(); ++i)
-        EXPECT_TRUE(
-            bitIdentical(repo.evaluate(spec(), configs[i]),
-                         fresh[i]));
-    EXPECT_EQ(repo.simulationsRun(), 0u);
-    EXPECT_EQ(repo.stats().loaded, configs.size());
-    EXPECT_EQ(repo.stats().dropped, 2u);
-}
-
-TEST_F(RepositoryTest, FlushEveryIsAccountedPerShard)
+TEST_F(RepositoryTest, FlushEveryBatchesFirstWriteThenAppends)
 {
     const auto &cycle = sim::perfModel("cycle");
-    EvalRepository repo(workload::specSuite(60000), dir_, 0, 2);
+    EvalRepository repo(workload::specSuite(60000), dir_, 0);
     repo.setFlushEvery(2);
-
-    // Replicate the repository's shard routing to pick two configs
-    // on shard 0 and one on shard 1 (any seed works; the routing is
-    // a pure function of the cache key).
     Rng rng(43);
-    const auto pool =
-        space::dedupe(space::uniformRandomSet(rng, 40));
-    const auto shard_of = [&](const space::Configuration &c) {
-        return EvalKeyHash{}(
-                   EvalKey{cycle.cacheTag(), c.encode()}) %
-               repo.shards();
-    };
-    std::vector<space::Configuration> on0, on1;
-    for (const auto &cfg : pool)
-        (shard_of(cfg) == 0 ? on0 : on1).push_back(cfg);
-    ASSERT_GE(on0.size(), 2u);
-    ASSERT_GE(on1.size(), 1u);
+    const auto configs =
+        space::dedupe(space::uniformRandomSet(rng, 4));
+    ASSERT_EQ(configs.size(), 4u);
 
-    // Two unsaved records split across the two shards must NOT
-    // trigger a flush — the threshold is per shard, not global.
-    (void)repo.evaluate(spec(), on0[0], &cycle);
-    (void)repo.evaluate(spec(), on1[0], &cycle);
+    // One unsaved record stays buffered.
+    (void)repo.evaluate(spec(), configs[0], &cycle);
     EXPECT_EQ(repo.stats().flushed, 0u);
+    EXPECT_FALSE(std::filesystem::exists(binPath()));
 
-    // A second record on shard 0 reaches its threshold; the first
-    // flush persists everything pending (it must also create the
-    // shard files), so all three records hit disk.
-    (void)repo.evaluate(spec(), on0[1], &cycle);
-    EXPECT_EQ(repo.stats().flushed, 3u);
+    // The second reaches the threshold: the store file is created
+    // atomically with both records.
+    (void)repo.evaluate(spec(), configs[1], &cycle);
+    EXPECT_EQ(repo.stats().flushed, 2u);
+    EXPECT_TRUE(std::filesystem::exists(binPath()));
 
-    // With the files in place, the append fast path flushes only the
-    // shard that filled up.
-    ASSERT_GE(on0.size(), 4u);
-    (void)repo.evaluate(spec(), on0[2], &cycle);
-    EXPECT_EQ(repo.stats().flushed, 3u);
-    (void)repo.evaluate(spec(), on0[3], &cycle);
-    EXPECT_EQ(repo.stats().flushed, 5u);
+    // With the file in place, records 3-4 take the unlocked append
+    // fast path, again only once the threshold is reached.
+    (void)repo.evaluate(spec(), configs[2], &cycle);
+    EXPECT_EQ(repo.stats().flushed, 2u);
+    (void)repo.evaluate(spec(), configs[3], &cycle);
+    EXPECT_EQ(repo.stats().flushed, 4u);
+    EXPECT_EQ(std::filesystem::file_size(binPath()), 24u + 4u * 88u);
+
+    EvalRepository reopened(workload::specSuite(60000), dir_, 0);
+    for (const auto &cfg : configs)
+        (void)reopened.evaluate(spec(), cfg, &cycle);
+    EXPECT_EQ(reopened.simulationsRun(), 0u);
+    EXPECT_EQ(reopened.stats().loaded, 4u);
 }
 
 TEST_F(RepositoryTest, CorruptHeaderRegeneratesCache)
@@ -610,46 +527,6 @@ v1CacheImage(std::uint64_t code, const EvalRecord &r)
     return bytes;
 }
 
-} // namespace
-
-TEST_F(RepositoryTest, V1BinaryCacheIsMigratedAsCycleLevel)
-{
-    // A pre-seam (version-1) cache file: its records were produced
-    // by the only backend that existed then, so migration must tag
-    // them cycle-level and serve them to cycle-backend evaluations.
-    const EvalRecord fake{100.0, 1500.0, 0.5, 0.25, 1.5, 2.5, 42.0};
-    const std::uint64_t code = paperBaselineConfig().encode();
-    std::filesystem::create_directories(dir_);
-    ASSERT_TRUE(
-        atomicWriteFile(binPath(), v1CacheImage(code, fake)));
-
-    EvalRecord served;
-    {
-        EvalRepository repo(workload::specSuite(60000), dir_, 0);
-        served = repo.evaluate(spec(), paperBaselineConfig());
-        EXPECT_EQ(repo.simulationsRun(), 0u);
-        EXPECT_EQ(repo.cacheHits(), 1u);
-        EXPECT_TRUE(bitIdentical(served, fake));
-        EXPECT_EQ(repo.stats().migrated, 1u);
-        repo.flush();
-    }
-
-    // The flush rewrote the file in the current format...
-    const auto bytes = readFile(binPath());
-    ASSERT_GE(bytes.size(), 24u);
-    EXPECT_EQ(getU64(bytes.data() + 8), 3u);
-
-    // ...and the record round-trips bit-exactly through it.
-    EvalRepository repo2(workload::specSuite(60000), dir_, 0);
-    const auto again = repo2.evaluate(spec(), paperBaselineConfig());
-    EXPECT_EQ(repo2.simulationsRun(), 0u);
-    EXPECT_EQ(repo2.stats().migrated, 0u);
-    EXPECT_TRUE(bitIdentical(again, fake));
-}
-
-namespace
-{
-
 /** Hand-built format-2 cache image: 24-byte header (version 2) plus
  *  one 80-byte record without a chip-mix word. */
 std::string
@@ -673,41 +550,87 @@ v2CacheImage(std::uint64_t tag, std::uint64_t code,
     return bytes;
 }
 
+/** Hand-built current-format (version-3) cache image: 24-byte
+ *  header plus one 88-byte record, laid out byte by byte so the test
+ *  pins the on-disk format independently of the writer. */
+std::string
+v3CacheImage(std::uint64_t tag, std::uint64_t code,
+             const EvalRecord &r)
+{
+    std::string bytes("ADSIMEVC", 8);
+    putU64(bytes, 3);
+    putU64(bytes, fnv1a64(bytes.data(), 16));
+    const std::size_t start = bytes.size();
+    putU64(bytes, code);
+    putU64(bytes, tag);
+    putU64(bytes, 0);   // chip-mix key: solo
+    putDouble(bytes, r.cycles);
+    putDouble(bytes, r.instructions);
+    putDouble(bytes, r.seconds);
+    putDouble(bytes, r.joules);
+    putDouble(bytes, r.ipc);
+    putDouble(bytes, r.watts);
+    putDouble(bytes, r.efficiency);
+    putU64(bytes, fnv1a64(bytes.data() + start, 80));
+    return bytes;
+}
+
 } // namespace
 
-TEST_F(RepositoryTest, V2BinaryCacheIsMigratedAsSoloChip)
+TEST_F(RepositoryTest, PreV3BinaryCacheIsRegenerated)
 {
-    // A pre-chip (version-2) cache file: every record in it was a
-    // solo single-core run, so migration keeps the backend tag and
-    // assigns chip key 0 — exactly what solo evaluations look up.
+    // Version-1 and version-2 files are not read at all: the store
+    // is a regenerable cache, so the record is re-simulated (never
+    // half-read as the wrong layout), nothing counts as migrated or
+    // dropped, and the flush replaces the file with a version-3 one.
+    const EvalRecord fake{100.0, 1500.0, 0.5, 0.25, 1.5, 2.5, 42.0};
+    const std::uint64_t code = paperBaselineConfig().encode();
+    const std::string images[] = {
+        v1CacheImage(code, fake),
+        v2CacheImage(sim::CycleLevelModel::kCacheTag, code, fake)};
+    for (const auto &image : images) {
+        std::filesystem::remove_all(dir_);
+        std::filesystem::create_directories(dir_);
+        ASSERT_TRUE(atomicWriteFile(binPath(), image));
+        {
+            EvalRepository repo(workload::specSuite(60000), dir_, 0);
+            const auto r = repo.evaluate(spec(), paperBaselineConfig());
+            EXPECT_EQ(repo.simulationsRun(), 1u);
+            EXPECT_FALSE(bitIdentical(r, fake));
+            EXPECT_EQ(r.instructions, 1500.0);
+            EXPECT_EQ(repo.stats().loaded, 0u);
+            EXPECT_EQ(repo.stats().migrated, 0u);
+            EXPECT_EQ(repo.stats().dropped, 0u);
+            repo.flush();
+        }
+        const auto bytes = readFile(binPath());
+        ASSERT_EQ(bytes.size(), 24u + 88u);
+        EXPECT_EQ(getU64(bytes.data() + 8), 3u);
+
+        EvalRepository repo2(workload::specSuite(60000), dir_, 0);
+        (void)repo2.evaluate(spec(), paperBaselineConfig());
+        EXPECT_EQ(repo2.simulationsRun(), 0u);
+        EXPECT_EQ(repo2.stats().loaded, 1u);
+    }
+}
+
+TEST_F(RepositoryTest, V3BinaryCacheLoadsWithoutSimulation)
+{
+    // A store in today's format — hand-built, not written by this
+    // repository — is served bit-exact with zero simulations.
     const EvalRecord fake{200.0, 1500.0, 0.4, 0.3, 1.2, 2.0, 37.0};
     const std::uint64_t code = paperBaselineConfig().encode();
     std::filesystem::create_directories(dir_);
     ASSERT_TRUE(atomicWriteFile(
         binPath(),
-        v2CacheImage(sim::CycleLevelModel::kCacheTag, code, fake)));
+        v3CacheImage(sim::CycleLevelModel::kCacheTag, code, fake)));
 
-    EvalRecord served;
-    {
-        EvalRepository repo(workload::specSuite(60000), dir_, 0);
-        served = repo.evaluate(spec(), paperBaselineConfig());
-        EXPECT_EQ(repo.simulationsRun(), 0u);
-        EXPECT_EQ(repo.cacheHits(), 1u);
-        EXPECT_TRUE(bitIdentical(served, fake));
-        EXPECT_EQ(repo.stats().migrated, 1u);
-        repo.flush();
-    }
-
-    // The flush rewrote the file as version 3, and the record
-    // round-trips bit-exactly through the new format.
-    const auto bytes = readFile(binPath());
-    ASSERT_GE(bytes.size(), 24u);
-    EXPECT_EQ(getU64(bytes.data() + 8), 3u);
-    EvalRepository repo2(workload::specSuite(60000), dir_, 0);
-    const auto again = repo2.evaluate(spec(), paperBaselineConfig());
-    EXPECT_EQ(repo2.simulationsRun(), 0u);
-    EXPECT_EQ(repo2.stats().migrated, 0u);
-    EXPECT_TRUE(bitIdentical(again, fake));
+    EvalRepository repo(workload::specSuite(60000), dir_, 0);
+    const auto served = repo.evaluate(spec(), paperBaselineConfig());
+    EXPECT_EQ(repo.simulationsRun(), 0u);
+    EXPECT_EQ(repo.cacheHits(), 1u);
+    EXPECT_EQ(repo.stats().loaded, 1u);
+    EXPECT_TRUE(bitIdentical(served, fake));
 }
 
 TEST_F(RepositoryTest, ChipMixRecordsNeverAnswerSoloLookups)
@@ -862,7 +785,7 @@ TEST_F(RepositoryTest, CascadeRecordsCarryProducingBackendTag)
     }
     unsetenv("ADAPTSIM_CASCADE_THRESHOLD");
 
-    // Round trip through the v2 store: a cascade query of the same
+    // Round trip through the store: a cascade query of the same
     // point is answered by the cached cycle record (its lookup set
     // leads with ground truth), even when nothing would escalate.
     EvalRepository repo2(workload::specSuite(60000), dir_, 0);
