@@ -144,7 +144,6 @@ trainMiniModel(const std::vector<std::string> &programs,
     gopt.localNeighbours = 4;
     gopt.oneAtATimeSweep = true;
     gopt.progress = false;
-    gopt.memo = harness::GatherOptions::MemoMode::Off;
     gopt.backend = &sim::perfModel("cycle");
 
     std::vector<phase::Phase> phases;

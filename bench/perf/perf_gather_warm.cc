@@ -45,7 +45,6 @@ main(int argc, char **argv)
     gopt.localNeighbours = opt.smoke ? 4 : 8;
     gopt.oneAtATimeSweep = false;
     gopt.progress = false;
-    gopt.memo = harness::GatherOptions::MemoMode::On;
 
     const auto dir = std::filesystem::temp_directory_path() /
                      "adaptsim_perf_gather_warm";

@@ -1,16 +1,16 @@
 /**
  * @file
- * The full Fig. 2 runtime loop: an AdaptiveController executing a
- * program with online phase detection, profiling-configuration
- * counter gathering, model-driven reconfiguration (with the Table V
- * overheads), compared against running the whole program on the
- * static Table III baseline.
+ * The full Fig. 2 runtime loop: a ChipController on a one-core chip
+ * executing a program with online phase detection, profiling-
+ * configuration counter gathering, model-driven reconfiguration (with
+ * the Table V overheads), compared against running the whole program
+ * on the static Table III baseline.
  */
 
 #include <cstdio>
 
 #include "common/table.hh"
-#include "control/controller.hh"
+#include "control/chip_controller.hh"
 #include "harness/gather.hh"
 #include "phase/simpoint.hh"
 #include "workload/spec_suite.hh"
@@ -59,7 +59,10 @@ main()
     const auto model = ml::trainModel(data, {});
     repo.flush();
 
-    // Drive unseen programs adaptively vs the static baseline.
+    // Drive unseen programs adaptively vs the static baseline, each
+    // on its own one-core chip.
+    const auto chip = uarch::ChipConfig::homogeneous(
+        harness::paperBaselineConfig(), 1);
     TextTable table;
     table.setHeader({"Program", "Static eff", "Adaptive eff",
                      "Gain", "Phases", "Reconfigs"});
@@ -70,16 +73,21 @@ main()
         // Both runs walk the same interval sequence, so one shared
         // cache generates every trace once and replays it twice.
         workload::TraceCache trace_cache;
-        const auto static_stats = control::runStatic(
-            wl, harness::paperBaselineConfig(), run_length,
-            interval, &trace_cache);
+        const auto static_stats =
+            control::runStaticChip({&wl},
+                                   harness::paperBaselineConfig(),
+                                   chip, run_length, interval,
+                                   &trace_cache)
+                .cores.at(0);
 
-        control::ControllerOptions copt;
+        control::ChipControllerOptions copt;
         copt.intervalLength = interval;
         copt.initialConfig = harness::paperBaselineConfig();
+        copt.chip = chip;
         copt.traceCache = &trace_cache;
-        control::AdaptiveController controller(wl, model, copt);
-        const auto adaptive_stats = controller.run(run_length);
+        control::ChipController controller({&wl}, model, copt);
+        const auto adaptive_stats =
+            controller.run(run_length).cores.at(0);
 
         table.addRow(
             {program,

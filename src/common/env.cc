@@ -159,13 +159,6 @@ cycleTraceEnabled()
     return !v.empty() && v != "0" && v != "off";
 }
 
-bool
-gatherMemoEnabled()
-{
-    const std::string v = envString("ADAPTSIM_GATHER_MEMO", "1");
-    return v != "0" && v != "off";
-}
-
 double
 gatherMemoThreshold()
 {
@@ -183,20 +176,6 @@ gatherMemoProbes()
 {
     const long n = envLong("ADAPTSIM_GATHER_MEMO_PROBES", 1);
     return n > 0 ? static_cast<std::size_t>(n) : 1;
-}
-
-unsigned
-chipCores()
-{
-    long n;
-    if (!envLongStrict("ADAPTSIM_CHIP_CORES", n))
-        return 1;
-    if (n < 1 || n > 8) {
-        warn("ADAPTSIM_CHIP_CORES=", n,
-             " out of range (valid 1..8); using the default of 1");
-        return 1;
-    }
-    return static_cast<unsigned>(n);
 }
 
 unsigned

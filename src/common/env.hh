@@ -72,13 +72,6 @@ double cascadeThreshold();
  *  (saveLearnedSurrogate() format); empty when unset. */
 std::string surrogatePath();
 
-/** ADAPTSIM_GATHER_MEMO: phase-memoised gather scheduling.  Truthy
- *  (default) lets gathers recognise previously characterised phases
- *  through the persistent memo index and skip resimulation; "0"/
- *  "off" forces every phase down the full sampling path, bit-exact
- *  with the pre-memo gather. */
-bool gatherMemoEnabled();
-
 /** ADAPTSIM_GATHER_MEMO_THRESHOLD: Manhattan distance (L1-normalised
  *  BBVs, range [0,2]) below which a phase signature matches a memo
  *  entry from a previous run (default 0.25; entries recorded by the
@@ -95,14 +88,6 @@ double gatherMemoTolerance();
  *  configurations are re-measured on a recognised phase (default 1,
  *  minimum 1). */
 std::size_t gatherMemoProbes();
-
-/** ADAPTSIM_CHIP_CORES: cores on the simulated chip (default 1 —
- *  the classic single-core model; valid 1..8).  An out-of-range or
- *  malformed value is rejected with a warning and the default is
- *  used — never silently clamped, because a chip size silently
- *  different from the one requested invalidates any co-run
- *  comparison made with it. */
-unsigned chipCores();
 
 /** ADAPTSIM_LLC_BANKS: shared-LLC bank count (default 8; valid
  *  powers of two 1..64).  Out-of-range or non-power-of-two values

@@ -3,11 +3,18 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "control/reconfig_cost.hh"
 #include "obs/obs.hh"
 #include "power/metrics.hh"
 
 namespace adaptsim::control
 {
+
+double
+RunStats::efficiency() const
+{
+    return power::efficiencyOf(ips(), watts());
+}
 
 double
 ChipRunStats::meanEfficiency() const
@@ -135,7 +142,7 @@ ChipController::run(std::uint64_t max_instructions)
                 counters::CounterBank bank(profiling_cc);
                 uarch::SimResult prof;
                 {
-                    OBS_SPAN("control/chip_profile");
+                    OBS_SPAN("control/profile");
                     prof = profileBackend_.run(*profilers[c],
                                                traces[c], &bank);
                 }
@@ -169,8 +176,7 @@ ChipController::run(std::uint64_t max_instructions)
                     double(penalty) * current_cc[c].clockPeriodSec;
                 ++cs.reconfigurations;
                 OBS_ONLY(
-                    OBS_COUNTER("control/chip_reconfigurations")
-                        .add(1);)
+                    OBS_COUNTER("control/reconfigurations").add(1);)
                 just_reconfigured[c] = true;
 
                 current[c] = target;

@@ -1,29 +1,46 @@
 /**
  * @file
- * Per-core predictive adaptivity control on a multi-core chip.
+ * The runtime adaptivity controller — the complete loop of Fig. 2,
+ * run once per core of a chip.
  *
- * One CorePolicy instance per core runs the Fig. 2 loop against that
- * core's own counters while all cores co-execute on a shared-LLC
- * chip (sim::ChipSession).  Profiling intervals run on a persistent
- * per-core *solo* session at the profiling configuration — the
- * predictive model was trained on interference-free profiles, so
- * feeding it nominal-condition counters keeps the feature
- * distribution it learned; the interference itself reaches the
- * timing through the chip model, not the features.  The profiled
- * core sits out the chip interval (its work happened on the
- * profiling core), exactly mirroring the single-core controller's
- * semantics.
+ * Stage 1: an online BBV detector watches for phase changes.
+ * Stage 2: new phases run one interval on the profiling configuration
+ *          while the counter bank gathers Table II counters.
+ * Stage 3: the predictive model maps the counters to a configuration;
+ *          the core reconfigures (paying the Table V overheads, with
+ *          caches flushed) and execution continues.
+ *
+ * Recurring phases reuse their stored prediction, so reconfiguration
+ * and profiling happen only on genuinely new behaviour.
+ *
+ * One CorePolicy instance per core runs that loop against the core's
+ * own counters while all cores co-execute on a shared-LLC chip
+ * (sim::ChipSession); a single-core processor is the one-core chip.
+ * Profiling intervals run on a persistent per-core *solo* session at
+ * the profiling configuration — the predictive model was trained on
+ * interference-free profiles, so feeding it nominal-condition
+ * counters keeps the feature distribution it learned; the
+ * interference itself reaches the timing through the chip model, not
+ * the features.  The profiled core sits out the chip interval: its
+ * work happened on the profiling core.
  */
 
 #ifndef ADAPTSIM_CONTROL_CHIP_CONTROLLER_HH
 #define ADAPTSIM_CONTROL_CHIP_CONTROLLER_HH
 
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
-#include "control/controller.hh"
+#include "common/types.hh"
+#include "control/core_policy.hh"
+#include "counters/feature_vector.hh"
+#include "ml/trainer.hh"
 #include "sim/chip_session.hh"
+#include "sim/perf_model.hh"
 #include "uarch/core_config.hh"
+#include "workload/trace_cache.hh"
+#include "workload/workload.hh"
 
 namespace adaptsim::control
 {
@@ -41,12 +58,40 @@ struct ChipControllerOptions
      *  initialConfig per workload. */
     uarch::ChipConfig chip;
 
+    /** Optional shared interval-trace cache: replayed runs of the
+     *  same workloads (static vs adaptive comparisons) then generate
+     *  each interval once instead of once per run. */
     workload::TraceCache *traceCache = nullptr;
 
     /** Backend for the chip intervals; nullptr selects the
-     *  ADAPTSIM_BACKEND default.  Profiling uses an observer-capable
-     *  backend (cycle fallback), as in the single-core controller. */
+     *  ADAPTSIM_BACKEND default.  Profiling intervals need observer
+     *  callbacks, so a backend without observer support profiles on
+     *  the cycle-level model. */
     const sim::PerfModel *backend = nullptr;
+};
+
+/** Whole-run outcome of one core's adaptive (or static) execution. */
+struct RunStats
+{
+    std::uint64_t intervals = 0;
+    std::uint64_t instructions = 0;
+    std::uint64_t phaseChanges = 0;
+    std::uint64_t profilingIntervals = 0;
+    std::uint64_t reconfigurations = 0;
+    Cycles reconfigCycles = 0;
+
+    double seconds = 0.0;
+    double joules = 0.0;
+
+    double watts() const
+    {
+        return seconds > 0.0 ? joules / seconds : 0.0;
+    }
+    double ips() const
+    {
+        return seconds > 0.0 ? double(instructions) / seconds : 0.0;
+    }
+    double efficiency() const;   ///< ips³/W
 };
 
 /** Whole-run outcome of a chip execution. */

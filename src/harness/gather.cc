@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "harness/gather_scheduler.hh"
 #include "obs/obs.hh"
@@ -93,20 +92,6 @@ gatherOnePhase(EvalRepository &repo,
     if (options.profileFeatures)
         g.features = repo.profile(g.spec, options.backend);
     return g;
-}
-
-bool
-memoActive(const GatherOptions &options)
-{
-    switch (options.memo) {
-    case GatherOptions::MemoMode::On:
-        return true;
-    case GatherOptions::MemoMode::Off:
-        return false;
-    case GatherOptions::MemoMode::Env:
-        break;
-    }
-    return adaptsim::gatherMemoEnabled();
 }
 
 /** The phase's classification signature when already computed by
@@ -266,21 +251,17 @@ gatherTrainingData(EvalRepository &repo,
                    const GatherOptions &options)
 {
     const auto shared = sharedConfigPool(options);
-    const bool memo_on = memoActive(options);
 
     // Per-call scheduler over the repository's index unless the
-    // caller shares one across gathers.  With memoisation off no
-    // scheduler exists at all: the gather below is the pre-memo
-    // code path, bit for bit, and the index file is never touched.
+    // caller shares one across gathers.  A phase the index does not
+    // recognise takes the full sampling path, so a cold gather over
+    // an empty index is the pre-memo gather, bit for bit.
     std::unique_ptr<GatherScheduler> own_scheduler;
-    GatherScheduler *sched = nullptr;
-    if (memo_on) {
-        sched = options.scheduler;
-        if (!sched) {
-            own_scheduler = std::make_unique<GatherScheduler>(
-                GatherScheduler::indexPathFor(repo));
-            sched = own_scheduler.get();
-        }
+    GatherScheduler *sched = options.scheduler;
+    if (!sched) {
+        own_scheduler = std::make_unique<GatherScheduler>(
+            GatherScheduler::indexPathFor(repo));
+        sched = own_scheduler.get();
     }
 
     std::vector<GatheredPhase> out;
@@ -303,8 +284,7 @@ gatherTrainingData(EvalRepository &repo,
             const PhaseSpec spec{ph.workload, program_length,
                                  ph.startInst, warm_length,
                                  ph.lengthInsts};
-            const phase::Bbv *sig =
-                sched ? readySignature(ph) : nullptr;
+            const phase::Bbv *sig = readySignature(ph);
             std::optional<GatheredPhase> g;
             bool recognised = false;
             if (sig) {
@@ -360,20 +340,16 @@ gatherTrainingData(EvalRepository &repo,
                 // against the memo index and cost each class at this
                 // run's own observed mean.
                 std::size_t rem_hits = 0;
-                if (sched) {
-                    for (std::size_t j = done; j < phases.size();
-                         ++j) {
-                        const auto &rem = phases[j];
-                        const phase::Bbv *rsig = readySignature(rem);
-                        if (!rsig)
-                            continue;
-                        const PhaseSpec rspec{
-                            rem.workload, program_length,
-                            rem.startInst, warm_length,
-                            rem.lengthInsts};
-                        if (sched->wouldHit(rspec, *rsig))
-                            ++rem_hits;
-                    }
+                for (std::size_t j = done; j < phases.size(); ++j) {
+                    const auto &rem = phases[j];
+                    const phase::Bbv *rsig = readySignature(rem);
+                    if (!rsig)
+                        continue;
+                    const PhaseSpec rspec{rem.workload, program_length,
+                                          rem.startInst, warm_length,
+                                          rem.lengthInsts};
+                    if (sched->wouldHit(rspec, *rsig))
+                        ++rem_hits;
                 }
                 const std::size_t rem_misses =
                     phases.size() - done - rem_hits;
@@ -385,26 +361,17 @@ gatherTrainingData(EvalRepository &repo,
                                   : 0.0;
                 const double eta = double(rem_misses) * mean_miss +
                                    double(rem_hits) * mean_hit;
-                if (sched) {
-                    const auto ms = sched->stats();
-                    inform("gather: ", done, "/", phases.size(),
-                           " phases (", repo.statsSummary(),
-                           "), memo ", ms.hits, " hit/", ms.misses,
-                           " miss/", ms.escalations,
-                           " escalated, elapsed ",
-                           prettySeconds(elapsed), ", eta ",
-                           prettySeconds(eta));
-                } else {
-                    inform("gather: ", done, "/", phases.size(),
-                           " phases (", repo.statsSummary(),
-                           "), elapsed ", prettySeconds(elapsed),
-                           ", eta ", prettySeconds(eta));
-                }
+                const auto ms = sched->stats();
+                inform("gather: ", done, "/", phases.size(),
+                       " phases (", repo.statsSummary(), "), memo ",
+                       ms.hits, " hit/", ms.misses, " miss/",
+                       ms.escalations, " escalated, elapsed ",
+                       prettySeconds(elapsed), ", eta ",
+                       prettySeconds(eta));
             }
         }
     }
-    if (sched)
-        sched->save();
+    sched->save();
     return out;
 }
 

@@ -44,20 +44,9 @@ struct GatherOptions
      *  does not mask the evaluation-backend cost being measured. */
     bool profileFeatures = true;
 
-    /** Phase-memoised scheduling (see harness/gather_scheduler.hh).
-     *  Env defers to ADAPTSIM_GATHER_MEMO (default on); Off forces
-     *  every phase down the full sampling path, bit-exact with the
-     *  pre-memo gather. */
-    enum class MemoMode
-    {
-        Env,
-        On,
-        Off
-    };
-    MemoMode memo = MemoMode::Env;
-
-    /** Shared memo index for this gather; nullptr (and memo active)
-     *  builds a per-call scheduler over the repository's index file
+    /** Shared phase-memo index for this gather (see
+     *  harness/gather_scheduler.hh); nullptr builds a per-call
+     *  scheduler over the repository's index file
      *  (GatherScheduler::indexPathFor).  Concurrent gathers may
      *  share one instance — the scheduler is thread-safe. */
     GatherScheduler *scheduler = nullptr;

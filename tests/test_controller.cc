@@ -1,10 +1,14 @@
 /**
  * @file
- * End-to-end tests of the adaptive controller (Fig. 2 loop).
+ * End-to-end tests of the adaptive controller (Fig. 2 loop).  A
+ * single-core processor is the one-core chip, so the single-core
+ * cases run ChipController / runStaticChip at N=1.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -12,7 +16,6 @@
 
 #include "common/rng.hh"
 #include "control/chip_controller.hh"
-#include "control/controller.hh"
 #include "harness/gather.hh"
 #include "harness/learned_trainer.hh"
 #include "harness/repository.hh"
@@ -35,6 +38,34 @@ dummyModel()
         counters::FeatureSet::Advanced));
 }
 
+/** Knobs for a one-core chip starting on the Table III baseline. */
+ChipControllerOptions
+soloOptions(std::uint64_t interval_length)
+{
+    ChipControllerOptions opt;
+    opt.intervalLength = interval_length;
+    opt.initialConfig = harness::paperBaselineConfig();
+    opt.chip = uarch::ChipConfig::homogeneous(
+        harness::paperBaselineConfig(), 1);
+    return opt;
+}
+
+/** The whole program pinned to the Table III baseline on a one-core
+ *  chip. */
+RunStats
+runStaticSolo(const workload::Workload &wl,
+              std::uint64_t max_instructions,
+              std::uint64_t interval_length,
+              workload::TraceCache *trace_cache = nullptr)
+{
+    const auto stats = runStaticChip(
+        {&wl}, harness::paperBaselineConfig(),
+        uarch::ChipConfig::homogeneous(
+            harness::paperBaselineConfig(), 1),
+        max_instructions, interval_length, trace_cache);
+    return stats.cores.at(0);
+}
+
 } // namespace
 
 TEST(RunStats, DerivedQuantities)
@@ -51,8 +82,7 @@ TEST(RunStats, DerivedQuantities)
 TEST(Controller, RunStaticAccumulatesAllIntervals)
 {
     const auto wl = workload::specBenchmark("gzip", 100000);
-    const auto stats = runStatic(
-        wl, harness::paperBaselineConfig(), 30000, 5000);
+    const auto stats = runStaticSolo(wl, 30000, 5000);
     EXPECT_EQ(stats.intervals, 6u);
     EXPECT_EQ(stats.instructions, 30000u);
     EXPECT_GT(stats.seconds, 0.0);
@@ -64,18 +94,15 @@ TEST(Controller, AdaptiveRunExecutesEverything)
 {
     const auto wl = workload::specBenchmark("gap", 200000);
     const auto model = dummyModel();
-    ControllerOptions opt;
-    opt.intervalLength = 5000;
-    opt.initialConfig = harness::paperBaselineConfig();
-    AdaptiveController controller(wl, model, opt);
-    const auto stats = controller.run(60000);
+    ChipController controller({&wl}, model, soloOptions(5000));
+    const auto stats = controller.run(60000).cores.at(0);
 
     EXPECT_EQ(stats.intervals, 12u);
     EXPECT_EQ(stats.instructions, 60000u);
     EXPECT_GE(stats.phaseChanges, 1u);   // at least the first phase
     EXPECT_GE(stats.profilingIntervals, 1u);
     EXPECT_EQ(stats.profilingIntervals,
-              controller.phasePredictions().size());
+              controller.phasePredictions(0).size());
 }
 
 TEST(Controller, TraceCachedRunsMatchUncachedBitExactly)
@@ -85,24 +112,20 @@ TEST(Controller, TraceCachedRunsMatchUncachedBitExactly)
     const auto wl = workload::specBenchmark("gzip", 100000);
     workload::TraceCache cache;
 
-    const auto plain = runStatic(
-        wl, harness::paperBaselineConfig(), 30000, 5000);
-    const auto cached = runStatic(
-        wl, harness::paperBaselineConfig(), 30000, 5000, &cache);
+    const auto plain = runStaticSolo(wl, 30000, 5000);
+    const auto cached = runStaticSolo(wl, 30000, 5000, &cache);
     EXPECT_EQ(cached.seconds, plain.seconds);
     EXPECT_EQ(cached.joules, plain.joules);
     EXPECT_EQ(cached.instructions, plain.instructions);
     EXPECT_EQ(cache.misses(), 6u);   // one generation per interval
 
     const auto model = dummyModel();
-    ControllerOptions opt;
-    opt.intervalLength = 5000;
-    opt.initialConfig = harness::paperBaselineConfig();
-    AdaptiveController uncached_ctl(wl, model, opt);
-    const auto a = uncached_ctl.run(30000);
+    auto opt = soloOptions(5000);
+    ChipController uncached_ctl({&wl}, model, opt);
+    const auto a = uncached_ctl.run(30000).cores.at(0);
     opt.traceCache = &cache;   // pre-warmed by the static runs
-    AdaptiveController cached_ctl(wl, model, opt);
-    const auto b = cached_ctl.run(30000);
+    ChipController cached_ctl({&wl}, model, opt);
+    const auto b = cached_ctl.run(30000).cores.at(0);
     EXPECT_EQ(a.seconds, b.seconds);
     EXPECT_EQ(a.joules, b.joules);
     EXPECT_EQ(a.instructions, b.instructions);
@@ -115,11 +138,8 @@ TEST(Controller, ReconfiguresOncePerNewPhaseAtMost)
 {
     const auto wl = workload::specBenchmark("gap", 200000);
     const auto model = dummyModel();
-    ControllerOptions opt;
-    opt.intervalLength = 5000;
-    opt.initialConfig = harness::paperBaselineConfig();
-    AdaptiveController controller(wl, model, opt);
-    const auto stats = controller.run(80000);
+    ChipController controller({&wl}, model, soloOptions(5000));
+    const auto stats = controller.run(80000).cores.at(0);
     EXPECT_LE(stats.reconfigurations, stats.phaseChanges);
     // The all-zeros prediction differs from the baseline: at least
     // one reconfiguration must have occurred and cost cycles.
@@ -132,11 +152,8 @@ TEST(Controller, RecurringPhasesReuseStoredPredictions)
     // gzip alternates scan/match segments: the same phases recur.
     const auto wl = workload::specBenchmark("gzip", 200000);
     const auto model = dummyModel();
-    ControllerOptions opt;
-    opt.intervalLength = 4000;
-    opt.initialConfig = harness::paperBaselineConfig();
-    AdaptiveController controller(wl, model, opt);
-    const auto stats = controller.run(160000);
+    ChipController controller({&wl}, model, soloOptions(4000));
+    const auto stats = controller.run(160000).cores.at(0);
     // Far fewer profiling intervals than total intervals: recurring
     // behaviour must be recognised, not re-profiled.
     EXPECT_LT(stats.profilingIntervals, stats.intervals / 2);
@@ -146,11 +163,8 @@ TEST(Controller, ProfilingOverheadIsCharged)
 {
     const auto wl = workload::specBenchmark("eon", 100000);
     const auto model = dummyModel();
-    ControllerOptions opt;
-    opt.intervalLength = 5000;
-    opt.initialConfig = harness::paperBaselineConfig();
-    AdaptiveController controller(wl, model, opt);
-    const auto stats = controller.run(40000);
+    ChipController controller({&wl}, model, soloOptions(5000));
+    const auto stats = controller.run(40000).cores.at(0);
     // Every executed instruction is accounted exactly once.
     EXPECT_EQ(stats.instructions, 40000u);
     EXPECT_GT(stats.joules, 0.0);
@@ -205,18 +219,16 @@ TEST(Controller, CascadeForcedEscalationMatchesCycleBitExactly)
     ensureTrainedSurrogate();
     const auto wl = workload::specBenchmark("gzip", 200000);
     const auto model = dummyModel();
-    ControllerOptions opt;
-    opt.intervalLength = 5000;
-    opt.initialConfig = harness::paperBaselineConfig();
+    auto opt = soloOptions(5000);
 
     opt.backend = &sim::perfModel("cycle");
-    AdaptiveController ref_ctl(wl, model, opt);
-    const auto ref = ref_ctl.run(60000);
+    ChipController ref_ctl({&wl}, model, opt);
+    const auto ref = ref_ctl.run(60000).cores.at(0);
 
     setenv("ADAPTSIM_CASCADE_THRESHOLD", "-1", 1);
     opt.backend = &sim::perfModel("cascade");
-    AdaptiveController cas_ctl(wl, model, opt);
-    const auto got = cas_ctl.run(60000);
+    ChipController cas_ctl({&wl}, model, opt);
+    const auto got = cas_ctl.run(60000).cores.at(0);
     unsetenv("ADAPTSIM_CASCADE_THRESHOLD");
 
     EXPECT_EQ(got.intervals, ref.intervals);
@@ -237,17 +249,15 @@ TEST(Controller, CascadeTracksCycleLevelDecisions)
     ensureTrainedSurrogate();
     const auto wl = workload::specBenchmark("gzip", 200000);
     const auto model = dummyModel();
-    ControllerOptions opt;
-    opt.intervalLength = 5000;
-    opt.initialConfig = harness::paperBaselineConfig();
+    auto opt = soloOptions(5000);
 
     opt.backend = &sim::perfModel("cycle");
-    AdaptiveController ref_ctl(wl, model, opt);
-    const auto ref = ref_ctl.run(60000);
+    ChipController ref_ctl({&wl}, model, opt);
+    const auto ref = ref_ctl.run(60000).cores.at(0);
 
     opt.backend = &sim::perfModel("cascade");
-    AdaptiveController cas_ctl(wl, model, opt);
-    const auto got = cas_ctl.run(60000);
+    ChipController cas_ctl({&wl}, model, opt);
+    const auto got = cas_ctl.run(60000).cores.at(0);
 
     EXPECT_EQ(got.intervals, ref.intervals);
     EXPECT_EQ(got.instructions, ref.instructions);
@@ -305,32 +315,36 @@ TEST(ChipController, AdaptiveChipRunsEveryCoreToCompletion)
     }
 }
 
-TEST(ChipController, SingleCoreChipMatchesTheSingleCoreController)
+TEST(ChipController, SingleCoreChipMatchesFrozenSingleCoreGolden)
 {
-    // On a one-core chip the whole chip layer must collapse to the
-    // classic controller: identical interval accounting and timing.
+    // A one-core chip is the single-core controller.  These values
+    // were recorded from the dedicated single-core controller the
+    // one-core chip replaced (gzip, 60k µops in 5k intervals, default
+    // backend, dummy model); the N=1 trajectory must keep them bit
+    // for bit.
     const auto wl = workload::specBenchmark("gzip", 200000);
     const auto model = dummyModel();
-
-    ControllerOptions solo_opt;
-    solo_opt.intervalLength = 5000;
-    solo_opt.initialConfig = harness::paperBaselineConfig();
-    AdaptiveController solo(wl, model, solo_opt);
-    const auto want = solo.run(60000);
-
-    ChipControllerOptions opt;
-    opt.intervalLength = 5000;
-    opt.initialConfig = harness::paperBaselineConfig();
-    opt.chip = uarch::ChipConfig::homogeneous(
-        harness::paperBaselineConfig(), 1);
-    ChipController chip({&wl}, model, opt);
+    ChipController chip({&wl}, model, soloOptions(5000));
     const auto got = chip.run(60000);
 
     ASSERT_EQ(got.cores.size(), 1u);
-    EXPECT_EQ(got.cores[0].intervals, want.intervals);
-    EXPECT_EQ(got.cores[0].instructions, want.instructions);
-    EXPECT_EQ(got.cores[0].phaseChanges, want.phaseChanges);
-    EXPECT_EQ(got.cores[0].reconfigurations, want.reconfigurations);
-    EXPECT_EQ(got.cores[0].seconds, want.seconds);
-    EXPECT_EQ(got.cores[0].joules, want.joules);
+    const RunStats &s = got.cores[0];
+    EXPECT_EQ(s.intervals, 12u);
+    EXPECT_EQ(s.instructions, 60000u);
+    EXPECT_EQ(s.phaseChanges, 2u);
+    EXPECT_EQ(s.reconfigurations, 1u);
+    EXPECT_EQ(s.reconfigCycles, 2966u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(s.seconds),
+              0x3f21e41a19a75e0dULL);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(s.joules),
+              0x3f45b62bdc3fee26ULL);
+
+    // The static reference on the same one-core chip, likewise.
+    const auto st = runStaticSolo(wl, 60000, 5000);
+    EXPECT_EQ(st.intervals, 12u);
+    EXPECT_EQ(st.instructions, 60000u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(st.seconds),
+              0x3f00f9483c15154cULL);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(st.joules),
+              0x3f2e26acc34aaec9ULL);
 }

@@ -200,21 +200,6 @@ TEST(Env, SurrogatePathDefaultsEmpty)
     unsetenv("ADAPTSIM_SURROGATE");
 }
 
-TEST(Env, GatherMemoOnOffSwitch)
-{
-    unsetenv("ADAPTSIM_GATHER_MEMO");
-    EXPECT_TRUE(gatherMemoEnabled());
-    setenv("ADAPTSIM_GATHER_MEMO", "1", 1);
-    EXPECT_TRUE(gatherMemoEnabled());
-    // "0" and "off" are the bit-exactness escape hatch: every phase
-    // takes the full pre-memo sampling path.
-    setenv("ADAPTSIM_GATHER_MEMO", "0", 1);
-    EXPECT_FALSE(gatherMemoEnabled());
-    setenv("ADAPTSIM_GATHER_MEMO", "off", 1);
-    EXPECT_FALSE(gatherMemoEnabled());
-    unsetenv("ADAPTSIM_GATHER_MEMO");
-}
-
 TEST(Env, GatherMemoThresholdAndTolerance)
 {
     unsetenv("ADAPTSIM_GATHER_MEMO_THRESHOLD");
@@ -246,31 +231,6 @@ TEST(Env, GatherMemoProbesDefaultAndMinimum)
     setenv("ADAPTSIM_GATHER_MEMO_PROBES", "-2", 1);
     EXPECT_EQ(gatherMemoProbes(), 1u);
     unsetenv("ADAPTSIM_GATHER_MEMO_PROBES");
-}
-
-TEST(Env, ChipCoresRejectsOutOfRange)
-{
-    unsetenv("ADAPTSIM_CHIP_CORES");
-    EXPECT_EQ(chipCores(), 1u);
-    setenv("ADAPTSIM_CHIP_CORES", "4", 1);
-    EXPECT_EQ(chipCores(), 4u);
-    setenv("ADAPTSIM_CHIP_CORES", "8", 1);
-    EXPECT_EQ(chipCores(), 8u);
-    // Out-of-range values are REJECTED (typed warning + default),
-    // never clamped: a silently shrunk chip invalidates any co-run
-    // comparison made with it.
-    setenv("ADAPTSIM_CHIP_CORES", "0", 1);
-    EXPECT_EQ(chipCores(), 1u);
-    setenv("ADAPTSIM_CHIP_CORES", "9", 1);
-    EXPECT_EQ(chipCores(), 1u);
-    setenv("ADAPTSIM_CHIP_CORES", "-2", 1);
-    EXPECT_EQ(chipCores(), 1u);
-    // Trailing garbage is a typo, not a number (strict parse).
-    setenv("ADAPTSIM_CHIP_CORES", "4x", 1);
-    EXPECT_EQ(chipCores(), 1u);
-    setenv("ADAPTSIM_CHIP_CORES", "garbage", 1);
-    EXPECT_EQ(chipCores(), 1u);
-    unsetenv("ADAPTSIM_CHIP_CORES");
 }
 
 TEST(Env, LlcBanksRejectsNonPowerOfTwo)

@@ -2,7 +2,7 @@
  * @file
  * Tests of the phase-memoised gather scheduler: asymmetric live/disk
  * signature matching, index persistence, escalation policy, the
- * recognised-phase fast path, memo-off bit-exactness against the
+ * recognised-phase fast path, cold-gather bit-exactness against the
  * frozen pre-memo gather hash, and concurrent gathers sharing one
  * scheduler (the TSan pass covers this file).
  */
@@ -30,8 +30,9 @@ namespace
 
 /** Frozen output hash of the pre-memo gather at the geometry below
  *  (gzip, 60000 insts, 1500-inst intervals, 2 phases, 8 shared, 4
- *  neighbours, sweep on, 1000 warm).  ADAPTSIM_GATHER_MEMO=0 /
- *  MemoMode::Off must keep reproducing it bit for bit. */
+ *  neighbours, sweep on, 1000 warm).  A cold gather over an empty
+ *  memo index takes the full path for every phase, so it must keep
+ *  reproducing this bit for bit. */
 constexpr std::uint64_t kGoldenHash = 0xb39c8bebd704dd53ULL;
 
 std::uint64_t
@@ -241,7 +242,6 @@ TEST_F(GatherSchedulerTest, RecognisedPhaseReusesCharacterisation)
     opt.localNeighbours = 4;
     opt.oneAtATimeSweep = true;
     opt.progress = false;
-    opt.memo = GatherOptions::MemoMode::On;
     GatherScheduler sched(GatherScheduler::indexPathFor(repo));
     opt.scheduler = &sched;
 
@@ -307,7 +307,6 @@ TEST_F(GatherSchedulerTest, LowConfidenceHitsEscalate)
     opt.localNeighbours = 2;
     opt.oneAtATimeSweep = false;
     opt.progress = false;
-    opt.memo = GatherOptions::MemoMode::On;
 
     // Negative tolerance escalates every recognised phase: the
     // gather re-characterises in full instead of trusting the memo.
@@ -342,31 +341,6 @@ TEST_F(GatherSchedulerTest, LowConfidenceHitsEscalate)
     }
 }
 
-TEST_F(GatherSchedulerTest, MemoOffIsBitExactWithPreMemoGather)
-{
-    constexpr std::uint64_t len = 60000;
-    EvalRepository repo(workload::specSuite(len), dir_, 0);
-    phase::SimPointOptions sp;
-    sp.intervalLength = 1500;
-    sp.maxPhases = 2;
-    const auto phases =
-        phase::extractPhases(repo.workload("gzip"), sp);
-
-    GatherOptions opt;
-    opt.sharedRandomConfigs = 8;
-    opt.localNeighbours = 4;
-    opt.oneAtATimeSweep = true;
-    opt.progress = false;
-    opt.memo = GatherOptions::MemoMode::Off;
-
-    const auto gathered =
-        gatherTrainingData(repo, phases, len, 1000, opt);
-    EXPECT_EQ(hashGather(gathered), kGoldenHash);
-    // With memoisation off the index file is never touched.
-    EXPECT_FALSE(std::filesystem::exists(
-        GatherScheduler::indexPathFor(repo)));
-}
-
 TEST_F(GatherSchedulerTest, IndexWarmsAFreshSchedulerFromDisk)
 {
     constexpr std::uint64_t len = 60000;
@@ -379,7 +353,6 @@ TEST_F(GatherSchedulerTest, IndexWarmsAFreshSchedulerFromDisk)
     opt.localNeighbours = 2;
     opt.oneAtATimeSweep = false;
     opt.progress = false;
-    opt.memo = GatherOptions::MemoMode::On;
 
     std::uint64_t cold_hash = 0;
     {
@@ -424,7 +397,6 @@ TEST_F(GatherSchedulerTest, ConcurrentGathersShareOneScheduler)
     opt.localNeighbours = 2;
     opt.oneAtATimeSweep = false;
     opt.progress = false;
-    opt.memo = GatherOptions::MemoMode::On;
     opt.scheduler = &sched;
 
     // Seed once so the concurrent gathers exercise the hit path as
