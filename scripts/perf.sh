@@ -18,7 +18,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 OUT="${BENCH_OUT:-BENCH_perf.json}"
 BENCHES=(perf_pipeline perf_chip perf_interval perf_tracegen perf_gather
-         perf_gather_warm perf_train perf_learned)
+         perf_gather_warm perf_train)
 
 echo "perf: will run ${#BENCHES[@]} benchmarks: ${BENCHES[*]}" >&2
 

@@ -35,7 +35,7 @@ cmake -B build -S .
 cmake --build build -j
 cmake --build build -j \
     --target perf_pipeline perf_chip perf_interval perf_tracegen \
-             perf_gather perf_gather_warm perf_train perf_learned
+             perf_gather perf_gather_warm perf_train
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
 # 2. TSan over the concurrency tests.

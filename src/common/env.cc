@@ -1,5 +1,6 @@
 #include "common/env.hh"
 
+#include <cmath>
 #include <cstdlib>
 #include <thread>
 
@@ -43,6 +44,13 @@ envDouble(const char *name, double fallback)
     const double v = std::strtod(raw, &end);
     if (end == raw)
         return fallback;
+    // strtod accepts "nan" and "inf"; no knob has a use for either,
+    // and a NaN bound silently disables every comparison against it.
+    if (!std::isfinite(v)) {
+        warn(name, "=\"", raw,
+             "\" is not a finite number; using the default");
+        return fallback;
+    }
     return v;
 }
 
@@ -138,18 +146,6 @@ std::string
 backendName()
 {
     return envString("ADAPTSIM_BACKEND", "cycle");
-}
-
-double
-cascadeThreshold()
-{
-    return envDouble("ADAPTSIM_CASCADE_THRESHOLD", 0.08);
-}
-
-std::string
-surrogatePath()
-{
-    return envString("ADAPTSIM_SURROGATE", "");
 }
 
 bool

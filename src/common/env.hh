@@ -13,7 +13,8 @@
 namespace adaptsim
 {
 
-/** Read a double env var, returning @p fallback when unset/invalid. */
+/** Read a double env var, returning @p fallback when unset/invalid
+ *  (non-finite values such as "nan" and "inf" are invalid). */
 double envDouble(const char *name, double fallback);
 
 /** Read an integer env var, returning @p fallback when unset/invalid. */
@@ -61,16 +62,6 @@ std::string traceFile();
 /** ADAPTSIM_BACKEND: default performance-model backend name
  *  ("cycle" when unset; see src/sim/perf_model.hh). */
 std::string backendName();
-
-/** ADAPTSIM_CASCADE_THRESHOLD: uncertainty (estimated absolute IPC
- *  error) above which the "cascade" backend escalates a prediction
- *  to cycle-level ground truth (default 0.08; negative forces
- *  escalation of everything). */
-double cascadeThreshold();
-
-/** ADAPTSIM_SURROGATE: path to fitted learned-backend weights
- *  (saveLearnedSurrogate() format); empty when unset. */
-std::string surrogatePath();
 
 /** ADAPTSIM_GATHER_MEMO_THRESHOLD: Manhattan distance (L1-normalised
  *  BBVs, range [0,2]) below which a phase signature matches a memo

@@ -126,9 +126,8 @@ upsertEval(std::vector<ml::ConfigEval> &evals,
  * neighbourhood, re-measure the entry's top configuration(s) on this
  * interval, and spend fresh simulation only on the one-at-a-time
  * sweep around the incumbent best.  Returns nullopt when the probe
- * says the memo cannot be trusted here — uncertainty above the
- * escalation bound or efficiency drift beyond the tolerance — and
- * the caller re-characterises in full.
+ * says the memo cannot be trusted here — efficiency drift beyond
+ * the tolerance — and the caller re-characterises in full.
  */
 std::optional<GatheredPhase>
 gatherFromMemo(EvalRepository &repo, GatherScheduler &sched,
@@ -151,26 +150,19 @@ gatherFromMemo(EvalRepository &repo, GatherScheduler &sched,
         std::min(sched.options().probes, ranked.size());
     std::vector<ml::ConfigEval> probed;
     double worst_drift = 0.0;
-    double worst_uncertainty = 0.0;
     for (std::size_t i = 0; i < n_probe; ++i) {
         const auto cfg = space::Configuration::decode(ranked[i].first);
-        const auto probe =
-            repo.evaluateProbe(spec, cfg, options.backend);
-        worst_uncertainty =
-            std::max(worst_uncertainty, probe.uncertainty);
+        const double eff =
+            repo.evaluate(spec, cfg, options.backend).efficiency;
         const double expect = ranked[i].second;
-        const double drift =
-            std::abs(probe.record.efficiency - expect) /
-            std::max(std::abs(expect), 1e-12);
+        const double drift = std::abs(eff - expect) /
+                             std::max(std::abs(expect), 1e-12);
         worst_drift = std::max(worst_drift, drift);
-        probed.push_back(
-            ml::ConfigEval{cfg, probe.record.efficiency});
+        probed.push_back(ml::ConfigEval{cfg, eff});
     }
 
     const double tol = sched.options().tolerance;
-    const double ubound = sched.options().uncertaintyThreshold;
-    if (tol < 0.0 || worst_drift > tol || ubound < 0.0 ||
-        worst_uncertainty > ubound)
+    if (tol < 0.0 || worst_drift > tol)
         return std::nullopt;
 
     GatheredPhase g;
@@ -185,9 +177,7 @@ gatherFromMemo(EvalRepository &repo, GatherScheduler &sched,
         upsertEval(g.evals, p.config, p.efficiency);
 
     // One-at-a-time sweep around the incumbent best — the only
-    // batch simulation a recognised phase pays for.  The memo is
-    // already trusted here, so ground-truth refinement is capped at
-    // a single point.
+    // batch simulation a recognised phase pays for.
     if (options.oneAtATimeSweep) {
         const ml::ConfigEval *best = &g.evals.front();
         for (const auto &e : g.evals) {
@@ -196,7 +186,7 @@ gatherFromMemo(EvalRepository &repo, GatherScheduler &sched,
         }
         const auto sweep = space::oneAtATimeSweep(best->config);
         const auto s_evals =
-            repo.evaluateBatch(spec, sweep, options.backend, 1);
+            repo.evaluateBatch(spec, sweep, options.backend);
         for (std::size_t i = 0; i < sweep.size(); ++i)
             upsertEval(g.evals, sweep[i], s_evals[i].efficiency);
     }

@@ -91,7 +91,6 @@ GatherScheduler::optionsFromEnv()
     Options opt;
     opt.threshold = gatherMemoThreshold();
     opt.tolerance = gatherMemoTolerance();
-    opt.uncertaintyThreshold = cascadeThreshold();
     opt.probes = gatherMemoProbes();
     return opt;
 }

@@ -12,12 +12,11 @@
  * each incoming phase against the index before dispatching any
  * simulation.  A recognised phase skips the shared-pool resimulation
  * entirely: its samples are satisfied from the memo (whose records
- * the `.evc` store or the learned/cascade backend already back),
- * and the cycle-level budget is spent only on a probe of the
- * incumbent best plus the one-at-a-time sweep around it.  Low-confidence hits — probe uncertainty above the
- * backend's comfort (sim::CoreSession::lastUncertainty()) or
- * efficiency drift beyond ADAPTSIM_GATHER_MEMO_TOLERANCE — escalate
- * to full re-characterisation, which overwrites the memo entry.
+ * the `.evc` store already backs), and the simulation budget is
+ * spent only on a probe of the incumbent best plus the
+ * one-at-a-time sweep around it.  Hits whose probed efficiency
+ * drifts beyond ADAPTSIM_GATHER_MEMO_TOLERANCE escalate to full
+ * re-characterisation, which overwrites the memo entry.
  *
  * Matching is deliberately asymmetric: entries loaded from a
  * previous run match within ADAPTSIM_GATHER_MEMO_THRESHOLD, while
@@ -65,12 +64,6 @@ class GatherScheduler
         /** Relative efficiency drift of the probed best above which
          *  a hit escalates; negative escalates every hit. */
         double tolerance = 0.1;
-        /** Probe lastUncertainty() above which a hit escalates
-         *  (default ADAPTSIM_CASCADE_THRESHOLD — the same comfort
-         *  bound the cascade itself uses); negative escalates every
-         *  hit.  Exact backends report 0, so only learned/cascade
-         *  probes ever trip this. */
-        double uncertaintyThreshold = 0.08;
         /** Top memo configurations re-measured per recognised
          *  phase (minimum 1). */
         std::size_t probes = 1;

@@ -302,9 +302,7 @@ EvalRepository::cacheFor(const PhaseSpec &spec)
 EvalRecord
 EvalRepository::simulate(const PhaseSpec &spec,
                          const space::Configuration &config,
-                         const sim::PerfModel &backend,
-                         const sim::PerfModel *&producer,
-                         double *uncertainty)
+                         const sim::PerfModel &backend)
 {
     const auto &wl = workload(spec.workload);
     // Each simulation gets its own wrong-path stream (the generator
@@ -327,10 +325,6 @@ EvalRepository::simulate(const PhaseSpec &spec,
         traceCache_.get(wl, spec.startInst, spec.detailLength);
     const auto result = backend.run(*session, *trace);
     const auto m = session->metricsFor(result);
-    producer = session->lastProducer() ? session->lastProducer()
-                                       : &backend;
-    if (uncertainty)
-        *uncertainty = session->lastUncertainty();
 
     EvalRecord r;
     r.cycles = m.cycles;
@@ -350,56 +344,23 @@ EvalRepository::evaluate(const PhaseSpec &spec,
 {
     const sim::PerfModel &model =
         backend ? *backend : sim::defaultPerfModel();
-    return evaluateImpl(spec, config, model, nullptr, nullptr);
-}
-
-EvalRepository::ProbeResult
-EvalRepository::evaluateProbe(const PhaseSpec &spec,
-                              const space::Configuration &config,
-                              const sim::PerfModel *backend)
-{
-    const sim::PerfModel &model =
-        backend ? *backend : sim::defaultPerfModel();
-    ProbeResult probe;
-    bool cached = false;
-    probe.record = evaluateImpl(spec, config, model,
-                                &probe.uncertainty, &cached);
-    probe.cached = cached;
-    return probe;
-}
-
-EvalRecord
-EvalRepository::evaluateImpl(const PhaseSpec &spec,
-                             const space::Configuration &config,
-                             const sim::PerfModel &model,
-                             double *uncertainty, bool *cached)
-{
-    const std::uint64_t code = config.encode();
-    // Probe every tag the backend accepts, best fidelity first (a
-    // cached cycle-level record satisfies a cascade query outright).
-    const auto tags = model.cacheLookupTags();
+    const EvalKey key{model.cacheTag(), config.encode(), spec.chipMix};
     {
         MutexLock lock(mutex_);
         auto &cache = cacheFor(spec);
-        for (const std::uint64_t tag : tags) {
-            const auto it = cache.records.find(
-                EvalKey{tag, code, spec.chipMix});
-            if (it != cache.records.end()) {
-                ++hits_;
-                OBS_ONLY(repoMetrics().hit.add(1);)
-                if (cached)
-                    *cached = true;
-                return it->second;
-            }
+        const auto it = cache.records.find(key);
+        if (it != cache.records.end()) {
+            ++hits_;
+            OBS_ONLY(repoMetrics().hit.add(1);)
+            return it->second;
         }
     }
 
     const auto t0 = std::chrono::steady_clock::now();
     EvalRecord r;
-    const sim::PerfModel *producer = &model;
     {
         OBS_SPAN("repo/simulate");
-        r = simulate(spec, config, model, producer, uncertainty);
+        r = simulate(spec, config, model);
     }
     const double secs =
         std::chrono::duration<double>(
@@ -407,14 +368,10 @@ EvalRepository::evaluateImpl(const PhaseSpec &spec,
             .count();
     OBS_ONLY(repoMetrics().miss.add(1);)
 
-    // The record is stored — and accounted — under the model that
-    // actually produced it, so a cascade escalation yields a real
-    // cycle-level record other backends can reuse.
-    const EvalKey key{producer->cacheTag(), code, spec.chipMix};
     MutexLock lock(mutex_);
     simSeconds_ += secs;
     ++simulated_;
-    ++simulatedByBackend_[producer->name()];
+    ++simulatedByBackend_[model.name()];
     auto &cache = cacheFor(spec);
     // Two threads may race to simulate the same config (simulation
     // is deterministic, so both results are identical); only the
@@ -473,7 +430,7 @@ std::vector<EvalRecord>
 EvalRepository::evaluateBatch(
     const PhaseSpec &spec,
     const std::vector<space::Configuration> &configs,
-    const sim::PerfModel *backend, std::size_t refine_budget)
+    const sim::PerfModel *backend)
 {
     // Concurrent gathers may share one repository; the pool runs one
     // batch at a time, so callers queue here rather than racing into
@@ -486,27 +443,6 @@ EvalRepository::evaluateBatch(
     pool_.parallelFor(configs.size(), [&](std::size_t i) {
         out[i] = evaluate(spec, configs[i], &model);
     });
-
-    // Near-frontier refinement: a policy backend (the cascade) can
-    // name a ground-truth model and pick the batch points worth a
-    // full-fidelity re-evaluation — the ones an adaptivity search
-    // would act on.  Ground-truth records land in the cache under
-    // the cycle tag, so cacheLookupTags() serves them ever after.
-    const sim::PerfModel *truth =
-        refine_budget > 0 ? model.groundTruthModel() : nullptr;
-    if (truth) {
-        std::vector<double> eff(out.size());
-        for (std::size_t i = 0; i < out.size(); ++i)
-            eff[i] = out[i].efficiency;
-        std::vector<std::size_t> refine;
-        model.selectForRefinement(eff, refine_budget, refine);
-        if (!refine.empty()) {
-            pool_.parallelFor(refine.size(), [&](std::size_t i) {
-                out[refine[i]] =
-                    evaluate(spec, configs[refine[i]], truth);
-            });
-        }
-    }
     return out;
 }
 
@@ -640,25 +576,6 @@ EvalRepository::profile(const PhaseSpec &spec,
     ++simulatedByBackend_[model.name()];
     simSeconds_ += secs;
     return rec;
-}
-
-std::vector<std::pair<std::uint64_t, EvalRecord>>
-EvalRepository::records(const PhaseSpec &spec,
-                        std::uint64_t backendTag)
-{
-    MutexLock lock(mutex_);
-    auto &cache = cacheFor(spec);
-    std::vector<std::pair<std::uint64_t, EvalRecord>> out;
-    for (const auto &[key, r] : cache.records) {
-        if (key.backendTag == backendTag &&
-            key.chipKey == spec.chipMix)
-            out.emplace_back(key.code, r);
-    }
-    std::sort(out.begin(), out.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    return out;
 }
 
 void

@@ -166,51 +166,20 @@ class EvalRepository
      * Evaluate one configuration on one phase (cached).
      * @param backend performance model to simulate with; nullptr
      *   selects the ADAPTSIM_BACKEND default.  Results are cached
-     *   per backend (fidelities never mix): lookups probe the
-     *   backend's cacheLookupTags() in order, and fresh records are
-     *   stored under the tag of the model that actually produced
-     *   them (a cascade escalation stores a cycle-level record).
+     *   per backend (fidelities never mix): the record is looked up
+     *   and stored under the backend's cacheTag().
      */
     EvalRecord evaluate(const PhaseSpec &spec,
                         const space::Configuration &config,
                         const sim::PerfModel *backend = nullptr)
         ADAPTSIM_EXCLUDES(mutex_);
 
-    /** Evaluate many configurations on one phase, in parallel.
-     *  When the backend names a groundTruthModel(), the points it
-     *  selectForRefinement()s are afterwards re-evaluated at ground
-     *  truth and replaced in the returned vector; @p refine_budget
-     *  caps those ground-truth runs (0 skips refinement outright —
-     *  used for batches the caller already trusts, e.g. memoised
-     *  gathers). */
+    /** Evaluate many configurations on one phase, in parallel. */
     std::vector<EvalRecord>
     evaluateBatch(const PhaseSpec &spec,
                   const std::vector<space::Configuration> &configs,
-                  const sim::PerfModel *backend = nullptr,
-                  std::size_t refine_budget = ~std::size_t(0))
+                  const sim::PerfModel *backend = nullptr)
         ADAPTSIM_EXCLUDES(batchMutex_, mutex_);
-
-    /** Outcome of evaluateProbe(): the record plus how it was made. */
-    struct ProbeResult
-    {
-        EvalRecord record;
-        /** Producer's lastUncertainty() when freshly simulated;
-         *  0 for cache hits (cached records are already settled). */
-        double uncertainty = 0.0;
-        bool cached = false;
-    };
-
-    /**
-     * evaluate() that also reports whether the answer came from the
-     * cache and, when freshly simulated, the producing session's
-     * confidence (sim::CoreSession::lastUncertainty()).  The gather
-     * scheduler uses this to decide whether a memoised phase needs
-     * re-characterisation.
-     */
-    ProbeResult evaluateProbe(const PhaseSpec &spec,
-                              const space::Configuration &config,
-                              const sim::PerfModel *backend = nullptr)
-        ADAPTSIM_EXCLUDES(mutex_);
 
     /**
      * Profiling-configuration run with counters (cached).  The
@@ -267,13 +236,6 @@ class EvalRepository
      *  sibling indices (the gather phase-memo) live alongside it. */
     const std::string &dataDir() const { return dataDir_; }
 
-    /** All cached records of one phase produced under one backend
-     *  tag, sorted by configuration code (surrogate training data
-     *  harvest; loads the phase's disk cache if needed). */
-    std::vector<std::pair<std::uint64_t, EvalRecord>>
-    records(const PhaseSpec &spec, std::uint64_t backendTag)
-        ADAPTSIM_EXCLUDES(mutex_);
-
   private:
     struct PhaseCache
     {
@@ -294,24 +256,10 @@ class EvalRepository
         bool legacyPending = false;
     };
 
-    /** Run the real simulation through @p backend (no caching).
-     *  @p producer is set to the model that actually produced the
-     *  result (== &backend except for policy backends like the
-     *  cascade, which may delegate to another fidelity).  A non-null
-     *  @p uncertainty receives the session's lastUncertainty(). */
+    /** Run the real simulation through @p backend (no caching). */
     EvalRecord simulate(const PhaseSpec &spec,
                         const space::Configuration &config,
-                        const sim::PerfModel &backend,
-                        const sim::PerfModel *&producer,
-                        double *uncertainty = nullptr)
-        ADAPTSIM_EXCLUDES(mutex_);
-
-    /** Shared body of evaluate()/evaluateProbe(): cached lookup or
-     *  simulate-and-persist, with optional probe outputs. */
-    EvalRecord evaluateImpl(const PhaseSpec &spec,
-                            const space::Configuration &config,
-                            const sim::PerfModel &model,
-                            double *uncertainty, bool *cached)
+                        const sim::PerfModel &backend)
         ADAPTSIM_EXCLUDES(mutex_);
 
     PhaseCache &cacheFor(const PhaseSpec &spec)

@@ -15,8 +15,8 @@
  *     interference features (LLC occupancy share, shared-miss
  *     ratio, queue delay), which are folded into an *effective*
  *     per-core memory latency; the backend's own CoreSessions then
- *     run per core with that latency.  Analytical and learned
- *     backends thus consume the interference features without
+ *     run per core with that latency.  The analytical interval
+ *     backend thus consumes the interference features without
  *     needing a cycle-accurate multi-core loop.
  *
  * A single-core chip bypasses all of this and delegates straight to

@@ -25,10 +25,6 @@ class CycleLevelModel final : public PerfModel
     static constexpr std::uint64_t kCacheTag = 0;
 
     const char *name() const override { return "cycle"; }
-    Fidelity fidelity() const override
-    {
-        return Fidelity::CycleLevel;
-    }
     std::uint64_t cacheTag() const override { return kCacheTag; }
     bool supportsObservers() const override { return true; }
 

@@ -82,10 +82,6 @@ class IntervalModel final : public PerfModel
     static constexpr int kFpStallCentiCycles = 15;
 
     const char *name() const override { return "interval"; }
-    Fidelity fidelity() const override
-    {
-        return Fidelity::Analytical;
-    }
     std::uint64_t cacheTag() const override { return kCacheTag; }
 
     /** No per-cycle loop, so no per-cycle observer callbacks;

@@ -9,10 +9,8 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "obs/obs.hh"
-#include "sim/cascade_model.hh"
 #include "sim/cycle_level_model.hh"
 #include "sim/interval_model.hh"
-#include "sim/learned_model.hh"
 
 namespace adaptsim::sim
 {
@@ -78,8 +76,6 @@ ensureBuiltins(ModelRegistry &r)
         MutexLock lock(r.mutex);
         registerLocked(r, std::make_unique<CycleLevelModel>());
         registerLocked(r, std::make_unique<IntervalModel>());
-        registerLocked(r, std::make_unique<LearnedModel>());
-        registerLocked(r, std::make_unique<CascadeModel>());
     });
 }
 
@@ -94,20 +90,6 @@ findEntry(const std::string &name)
 }
 
 } // namespace
-
-const char *
-fidelityName(Fidelity f)
-{
-    switch (f) {
-      case Fidelity::CycleLevel:
-        return "cycle-level";
-      case Fidelity::Analytical:
-        return "analytical";
-      case Fidelity::Learned:
-        return "learned";
-    }
-    return "unknown";
-}
 
 void
 registerPerfModel(std::unique_ptr<PerfModel> model)

@@ -43,18 +43,6 @@
 namespace adaptsim::sim
 {
 
-/** How faithful a backend's timing is. */
-enum class Fidelity
-{
-    CycleLevel,   ///< detailed cycle-by-cycle pipeline simulation
-    Analytical,   ///< event-driven analytical estimate
-    Learned       ///< statistical surrogate fit to cycle-level data
-};
-
-/** Human-readable fidelity name. */
-const char *fidelityName(Fidelity f);
-
-class PerfModel;
 class ChipSession;
 
 /**
@@ -83,32 +71,12 @@ class CoreSession
     /** The derived configuration this session was built from. */
     virtual const uarch::CoreConfig &config() const = 0;
 
-    /**
-     * Turn a run() result into full power/performance metrics.  The
-     * default derives everything from the synthesised event counts;
-     * backends that predict time/energy directly (the learned
-     * surrogate) override this so their energy estimate is not
-     * laundered through per-event energy accounting of events they
-     * never modelled.
-     */
-    virtual power::Metrics metricsFor(const uarch::SimResult &result)
+    /** Turn a run() result into full power/performance metrics,
+     *  derived from the result's event counts. */
+    power::Metrics metricsFor(const uarch::SimResult &result) const
     {
         return power::computeMetrics(config(), result.events);
     }
-
-    /**
-     * The backend that actually produced the most recent run()
-     * result, for policy backends that delegate (the cascade
-     * escalating to cycle-level).  nullptr means "the owning
-     * backend itself" — the common case.
-     */
-    virtual const PerfModel *lastProducer() const { return nullptr; }
-
-    /**
-     * Confidence of the most recent run() result, in IPC units
-     * (estimated absolute IPC error).  Exact backends report 0.
-     */
-    virtual double lastUncertainty() const { return 0.0; }
 };
 
 /** Abstract performance-model backend (stateless; sessions carry
@@ -122,8 +90,6 @@ class PerfModel
     /** Registry key, e.g. "cycle" or "interval". */
     virtual const char *name() const = 0;
 
-    virtual Fidelity fidelity() const = 0;
-
     /**
      * Stable tag mixed into eval-cache keys and persisted in .evc
      * records so results of different fidelities never collide.
@@ -135,50 +101,6 @@ class PerfModel
     /** Whether run() drives SimObserver callbacks (per-cycle
      *  samples, cache/branch probes) — required for profiling. */
     virtual bool supportsObservers() const = 0;
-
-    /**
-     * Cache tags whose records may answer a query to this backend,
-     * probed in order.  The default is just cacheTag(); a policy
-     * backend widens this (the cascade accepts cycle-level ground
-     * truth — strictly better — before its own cheap records).
-     */
-    virtual std::vector<std::uint64_t> cacheLookupTags() const
-    {
-        return {cacheTag()};
-    }
-
-    /**
-     * The exact backend this one escalates to, or nullptr when
-     * results are final.  Non-null enables the repository's batch
-     * near-frontier refinement (see selectForRefinement).
-     */
-    virtual const PerfModel *groundTruthModel() const
-    {
-        return nullptr;
-    }
-
-    /**
-     * Pick indices of a finished batch (per-point efficiency in
-     * @p efficiency) worth re-evaluating at ground truth — the
-     * near-frontier points an adaptivity search will act on.
-     * @p budget caps how many ground-truth runs the caller is
-     * willing to pay for (kUnlimitedRefinement when it has no
-     * opinion; 0 when the batch is already trusted, e.g. a memoised
-     * gather).  Only consulted when
-     * groundTruthModel() is non-null; default none.
-     */
-    static constexpr std::size_t kUnlimitedRefinement =
-        ~std::size_t(0);
-
-    virtual void
-    selectForRefinement(const std::vector<double> &efficiency,
-                        std::size_t budget,
-                        std::vector<std::size_t> &out) const
-    {
-        (void)efficiency;
-        (void)budget;
-        (void)out;
-    }
 
     /** Create a fresh core session for @p cfg. */
     virtual std::unique_ptr<CoreSession>

@@ -19,6 +19,11 @@ TEST(Env, DoubleFallback)
     EXPECT_EQ(envDouble("ADAPTSIM_TEST_D", 2.5), 1.25);
     setenv("ADAPTSIM_TEST_D", "garbage", 1);
     EXPECT_EQ(envDouble("ADAPTSIM_TEST_D", 2.5), 2.5);
+    // strtod parses these, but a non-finite knob is never meant.
+    for (const char *bad : {"nan", "inf", "-inf"}) {
+        setenv("ADAPTSIM_TEST_D", bad, 1);
+        EXPECT_EQ(envDouble("ADAPTSIM_TEST_D", 2.5), 2.5) << bad;
+    }
     unsetenv("ADAPTSIM_TEST_D");
 }
 
@@ -46,6 +51,8 @@ TEST(Env, ScaleRejectsNonPositive)
     EXPECT_EQ(experimentScale(), 1.0);
     setenv("ADAPTSIM_SCALE", "0.5", 1);
     EXPECT_EQ(experimentScale(), 0.5);
+    setenv("ADAPTSIM_SCALE", "inf", 1);
+    EXPECT_EQ(experimentScale(), 1.0);
     unsetenv("ADAPTSIM_SCALE");
 }
 
@@ -176,30 +183,6 @@ TEST(Env, BackendNameDefaultAndOverride)
     unsetenv("ADAPTSIM_BACKEND");
 }
 
-TEST(Env, CascadeThresholdDefaultAndOverride)
-{
-    unsetenv("ADAPTSIM_CASCADE_THRESHOLD");
-    EXPECT_EQ(cascadeThreshold(), 0.08);
-    setenv("ADAPTSIM_CASCADE_THRESHOLD", "0.25", 1);
-    EXPECT_EQ(cascadeThreshold(), 0.25);
-    // Negative values are legal: they force every cascade run to
-    // escalate (the bit-exactness escape hatch).
-    setenv("ADAPTSIM_CASCADE_THRESHOLD", "-1", 1);
-    EXPECT_EQ(cascadeThreshold(), -1.0);
-    setenv("ADAPTSIM_CASCADE_THRESHOLD", "garbage", 1);
-    EXPECT_EQ(cascadeThreshold(), 0.08);
-    unsetenv("ADAPTSIM_CASCADE_THRESHOLD");
-}
-
-TEST(Env, SurrogatePathDefaultsEmpty)
-{
-    unsetenv("ADAPTSIM_SURROGATE");
-    EXPECT_EQ(surrogatePath(), "");
-    setenv("ADAPTSIM_SURROGATE", "/tmp/weights.txt", 1);
-    EXPECT_EQ(surrogatePath(), "/tmp/weights.txt");
-    unsetenv("ADAPTSIM_SURROGATE");
-}
-
 TEST(Env, GatherMemoThresholdAndTolerance)
 {
     unsetenv("ADAPTSIM_GATHER_MEMO_THRESHOLD");
@@ -216,6 +199,10 @@ TEST(Env, GatherMemoThresholdAndTolerance)
     // re-characterisation.
     setenv("ADAPTSIM_GATHER_MEMO_TOLERANCE", "-1", 1);
     EXPECT_EQ(gatherMemoTolerance(), -1.0);
+    // A NaN tolerance would compare false against every drift and
+    // silently disable escalation.
+    setenv("ADAPTSIM_GATHER_MEMO_TOLERANCE", "nan", 1);
+    EXPECT_EQ(gatherMemoTolerance(), 0.1);
     unsetenv("ADAPTSIM_GATHER_MEMO_TOLERANCE");
 }
 

@@ -326,19 +326,6 @@ TEST_F(GatherSchedulerTest, LowConfidenceHitsEscalate)
         // deterministic.
         EXPECT_EQ(hashGather(warm), hashGather(cold));
     }
-
-    // So does a negative uncertainty bound.
-    {
-        auto o = GatherScheduler::optionsFromEnv();
-        o.uncertaintyThreshold = -1.0;
-        GatherScheduler sched("", o);
-        opt.scheduler = &sched;
-        gatherTrainingData(repo, phases, len, 1000, opt);
-        gatherTrainingData(repo, phases, len, 1000, opt);
-        const auto st = sched.stats();
-        EXPECT_EQ(st.hits, 0u);
-        EXPECT_EQ(st.escalations, phases.size());
-    }
 }
 
 TEST_F(GatherSchedulerTest, IndexWarmsAFreshSchedulerFromDisk)

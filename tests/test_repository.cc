@@ -16,11 +16,8 @@
 #include "common/serial.hh"
 #include "counters/feature_vector.hh"
 #include "harness/gather.hh"
-#include "harness/learned_trainer.hh"
 #include "harness/repository.hh"
-#include "sim/cascade_model.hh"
 #include "sim/cycle_level_model.hh"
-#include "sim/learned_model.hh"
 #include "sim/perf_model.hh"
 #include "space/sampling.hh"
 #include "workload/spec_suite.hh"
@@ -72,39 +69,6 @@ bool
 bitIdentical(const EvalRecord &a, const EvalRecord &b)
 {
     return std::memcmp(&a, &b, sizeof(EvalRecord)) == 0;
-}
-
-/**
- * Install a process-wide learned surrogate via the production path
- * (cycle-level records harvested from a scratch repository by
- * harness::trainLearnedBackend).  Accuracy is irrelevant here — the
- * cascade/learned cache-tag tests below only need makeSession() to
- * stop being fatal.
- */
-void
-ensureTrainedSurrogate()
-{
-    static const bool done = []() {
-        const std::string dir = "/tmp/adaptsim_repo_test_train";
-        std::filesystem::remove_all(dir);
-        {
-            EvalRepository repo(workload::specSuite(60000), dir, 2);
-            const PhaseSpec train_spec{"gzip", 60000, 20000, 2000,
-                                       1500};
-            Rng rng(17);
-            const auto pool =
-                space::dedupe(space::uniformRandomSet(rng, 28));
-            (void)repo.evaluateBatch(train_spec, pool,
-                                     &sim::perfModel("cycle"));
-            const auto report = harness::trainLearnedBackend(
-                repo, {train_spec});
-            if (!report.trained)
-                return false;
-        }
-        std::filesystem::remove_all(dir);
-        return true;
-    }();
-    ASSERT_TRUE(done);
 }
 
 } // namespace
@@ -748,97 +712,22 @@ TEST_F(RepositoryTest, ProfileFallbackWarnsOncePerBackend)
     EXPECT_EQ(a.advanced, b.advanced);
 }
 
-TEST_F(RepositoryTest, CascadeRecordsCarryProducingBackendTag)
+TEST_F(RepositoryTest, TwoBackendTagsNeverCollide)
 {
-    // Under a forced-escalation threshold every cascade evaluation
-    // actually runs at cycle level, so the record must be stored
-    // under the cycle tag: a direct cycle-backend query hits it, and
-    // nothing is filed under the cheap tag.
-    ensureTrainedSurrogate();
-    const auto &cascade = sim::perfModel("cascade");
-    const auto &cycle = sim::perfModel("cycle");
-    const auto &learned = sim::perfModel("learned");
-
-    setenv("ADAPTSIM_CASCADE_THRESHOLD", "-1", 1);
-    EvalRecord escalated;
-    {
-        EvalRepository repo(workload::specSuite(60000), dir_, 0);
-        escalated =
-            repo.evaluate(spec(), paperBaselineConfig(), &cascade);
-        EXPECT_EQ(repo.simulationsRun(), 1u);
-
-        const auto direct =
-            repo.evaluate(spec(), paperBaselineConfig(), &cycle);
-        EXPECT_EQ(repo.simulationsRun(), 1u);   // cache hit
-        EXPECT_EQ(repo.cacheHits(), 1u);
-        EXPECT_TRUE(bitIdentical(direct, escalated));
-
-        // Attribution follows the producer, not the requested model.
-        const auto s = repo.stats();
-        ASSERT_EQ(s.backendEvals.size(), 1u);
-        EXPECT_EQ(s.backendEvals[0].first, "cycle");
-        EXPECT_EQ(repo.records(spec(), 0).size(), 1u);
-        EXPECT_TRUE(
-            repo.records(spec(), sim::LearnedModel::kCacheTag)
-                .empty());
-        repo.flush();
-    }
-    unsetenv("ADAPTSIM_CASCADE_THRESHOLD");
-
-    // Round trip through the store: a cascade query of the same
-    // point is answered by the cached cycle record (its lookup set
-    // leads with ground truth), even when nothing would escalate.
-    EvalRepository repo2(workload::specSuite(60000), dir_, 0);
-    const auto again =
-        repo2.evaluate(spec(), paperBaselineConfig(), &cascade);
-    EXPECT_EQ(repo2.simulationsRun(), 0u);
-    EXPECT_EQ(repo2.cacheHits(), 1u);
-    EXPECT_TRUE(bitIdentical(again, escalated));
-
-    // An unescalated cascade evaluation of a *different* point files
-    // its record under the cheap (learned) tag instead.
-    setenv("ADAPTSIM_CASCADE_THRESHOLD", "1e9", 1);
-    Rng rng(23);
-    const auto other_cfg = space::uniformRandom(rng);
-    const auto via_cascade =
-        repo2.evaluate(spec(), other_cfg, &cascade);
-    EXPECT_EQ(repo2.simulationsRun(), 1u);
-    const auto via_learned =
-        repo2.evaluate(spec(), other_cfg, &learned);
-    EXPECT_EQ(repo2.simulationsRun(), 1u);   // hit, learned tag
-    EXPECT_TRUE(bitIdentical(via_learned, via_cascade));
-    ASSERT_EQ(
-        repo2.records(spec(), sim::LearnedModel::kCacheTag).size(),
-        1u);
-    EXPECT_EQ(repo2.records(spec(),
-                            sim::LearnedModel::kCacheTag)[0]
-                  .first,
-              other_cfg.encode());
-    // The cycle-tag store still has exactly the escalated record.
-    EXPECT_EQ(repo2.records(spec(), 0).size(), 1u);
-    unsetenv("ADAPTSIM_CASCADE_THRESHOLD");
-}
-
-TEST_F(RepositoryTest, ThreeBackendTagsNeverCollide)
-{
-    // cycle, interval and learned evaluations of the same point are
-    // three distinct entries; per-backend counts sum to the total
+    // cycle and interval evaluations of the same point are two
+    // distinct entries; per-backend counts sum to the total
     // simulation count and each survives a disk round trip.
-    ensureTrainedSurrogate();
     const auto &cycle = sim::perfModel("cycle");
     const auto &interval = sim::perfModel("interval");
-    const auto &learned = sim::perfModel("learned");
 
-    EvalRecord by_cycle, by_interval, by_learned;
+    EvalRecord by_cycle, by_interval;
     {
         EvalRepository repo(workload::specSuite(60000), dir_, 0);
         by_cycle =
             repo.evaluate(spec(), paperBaselineConfig(), &cycle);
         by_interval =
             repo.evaluate(spec(), paperBaselineConfig(), &interval);
-        by_learned =
-            repo.evaluate(spec(), paperBaselineConfig(), &learned);
-        EXPECT_EQ(repo.simulationsRun(), 3u);
+        EXPECT_EQ(repo.simulationsRun(), 2u);
         EXPECT_EQ(repo.cacheHits(), 0u);
 
         const auto s = repo.stats();
@@ -846,7 +735,7 @@ TEST_F(RepositoryTest, ThreeBackendTagsNeverCollide)
         for (const auto &[name, count] : s.backendEvals)
             by_backend += count;
         EXPECT_EQ(by_backend, repo.simulationsRun());
-        EXPECT_NE(repo.statsSummary().find("learned"),
+        EXPECT_NE(repo.statsSummary().find("interval=1"),
                   std::string::npos);
         repo.flush();
     }
@@ -858,40 +747,8 @@ TEST_F(RepositoryTest, ThreeBackendTagsNeverCollide)
     EXPECT_TRUE(bitIdentical(
         repo2.evaluate(spec(), paperBaselineConfig(), &interval),
         by_interval));
-    EXPECT_TRUE(bitIdentical(
-        repo2.evaluate(spec(), paperBaselineConfig(), &learned),
-        by_learned));
     EXPECT_EQ(repo2.simulationsRun(), 0u);
-    EXPECT_EQ(repo2.cacheHits(), 3u);
-}
-
-TEST_F(RepositoryTest, RecordsHarvestIsFilteredAndSorted)
-{
-    EvalRepository repo(workload::specSuite(60000), dir_, 2);
-    Rng rng(29);
-    const auto configs = space::uniformRandomSet(rng, 5);
-    (void)repo.evaluateBatch(spec(), configs,
-                             &sim::perfModel("cycle"));
-    (void)repo.evaluate(spec(), configs[0],
-                        &sim::perfModel("interval"));
-
-    const auto harvest = repo.records(spec(), 0);
-    ASSERT_EQ(harvest.size(), configs.size());   // interval filtered
-    for (std::size_t i = 1; i < harvest.size(); ++i)
-        EXPECT_LT(harvest[i - 1].first, harvest[i].first);
-    for (const auto &[code, record] : harvest)
-        EXPECT_GT(record.efficiency, 0.0);
-
-    // The harvest also reads through the disk cache of a fresh
-    // repository (the trainer's cold-start path).
-    repo.flush();
-    EvalRepository repo2(workload::specSuite(60000), dir_, 0);
-    const auto cold = repo2.records(spec(), 0);
-    ASSERT_EQ(cold.size(), harvest.size());
-    for (std::size_t i = 0; i < cold.size(); ++i) {
-        EXPECT_EQ(cold[i].first, harvest[i].first);
-        EXPECT_TRUE(bitIdentical(cold[i].second, harvest[i].second));
-    }
+    EXPECT_EQ(repo2.cacheHits(), 2u);
 }
 
 TEST_F(RepositoryTest, ZeroLengthDetailWindowYieldsFiniteRecord)
@@ -899,10 +756,9 @@ TEST_F(RepositoryTest, ZeroLengthDetailWindowYieldsFiniteRecord)
     // Regression: a zero-instruction detail window (degenerate phase
     // boundary) must produce a well-defined all-finite record on
     // every backend, not NaNs from 0/0.
-    ensureTrainedSurrogate();
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
     PhaseSpec empty_spec{"gzip", 60000, 20000, 2000, 0};
-    for (const char *name : {"cycle", "interval", "learned"}) {
+    for (const char *name : {"cycle", "interval"}) {
         const auto r = repo.evaluate(empty_spec, paperBaselineConfig(),
                                      &sim::perfModel(name));
         EXPECT_EQ(r.instructions, 0.0) << name;
