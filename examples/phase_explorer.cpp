@@ -47,9 +47,10 @@ main()
                 "letter = phase id, '*' = new phase):\n  ");
     std::size_t changes = 0;
     std::size_t new_phases = 0;
+    workload::Workload::Cursor cursor;
     for (std::uint64_t i = 0; i < num_intervals; ++i) {
         const auto bbv = phase::Bbv::ofTrace(
-            wl.generate(i * interval, interval));
+            wl.generate(i * interval, interval, cursor));
         const auto obs = detector.observe(bbv);
         if (obs.newPhase) {
             std::printf("*");

@@ -112,6 +112,7 @@ ChipController::run(std::uint64_t max_instructions)
 
     std::vector<workload::TracePtr> trace_hold(n);
     std::vector<std::vector<isa::MicroOp>> trace_local(n);
+    std::vector<workload::Workload::Cursor> cursors(n);
     for (std::uint64_t i = 0; i < num_intervals; ++i) {
         std::vector<std::span<const isa::MicroOp>> traces(n);
         std::vector<std::span<const isa::MicroOp>> chip_traces(n);
@@ -126,7 +127,7 @@ ChipController::run(std::uint64_t max_instructions)
                 traces[c] = *trace_hold[c];
             } else {
                 trace_local[c] =
-                    wl.generate(i * interval, interval);
+                    wl.generate(i * interval, interval, cursors[c]);
                 traces[c] = trace_local[c];
             }
 
@@ -258,6 +259,7 @@ runStaticChip(const std::vector<const workload::Workload *> &workloads,
         max_instructions / interval_length;
     std::vector<workload::TracePtr> trace_hold(n);
     std::vector<std::vector<isa::MicroOp>> trace_local(n);
+    std::vector<workload::Workload::Cursor> cursors(n);
     for (std::uint64_t i = 0; i < num_intervals; ++i) {
         std::vector<std::span<const isa::MicroOp>> traces(n);
         for (std::size_t c = 0; c < n; ++c) {
@@ -267,8 +269,8 @@ runStaticChip(const std::vector<const workload::Workload *> &workloads,
                     wl, i * interval_length, interval_length);
                 traces[c] = *trace_hold[c];
             } else {
-                trace_local[c] = wl.generate(i * interval_length,
-                                             interval_length);
+                trace_local[c] = wl.generate(
+                    i * interval_length, interval_length, cursors[c]);
                 traces[c] = trace_local[c];
             }
         }

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 
 #include "common/env.hh"
@@ -305,12 +306,16 @@ EvalRepository::simulate(const PhaseSpec &spec,
                          const sim::PerfModel &backend)
 {
     const auto &wl = workload(spec.workload);
+    const auto cc = uarch::CoreConfig::fromConfiguration(config);
     // Each simulation gets its own wrong-path stream (the generator
     // is stateful); seeding is canonical so results are reproducible.
-    workload::WrongPathGenerator wrong_path(wl.averageParams(),
-                                            wl.seed() ^ 0x57a71cULL);
-    const auto cc = uarch::CoreConfig::fromConfiguration(config);
-    const auto session = backend.makeSession(cc, wrong_path);
+    std::optional<workload::WrongPathGenerator> wrong_path;
+    std::unique_ptr<sim::CoreSession> session;
+    {
+        OBS_SPAN("repo/session");
+        wrong_path.emplace(wl.averageParams(), wl.seed() ^ 0x57a71cULL);
+        session = backend.makeSession(cc, *wrong_path);
+    }
 
     const std::uint64_t warm_start =
         spec.startInst >= spec.warmLength ?
@@ -319,12 +324,17 @@ EvalRepository::simulate(const PhaseSpec &spec,
     if (spec.warmLength > 0) {
         const auto warm =
             traceCache_.get(wl, warm_start, spec.warmLength);
+        OBS_SPAN("repo/warm");
         session->warm(*warm);
     }
     const auto trace =
         traceCache_.get(wl, spec.startInst, spec.detailLength);
     const auto result = backend.run(*session, *trace);
-    const auto m = session->metricsFor(result);
+    power::Metrics m;
+    {
+        OBS_SPAN("repo/metrics");
+        m = session->metricsFor(result);
+    }
 
     EvalRecord r;
     r.cycles = m.cycles;
@@ -643,6 +653,7 @@ EvalRepository::stats() const
     s.traceHits = tc.hits;
     s.traceMisses = tc.misses;
     s.traceEvictions = tc.evictions;
+    s.traceSkipped = tc.skipped;
     s.backendEvals.assign(simulatedByBackend_.begin(),
                           simulatedByBackend_.end());
     return s;
@@ -666,6 +677,7 @@ EvalRepository::statsSummary() const
            << s.traceMisses << " generated";
         if (s.traceEvictions > 0)
             os << " (" << s.traceEvictions << " evicted)";
+        os << ", " << s.traceSkipped << " µops skipped on reseek";
     }
     // Per-backend split, shown once more than one fidelity (or a
     // non-default backend) produced results this process.

@@ -127,8 +127,9 @@ struct EvalKeyHash
 /** Running counters of repository activity (see stats()).  Every
  *  increment is mirrored into the process-wide obs registry under
  *  repo/hit, repo/miss, repo/loaded, repo/flushed, repo/migrated
- *  and repo/dropped (plus the repo/simulate.seconds span histogram),
- *  so the exit metrics report and traces see the same numbers. */
+ *  and repo/dropped (plus the repo/simulate.seconds span histogram
+ *  and, inside it, repo/session, repo/warm and repo/metrics), so the
+ *  exit metrics report and traces see the same numbers. */
 struct CacheStats
 {
     std::uint64_t hits = 0;        ///< served from memory/disk cache
@@ -142,6 +143,7 @@ struct CacheStats
     std::uint64_t traceHits = 0;       ///< interval traces replayed
     std::uint64_t traceMisses = 0;     ///< interval traces generated
     std::uint64_t traceEvictions = 0;  ///< traces dropped by the LRU
+    std::uint64_t traceSkipped = 0;    ///< µops replayed by reseeks
 
     /** Simulations actually run, split by backend name (sorted).
      *  Mirrored into the obs registry as backend/<name>/evals. */

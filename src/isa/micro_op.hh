@@ -75,6 +75,9 @@ struct MicroOp
     bool taken = false;             ///< resolved direction
     Addr target = 0;                ///< resolved target address
 
+    /** Field-wise equality (never memcmp: the struct has padding). */
+    bool operator==(const MicroOp &) const = default;
+
     /** True when this op reads or writes memory. */
     bool isMem() const { return isMemOp(opClass); }
 

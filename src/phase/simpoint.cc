@@ -20,10 +20,12 @@ intervalBbvs(const workload::Workload &wl,
 
     std::vector<Bbv> bbvs;
     bbvs.reserve(num_intervals);
-    // Generate the whole program once, interval by interval.
+    // Generate the whole program once, interval by interval; the
+    // cursor makes the walk a single pass over the program.
+    workload::Workload::Cursor cursor;
     for (std::uint64_t i = 0; i < num_intervals; ++i) {
         const auto trace =
-            wl.generate(i * interval_length, interval_length);
+            wl.generate(i * interval_length, interval_length, cursor);
         bbvs.push_back(Bbv::ofTrace(trace));
     }
     return bbvs;

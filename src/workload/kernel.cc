@@ -293,8 +293,9 @@ void
 Kernel::skip(std::uint64_t count)
 {
     // State transitions depend on the generated values, so skipping
-    // must actually generate.  Kept as a named operation so callers
-    // express intent and future checkpointing has a single seam.
+    // must actually generate: its cost is linear in the distance.
+    // Interval walks avoid paying it per interval by resuming a live
+    // kernel through Workload::Cursor; only reseeks land here.
     for (std::uint64_t i = 0; i < count; ++i)
         (void)next();
 }

@@ -20,6 +20,8 @@ struct TraceCacheMetrics
         obs::Registry::global().counter("tracecache/misses");
     obs::Counter &evictions =
         obs::Registry::global().counter("tracecache/evictions");
+    obs::Counter &skipped =
+        obs::Registry::global().counter("tracecache/skipped");
 };
 
 TraceCacheMetrics &
@@ -59,8 +61,13 @@ TraceCache::get(const Workload &wl, std::uint64_t start,
 
     ++stats_.misses;
     OBS_ONLY(traceCacheMetrics().misses.add(1);)
+    auto &cursor = cursors_[key.wid];
+    const std::uint64_t skipped_before = cursor.skipped;
     auto trace = std::make_shared<const std::vector<isa::MicroOp>>(
-        wl.generate(start, count));
+        wl.generate(start, count, cursor));
+    const std::uint64_t skipped = cursor.skipped - skipped_before;
+    stats_.skipped += skipped;
+    OBS_ONLY(traceCacheMetrics().skipped.add(skipped);)
     lru_.push_front(Entry{key, trace});
     map_[key] = lru_.begin();
 

@@ -15,9 +15,16 @@
  * uid plus the interval bounds — rather than a per-lookup string
  * build, so a cache hit costs one hash of three integers.
  *
+ * Misses generate through one Workload::Cursor per workload, so a
+ * sequential walk of a program (the controller's intervals, a
+ * phase's warm-up followed by its detail window) costs one pass over
+ * the program rather than a replay from each segment start per
+ * miss.  Misses that jump around fall back to a cold reseek.
+ *
  * Capacity comes from ADAPTSIM_TRACE_CACHE (default 48, clamped to
- * at least 1; see common/env).  Hits, misses and evictions are
- * mirrored into the obs registry under the tracecache/ prefix.
+ * at least 1; see common/env).  Hits, misses, evictions and
+ * reseek-replayed µops are mirrored into the obs registry under the
+ * tracecache/ prefix.
  */
 
 #ifndef ADAPTSIM_WORKLOAD_TRACE_CACHE_HH
@@ -75,6 +82,8 @@ struct TraceCacheStats
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
+    /// µops replayed by reseeks to reach a miss's start
+    std::uint64_t skipped = 0;
 };
 
 /** Thread-safe LRU cache of interval traces. */
@@ -114,6 +123,9 @@ class TraceCache
                        TraceKeyHash>
         map_ ADAPTSIM_GUARDED_BY(mutex_);
     TraceCacheStats stats_ ADAPTSIM_GUARDED_BY(mutex_);
+    /// one generation cursor per workload, keyed by Workload::uid()
+    std::unordered_map<std::uint64_t, Workload::Cursor>
+        cursors_ ADAPTSIM_GUARDED_BY(mutex_);
 };
 
 } // namespace adaptsim::workload

@@ -8,10 +8,42 @@
 namespace adaptsim::workload
 {
 
+namespace
+{
+
+/** FNV-1a over everything a workload's µop stream depends on. */
+std::uint64_t
+identityOf(const std::string &name, const std::vector<Segment> &segments,
+           std::uint64_t seed)
+{
+    std::string bytes;
+    putString(bytes, name);
+    putU64(bytes, seed);
+    for (const auto &seg : segments) {
+        const KernelParams &k = seg.kernel;
+        putString(bytes, k.name);
+        putU64(bytes, seg.length);
+        for (double v : {k.fracLoad, k.fracStore, k.fracFpAlu,
+                         k.fracFpMul, k.fracFpDiv, k.fracIntMul,
+                         k.fracIntDiv, k.shortDepFrac, k.branchNoise,
+                         k.hardBranchFrac, k.loopBranchFrac,
+                         k.randomAccessFrac, k.pointerChaseFrac})
+            putDouble(bytes, v);
+        for (std::uint64_t v :
+             {std::uint64_t(k.numBlocks), std::uint64_t(k.blockSize),
+              std::uint64_t(k.loopTripCount), k.dataWorkingSet,
+              std::uint64_t(k.strideBytes)})
+            putU64(bytes, v);
+    }
+    return fnv1a64(bytes.data(), bytes.size());
+}
+
+} // namespace
+
 Workload::Workload(std::string name, std::vector<Segment> segments,
                    std::uint64_t seed)
     : name_(std::move(name)),
-      uid_(fnv1a64(name_.data(), name_.size())),
+      uid_(identityOf(name_, segments, seed)),
       segments_(std::move(segments)), totalLength_(0), seed_(seed)
 {
     if (segments_.empty())
@@ -39,6 +71,14 @@ Workload::kernelIdOf(std::size_t segment_index) const
 std::vector<isa::MicroOp>
 Workload::generate(std::uint64_t start, std::uint64_t count) const
 {
+    Cursor cursor;
+    return generate(start, count, cursor);
+}
+
+std::vector<isa::MicroOp>
+Workload::generate(std::uint64_t start, std::uint64_t count,
+                   Cursor &cursor) const
+{
     std::vector<isa::MicroOp> out;
     out.reserve(count);
 
@@ -55,16 +95,26 @@ Workload::generate(std::uint64_t start, std::uint64_t count) const
         const std::uint64_t want = count - out.size();
         const std::uint64_t take = std::min(want, remaining_in_seg);
 
-        // Kernels are seeded by identity so that repeated occurrences
-        // of the same kernel replay the same code.
-        const std::uint32_t kid = kernelIdOf(seg_idx);
-        Kernel kernel(seg.kernel, kid,
-                      seed_ ^ (std::uint64_t(kid) * 0x9e37UL));
-        kernel.skip(into);
+        // Resume only mid-segment: at a segment start the stream
+        // restarts (repeated kernels replay from the top), and a
+        // position mid-segment pins down the segment.
+        const bool resume = into > 0 && cursor.kernel &&
+                            cursor.wid == uid_ && cursor.pos == pos;
+        if (!resume) {
+            // Kernels are seeded by identity so that repeated
+            // occurrences of the same kernel replay the same code.
+            const std::uint32_t kid = kernelIdOf(seg_idx);
+            cursor.wid = uid_;
+            cursor.kernel.emplace(seg.kernel, kid,
+                                  seed_ ^ (std::uint64_t(kid) * 0x9e37UL));
+            cursor.kernel->skip(into);
+            cursor.skipped += into;
+        }
         for (std::uint64_t i = 0; i < take; ++i)
-            out.push_back(kernel.next());
+            out.push_back(cursor.kernel->next());
 
         pos = (pos + take) % totalLength_;
+        cursor.pos = pos;
     }
     return out;
 }

@@ -8,6 +8,7 @@
 #define ADAPTSIM_WORKLOAD_WORKLOAD_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,24 @@ class Workload
 {
   public:
     /**
+     * Resumable generation state for interval-by-interval walks.
+     *
+     * Holds the live kernel of the last generate() call through it,
+     * so the next call that starts where this one stopped continues
+     * the stream instead of replaying its segment from the start.
+     * A plain copyable value; a default-constructed cursor resumes
+     * nothing.
+     */
+    struct Cursor
+    {
+        std::uint64_t wid = 0;      ///< uid() of the workload walked
+        std::uint64_t pos = 0;      ///< next position (mod length)
+        std::optional<Kernel> kernel; ///< live stream at pos
+        /// µops replayed by reseeks through this cursor (cumulative)
+        std::uint64_t skipped = 0;
+    };
+
+    /**
      * @param name program name (SPEC-2000 style).
      * @param segments the phase schedule; total length is their sum.
      * @param seed master seed for all kernel streams.
@@ -46,8 +65,10 @@ class Workload
     const std::string &name() const { return name_; }
 
     /**
-     * Stable 64-bit identity (FNV-1a of the name), cheap enough to
-     * key per-lookup cache structures without string building.
+     * Stable 64-bit identity: FNV-1a over the name, the seed and
+     * every segment's kernel parameters and length, i.e. everything
+     * the µop stream depends on.  Cheap enough to key per-lookup
+     * cache structures without string building.
      */
     std::uint64_t uid() const { return uid_; }
 
@@ -65,6 +86,17 @@ class Workload
      */
     std::vector<isa::MicroOp> generate(std::uint64_t start,
                                        std::uint64_t count) const;
+
+    /**
+     * As generate(start, count), continuing @p cursor's live kernel
+     * when @p start is where the cursor stopped on this workload;
+     * otherwise reseeking (a fresh kernel replayed from its segment
+     * start).  A segment boundary always starts a fresh kernel.  The
+     * output does not depend on the cursor's prior state.
+     */
+    std::vector<isa::MicroOp> generate(std::uint64_t start,
+                                       std::uint64_t count,
+                                       Cursor &cursor) const;
 
     /**
      * Length-weighted average of the kernel parameters; used to drive

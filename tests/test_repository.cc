@@ -97,6 +97,29 @@ TEST_F(RepositoryTest, SecondEvaluateHitsCache)
     EXPECT_EQ(a.efficiency, b.efficiency);
 }
 
+TEST_F(RepositoryTest, WarmDetailPairReplaysOnlyTheWarmOffset)
+{
+    // The warm window ends where the detail window starts, so the
+    // detail miss resumes the warm-up's stream: the only µops
+    // replayed are the warm start's offset into its segment.
+    EvalRepository repo(workload::specSuite(60000), dir_, 0);
+    const PhaseSpec s = spec();
+    (void)repo.evaluate(s, paperBaselineConfig());
+    const auto wl = workload::specBenchmark(s.workload, 60000);
+    const std::uint64_t warm_start = s.startInst - s.warmLength;
+    std::uint64_t seg_start = 0;
+    for (const auto &seg : wl.segments()) {
+        if (seg_start + seg.length > warm_start)
+            break;
+        seg_start += seg.length;
+    }
+    ASSERT_GT(warm_start, seg_start);   // a real mid-segment reseek
+    EXPECT_EQ(repo.stats().traceMisses, 2u);
+    EXPECT_EQ(repo.stats().traceSkipped, warm_start - seg_start);
+    EXPECT_NE(repo.statsSummary().find("skipped on reseek"),
+              std::string::npos);
+}
+
 TEST_F(RepositoryTest, CacheSurvivesRestart)
 {
     EvalRecord first;
