@@ -28,14 +28,9 @@ san_available() {
     rm -f /tmp/adaptsim_san_probe
 }
 
-# 1. Build + full suite (lint gate included).  The perf micro-
-# benchmarks build here too so they cannot rot; they only run via
-# scripts/perf.sh.
+# 1. Build + full suite (lint gate included).
 cmake -B build -S .
 cmake --build build -j
-cmake --build build -j \
-    --target perf_pipeline perf_chip perf_interval perf_tracegen \
-             perf_gather perf_gather_warm perf_train
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
 # 2. TSan over the concurrency tests.

@@ -9,31 +9,6 @@
 namespace adaptsim
 {
 
-namespace
-{
-
-/** Parse @p name as a long into @p out; false when unset, empty or
- *  not fully numeric (the chip knobs reject rather than salvage a
- *  prefix, unlike envLong, so "4x" is a typo and not a 4). */
-bool
-envLongStrict(const char *name, long &out)
-{
-    const char *raw = std::getenv(name);
-    if (!raw || !*raw)
-        return false;
-    char *end = nullptr;
-    out = std::strtol(raw, &end, 10);
-    if (end == raw || *end != '\0') {
-        warn(name, "=\"", raw,
-             "\" is not an integer; using the default");
-        out = 0;
-        return false;
-    }
-    return true;
-}
-
-} // namespace
-
 double
 envDouble(const char *name, double fallback)
 {
@@ -172,37 +147,6 @@ gatherMemoProbes()
 {
     const long n = envLong("ADAPTSIM_GATHER_MEMO_PROBES", 1);
     return n > 0 ? static_cast<std::size_t>(n) : 1;
-}
-
-unsigned
-llcBanks()
-{
-    long n;
-    if (!envLongStrict("ADAPTSIM_LLC_BANKS", n))
-        return 8;
-    const bool pow2 = n > 0 && (n & (n - 1)) == 0;
-    if (n < 1 || n > 64 || !pow2) {
-        warn("ADAPTSIM_LLC_BANKS=", n,
-             " invalid (valid powers of two 1..64); using the "
-             "default of 8");
-        return 8;
-    }
-    return static_cast<unsigned>(n);
-}
-
-std::uint32_t
-mixSeed()
-{
-    long n;
-    if (!envLongStrict("ADAPTSIM_MIX_SEED", n))
-        return 2010;
-    if (n < 0 || n > 0xffffffffL) {
-        warn("ADAPTSIM_MIX_SEED=", n,
-             " out of range (valid 0..4294967295); using the "
-             "default of 2010");
-        return 2010;
-    }
-    return static_cast<std::uint32_t>(n);
 }
 
 } // namespace adaptsim

@@ -7,7 +7,6 @@
 #define ADAPTSIM_COMMON_ENV_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 namespace adaptsim
@@ -79,16 +78,6 @@ double gatherMemoTolerance();
  *  configurations are re-measured on a recognised phase (default 1,
  *  minimum 1). */
 std::size_t gatherMemoProbes();
-
-/** ADAPTSIM_LLC_BANKS: shared-LLC bank count (default 8; valid
- *  powers of two 1..64).  Out-of-range or non-power-of-two values
- *  are rejected with a warning, keeping the default. */
-unsigned llcBanks();
-
-/** ADAPTSIM_MIX_SEED: deterministic co-run mix-generator seed
- *  (default 2010 — the paper year; valid 0..2^32-1).  Out-of-range
- *  values are rejected with a warning, keeping the default. */
-std::uint32_t mixSeed();
 
 } // namespace adaptsim
 

@@ -14,7 +14,6 @@
 #include "common/serial.hh"
 #include "obs/obs.hh"
 #include "power/metrics.hh"
-#include "sim/cycle_level_model.hh"
 #include "sim/perf_model.hh"
 
 namespace adaptsim::harness
@@ -96,8 +95,6 @@ struct RepoMetrics
         obs::Registry::global().counter("repo/loaded");
     obs::Counter &flushed =
         obs::Registry::global().counter("repo/flushed");
-    obs::Counter &migrated =
-        obs::Registry::global().counter("repo/migrated");
     obs::Counter &dropped =
         obs::Registry::global().counter("repo/dropped");
 };
@@ -157,12 +154,6 @@ std::string
 EvalRepository::storePath(const std::string &spec_key) const
 {
     return dataDir_ + "/" + spec_key + ".evc";
-}
-
-std::string
-EvalRepository::legacyCachePath(const PhaseSpec &spec) const
-{
-    return dataDir_ + "/" + spec.key() + ".csv";
 }
 
 std::string
@@ -230,65 +221,12 @@ EvalRepository::loadBinaryCache(const std::string &path,
 }
 
 void
-EvalRepository::loadLegacyCsv(const std::string &path,
-                              const std::string &bytes,
-                              PhaseCache &cache)
-{
-    std::istringstream in(bytes);
-    std::string line;
-    std::size_t adopted = 0;
-    std::size_t bad = 0;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        std::istringstream ls(line);
-        std::uint64_t code;
-        EvalRecord r;
-        char comma;
-        if (ls >> code >> comma >> r.cycles >> comma >>
-            r.instructions >> comma >> r.seconds >> comma >>
-            r.joules >> comma >> r.ipc >> comma >> r.watts >>
-            comma >> r.efficiency) {
-            // The exact-format file wins when both know a config.
-            // CSV predates the backend seam: cycle-level records.
-            const EvalKey key{sim::CycleLevelModel::kCacheTag,
-                              code};
-            if (cache.records.emplace(key, r).second)
-                ++adopted;
-        } else {
-            ++bad;
-        }
-    }
-    if (bad > 0) {
-        warn("cache ", path, ": dropped ", bad,
-             " malformed line(s); those records will be "
-             "re-simulated");
-        dropped_ += bad;
-        OBS_ONLY(repoMetrics().dropped.add(bad);)
-    }
-    migrated_ += adopted;
-    OBS_ONLY(repoMetrics().migrated.add(adopted);)
-    // The next flush rewrites the store with the adopted records and
-    // then deletes the CSV.
-    cache.haveBinaryFile = false;
-    cache.legacyPending = true;
-}
-
-void
 EvalRepository::loadCache(const PhaseSpec &spec, PhaseCache &cache)
 {
     cache.loaded = true;
     const std::string path = storePath(spec.key());
     cache.haveBinaryFile =
         loadBinaryCache(path, readFile(path), cache);
-
-    // Legacy (pre-format) CSV cache: adopt whatever records the
-    // store file does not already have; the next flush rewrites the
-    // store in the current format.
-    const std::string legacy = legacyCachePath(spec);
-    const std::string legacy_bytes = readFile(legacy);
-    if (!legacy_bytes.empty())
-        loadLegacyCsv(legacy, legacy_bytes, cache);
 }
 
 EvalRepository::PhaseCache &
@@ -397,7 +335,7 @@ EvalRepository::evaluate(const PhaseSpec &spec,
 
     if (!cache.haveBinaryFile) {
         // The store file must be written whole first (first write,
-        // CSV migration, discarded file): take the slow path.
+        // discarded file): take the slow path.
         flushLocked();
         return stored;
     }
@@ -599,7 +537,7 @@ void
 EvalRepository::flushLocked()
 {
     for (auto &[key, cache] : caches_) {
-        if (cache.unsaved.empty() && !cache.legacyPending)
+        if (cache.unsaved.empty())
             continue;
 
         // A valid file gets a checksummed append; otherwise the file
@@ -629,11 +567,6 @@ EvalRepository::flushLocked()
         flushed_ += written;
         OBS_ONLY(repoMetrics().flushed.add(written);)
         cache.unsaved.clear();
-        if (cache.legacyPending) {
-            std::error_code ec;
-            fs::remove(dataDir_ + "/" + key + ".csv", ec);
-            cache.legacyPending = false;
-        }
     }
 }
 
@@ -646,7 +579,6 @@ EvalRepository::stats() const
     s.misses = simulated_;
     s.loaded = loaded_;
     s.flushed = flushed_;
-    s.migrated = migrated_;
     s.dropped = dropped_;
     s.simSeconds = simSeconds_;
     const auto tc = traceCache_.stats();
@@ -668,8 +600,6 @@ EvalRepository::statsSummary() const
        << std::fixed << std::setprecision(1) << s.simSeconds
        << "s), " << s.loaded << " loaded, " << s.flushed
        << " flushed";
-    if (s.migrated > 0)
-        os << ", " << s.migrated << " migrated";
     if (s.dropped > 0)
         os << ", " << s.dropped << " dropped";
     if (s.traceHits + s.traceMisses > 0) {

@@ -28,8 +28,7 @@
  * concurrent writers to different phases never serialize on one
  * flush.  The store is a regenerable cache: a file of any other
  * version (or a corrupt header) is ignored and atomically replaced
- * on the next flush.  Pre-format CSV caches (`<key>.csv`) are merged
- * in and rewritten the same way.
+ * on the next flush.
  */
 
 #ifndef ADAPTSIM_HARNESS_REPOSITORY_HH
@@ -66,8 +65,8 @@ struct PhaseSpec
     std::uint64_t warmLength = 0;
     std::uint64_t detailLength = 0;
 
-    /** Chip co-run identity (workload::CoRunMix::key() combined with
-     *  uarch::ChipConfig::key()); 0 means a solo single-core phase,
+    /** Chip co-run identity (uarch::ChipConfig::key() combined with
+     *  the co-running programs); 0 means a solo single-core phase,
      *  which is every spec that predates the chip model.  Nonzero
      *  mixes get their own cache-file stem, so solo stores keep
      *  their existing file names. */
@@ -126,8 +125,8 @@ struct EvalKeyHash
 
 /** Running counters of repository activity (see stats()).  Every
  *  increment is mirrored into the process-wide obs registry under
- *  repo/hit, repo/miss, repo/loaded, repo/flushed, repo/migrated
- *  and repo/dropped (plus the repo/simulate.seconds span histogram
+ *  repo/hit, repo/miss, repo/loaded, repo/flushed and
+ *  repo/dropped (plus the repo/simulate.seconds span histogram
  *  and, inside it, repo/session, repo/warm and repo/metrics), so the
  *  exit metrics report and traces see the same numbers. */
 struct CacheStats
@@ -136,7 +135,6 @@ struct CacheStats
     std::uint64_t misses = 0;      ///< simulations actually run
     std::uint64_t loaded = 0;      ///< records read from disk
     std::uint64_t flushed = 0;     ///< records persisted this process
-    std::uint64_t migrated = 0;    ///< records adopted from legacy CSV
     std::uint64_t dropped = 0;     ///< malformed/corrupt records skipped
     double simSeconds = 0.0;       ///< wall time spent simulating
 
@@ -254,8 +252,6 @@ class EvalRepository
          *  mode); otherwise the next flush writes it atomically from
          *  every in-memory record. */
         bool haveBinaryFile = false;
-        /** Legacy CSV to delete once its records are re-persisted. */
-        bool legacyPending = false;
     };
 
     /** Run the real simulation through @p backend (no caching). */
@@ -271,12 +267,8 @@ class EvalRepository
     bool loadBinaryCache(const std::string &path,
                          const std::string &bytes, PhaseCache &cache)
         ADAPTSIM_REQUIRES(mutex_);
-    void loadLegacyCsv(const std::string &path,
-                       const std::string &bytes, PhaseCache &cache)
-        ADAPTSIM_REQUIRES(mutex_);
     void flushLocked() ADAPTSIM_REQUIRES(mutex_);
     std::string storePath(const std::string &spec_key) const;
-    std::string legacyCachePath(const PhaseSpec &spec) const;
     std::string profilePath(const PhaseSpec &spec) const;
 
     std::vector<workload::Workload> suite_;
@@ -306,7 +298,6 @@ class EvalRepository
     std::uint64_t hits_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
     std::uint64_t loaded_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
     std::uint64_t flushed_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
-    std::uint64_t migrated_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
     std::uint64_t dropped_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
     double simSeconds_ ADAPTSIM_GUARDED_BY(mutex_) = 0.0;
 };

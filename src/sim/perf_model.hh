@@ -93,8 +93,8 @@ class PerfModel
     /**
      * Stable tag mixed into eval-cache keys and persisted in .evc
      * records so results of different fidelities never collide.
-     * Tag 0 is reserved for the cycle-level reference model: records
-     * migrated from pre-seam cache files keep their validity.
+     * Tag 0 is reserved for the cycle-level reference model: stored
+     * cycle records carry it, so it never changes.
      */
     virtual std::uint64_t cacheTag() const = 0;
 

@@ -14,14 +14,12 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "harness/gather.hh"
 #include "sim/chip_session.hh"
 #include "sim/perf_model.hh"
 #include "uarch/chip.hh"
-#include "workload/mix.hh"
 #include "workload/spec_suite.hh"
 
 using namespace adaptsim;
@@ -284,38 +282,6 @@ TEST(ChipSession, CycleBackendWrapsTheRealChip)
             << c;
         EXPECT_EQ(got.occupancyShare[c], want.occupancyShare[c]) << c;
     }
-}
-
-TEST(Mixes, DeterministicAndDistinct)
-{
-    const auto a = workload::specMixes(2, 8, 2010);
-    const auto b = workload::specMixes(2, 8, 2010);
-    ASSERT_EQ(a.size(), 8u);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].programs, b[i].programs);
-        EXPECT_EQ(a[i].key(), b[i].key());
-        EXPECT_EQ(a[i].cores(), 2u);
-        // No program co-runs with itself within a mix.
-        EXPECT_NE(a[i].programs[0], a[i].programs[1]);
-    }
-    // A different seed yields a different schedule.
-    const auto c = workload::specMixes(2, 8, 7);
-    bool any_differ = false;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        any_differ |= a[i].programs != c[i].programs;
-    EXPECT_TRUE(any_differ);
-    // Order matters in the key: swapped placement is a new identity.
-    workload::CoRunMix swapped = a[0];
-    std::swap(swapped.programs[0], swapped.programs[1]);
-    EXPECT_NE(swapped.key(), a[0].key());
-}
-
-TEST(Mixes, RejectsImpossibleWidths)
-{
-    EXPECT_EXIT(workload::specMixes(0, 1),
-                ::testing::ExitedWithCode(1), "outside");
-    EXPECT_EXIT(workload::specMixes(27, 1),
-                ::testing::ExitedWithCode(1), "outside");
 }
 
 TEST(ChipConfigKey, SoloIsZeroAndMixesAreStable)

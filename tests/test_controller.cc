@@ -9,12 +9,14 @@
 
 #include <bit>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "control/chip_controller.hh"
 #include "harness/gather.hh"
 #include "harness/repository.hh"
+#include "ml/trainer.hh"
 #include "sim/perf_model.hh"
 #include "workload/spec_suite.hh"
 
@@ -271,4 +273,79 @@ TEST(ChipController, SingleCoreChipMatchesFrozenSingleCoreGolden)
               0x3f00f9483c15154cULL);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(st.joules),
               0x3f2e26acc34aaec9ULL);
+}
+
+TEST(ChipController, AdaptiveBeatsStaticOnContendedPair)
+{
+    // mcf + gcc on a deliberately small shared LLC, so the short runs
+    // actually contend.  The per-core predictive controller must at
+    // least match the static Table III baseline on the same mix.
+    constexpr std::uint64_t program_length = 400000;
+    constexpr std::uint64_t run_insts = 30000;
+    constexpr std::uint64_t interval = 6000;
+    const std::vector<std::string> pair = {"mcf", "gcc"};
+    const auto base = harness::paperBaselineConfig();
+    const auto &cycle = sim::perfModel("cycle");
+
+    auto chip = uarch::ChipConfig::homogeneous(base, pair.size());
+    chip.llcBytes = 256 * 1024;
+    chip.llcBanks = 4;
+    chip.llcMshrsPerBank = 4;
+
+    // Train on a cycle gather whose phases tile [0, run_insts), the
+    // region the controller executes, so its per-phase predictions
+    // apply to the phases the online detector sees.
+    std::vector<phase::Phase> phases;
+    const std::size_t per_program = run_insts / interval;
+    for (const auto &prog : pair) {
+        for (std::size_t i = 0; i < per_program; ++i) {
+            phase::Phase ph;
+            ph.workload = prog;
+            ph.index = i;
+            ph.startInst = i * interval;
+            ph.lengthInsts = interval;
+            ph.weight = 1.0 / double(per_program);
+            phases.push_back(ph);
+        }
+    }
+    harness::GatherOptions gopt;
+    gopt.sharedRandomConfigs = 16;
+    gopt.localNeighbours = 4;
+    gopt.oneAtATimeSweep = true;
+    gopt.progress = false;
+    gopt.backend = &cycle;
+
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "adaptsim_chip_controller_test";
+    std::filesystem::remove_all(dir);
+    std::vector<harness::GatheredPhase> gathered;
+    {
+        harness::EvalRepository repo(
+            workload::specSuite(program_length), dir.string(), 1);
+        gathered = harness::gatherTrainingData(
+            repo, phases, program_length, 12000, gopt);
+    }
+    std::filesystem::remove_all(dir);
+    std::vector<ml::PhaseData> data;
+    for (const auto &g : gathered)
+        data.push_back(g.toPhaseData(counters::FeatureSet::Advanced));
+    const auto model = ml::trainModel(data, ml::TrainerOptions{});
+
+    const auto wl_a = workload::specBenchmark(pair[0], program_length);
+    const auto wl_b = workload::specBenchmark(pair[1], program_length);
+    const auto static_stats =
+        runStaticChip({&wl_a, &wl_b}, base, chip, run_insts, interval,
+                      nullptr, &cycle);
+
+    ChipControllerOptions copt;
+    copt.intervalLength = interval;
+    copt.initialConfig = base;
+    copt.chip = chip;
+    copt.backend = &cycle;
+    ChipController controller({&wl_a, &wl_b}, model, copt);
+    const auto adaptive_stats = controller.run(run_insts);
+
+    const double static_eff = static_stats.meanEfficiency();
+    ASSERT_GT(static_eff, 0.0);
+    EXPECT_GE(adaptive_stats.meanEfficiency() / static_eff, 1.0);
 }

@@ -219,47 +219,3 @@ TEST(Env, GatherMemoProbesDefaultAndMinimum)
     EXPECT_EQ(gatherMemoProbes(), 1u);
     unsetenv("ADAPTSIM_GATHER_MEMO_PROBES");
 }
-
-TEST(Env, LlcBanksRejectsNonPowerOfTwo)
-{
-    unsetenv("ADAPTSIM_LLC_BANKS");
-    EXPECT_EQ(llcBanks(), 8u);
-    setenv("ADAPTSIM_LLC_BANKS", "1", 1);
-    EXPECT_EQ(llcBanks(), 1u);
-    setenv("ADAPTSIM_LLC_BANKS", "16", 1);
-    EXPECT_EQ(llcBanks(), 16u);
-    setenv("ADAPTSIM_LLC_BANKS", "64", 1);
-    EXPECT_EQ(llcBanks(), 64u);
-    // Rejected with a warning, keeping the default — not clamped.
-    setenv("ADAPTSIM_LLC_BANKS", "12", 1);
-    EXPECT_EQ(llcBanks(), 8u);
-    setenv("ADAPTSIM_LLC_BANKS", "0", 1);
-    EXPECT_EQ(llcBanks(), 8u);
-    setenv("ADAPTSIM_LLC_BANKS", "128", 1);
-    EXPECT_EQ(llcBanks(), 8u);
-    setenv("ADAPTSIM_LLC_BANKS", "-8", 1);
-    EXPECT_EQ(llcBanks(), 8u);
-    setenv("ADAPTSIM_LLC_BANKS", "8banks", 1);
-    EXPECT_EQ(llcBanks(), 8u);
-    unsetenv("ADAPTSIM_LLC_BANKS");
-}
-
-TEST(Env, MixSeedRejectsOutOfRange)
-{
-    unsetenv("ADAPTSIM_MIX_SEED");
-    EXPECT_EQ(mixSeed(), 2010u);
-    setenv("ADAPTSIM_MIX_SEED", "0", 1);
-    EXPECT_EQ(mixSeed(), 0u);
-    setenv("ADAPTSIM_MIX_SEED", "12345", 1);
-    EXPECT_EQ(mixSeed(), 12345u);
-    setenv("ADAPTSIM_MIX_SEED", "4294967295", 1);
-    EXPECT_EQ(mixSeed(), 4294967295u);
-    // Out of the u32 range or malformed: warned and defaulted.
-    setenv("ADAPTSIM_MIX_SEED", "-1", 1);
-    EXPECT_EQ(mixSeed(), 2010u);
-    setenv("ADAPTSIM_MIX_SEED", "4294967296", 1);
-    EXPECT_EQ(mixSeed(), 2010u);
-    setenv("ADAPTSIM_MIX_SEED", "20ten", 1);
-    EXPECT_EQ(mixSeed(), 2010u);
-    unsetenv("ADAPTSIM_MIX_SEED");
-}

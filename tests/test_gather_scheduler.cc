@@ -365,6 +365,8 @@ TEST_F(GatherSchedulerTest, IndexWarmsAFreshSchedulerFromDisk)
     const auto st = sched.stats();
     EXPECT_EQ(st.hits, phases.size());
     EXPECT_EQ(st.misses, 0u);
+    // The warm gather is served entirely from the store on disk.
+    EXPECT_EQ(repo.simulationsRun(), 0u);
     EXPECT_EQ(hashGather(warm), cold_hash);
 }
 

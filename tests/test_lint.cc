@@ -451,12 +451,11 @@ TEST(Lint, DeterminismCoversTheChipModelFiles)
 {
     // The multi-core chip layer must stay inside the determinism
     // scope file by file: a stray entropy source in the shared LLC
-    // or the mix generator would silently break co-run cache keys.
+    // would silently break co-run cache keys.
     const char *files[] = {
         "src/uarch/shared_llc.cc",
         "src/uarch/chip.cc",
         "src/uarch/cache_hierarchy.cc",
-        "src/workload/mix.cc",
         "src/sim/chip_session.cc",
         "src/control/chip_controller.cc",
         "src/control/core_policy.cc",

@@ -56,12 +56,6 @@ class RepositoryTest : public ::testing::Test
         return dir_ + "/" + spec().key() + ".evc";
     }
 
-    std::string
-    csvPath() const
-    {
-        return dir_ + "/" + spec().key() + ".csv";
-    }
-
     std::string dir_;
 };
 
@@ -335,52 +329,6 @@ TEST_F(RepositoryTest, CorruptHeaderRegeneratesCache)
     EXPECT_EQ(repo2.simulationsRun(), 0u);
 }
 
-TEST_F(RepositoryTest, LegacyCsvIsMigratedToExactFormat)
-{
-    const std::uint64_t code = paperBaselineConfig().encode();
-    std::filesystem::create_directories(dir_);
-    std::ofstream(csvPath())
-        << code << ",100,1500,0.5,0.25,1.5,2.5,42\n";
-
-    EvalRepository repo(workload::specSuite(60000), dir_, 0);
-    const auto r = repo.evaluate(spec(), paperBaselineConfig());
-    EXPECT_EQ(repo.simulationsRun(), 0u);
-    EXPECT_EQ(repo.cacheHits(), 1u);
-    EXPECT_EQ(r.efficiency, 42.0);
-    EXPECT_EQ(repo.stats().migrated, 1u);
-
-    repo.flush();
-    EXPECT_TRUE(std::filesystem::exists(binPath()));
-    EXPECT_FALSE(std::filesystem::exists(csvPath()));
-
-    // The migrated record survives in the new format, bit-exact.
-    EvalRepository repo2(workload::specSuite(60000), dir_, 0);
-    const auto again =
-        repo2.evaluate(spec(), paperBaselineConfig());
-    EXPECT_EQ(repo2.simulationsRun(), 0u);
-    EXPECT_TRUE(bitIdentical(r, again));
-}
-
-TEST_F(RepositoryTest, MalformedLegacyLinesAreDroppedIndividually)
-{
-    Rng rng(3);
-    const auto configs = space::uniformRandomSet(rng, 2);
-    std::filesystem::create_directories(dir_);
-    std::ofstream(csvPath())
-        << configs[0].encode() << ",1,2,3,4,5,6,7\n"
-        << "garbled nonsense, not numbers\n"
-        << configs[1].encode() << ",7,6,5,4,3,2,1\n";
-
-    EvalRepository repo(workload::specSuite(60000), dir_, 0);
-    // Both well-formed records load — including the one *after* the
-    // malformed line — and only the bad line is dropped.
-    EXPECT_EQ(repo.evaluate(spec(), configs[0]).efficiency, 7.0);
-    EXPECT_EQ(repo.evaluate(spec(), configs[1]).efficiency, 1.0);
-    EXPECT_EQ(repo.simulationsRun(), 0u);
-    EXPECT_EQ(repo.stats().dropped, 1u);
-    EXPECT_EQ(repo.stats().migrated, 2u);
-}
-
 TEST_F(RepositoryTest, ConcurrentGathersShareOneRepository)
 {
     EvalRepository repo(workload::specSuite(60000), dir_, 2);
@@ -568,8 +516,8 @@ TEST_F(RepositoryTest, PreV3BinaryCacheIsRegenerated)
 {
     // Version-1 and version-2 files are not read at all: the store
     // is a regenerable cache, so the record is re-simulated (never
-    // half-read as the wrong layout), nothing counts as migrated or
-    // dropped, and the flush replaces the file with a version-3 one.
+    // half-read as the wrong layout), nothing counts as dropped, and
+    // the flush replaces the file with a version-3 one.
     const EvalRecord fake{100.0, 1500.0, 0.5, 0.25, 1.5, 2.5, 42.0};
     const std::uint64_t code = paperBaselineConfig().encode();
     const std::string images[] = {
@@ -586,7 +534,6 @@ TEST_F(RepositoryTest, PreV3BinaryCacheIsRegenerated)
             EXPECT_FALSE(bitIdentical(r, fake));
             EXPECT_EQ(r.instructions, 1500.0);
             EXPECT_EQ(repo.stats().loaded, 0u);
-            EXPECT_EQ(repo.stats().migrated, 0u);
             EXPECT_EQ(repo.stats().dropped, 0u);
             repo.flush();
         }

@@ -55,8 +55,8 @@ TEST(Sim, RegistryHasBuiltins)
     const auto &cycle = sim::perfModel("cycle");
     EXPECT_STREQ(cycle.name(), "cycle");
     EXPECT_TRUE(cycle.supportsObservers());
-    // Tag 0 is the pre-seam reference model: migrated v1 cache
-    // records stay valid for exactly this backend.
+    // Tag 0 is the reference model's: stored cycle records carry
+    // it, so they stay valid for exactly this backend.
     EXPECT_EQ(cycle.cacheTag(), 0u);
 
     const auto &interval = sim::perfModel("interval");
