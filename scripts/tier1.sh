@@ -5,9 +5,9 @@
 #      containment objects, which compile with the main build
 #   2. ThreadSanitizer pass over the concurrency-critical tests
 #      (thread pool, shared simulation repository, shared trace
-#      cache, metrics registry, perf-model backend registry, the
-#      gather scheduler, and the multi-core chip model with its
-#      shared LLC)
+#      cache, metrics registry, first-use construction of the fixed
+#      perf-model backend table, the gather scheduler, and the
+#      multi-core chip model with its shared LLC)
 #   3. AddressSanitizer+UBSan pass over the full test suite
 #   4. -DADAPTSIM_OBS=OFF build proving the instrumentation compiles
 #      out cleanly

@@ -130,23 +130,4 @@ cycleTraceEnabled()
     return !v.empty() && v != "0" && v != "off";
 }
 
-double
-gatherMemoThreshold()
-{
-    return envDouble("ADAPTSIM_GATHER_MEMO_THRESHOLD", 0.25);
-}
-
-double
-gatherMemoTolerance()
-{
-    return envDouble("ADAPTSIM_GATHER_MEMO_TOLERANCE", 0.1);
-}
-
-std::size_t
-gatherMemoProbes()
-{
-    const long n = envLong("ADAPTSIM_GATHER_MEMO_PROBES", 1);
-    return n > 0 ? static_cast<std::size_t>(n) : 1;
-}
-
 } // namespace adaptsim

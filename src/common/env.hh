@@ -62,23 +62,6 @@ std::string traceFile();
  *  ("cycle" when unset; see src/sim/perf_model.hh). */
 std::string backendName();
 
-/** ADAPTSIM_GATHER_MEMO_THRESHOLD: Manhattan distance (L1-normalised
- *  BBVs, range [0,2]) below which a phase signature matches a memo
- *  entry from a previous run (default 0.25; entries recorded by the
- *  running gather itself only match at near-zero distance). */
-double gatherMemoThreshold();
-
-/** ADAPTSIM_GATHER_MEMO_TOLERANCE: relative efficiency drift between
- *  a memo entry's recorded best and the probe re-measurement above
- *  which the hit is escalated to full re-characterisation (default
- *  0.1; negative escalates every hit). */
-double gatherMemoTolerance();
-
-/** ADAPTSIM_GATHER_MEMO_PROBES: how many of the memo entry's top
- *  configurations are re-measured on a recognised phase (default 1,
- *  minimum 1). */
-std::size_t gatherMemoProbes();
-
 } // namespace adaptsim
 
 #endif // ADAPTSIM_COMMON_ENV_HH

@@ -1,14 +1,156 @@
 #include "control/chip_controller.hh"
 
 #include <cmath>
+#include <optional>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "control/reconfig_cost.hh"
 #include "obs/obs.hh"
 #include "power/metrics.hh"
+#include "uarch/chip.hh"
 
 namespace adaptsim::control
 {
+
+namespace
+{
+
+/**
+ * The chip a controller run executes on.  A one-core chip is the
+ * requested backend's own CoreSession, run through PerfModel::run so
+ * the per-backend telemetry stays; a multi-core chip is the
+ * cycle-level uarch::Chip, the only model of the shared LLC.
+ */
+class SimulatedChip
+{
+  public:
+    SimulatedChip(
+        const sim::PerfModel &backend, const uarch::ChipConfig &cfg,
+        const std::vector<workload::WrongPathGenerator *> &wrong_paths)
+        : backend_(backend), wrongPath_(wrong_paths.at(0))
+    {
+        if (cfg.singleCore()) {
+            session_ = backend_.makeSession(
+                uarch::CoreConfig::fromConfiguration(cfg.coreConfigs[0]),
+                *wrongPath_);
+            return;
+        }
+        if (std::string_view(backend_.name()) != "cycle")
+            fatal("a ", cfg.numCores(),
+                  "-core chip needs the \"cycle\" backend (got \"",
+                  backend_.name(),
+                  "\"): only uarch::Chip models the shared LLC");
+        chip_.emplace(cfg, wrong_paths);
+    }
+
+    /** Timed co-run of one trace per core (an empty span idles that
+     *  core). */
+    uarch::ChipResult
+    run(const std::vector<std::span<const isa::MicroOp>> &traces)
+    {
+        if (chip_)
+            return chip_->run(traces);
+        uarch::ChipResult res;
+        res.cores.resize(1);
+        res.occupancyShare.assign(1, 0.0);
+        res.sharedMissRatio.assign(1, 0.0);
+        if (!traces.at(0).empty())
+            res.cores[0] = backend_.run(*session_, traces[0]);
+        return res;
+    }
+
+    /** Reconfiguration flush: the core's private state restarts
+     *  cold (a chip's shared LLC keeps its contents). */
+    void
+    reconfigureCore(std::size_t core, const space::Configuration &c)
+    {
+        if (chip_)
+            chip_->reconfigureCore(core, c);
+        else
+            session_ = backend_.makeSession(
+                uarch::CoreConfig::fromConfiguration(c), *wrongPath_);
+    }
+
+    power::Metrics
+    metricsFor(std::size_t core, const uarch::SimResult &result) const
+    {
+        if (chip_)
+            return power::computeMetrics(chip_->core(core).config(),
+                                         result.events);
+        return session_->metricsFor(result);
+    }
+
+  private:
+    const sim::PerfModel &backend_;
+    workload::WrongPathGenerator *wrongPath_;
+    std::unique_ptr<sim::CoreSession> session_;   ///< one-core chip
+    std::optional<uarch::Chip> chip_;             ///< multi-core chip
+};
+
+/** Every core's interference in the chip run @p res. */
+std::vector<CoreInterference>
+interferenceOf(const uarch::ChipResult &res)
+{
+    std::vector<CoreInterference> out(res.cores.size());
+    for (std::size_t c = 0; c < out.size(); ++c) {
+        const auto &ev = res.cores[c].events;
+        out[c].occupancyShare = res.occupancyShare[c];
+        out[c].sharedMissRatio = res.sharedMissRatio[c];
+        out[c].avgQueueCycles =
+            ev.llcAccesses
+                ? double(ev.llcQueueCycles) / double(ev.llcAccesses)
+                : 0.0;
+    }
+    return out;
+}
+
+/**
+ * One interval's trace per core: replayed from the shared trace
+ * cache when there is one, else generated through a per-core
+ * resumable cursor.  The spans stay valid until the next fetch().
+ */
+class IntervalTraces
+{
+  public:
+    IntervalTraces(
+        const std::vector<const workload::Workload *> &workloads,
+        std::uint64_t interval_length, workload::TraceCache *cache)
+        : workloads_(workloads), length_(interval_length),
+          cache_(cache), hold_(workloads.size()),
+          local_(workloads.size()), cursors_(workloads.size()),
+          spans_(workloads.size())
+    {
+    }
+
+    const std::vector<std::span<const isa::MicroOp>> &
+    fetch(std::uint64_t interval)
+    {
+        const std::uint64_t start = interval * length_;
+        for (std::size_t c = 0; c < workloads_.size(); ++c) {
+            const auto &wl = *workloads_[c];
+            if (cache_) {
+                hold_[c] = cache_->get(wl, start, length_);
+                spans_[c] = *hold_[c];
+            } else {
+                local_[c] = wl.generate(start, length_, cursors_[c]);
+                spans_[c] = local_[c];
+            }
+        }
+        return spans_;
+    }
+
+  private:
+    const std::vector<const workload::Workload *> &workloads_;
+    const std::uint64_t length_;
+    workload::TraceCache *const cache_;
+    std::vector<workload::TracePtr> hold_;
+    std::vector<std::vector<isa::MicroOp>> local_;
+    std::vector<workload::Workload::Cursor> cursors_;
+    std::vector<std::span<const isa::MicroOp>> spans_;
+};
+
+} // namespace
 
 double
 RunStats::efficiency() const
@@ -95,7 +237,7 @@ ChipController::run(std::uint64_t max_instructions)
     wpp.reserve(n);
     for (const auto &wp : wrongPaths_)
         wpp.push_back(wp.get());
-    const auto chip = backend_.makeChipSession(opt_.chip, wpp);
+    SimulatedChip chip(backend_, opt_.chip, wpp);
 
     // Persistent per-core solo profiling sessions at the profiling
     // configuration (nominal, interference-free counters — the
@@ -110,27 +252,14 @@ ChipController::run(std::uint64_t max_instructions)
             profileBackend_.makeSession(profiling_cc,
                                         *wrongPaths_[i]));
 
-    std::vector<workload::TracePtr> trace_hold(n);
-    std::vector<std::vector<isa::MicroOp>> trace_local(n);
-    std::vector<workload::Workload::Cursor> cursors(n);
+    IntervalTraces fetcher(workloads_, interval, opt_.traceCache);
     for (std::uint64_t i = 0; i < num_intervals; ++i) {
-        std::vector<std::span<const isa::MicroOp>> traces(n);
+        const auto &traces = fetcher.fetch(i);
         std::vector<std::span<const isa::MicroOp>> chip_traces(n);
         std::vector<bool> just_reconfigured(n, false);
         bool any_chip_work = false;
 
         for (std::size_t c = 0; c < n; ++c) {
-            const auto &wl = *workloads_[c];
-            if (opt_.traceCache) {
-                trace_hold[c] =
-                    opt_.traceCache->get(wl, i * interval, interval);
-                traces[c] = *trace_hold[c];
-            } else {
-                trace_local[c] =
-                    wl.generate(i * interval, interval, cursors[c]);
-                traces[c] = trace_local[c];
-            }
-
             // Stage 1 per core.
             const auto obs = policies_[c].observe(traces[c]);
             if (obs.phaseChanged)
@@ -183,20 +312,21 @@ ChipController::run(std::uint64_t max_instructions)
                 current[c] = target;
                 current_cc[c] =
                     uarch::CoreConfig::fromConfiguration(target);
-                // Reconfiguration flush: the chip session rebuilds
-                // the core's private state cold.
-                chip->reconfigureCore(c, target);
+                // Reconfiguration flush: the chip rebuilds the
+                // core's private state cold.
+                chip.reconfigureCore(c, target);
             }
         }
 
         if (!any_chip_work)
             continue;
 
-        const auto res = chip->run(chip_traces);
+        const auto res = chip.run(chip_traces);
+        stats.interference = interferenceOf(res);
         for (std::size_t c = 0; c < n; ++c) {
             if (chip_traces[c].empty())
                 continue;
-            const auto m = chip->metricsFor(c, res.cores[c]);
+            const auto m = chip.metricsFor(c, res.cores[c]);
             RunStats &cs = stats.cores[c];
             const double joules_before = cs.joules;
             cs.seconds += m.seconds;
@@ -212,9 +342,6 @@ ChipController::run(std::uint64_t max_instructions)
             }
         }
     }
-
-    for (std::size_t c = 0; c < n; ++c)
-        stats.interference[c] = chip->interference(c);
     return stats;
 }
 
@@ -249,7 +376,7 @@ runStaticChip(const std::vector<const workload::Workload *> &workloads,
                 wl->averageParams(), wl->seed() ^ 0x57a71cULL));
         wpp.push_back(wrong_paths.back().get());
     }
-    const auto chip = model.makeChipSession(chip_cfg, wpp);
+    SimulatedChip chip(model, chip_cfg, wpp);
 
     ChipRunStats stats;
     stats.cores.resize(n);
@@ -257,26 +384,12 @@ runStaticChip(const std::vector<const workload::Workload *> &workloads,
 
     const std::uint64_t num_intervals =
         max_instructions / interval_length;
-    std::vector<workload::TracePtr> trace_hold(n);
-    std::vector<std::vector<isa::MicroOp>> trace_local(n);
-    std::vector<workload::Workload::Cursor> cursors(n);
+    IntervalTraces fetcher(workloads, interval_length, trace_cache);
     for (std::uint64_t i = 0; i < num_intervals; ++i) {
-        std::vector<std::span<const isa::MicroOp>> traces(n);
+        const auto res = chip.run(fetcher.fetch(i));
+        stats.interference = interferenceOf(res);
         for (std::size_t c = 0; c < n; ++c) {
-            const auto &wl = *workloads[c];
-            if (trace_cache) {
-                trace_hold[c] = trace_cache->get(
-                    wl, i * interval_length, interval_length);
-                traces[c] = *trace_hold[c];
-            } else {
-                trace_local[c] = wl.generate(
-                    i * interval_length, interval_length, cursors[c]);
-                traces[c] = trace_local[c];
-            }
-        }
-        const auto res = chip->run(traces);
-        for (std::size_t c = 0; c < n; ++c) {
-            const auto m = chip->metricsFor(c, res.cores[c]);
+            const auto m = chip.metricsFor(c, res.cores[c]);
             RunStats &cs = stats.cores[c];
             cs.seconds += m.seconds;
             cs.joules += m.joules;
@@ -284,9 +397,6 @@ runStaticChip(const std::vector<const workload::Workload *> &workloads,
             ++cs.intervals;
         }
     }
-
-    for (std::size_t c = 0; c < n; ++c)
-        stats.interference[c] = chip->interference(c);
     return stats;
 }
 

@@ -14,8 +14,11 @@
  * and profiling happen only on genuinely new behaviour.
  *
  * One CorePolicy instance per core runs that loop against the core's
- * own counters while all cores co-execute on a shared-LLC chip
- * (sim::ChipSession); a single-core processor is the one-core chip.
+ * own counters while all cores co-execute on a shared-LLC chip; a
+ * single-core processor is the one-core chip.  A one-core chip runs
+ * on any backend's own core session; a multi-core chip runs on the
+ * cycle-level uarch::Chip, the only model of the shared LLC, so it
+ * needs the "cycle" backend.
  * Profiling intervals run on a persistent per-core *solo* session at
  * the profiling configuration — the predictive model was trained on
  * interference-free profiles, so feeding it nominal-condition
@@ -36,7 +39,6 @@
 #include "control/core_policy.hh"
 #include "counters/feature_vector.hh"
 #include "ml/trainer.hh"
-#include "sim/chip_session.hh"
 #include "sim/perf_model.hh"
 #include "uarch/core_config.hh"
 #include "workload/trace_cache.hh"
@@ -64,10 +66,20 @@ struct ChipControllerOptions
     workload::TraceCache *traceCache = nullptr;
 
     /** Backend for the chip intervals; nullptr selects the
-     *  ADAPTSIM_BACKEND default.  Profiling intervals need observer
-     *  callbacks, so a backend without observer support profiles on
-     *  the cycle-level model. */
+     *  ADAPTSIM_BACKEND default.  Any backend runs a one-core chip;
+     *  a multi-core chip needs "cycle" (fatal otherwise).  Profiling
+     *  intervals need observer callbacks, so a backend without
+     *  observer support profiles on the cycle-level model. */
     const sim::PerfModel *backend = nullptr;
+};
+
+/** Shared-LLC pressure one core saw in the last chip interval (all
+ *  zero on a one-core chip, which has no shared LLC). */
+struct CoreInterference
+{
+    double occupancyShare = 0.0;   ///< fraction of LLC lines owned
+    double sharedMissRatio = 0.0;  ///< LLC misses / LLC accesses
+    double avgQueueCycles = 0.0;   ///< mean bank/MSHR wait per access
 };
 
 /** Whole-run outcome of one core's adaptive (or static) execution. */
@@ -98,7 +110,7 @@ struct RunStats
 struct ChipRunStats
 {
     std::vector<RunStats> cores;               ///< one per core
-    std::vector<sim::CoreInterference> interference;  ///< final
+    std::vector<CoreInterference> interference;  ///< final
 
     /** Geometric-mean per-core efficiency (bsq/W each). */
     double meanEfficiency() const;
@@ -149,7 +161,8 @@ class ChipController
 /**
  * Reference point: every core pinned to @p config for the whole run
  * on the same chip geometry.  @p backend nullptr selects the
- * ADAPTSIM_BACKEND default.
+ * ADAPTSIM_BACKEND default; as for ChipControllerOptions::backend,
+ * a multi-core chip needs "cycle".
  */
 ChipRunStats
 runStaticChip(const std::vector<const workload::Workload *> &workloads,

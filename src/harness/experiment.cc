@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 
 #include "common/env.hh"
@@ -11,6 +12,52 @@
 
 namespace adaptsim::harness
 {
+
+namespace
+{
+
+/**
+ * The LOOCV prediction cache file for @p data, keyed by everything
+ * the predictions depend on: the training data itself (which carries
+ * the backend, gather seed, sweep and phase set through its evals
+ * and features) and every trainer knob.
+ */
+std::string
+loocvCachePath(const std::string &dir, counters::FeatureSet set,
+               const std::vector<ml::PhaseData> &data,
+               const ml::TrainerOptions &t)
+{
+    std::string bytes;
+    for (const auto &d : data) {
+        putString(bytes, d.workload);
+        putU64(bytes, d.phaseIndex);
+        putDouble(bytes, d.weight);
+        putU64(bytes, d.features.size());
+        for (double f : d.features)
+            putDouble(bytes, f);
+        putU64(bytes, d.evals.size());
+        for (const auto &e : d.evals) {
+            putU64(bytes, e.config.encode());
+            putDouble(bytes, e.efficiency);
+        }
+    }
+    putDouble(bytes, t.lambda);
+    putDouble(bytes, t.goodThreshold);
+    putU64(bytes, t.cg.maxIterations);
+    putDouble(bytes, t.cg.gradTolerance);
+    putDouble(bytes, t.cg.initialStep);
+    putDouble(bytes, t.cg.armijoC);
+    putDouble(bytes, t.cg.backtrackFactor);
+    putU64(bytes, t.cg.maxBacktracks);
+
+    std::ostringstream os;
+    os << dir << "/loocv_" << counters::featureSetName(set)
+       << '_' << std::hex << std::setw(16) << std::setfill('0')
+       << fnv1a64(bytes.data(), bytes.size()) << ".csv";
+    return os.str();
+}
+
+} // namespace
 
 ExperimentOptions
 ExperimentOptions::fromEnv()
@@ -112,31 +159,24 @@ Experiment::phasesByProgram()
     return byProgram_;
 }
 
-std::string
-Experiment::loocvCachePath(counters::FeatureSet set) const
-{
-    std::ostringstream os;
-    os << opt_.dataDir << "/loocv_"
-       << counters::featureSetName(set) << "_L"
-       << opt_.programLength << "_i" << opt_.intervalLength << "_w"
-       << opt_.warmLength << "_r" << opt_.gather.sharedRandomConfigs
-       << "_n" << opt_.gather.localNeighbours << "_l"
-       << opt_.trainer.lambda << "_t"
-       << opt_.trainer.goodThreshold << ".csv";
-    return os.str();
-}
-
 std::vector<ModelResult>
 Experiment::computeModelResults(counters::FeatureSet set)
 {
     prepare();
+
+    std::vector<ml::PhaseData> data;
+    data.reserve(phases_.size());
+    for (const auto &g : phases_)
+        data.push_back(g.toPhaseData(set));
+    const std::string path =
+        loocvCachePath(opt_.dataDir, set, data, opt_.trainer);
 
     std::vector<ModelResult> results(phases_.size());
     bool loaded = false;
 
     // Try the prediction cache first (training is minutes of CG).
     {
-        std::ifstream in(loocvCachePath(set));
+        std::ifstream in(path);
         if (in) {
             std::size_t count = 0;
             std::string line;
@@ -159,10 +199,6 @@ Experiment::computeModelResults(counters::FeatureSet set)
     if (!loaded) {
         inform("experiment: training LOOCV models (",
                counters::featureSetName(set), " counters)");
-        std::vector<ml::PhaseData> data;
-        data.reserve(phases_.size());
-        for (const auto &g : phases_)
-            data.push_back(g.toPhaseData(set));
         const auto predictions =
             ml::leaveOneProgramOut(data, opt_.trainer);
         for (const auto &p : predictions)
@@ -171,9 +207,8 @@ Experiment::computeModelResults(counters::FeatureSet set)
         std::ostringstream os;
         for (std::size_t i = 0; i < results.size(); ++i)
             os << i << ',' << results[i].config.encode() << '\n';
-        if (!atomicWriteFile(loocvCachePath(set), os.str()))
-            warn("cannot persist LOOCV predictions to ",
-                 loocvCachePath(set));
+        if (!atomicWriteFile(path, os.str()))
+            warn("cannot persist LOOCV predictions to ", path);
     }
 
     // Evaluate every prediction on its phase (cached simulations).

@@ -91,7 +91,6 @@ class Experiment
 
   private:
     void prepare();
-    std::string loocvCachePath(counters::FeatureSet set) const;
     std::vector<ModelResult>
     computeModelResults(counters::FeatureSet set);
 

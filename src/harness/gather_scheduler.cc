@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/serial.hh"
 #include "harness/gather.hh"
@@ -15,9 +14,9 @@ namespace
 {
 
 // Index layout: header, per-bucket key + serialized detector +
-// entries, trailing FNV-1a checksum over everything before it.
-// Version 2 added the chip-mix key to each memo's PhaseSpec;
-// version-1 indexes (all solo gathers) load with chip key 0.
+// entries, trailing FNV-1a checksum over everything before it.  Each
+// memo's PhaseSpec ends in a reserved u64 written as 0; an index
+// with a nonzero one is no index this build wrote and is discarded.
 constexpr std::uint64_t kIndexMagic = 0x41445349'4d474d58ULL;
 constexpr std::uint64_t kIndexVersion = 2;
 
@@ -37,26 +36,23 @@ putSpec(std::string &out, const PhaseSpec &spec)
     putU64(out, spec.startInst);
     putU64(out, spec.warmLength);
     putU64(out, spec.detailLength);
-    putU64(out, spec.chipMix);
+    putU64(out, 0);   // reserved
 }
 
 bool
-getSpec(const std::string &in, std::size_t &off, PhaseSpec &spec,
-        bool has_chip)
+getSpec(const std::string &in, std::size_t &off, PhaseSpec &spec)
 {
     if (!getString(in, off, spec.workload))
         return false;
-    const std::size_t want = has_chip ? 40 : 32;
-    if (off + want > in.size())
+    if (off + 40 > in.size())
         return false;
     spec.programLength = getU64(in.data() + off);
     spec.startInst = getU64(in.data() + off + 8);
     spec.warmLength = getU64(in.data() + off + 16);
     spec.detailLength = getU64(in.data() + off + 24);
-    // Version-1 memos predate the chip model: all solo gathers.
-    spec.chipMix = has_chip ? getU64(in.data() + off + 32) : 0;
-    off += want;
-    return true;
+    const bool reserved_ok = getU64(in.data() + off + 32) == 0;
+    off += 40;
+    return reserved_ok;
 }
 
 void
@@ -85,16 +81,6 @@ getDoubles(const std::string &in, std::size_t &off,
 
 } // namespace
 
-GatherScheduler::Options
-GatherScheduler::optionsFromEnv()
-{
-    Options opt;
-    opt.threshold = gatherMemoThreshold();
-    opt.tolerance = gatherMemoTolerance();
-    opt.probes = gatherMemoProbes();
-    return opt;
-}
-
 GatherScheduler::GatherScheduler(std::string index_path,
                                  Options options)
     : path_(std::move(index_path)), opt_(options)
@@ -111,15 +97,8 @@ GatherScheduler::indexPathFor(const EvalRepository &repo)
 std::string
 GatherScheduler::bucketKey(const PhaseSpec &spec)
 {
-    std::string key = spec.workload + "|w" +
-                      std::to_string(spec.warmLength) + "|d" +
-                      std::to_string(spec.detailLength);
-    // Chip co-runs memoise separately: characterisations gathered
-    // under interference must never answer solo lookups (or other
-    // mixes).  Solo specs keep the historical key.
-    if (spec.chipMix != 0)
-        key += "|m" + std::to_string(spec.chipMix);
-    return key;
+    return spec.workload + "|w" + std::to_string(spec.warmLength) +
+           "|d" + std::to_string(spec.detailLength);
 }
 
 std::size_t
@@ -303,9 +282,8 @@ GatherScheduler::deserialize(const std::string &bytes)
     if (getU64(bytes.data()) != kIndexMagic)
         return false;
     const std::uint64_t version = getU64(bytes.data() + 8);
-    if (version != 1 && version != kIndexVersion)
+    if (version != kIndexVersion)
         return false;
-    const bool has_chip = version >= 2;
 
     std::map<std::string, Bucket> loaded;
     const std::uint64_t n_buckets = getU64(bytes.data() + 16);
@@ -327,7 +305,7 @@ GatherScheduler::deserialize(const std::string &bytes)
             return false;
         for (std::uint64_t ei = 0; ei < n_entries; ++ei) {
             Memo m;
-            if (!getSpec(bytes, off, m.spec, has_chip))
+            if (!getSpec(bytes, off, m.spec))
                 return false;
             if (off + 32 > body)
                 return false;

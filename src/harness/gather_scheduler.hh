@@ -15,11 +15,11 @@
  * the `.evc` store already backs), and the simulation budget is
  * spent only on a probe of the incumbent best plus the
  * one-at-a-time sweep around it.  Hits whose probed efficiency
- * drifts beyond ADAPTSIM_GATHER_MEMO_TOLERANCE escalate to full
+ * drifts beyond Options::tolerance escalate to full
  * re-characterisation, which overwrites the memo entry.
  *
  * Matching is deliberately asymmetric: entries loaded from a
- * previous run match within ADAPTSIM_GATHER_MEMO_THRESHOLD, while
+ * previous run match within Options::threshold, while
  * entries recorded by the running gather itself match only at
  * near-zero distance.  Distinct SimPoint phases of one workload can
  * sit closer than any useful threshold, so within one run only a
@@ -55,11 +55,12 @@ struct GatheredPhase;
 class GatherScheduler
 {
   public:
-    /** Scheduling knobs (defaults from the ADAPTSIM_GATHER_MEMO_*
-     *  env; see common/env.hh). */
+    /** Scheduling constants.  Only tests set non-defaults. */
     struct Options
     {
-        /** Cross-run signature match distance (see file comment). */
+        /** Cross-run signature match distance: Manhattan distance
+         *  between L1-normalised BBVs, range [0, 2] (see file
+         *  comment). */
         double threshold = 0.25;
         /** Relative efficiency drift of the probed best above which
          *  a hit escalates; negative escalates every hit. */
@@ -71,8 +72,6 @@ class GatherScheduler
          *  bucket. */
         std::size_t maxPhasesPerBucket = 64;
     };
-
-    static Options optionsFromEnv();
 
     /** One characterised phase in the index. */
     struct Memo
@@ -112,8 +111,13 @@ class GatherScheduler
      *        and rewritten by save().  Empty disables persistence —
      *        the scheduler still memoises within the process.
      */
-    explicit GatherScheduler(std::string index_path,
-                             Options options = optionsFromEnv());
+    GatherScheduler(std::string index_path, Options options);
+
+    /** As above, with the default Options. */
+    explicit GatherScheduler(std::string index_path)
+        : GatherScheduler(std::move(index_path), Options{})
+    {
+    }
 
     /** The conventional index location for a repository's store. */
     static std::string indexPathFor(const EvalRepository &repo);

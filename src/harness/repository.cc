@@ -25,7 +25,7 @@ namespace
 {
 
 // On-disk cache format: 24-byte header + fixed 88-byte records
-// (config code, backend tag, chip-mix key, seven doubles, checksum),
+// (config code, backend tag, reserved 0, seven doubles, checksum),
 // everything little-endian and checksummed (see repository.hh).
 constexpr char kMagic[8] = {'A', 'D', 'S', 'I', 'M', 'E', 'V', 'C'};
 constexpr std::uint64_t kVersion = 3;
@@ -49,7 +49,7 @@ encodeRecord(std::string &out, const EvalKey &key,
     const std::size_t start = out.size();
     putU64(out, key.code);
     putU64(out, key.backendTag);
-    putU64(out, key.chipKey);
+    putU64(out, 0);   // reserved
     putDouble(out, r.cycles);
     putDouble(out, r.instructions);
     putDouble(out, r.seconds);
@@ -116,10 +116,6 @@ PhaseSpec::key() const
     std::ostringstream os;
     os << workload << "_L" << programLength << "_s" << startInst
        << "_w" << warmLength << "_d" << detailLength;
-    // Chip co-runs get their own stem; solo specs (chipMix 0) keep
-    // the historical name, so pre-chip stores stay addressable.
-    if (chipMix != 0)
-        os << "_m" << std::hex << chipMix << std::dec;
     return os.str();
 }
 
@@ -195,12 +191,14 @@ EvalRepository::loadBinaryCache(const std::string &path,
     while (off + kRecordSize <= bytes.size()) {
         const char *p = bytes.data() + off;
         off += kRecordSize;
+        // A nonzero reserved slot is no record this build wrote.
         if (getU64(p + kRecordPayload) !=
-            fnv1a64(p, kRecordPayload)) {
+                fnv1a64(p, kRecordPayload) ||
+            getU64(p + 16) != 0) {
             ++bad;
             continue;
         }
-        const EvalKey key{getU64(p + 8), getU64(p), getU64(p + 16)};
+        const EvalKey key{getU64(p + 8), getU64(p)};
         if (cache.records.emplace(key, decodeDoubles(p + 24)).second)
             ++count;
     }
@@ -292,7 +290,7 @@ EvalRepository::evaluate(const PhaseSpec &spec,
 {
     const sim::PerfModel &model =
         backend ? *backend : sim::defaultPerfModel();
-    const EvalKey key{model.cacheTag(), config.encode(), spec.chipMix};
+    const EvalKey key{model.cacheTag(), config.encode()};
     {
         MutexLock lock(mutex_);
         auto &cache = cacheFor(spec);

@@ -17,8 +17,10 @@
  * 24-byte header (8-byte magic "ADSIMEVC", little-endian u64
  * version — now 3 — FNV-1a checksum of the first 16 bytes) followed
  * by fixed-size 88-byte records — config code (u64), backend cache
- * tag (u64), chip-mix key (u64; 0 = solo single-core), the seven
- * EvalRecord doubles bit-exact, and a per-record FNV-1a checksum.
+ * tag (u64), a reserved u64 written as 0, the seven EvalRecord
+ * doubles bit-exact, and a per-record FNV-1a checksum.  A record
+ * whose reserved slot is nonzero is never served: it is dropped and
+ * counted like a corrupt one.
  * The file is created by atomic rename and extended by append+fsync,
  * so completed records survive a `kill -9` at any point; a torn tail
  * or corrupt record fails its checksum and is simply re-simulated,
@@ -65,13 +67,6 @@ struct PhaseSpec
     std::uint64_t warmLength = 0;
     std::uint64_t detailLength = 0;
 
-    /** Chip co-run identity (uarch::ChipConfig::key() combined with
-     *  the co-running programs); 0 means a solo single-core phase,
-     *  which is every spec that predates the chip model.  Nonzero
-     *  mixes get their own cache-file stem, so solo stores keep
-     *  their existing file names. */
-    std::uint64_t chipMix = 0;
-
     /** Stable cache-file stem for this spec. */
     std::string key() const;
 };
@@ -102,20 +97,18 @@ struct EvalKey
 {
     std::uint64_t backendTag = 0;   ///< sim::PerfModel::cacheTag()
     std::uint64_t code = 0;         ///< space::Configuration::encode()
-    std::uint64_t chipKey = 0;      ///< chip-mix identity; 0 = solo
 
     bool operator==(const EvalKey &) const = default;
 };
 
-/** Mixing hash so (tag, code, chip) tuples spread over the table
- *  even when codes collide across backends or mixes. */
+/** Mixing hash so (tag, code) pairs spread over the table even
+ *  when codes collide across backends. */
 struct EvalKeyHash
 {
     std::size_t operator()(const EvalKey &k) const
     {
         std::uint64_t h =
             k.code + 0x9e3779b97f4a7c15ULL * (k.backendTag + 1);
-        h += 0xc2b2ae3d27d4eb4fULL * k.chipKey;
         h ^= h >> 33;
         h *= 0xff51afd7ed558ccdULL;
         h ^= h >> 33;

@@ -1,9 +1,5 @@
 #include "sim/cycle_level_model.hh"
 
-#include "common/logging.hh"
-#include "sim/chip_session.hh"
-#include "uarch/chip.hh"
-
 namespace adaptsim::sim
 {
 
@@ -39,77 +35,6 @@ class CycleLevelSession final : public CoreSession
     uarch::Core core_;
 };
 
-/** The detailed multi-core session: uarch::Chip, unmediated. */
-class CycleChipSession final : public ChipSession
-{
-  public:
-    CycleChipSession(const uarch::ChipConfig &cfg,
-                     const std::vector<workload::WrongPathGenerator *>
-                         &wrong_paths)
-        : chip_(cfg, wrong_paths)
-    {
-        interference_.assign(chip_.numCores(), CoreInterference{});
-    }
-
-    void
-    warm(std::size_t core,
-         std::span<const isa::MicroOp> trace) override
-    {
-        chip_.warm(core, trace);
-    }
-
-    uarch::ChipResult
-    run(const std::vector<std::span<const isa::MicroOp>> &traces,
-        const std::vector<uarch::SimObserver *> &observers) override
-    {
-        uarch::ChipResult res = chip_.run(traces, observers);
-        for (std::size_t i = 0; i < chip_.numCores(); ++i) {
-            CoreInterference &itf = interference_[i];
-            itf.occupancyShare = res.occupancyShare[i];
-            itf.sharedMissRatio = res.sharedMissRatio[i];
-            const auto &ev = res.cores[i].events;
-            itf.avgQueueCycles =
-                ev.llcAccesses ? double(ev.llcQueueCycles) /
-                                     double(ev.llcAccesses)
-                               : 0.0;
-        }
-        return res;
-    }
-
-    void
-    reconfigureCore(std::size_t core,
-                    const space::Configuration &c) override
-    {
-        chip_.reconfigureCore(core, c);
-    }
-
-    const uarch::ChipConfig &config() const override
-    {
-        return chip_.config();
-    }
-
-    CoreInterference
-    interference(std::size_t core) const override
-    {
-        if (core >= interference_.size())
-            panic("CycleChipSession: core ", core, " on a ",
-                  interference_.size(), "-core chip");
-        return interference_[core];
-    }
-
-    power::Metrics
-    metricsFor(std::size_t core,
-               const uarch::SimResult &result) override
-    {
-        return power::computeMetrics(chip_.core(core).config(),
-                                     result.events);
-    }
-
-  private:
-    uarch::Chip chip_;
-    std::vector<CoreInterference> interference_;
-};
-
 } // namespace
 
 std::unique_ptr<CoreSession>
@@ -118,15 +43,6 @@ CycleLevelModel::makeSession(
     workload::WrongPathGenerator &wrong_path) const
 {
     return std::make_unique<CycleLevelSession>(cfg, wrong_path);
-}
-
-std::unique_ptr<ChipSession>
-CycleLevelModel::makeChipSession(
-    const uarch::ChipConfig &cfg,
-    const std::vector<workload::WrongPathGenerator *> &wrong_paths)
-    const
-{
-    return std::make_unique<CycleChipSession>(cfg, wrong_paths);
 }
 
 } // namespace adaptsim::sim

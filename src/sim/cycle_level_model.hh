@@ -32,13 +32,6 @@ class CycleLevelModel final : public PerfModel
     makeSession(const uarch::CoreConfig &cfg,
                 workload::WrongPathGenerator &wrong_path)
         const override;
-
-    /** Detailed multi-core session wrapping uarch::Chip (shared-LLC
-     *  contention simulated, not approximated). */
-    std::unique_ptr<ChipSession>
-    makeChipSession(const uarch::ChipConfig &cfg,
-                    const std::vector<workload::WrongPathGenerator *>
-                        &wrong_paths) const override;
 };
 
 } // namespace adaptsim::sim

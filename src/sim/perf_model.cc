@@ -1,10 +1,6 @@
 #include "sim/perf_model.hh"
 
-#include <algorithm>
-#include <map>
-#include <mutex>
-
-#include "common/sync.hh"
+#include <array>
 
 #include "common/env.hh"
 #include "common/logging.hh"
@@ -18,10 +14,9 @@ namespace adaptsim::sim
 namespace
 {
 
-/** Registry state: name -> backend, plus per-backend telemetry
- *  handles resolved once at registration.  An ordered map keeps
- *  perfModelNames() (and the unknown-name error message) sorted. */
-struct RegistryEntry
+/** One built-in backend plus its per-backend telemetry handles,
+ *  resolved once. */
+struct Entry
 {
     std::unique_ptr<PerfModel> model;
 #if ADAPTSIM_OBS_ENABLED
@@ -31,80 +26,49 @@ struct RegistryEntry
 #endif
 };
 
-struct ModelRegistry
+Entry
+makeEntry(std::unique_ptr<PerfModel> model)
 {
-    Mutex mutex;
-    std::map<std::string, RegistryEntry> entries
-        ADAPTSIM_GUARDED_BY(mutex);
-};
-
-ModelRegistry &
-registry()
-{
-    static ModelRegistry r;
-    return r;
-}
-
-void
-registerLocked(ModelRegistry &r, std::unique_ptr<PerfModel> model)
-    ADAPTSIM_REQUIRES(r.mutex)
-{
-    const std::string name = model->name();
-    RegistryEntry entry;
-    entry.model = std::move(model);
+    Entry entry;
 #if ADAPTSIM_OBS_ENABLED
+    const std::string name = model->name();
     entry.spanName = "sim/run/" + name;
-    entry.evals = &obs::Registry::global().counter(
-        "backend/" + name + "/evals");
+    entry.evals =
+        &obs::Registry::global().counter("backend/" + name + "/evals");
     entry.runHist = &obs::spanHistogram(entry.spanName.c_str());
 #endif
-    if (!r.entries.emplace(name, std::move(entry)).second)
-        fatal("perf-model backend registered twice: ", name);
+    entry.model = std::move(model);
+    return entry;
 }
 
 /**
- * Built-in registration is lazy (first registry access) rather than
- * via static initializers: adaptsim is a static library, and nothing
- * guarantees a dedicated registration TU's initializers survive
- * linking into a binary that never names its symbols.
+ * The built-ins, sorted by name.  A function-local static rather
+ * than static initializers: adaptsim is a static library, and
+ * nothing guarantees a registration TU's initializers survive
+ * linking into a binary that never names its symbols.  The
+ * initialisation is thread-safe and the table is immutable after
+ * it, so lookups take no lock.
  */
-void
-ensureBuiltins(ModelRegistry &r)
+const std::array<Entry, 2> &
+table()
 {
-    static std::once_flag once;
-    std::call_once(once, [&r]() {
-        MutexLock lock(r.mutex);
-        registerLocked(r, std::make_unique<CycleLevelModel>());
-        registerLocked(r, std::make_unique<IntervalModel>());
-    });
-}
-
-const RegistryEntry *
-findEntry(const std::string &name)
-{
-    ModelRegistry &r = registry();
-    ensureBuiltins(r);
-    MutexLock lock(r.mutex);
-    const auto it = r.entries.find(name);
-    return it == r.entries.end() ? nullptr : &it->second;
+    static const std::array<Entry, 2> entries = {
+        makeEntry(std::make_unique<CycleLevelModel>()),
+        makeEntry(std::make_unique<IntervalModel>()),
+    };
+    return entries;
 }
 
 } // namespace
 
-void
-registerPerfModel(std::unique_ptr<PerfModel> model)
-{
-    ModelRegistry &r = registry();
-    ensureBuiltins(r);
-    MutexLock lock(r.mutex);
-    registerLocked(r, std::move(model));
-}
-
 const PerfModel *
 findPerfModel(const std::string &name)
 {
-    const RegistryEntry *entry = findEntry(name);
-    return entry ? entry->model.get() : nullptr;
+    for (const auto &entry : table()) {
+        if (name == entry.model->name())
+            return entry.model.get();
+    }
+    return nullptr;
 }
 
 const PerfModel &
@@ -115,8 +79,8 @@ perfModel(const std::string &name)
     std::string known;
     for (const auto &n : perfModelNames())
         known += (known.empty() ? "" : ", ") + n;
-    fatal("unknown perf-model backend \"", name, "\" (registered: ",
-          known, "); check ADAPTSIM_BACKEND");
+    fatal("unknown perf-model backend \"", name, "\" (known: ", known,
+          "); check ADAPTSIM_BACKEND");
 }
 
 const PerfModel &
@@ -128,13 +92,9 @@ defaultPerfModel()
 std::vector<std::string>
 perfModelNames()
 {
-    ModelRegistry &r = registry();
-    ensureBuiltins(r);
-    MutexLock lock(r.mutex);
     std::vector<std::string> names;
-    names.reserve(r.entries.size());
-    for (const auto &[name, entry] : r.entries)
-        names.push_back(name);
+    for (const auto &entry : table())
+        names.push_back(entry.model->name());
     return names;
 }
 
@@ -144,14 +104,13 @@ PerfModel::run(CoreSession &session,
                uarch::SimObserver *observer) const
 {
 #if ADAPTSIM_OBS_ENABLED
-    // The registry entry owns the stable span-name string and the
-    // counter/histogram handles; entries are never removed, so the
-    // pointer is valid for the process lifetime.
-    const RegistryEntry *entry = findEntry(name());
-    if (entry != nullptr) {
-        entry->evals->add(1);
-        obs::ScopedSpan span(entry->spanName.c_str(),
-                             *entry->runHist);
+    // The table entry owns the stable span-name string and the
+    // counter/histogram handles for the process lifetime.
+    for (const auto &entry : table()) {
+        if (entry.model.get() != this)
+            continue;
+        entry.evals->add(1);
+        obs::ScopedSpan span(entry.spanName.c_str(), *entry.runHist);
         return session.run(trace, observer);
     }
 #endif

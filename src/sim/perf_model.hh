@@ -6,9 +6,11 @@
  * — the evaluation repository, the runtime controller, the benches —
  * goes through the abstract PerfModel interface instead of
  * constructing the cycle-level uarch::Core directly.  Backends are
- * looked up by name in a process-wide registry; ADAPTSIM_BACKEND
- * selects the default (see common/env), and every entry point takes
- * a per-call override.
+ * looked up by name in a fixed table of the two built-ins;
+ * ADAPTSIM_BACKEND selects the default (see common/env), and every
+ * entry point takes a per-call override.  The backends simulate one
+ * core; a multi-core chip runs on the cycle-level uarch::Chip
+ * (control/chip_controller).
  *
  * Two backends ship built in:
  *
@@ -42,8 +44,6 @@
 
 namespace adaptsim::sim
 {
-
-class ChipSession;
 
 /**
  * One configured simulated core owned by a backend: caches and
@@ -80,14 +80,14 @@ class CoreSession
 };
 
 /** Abstract performance-model backend (stateless; sessions carry
- *  all mutable state, so one registered instance serves all
- *  threads concurrently). */
+ *  all mutable state, so one instance serves all threads
+ *  concurrently). */
 class PerfModel
 {
   public:
     virtual ~PerfModel() = default;
 
-    /** Registry key, e.g. "cycle" or "interval". */
+    /** Lookup name, e.g. "cycle" or "interval". */
     virtual const char *name() const = 0;
 
     /**
@@ -106,20 +106,6 @@ class PerfModel
     virtual std::unique_ptr<CoreSession>
     makeSession(const uarch::CoreConfig &cfg,
                 workload::WrongPathGenerator &wrong_path) const = 0;
-
-    /**
-     * Create a fresh multi-core session for @p cfg (one wrong-path
-     * source per core).  The default is the backend-agnostic proxy
-     * session (sim/chip_session.hh), which measures interference
-     * functionally and folds it into per-core effective memory
-     * latency; the cycle backend overrides this with the detailed
-     * uarch::Chip.  A one-core chip delegates to makeSession() and
-     * stays bit-identical to the single-core seam.
-     */
-    virtual std::unique_ptr<ChipSession>
-    makeChipSession(const uarch::ChipConfig &cfg,
-                    const std::vector<workload::WrongPathGenerator *>
-                        &wrong_paths) const;
 
     /**
      * Instrumented timing run: bumps the "backend/<name>/evals"
@@ -144,16 +130,8 @@ class PerfModel
              std::span<const isa::MicroOp> detail_trace) const;
 };
 
-/**
- * Register a backend under model->name().  Registering a name twice
- * is fatal (built-ins "cycle" and "interval" are pre-registered).
- * Thread-safe; handles returned by perfModel() stay valid for the
- * process lifetime.
- */
-void registerPerfModel(std::unique_ptr<PerfModel> model);
-
 /** Backend by name; fatal on unknown names (message lists the
- *  registered ones). */
+ *  known ones).  Handles stay valid for the process lifetime. */
 const PerfModel &perfModel(const std::string &name);
 
 /** Backend by name, or nullptr when unknown (never creates). */
@@ -162,7 +140,7 @@ const PerfModel *findPerfModel(const std::string &name);
 /** The ADAPTSIM_BACKEND-selected default backend. */
 const PerfModel &defaultPerfModel();
 
-/** Sorted names of all registered backends. */
+/** Sorted names of all backends. */
 std::vector<std::string> perfModelNames();
 
 } // namespace adaptsim::sim

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "common/serial.hh"
 #include "power/cacti.hh"
 #include "power/frequency.hh"
 
@@ -95,33 +94,6 @@ ChipConfig::homogeneous(const space::Configuration &c,
     ChipConfig chip;
     chip.coreConfigs.assign(cores, c);
     return chip;
-}
-
-std::uint64_t
-ChipConfig::key() const
-{
-    if (singleCore())
-        return 0;
-    std::uint64_t h = kFnvBasis;
-    const std::uint64_t n = coreConfigs.size();
-    h = fnv1a64(&n, sizeof(n), h);
-    for (const auto &c : coreConfigs) {
-        const std::uint64_t code = c.encode();
-        h = fnv1a64(&code, sizeof(code), h);
-    }
-    const std::uint64_t geom[] = {
-        llcBytes,
-        std::uint64_t(llcAssoc),
-        std::uint64_t(llcBanks),
-        std::uint64_t(llcMshrsPerBank),
-        std::uint64_t(llcLatency),
-        std::uint64_t(busLatency),
-        std::uint64_t(llcBankService),
-        quantum,
-    };
-    h = fnv1a64(geom, sizeof(geom), h);
-    // 0 is reserved for "single-core / no chip context".
-    return h ? h : 1;
 }
 
 std::string

@@ -109,14 +109,6 @@ struct ChipConfig
     static ChipConfig homogeneous(const space::Configuration &c,
                                   std::size_t cores);
 
-    /**
-     * Stable 64-bit key over core configurations and shared
-     * geometry, mixed into evaluation-cache keys.  Defined as 0 for
-     * a single-core chip so single-core results keep their
-     * pre-chip cache identity.
-     */
-    std::uint64_t key() const;
-
     /** "2xCore{...} LLC=8MB/16w/8b" style summary. */
     std::string toString() const;
 };

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests of the multi-core chip model and the chip-session seam.
+ * Tests of the multi-core chip model.
  *
  * The single most important property here: a one-core Chip is
  * bit-identical to the original single-core path — the frozen golden
@@ -17,8 +17,6 @@
 #include <vector>
 
 #include "harness/gather.hh"
-#include "sim/chip_session.hh"
-#include "sim/perf_model.hh"
 #include "uarch/chip.hh"
 #include "workload/spec_suite.hh"
 
@@ -196,104 +194,4 @@ TEST(Chip, ReconfigureCoreKeepsElapsedAndLlcContents)
     EXPECT_EQ(chip.llc()->coreStats(1).linesOwned, before);
     const auto res2 = chip.run(s.traces);
     EXPECT_EQ(res2.cores[0].events.committedOps, 4000u);
-}
-
-TEST(ChipSession, SingleCoreProxyIsPassthrough)
-{
-    // On one core the proxy session must delegate directly to the
-    // backend's CoreSession — same numbers as calling the backend.
-    const auto &interval = sim::perfModel("interval");
-    const auto wl = workload::specBenchmark("swim", programLength);
-    const auto cc = uarch::CoreConfig::fromConfiguration(
-        harness::paperBaselineConfig());
-
-    workload::WrongPathGenerator wp_a(wl.averageParams(),
-                                      wl.seed() ^ 0x57a71cULL);
-    const auto direct = interval.makeSession(cc, wp_a);
-    const auto warm = wl.generate(32000, 8000);
-    const auto detail = wl.generate(40000, 4000);
-    direct->warm(warm);
-    const auto want = interval.run(*direct, detail);
-
-    workload::WrongPathGenerator wp_b(wl.averageParams(),
-                                      wl.seed() ^ 0x57a71cULL);
-    const auto chip = interval.makeChipSession(
-        uarch::ChipConfig::homogeneous(
-            harness::paperBaselineConfig(), 1),
-        {&wp_b});
-    chip->warm(0, warm);
-    const auto got = chip->run({detail});
-    EXPECT_EQ(got.cores[0].cycles, want.cycles);
-    EXPECT_EQ(got.cores[0].events.committedOps,
-              want.events.committedOps);
-}
-
-TEST(ChipSession, ProxyMeasuresInterferenceForAnalyticalBackends)
-{
-    const auto &interval = sim::perfModel("interval");
-    auto s = coRunSetup({"mcf", "gcc"});
-    const auto chip = interval.makeChipSession(
-        smallChip(harness::paperBaselineConfig(), 2), s.wpp);
-    chip->warm(0, s.warm[0]);
-    chip->warm(1, s.warm[1]);
-    const auto res = chip->run(s.traces);
-
-    ASSERT_EQ(res.cores.size(), 2u);
-    EXPECT_EQ(res.cores[0].events.committedOps, 4000u);
-    EXPECT_EQ(res.cores[1].events.committedOps, 4000u);
-    for (std::size_t c = 0; c < 2; ++c) {
-        const auto f = chip->interference(c);
-        EXPECT_GT(f.occupancyShare, 0.0) << c;
-        EXPECT_GE(f.sharedMissRatio, 0.0) << c;
-        EXPECT_LE(f.sharedMissRatio, 1.0) << c;
-    }
-    // Both cores must see per-core metrics with real energy.
-    for (std::size_t c = 0; c < 2; ++c) {
-        const auto m = chip->metricsFor(c, res.cores[c]);
-        EXPECT_GT(m.seconds, 0.0) << c;
-        EXPECT_GT(m.joules, 0.0) << c;
-    }
-}
-
-TEST(ChipSession, CycleBackendWrapsTheRealChip)
-{
-    // The cycle backend's chip session must agree exactly with a
-    // hand-driven uarch::Chip under the same seeds and geometry.
-    const auto &cycle = sim::perfModel("cycle");
-    auto via_session = coRunSetup({"mcf", "gcc"});
-    const auto session = cycle.makeChipSession(
-        smallChip(harness::paperBaselineConfig(), 2),
-        via_session.wpp);
-    session->warm(0, via_session.warm[0]);
-    session->warm(1, via_session.warm[1]);
-    const auto got = session->run(via_session.traces);
-
-    auto direct = coRunSetup({"mcf", "gcc"});
-    Chip chip(smallChip(harness::paperBaselineConfig(), 2),
-              direct.wpp);
-    chip.warm(0, direct.warm[0]);
-    chip.warm(1, direct.warm[1]);
-    const auto want = chip.run(direct.traces);
-
-    for (std::size_t c = 0; c < 2; ++c) {
-        EXPECT_EQ(got.cores[c].cycles, want.cores[c].cycles) << c;
-        EXPECT_EQ(got.cores[c].events.llcAccesses,
-                  want.cores[c].events.llcAccesses)
-            << c;
-        EXPECT_EQ(got.occupancyShare[c], want.occupancyShare[c]) << c;
-    }
-}
-
-TEST(ChipConfigKey, SoloIsZeroAndMixesAreStable)
-{
-    const auto base = harness::paperBaselineConfig();
-    EXPECT_EQ(uarch::ChipConfig::homogeneous(base, 1).key(), 0u);
-    const auto two = uarch::ChipConfig::homogeneous(base, 2);
-    EXPECT_NE(two.key(), 0u);
-    EXPECT_EQ(two.key(), uarch::ChipConfig::homogeneous(base, 2).key());
-    EXPECT_NE(two.key(),
-              uarch::ChipConfig::homogeneous(base, 4).key());
-    auto other = two;
-    other.llcBytes /= 2;
-    EXPECT_NE(other.key(), two.key());
 }

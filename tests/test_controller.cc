@@ -241,6 +241,22 @@ TEST(ChipController, AdaptiveChipRunsEveryCoreToCompletion)
     }
 }
 
+TEST(ChipController, MultiCoreChipNeedsTheCycleBackend)
+{
+    // Only uarch::Chip models the shared LLC, so a multi-core chip on
+    // any other backend is refused rather than approximated.
+    const auto a = workload::specBenchmark("gzip", 100000);
+    const auto b = workload::specBenchmark("gap", 100000);
+    const auto chip = uarch::ChipConfig::homogeneous(
+        harness::paperBaselineConfig(), 2);
+    EXPECT_EXIT((void)runStaticChip({&a, &b},
+                                    harness::paperBaselineConfig(),
+                                    chip, 10000, 5000, nullptr,
+                                    &sim::perfModel("interval")),
+                ::testing::ExitedWithCode(1),
+                "2-core chip needs the \"cycle\" backend");
+}
+
 TEST(ChipController, SingleCoreChipMatchesFrozenSingleCoreGolden)
 {
     // A one-core chip is the single-core controller.  These values

@@ -182,40 +182,3 @@ TEST(Env, BackendNameDefaultAndOverride)
     EXPECT_EQ(backendName(), "cycle");
     unsetenv("ADAPTSIM_BACKEND");
 }
-
-TEST(Env, GatherMemoThresholdAndTolerance)
-{
-    unsetenv("ADAPTSIM_GATHER_MEMO_THRESHOLD");
-    EXPECT_EQ(gatherMemoThreshold(), 0.25);
-    setenv("ADAPTSIM_GATHER_MEMO_THRESHOLD", "0.1", 1);
-    EXPECT_EQ(gatherMemoThreshold(), 0.1);
-    unsetenv("ADAPTSIM_GATHER_MEMO_THRESHOLD");
-
-    unsetenv("ADAPTSIM_GATHER_MEMO_TOLERANCE");
-    EXPECT_EQ(gatherMemoTolerance(), 0.1);
-    setenv("ADAPTSIM_GATHER_MEMO_TOLERANCE", "0.05", 1);
-    EXPECT_EQ(gatherMemoTolerance(), 0.05);
-    // Negative is legal: every recognised phase escalates to full
-    // re-characterisation.
-    setenv("ADAPTSIM_GATHER_MEMO_TOLERANCE", "-1", 1);
-    EXPECT_EQ(gatherMemoTolerance(), -1.0);
-    // A NaN tolerance would compare false against every drift and
-    // silently disable escalation.
-    setenv("ADAPTSIM_GATHER_MEMO_TOLERANCE", "nan", 1);
-    EXPECT_EQ(gatherMemoTolerance(), 0.1);
-    unsetenv("ADAPTSIM_GATHER_MEMO_TOLERANCE");
-}
-
-TEST(Env, GatherMemoProbesDefaultAndMinimum)
-{
-    unsetenv("ADAPTSIM_GATHER_MEMO_PROBES");
-    EXPECT_EQ(gatherMemoProbes(), 1u);
-    setenv("ADAPTSIM_GATHER_MEMO_PROBES", "3", 1);
-    EXPECT_EQ(gatherMemoProbes(), 3u);
-    // A recognised phase always re-measures at least one config.
-    setenv("ADAPTSIM_GATHER_MEMO_PROBES", "0", 1);
-    EXPECT_EQ(gatherMemoProbes(), 1u);
-    setenv("ADAPTSIM_GATHER_MEMO_PROBES", "-2", 1);
-    EXPECT_EQ(gatherMemoProbes(), 1u);
-    unsetenv("ADAPTSIM_GATHER_MEMO_PROBES");
-}

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <vector>
 
 #include "harness/experiment.hh"
 
@@ -32,6 +34,18 @@ tinyOptions(const std::string &dir)
     opt.dataDir = dir;
     opt.threads = 0;
     return opt;
+}
+
+/** The LOOCV-predicted configuration codes of the experiment
+ *  @p opt describes. */
+std::vector<std::uint64_t>
+predictedCodes(const ExperimentOptions &opt)
+{
+    Experiment exp(opt);
+    std::vector<std::uint64_t> codes;
+    for (const auto &r : exp.modelResults(counters::FeatureSet::Basic))
+        codes.push_back(r.config.encode());
+    return codes;
 }
 
 } // namespace
@@ -91,4 +105,29 @@ TEST(Experiment, EndToEndTinyScale)
     }
 
     std::filesystem::remove_all(dir);
+}
+
+TEST(Experiment, LoocvPredictionsNeverLeakBetweenExperiments)
+{
+    // Experiment A trains with a shorter conjugate-gradient budget
+    // than B; everything else, gather included, is the same.  B run
+    // where A already cached its predictions must train afresh,
+    // exactly as B in an empty directory does.
+    const auto tmp = std::filesystem::temp_directory_path();
+    const std::string shared = tmp / "adaptsim_experiment_loocv_shared";
+    const std::string fresh = tmp / "adaptsim_experiment_loocv_fresh";
+    std::filesystem::remove_all(shared);
+    std::filesystem::remove_all(fresh);
+
+    auto a = tinyOptions(shared);
+    a.trainer.cg.maxIterations = 2;
+    const auto by_a = predictedCodes(a);
+    const auto b_after_a = predictedCodes(tinyOptions(shared));
+    const auto b_alone = predictedCodes(tinyOptions(fresh));
+    ASSERT_EQ(b_alone.size(), by_a.size());
+    EXPECT_EQ(b_after_a, b_alone);
+    EXPECT_NE(by_a, b_alone);   // the two experiments really differ
+
+    std::filesystem::remove_all(shared);
+    std::filesystem::remove_all(fresh);
 }

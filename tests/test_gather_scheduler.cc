@@ -311,7 +311,7 @@ TEST_F(GatherSchedulerTest, LowConfidenceHitsEscalate)
     // Negative tolerance escalates every recognised phase: the
     // gather re-characterises in full instead of trusting the memo.
     {
-        auto o = GatherScheduler::optionsFromEnv();
+        GatherScheduler::Options o;
         o.tolerance = -1.0;
         GatherScheduler sched("", o);
         opt.scheduler = &sched;

@@ -456,7 +456,6 @@ TEST(Lint, DeterminismCoversTheChipModelFiles)
         "src/uarch/shared_llc.cc",
         "src/uarch/chip.cc",
         "src/uarch/cache_hierarchy.cc",
-        "src/sim/chip_session.cc",
         "src/control/chip_controller.cc",
         "src/control/core_policy.cc",
     };

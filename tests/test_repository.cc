@@ -463,7 +463,7 @@ v1CacheImage(std::uint64_t code, const EvalRecord &r)
 }
 
 /** Hand-built format-2 cache image: 24-byte header (version 2) plus
- *  one 80-byte record without a chip-mix word. */
+ *  one 80-byte record without the reserved word. */
 std::string
 v2CacheImage(std::uint64_t tag, std::uint64_t code,
              const EvalRecord &r)
@@ -490,7 +490,7 @@ v2CacheImage(std::uint64_t tag, std::uint64_t code,
  *  pins the on-disk format independently of the writer. */
 std::string
 v3CacheImage(std::uint64_t tag, std::uint64_t code,
-             const EvalRecord &r)
+             const EvalRecord &r, std::uint64_t reserved = 0)
 {
     std::string bytes("ADSIMEVC", 8);
     putU64(bytes, 3);
@@ -498,7 +498,7 @@ v3CacheImage(std::uint64_t tag, std::uint64_t code,
     const std::size_t start = bytes.size();
     putU64(bytes, code);
     putU64(bytes, tag);
-    putU64(bytes, 0);   // chip-mix key: solo
+    putU64(bytes, reserved);
     putDouble(bytes, r.cycles);
     putDouble(bytes, r.instructions);
     putDouble(bytes, r.seconds);
@@ -567,28 +567,32 @@ TEST_F(RepositoryTest, V3BinaryCacheLoadsWithoutSimulation)
     EXPECT_TRUE(bitIdentical(served, fake));
 }
 
-TEST_F(RepositoryTest, ChipMixRecordsNeverAnswerSoloLookups)
+TEST_F(RepositoryTest, NonzeroReservedSlotIsNeverServed)
 {
-    // The same workload window under a chip mix is a different cache
-    // identity: its own file stem, its own chip key in every record.
+    // The u64 after the backend tag is reserved and always written
+    // as 0.  A record carrying anything else is no record this build
+    // wrote: it is dropped and counted, the evaluation re-simulates,
+    // and the next flush rewrites the file with the slot zeroed.
+    const EvalRecord fake{200.0, 1500.0, 0.4, 0.3, 1.2, 2.0, 37.0};
+    const std::uint64_t code = paperBaselineConfig().encode();
+    std::filesystem::create_directories(dir_);
+    ASSERT_TRUE(atomicWriteFile(
+        binPath(), v3CacheImage(sim::CycleLevelModel::kCacheTag, code,
+                                fake, 0xfeedULL)));
+
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
-    PhaseSpec solo = spec();
-    PhaseSpec mixed = spec();
-    mixed.chipMix = 0xfeedULL;
-    EXPECT_NE(solo.key(), mixed.key());
-
-    const auto cfg = paperBaselineConfig();
-    const auto a = repo.evaluate(solo, cfg);
+    const auto got = repo.evaluate(spec(), paperBaselineConfig());
     EXPECT_EQ(repo.simulationsRun(), 1u);
-    const auto b = repo.evaluate(mixed, cfg);
-    EXPECT_EQ(repo.simulationsRun(), 2u);
-    EXPECT_TRUE(bitIdentical(a, b));   // same trace, solo timing
+    EXPECT_EQ(repo.cacheHits(), 0u);
+    EXPECT_EQ(repo.stats().loaded, 0u);
+    EXPECT_EQ(repo.stats().dropped, 1u);
+    EXPECT_FALSE(bitIdentical(got, fake));
 
-    // Each spec now hits its own entry without cross-talk.
-    repo.evaluate(solo, cfg);
-    repo.evaluate(mixed, cfg);
-    EXPECT_EQ(repo.simulationsRun(), 2u);
-    EXPECT_EQ(repo.cacheHits(), 2u);
+    repo.flush();
+    const auto bytes = readFile(binPath());
+    ASSERT_EQ(bytes.size(), 24u + 88u);
+    EXPECT_EQ(getU64(bytes.data() + 24), code);
+    EXPECT_EQ(getU64(bytes.data() + 24 + 16), 0u);
 }
 
 TEST_F(RepositoryTest, BackendsNeverShareCacheEntries)

@@ -264,8 +264,9 @@ TEST(Sim, EmptyTraceYieldsEmptyResult)
 
 TEST(Sim, RegistryConcurrentLookupIsSafe)
 {
-    // First-touch registration races with lookups from worker
-    // threads in real benches; tier-1 runs this under TSan.
+    // First-touch construction of the backend table races with
+    // lookups from worker threads in real benches; tier-1 runs this
+    // under TSan.
     std::vector<std::thread> threads;
     std::atomic<int> ok{0};
     for (int t = 0; t < 8; ++t) {
