@@ -253,6 +253,10 @@ gatherTrainingData(EvalRepository &repo,
             GatherScheduler::indexPathFor(repo));
         sched = own_scheduler.get();
     }
+    // Memo entries only transfer between gathers on one backend.
+    const std::uint64_t backend =
+        (options.backend ? *options.backend : sim::defaultPerfModel())
+            .cacheTag();
 
     std::vector<GatheredPhase> out;
     out.reserve(phases.size());
@@ -278,7 +282,7 @@ gatherTrainingData(EvalRepository &repo,
             std::optional<GatheredPhase> g;
             bool recognised = false;
             if (sig) {
-                if (const auto hit = sched->lookup(spec, *sig)) {
+                if (const auto hit = sched->lookup(backend, spec, *sig)) {
                     recognised = true;
                     g = gatherFromMemo(repo, *sched, *hit, ph, spec,
                                        options);
@@ -296,7 +300,7 @@ gatherTrainingData(EvalRepository &repo,
                 g = gatherOnePhase(repo, shared, ph, program_length,
                                    warm_length, options);
                 if (sig)
-                    sched->record(spec, *sig, *g);
+                    sched->record(backend, spec, *sig, *g);
             }
             out.push_back(std::move(*g));
             // Phase boundaries are durable checkpoints: everything
@@ -338,7 +342,7 @@ gatherTrainingData(EvalRepository &repo,
                     const PhaseSpec rspec{rem.workload, program_length,
                                           rem.startInst, warm_length,
                                           rem.lengthInsts};
-                    if (sched->wouldHit(rspec, *rsig))
+                    if (sched->wouldHit(backend, rspec, *rsig))
                         ++rem_hits;
                 }
                 const std::size_t rem_misses =

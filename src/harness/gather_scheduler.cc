@@ -18,7 +18,7 @@ namespace
 // memo's PhaseSpec ends in a reserved u64 written as 0; an index
 // with a nonzero one is no index this build wrote and is discarded.
 constexpr std::uint64_t kIndexMagic = 0x41445349'4d474d58ULL;
-constexpr std::uint64_t kIndexVersion = 2;
+constexpr std::uint64_t kIndexVersion = 3;
 
 constexpr std::size_t kNpos = ~std::size_t(0);
 
@@ -95,10 +95,11 @@ GatherScheduler::indexPathFor(const EvalRepository &repo)
 }
 
 std::string
-GatherScheduler::bucketKey(const PhaseSpec &spec)
+GatherScheduler::bucketKey(std::uint64_t backend, const PhaseSpec &spec)
 {
     return spec.workload + "|w" + std::to_string(spec.warmLength) +
-           "|d" + std::to_string(spec.detailLength);
+           "|d" + std::to_string(spec.detailLength) + "|b" +
+           std::to_string(backend);
 }
 
 std::size_t
@@ -119,11 +120,11 @@ GatherScheduler::matchIn(const Bucket &b, const phase::Bbv &sig,
 }
 
 std::optional<GatherScheduler::Lookup>
-GatherScheduler::lookup(const PhaseSpec &spec,
+GatherScheduler::lookup(std::uint64_t backend, const PhaseSpec &spec,
                         const phase::Bbv &sig) const
 {
     MutexLock lock(mutex_);
-    const auto it = buckets_.find(bucketKey(spec));
+    const auto it = buckets_.find(bucketKey(backend, spec));
     if (it == buckets_.end())
         return std::nullopt;
     Lookup hit;
@@ -135,17 +136,18 @@ GatherScheduler::lookup(const PhaseSpec &spec,
 }
 
 bool
-GatherScheduler::wouldHit(const PhaseSpec &spec,
+GatherScheduler::wouldHit(std::uint64_t backend, const PhaseSpec &spec,
                           const phase::Bbv &sig) const
 {
     MutexLock lock(mutex_);
-    const auto it = buckets_.find(bucketKey(spec));
+    const auto it = buckets_.find(bucketKey(backend, spec));
     return it != buckets_.end() &&
            matchIn(it->second, sig, nullptr) != kNpos;
 }
 
 void
-GatherScheduler::record(const PhaseSpec &spec, const phase::Bbv &sig,
+GatherScheduler::record(std::uint64_t backend, const PhaseSpec &spec,
+                        const phase::Bbv &sig,
                         const GatheredPhase &gathered)
 {
     Memo memo;
@@ -172,7 +174,7 @@ GatherScheduler::record(const PhaseSpec &spec, const phase::Bbv &sig,
     // threshold-free and the lookup thresholds are applied there.
     Bucket &b =
         buckets_
-            .try_emplace(bucketKey(spec),
+            .try_emplace(bucketKey(backend, spec),
                          Bucket{phase::OnlinePhaseDetector(
                                     kExactEpsilon,
                                     opt_.maxPhasesPerBucket),

@@ -68,8 +68,8 @@ class GatherScheduler
         /** Top memo configurations re-measured per recognised
          *  phase (minimum 1). */
         std::size_t probes = 1;
-        /** Signature-table capacity per (workload, geometry)
-         *  bucket. */
+        /** Signature-table capacity per (workload, geometry,
+         *  backend) bucket. */
         std::size_t maxPhasesPerBucket = 64;
     };
 
@@ -124,17 +124,20 @@ class GatherScheduler
 
     /**
      * Classify @p sig against the memo bucket of @p spec's
-     * (workload, geometry).  Returns the matched entry (a copy —
-     * the caller works lock-free) or nullopt for a novel phase.
-     * Read-only: hit/miss accounting happens via noteHit()/
-     * noteMiss() once the caller commits to a path.
+     * (workload, geometry) as gathered on the backend whose
+     * sim::PerfModel::cacheTag() is @p backend.  Returns the matched
+     * entry (a copy — the caller works lock-free) or nullopt for a
+     * novel phase.  Read-only: hit/miss accounting happens via
+     * noteHit()/noteMiss() once the caller commits to a path.
      */
-    std::optional<Lookup> lookup(const PhaseSpec &spec,
+    std::optional<Lookup> lookup(std::uint64_t backend,
+                                 const PhaseSpec &spec,
                                  const phase::Bbv &sig) const
         ADAPTSIM_EXCLUDES(mutex_);
 
     /** lookup() without the copy — progress/ETA pre-classification. */
-    bool wouldHit(const PhaseSpec &spec, const phase::Bbv &sig) const
+    bool wouldHit(std::uint64_t backend, const PhaseSpec &spec,
+                  const phase::Bbv &sig) const
         ADAPTSIM_EXCLUDES(mutex_);
 
     /**
@@ -144,8 +147,8 @@ class GatherScheduler
      * until the bucket's signature table is full, after which the
      * nearest entry is replaced.
      */
-    void record(const PhaseSpec &spec, const phase::Bbv &sig,
-                const GatheredPhase &gathered)
+    void record(std::uint64_t backend, const PhaseSpec &spec,
+                const phase::Bbv &sig, const GatheredPhase &gathered)
         ADAPTSIM_EXCLUDES(mutex_);
 
     void noteHit(std::uint64_t reused_evals) ADAPTSIM_EXCLUDES(mutex_);
@@ -166,8 +169,8 @@ class GatherScheduler
     const Options &options() const { return opt_; }
 
   private:
-    /** Memo entries of one (workload, geometry), classified by one
-     *  signature table. */
+    /** Memo entries of one (workload, geometry, backend),
+     *  classified by one signature table. */
     struct Bucket
     {
         phase::OnlinePhaseDetector detector;
@@ -178,8 +181,10 @@ class GatherScheduler
     };
 
     /** Bucket key: evals only transfer between intervals of the
-     *  same workload gathered with the same geometry. */
-    static std::string bucketKey(const PhaseSpec &spec);
+     *  same workload gathered with the same geometry on the same
+     *  backend. */
+    static std::string bucketKey(std::uint64_t backend,
+                                 const PhaseSpec &spec);
 
     /** Matched entry index in @p b for @p sig, honouring the
      *  asymmetric live/disk thresholds; npos when novel. */

@@ -3,77 +3,86 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/obs.hh"
+
 namespace adaptsim::ml
 {
 
 namespace
 {
 
-double
-dot(const std::vector<double> &a, const std::vector<double> &b)
+/** What an iteration tests before its line search. */
+struct Probe
 {
-    double s = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        s += a[i] * b[i];
-    return s;
-}
+    double slope = 0.0;      ///< gradᵀdir
+    double gradNorm = 0.0;   ///< ‖grad‖∞
+};
 
-double
-infNorm(const std::vector<double> &a)
+/** Both reductions of Probe in one pass: each still runs in index
+ *  order, the pass only overlaps their latencies.  Not inlined: GCC
+ *  would keep the slope sum in the stack slot it spills the result to
+ *  across the objective's calls, one store-reload per element. */
+[[gnu::noinline]] Probe
+probe(const std::vector<double> &grad, const std::vector<double> &dir)
 {
-    double m = 0.0;
-    for (double v : a)
-        m = std::max(m, std::abs(v));
-    return m;
+    double slope = 0.0, norm = 0.0;
+    for (std::size_t i = 0; i < grad.size(); ++i) {
+        slope += grad[i] * dir[i];
+        norm = std::max(norm, std::abs(grad[i]));
+    }
+    return {slope, norm};
 }
 
 } // namespace
 
 CgResult
-minimiseCg(const Objective &f, std::vector<double> &w,
-           const CgOptions &opt)
+minimiseCg(Objective &f, std::vector<double> &w, const CgOptions &opt)
 {
     const std::size_t n = w.size();
-    std::vector<double> grad(n), prev_grad(n), dir(n), trial(n);
+    std::vector<double> grad(n), prev_grad(n), dir(n), trial(n),
+        trial_grad(n);
 
     CgResult result;
-    double fw = f(w, grad);
+    double fw = f.value(w);
+    f.gradient(grad);
+    result.valueEvals = 1;
+    result.gradientEvals = 1;
     result.objective = fw;
 
     // Initial direction: steepest descent.
     for (std::size_t i = 0; i < n; ++i)
         dir[i] = -grad[i];
+    Probe at = probe(grad, dir);
 
     double step = opt.initialStep;
     for (std::size_t iter = 0; iter < opt.maxIterations; ++iter) {
         result.iterations = iter + 1;
-        if (infNorm(grad) < opt.gradTolerance) {
+        if (at.gradNorm < opt.gradTolerance) {
             result.converged = true;
             break;
         }
 
-        double slope = dot(grad, dir);
-        if (slope >= 0.0) {
+        if (at.slope >= 0.0) {
             // Not a descent direction: restart with steepest descent.
             for (std::size_t i = 0; i < n; ++i)
                 dir[i] = -grad[i];
-            slope = dot(grad, dir);
-            if (slope >= 0.0) {
+            at = probe(grad, dir);
+            if (at.slope >= 0.0) {
                 result.converged = true;   // gradient numerically 0
                 break;
             }
         }
 
-        // Armijo backtracking line search.
+        // Armijo backtracking line search on values alone.
         double t = step;
         double f_trial = 0.0;
         bool accepted = false;
-        std::vector<double> trial_grad(n);
         for (std::size_t bt = 0; bt < opt.maxBacktracks; ++bt) {
             for (std::size_t i = 0; i < n; ++i)
                 trial[i] = w[i] + t * dir[i];
-            f_trial = f(trial, trial_grad);
-            if (f_trial <= fw + opt.armijoC * t * slope) {
+            f_trial = f.value(trial);
+            ++result.valueEvals;
+            if (f_trial <= fw + opt.armijoC * t * at.slope) {
                 accepted = true;
                 break;
             }
@@ -82,27 +91,39 @@ minimiseCg(const Objective &f, std::vector<double> &w,
         if (!accepted)
             break;   // no further progress possible
 
-        // Accept the step.
+        // Accept the step: trial was the last value() point.
+        f.gradient(trial_grad);
+        ++result.gradientEvals;
         w.swap(trial);
         prev_grad.swap(grad);
         grad.swap(trial_grad);
         fw = f_trial;
         result.objective = fw;
 
-        // Polak-Ribière+ with automatic restart.
-        double num = 0.0;
-        for (std::size_t i = 0; i < n; ++i)
+        // Polak-Ribière+ with automatic restart; num and den share a
+        // pass the way Probe's sums do.
+        double num = 0.0, den = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
             num += grad[i] * (grad[i] - prev_grad[i]);
-        const double den = dot(prev_grad, prev_grad);
+            den += prev_grad[i] * prev_grad[i];
+        }
         const double beta =
             den > 0.0 ? std::max(0.0, num / den) : 0.0;
         for (std::size_t i = 0; i < n; ++i)
             dir[i] = -grad[i] + beta * dir[i];
+        at = probe(grad, dir);
 
         // Grow the next initial step when the search succeeded at the
         // first attempt; shrink when it had to backtrack hard.
         step = std::clamp(t * 2.0, 1e-6, 4.0);
     }
+
+    OBS_ONLY(OBS_COUNTER("ml/cg/runs").add(1);)
+    OBS_ONLY(OBS_COUNTER("ml/cg/iterations").add(result.iterations);)
+    OBS_ONLY(OBS_COUNTER("ml/cg/value_evals").add(result.valueEvals);)
+    OBS_ONLY(OBS_COUNTER("ml/cg/gradient_evals")
+                 .add(result.gradientEvals);)
+    OBS_ONLY(OBS_COUNTER("ml/cg/converged").add(result.converged);)
     return result;
 }
 

@@ -127,11 +127,7 @@ trainModel(const std::vector<PhaseData> &phases,
         const std::size_t K =
             space::DesignSpace::the().numValues(p);
 
-        auto objective = [&](const std::vector<double> &w,
-                             std::vector<double> &grad) {
-            return softmaxObjective(examples, dim, K,
-                                    options.lambda, w, grad);
-        };
+        SoftmaxObjective objective(examples, dim, K, options.lambda);
 
         // Deterministic all-ones initialisation (Sec. IV-D).
         std::vector<double> w(dim * K, 1.0);

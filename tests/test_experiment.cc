@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "harness/experiment.hh"
+#include "sim/perf_model.hh"
 
 using namespace adaptsim;
 using namespace adaptsim::harness;
@@ -130,4 +131,58 @@ TEST(Experiment, LoocvPredictionsNeverLeakBetweenExperiments)
 
     std::filesystem::remove_all(shared);
     std::filesystem::remove_all(fresh);
+}
+
+TEST(Experiment, CycleGatherNeverReusesIntervalMemoEntries)
+{
+    // An interval experiment leaves a memo index behind.  A cycle
+    // experiment in the same directory must not recognise its
+    // phases there and train on interval efficiencies: it predicts
+    // exactly what it predicts in an empty directory.
+    const auto tmp = std::filesystem::temp_directory_path();
+    const std::string shared = tmp / "adaptsim_experiment_memo_shared";
+    const std::string fresh = tmp / "adaptsim_experiment_memo_fresh";
+    std::filesystem::remove_all(shared);
+    std::filesystem::remove_all(fresh);
+
+    auto interval = tinyOptions(shared);
+    interval.gather.backend = &sim::perfModel("interval");
+    auto cycle = tinyOptions(shared);
+    cycle.gather.backend = &sim::perfModel("cycle");
+    predictedCodes(interval);
+    const auto after_interval = predictedCodes(cycle);
+    cycle.dataDir = fresh;
+    const auto alone = predictedCodes(cycle);
+    ASSERT_FALSE(alone.empty());
+    EXPECT_EQ(after_interval, alone);
+
+    std::filesystem::remove_all(shared);
+    std::filesystem::remove_all(fresh);
+}
+
+TEST(Experiment, PredictionsAreEvaluatedOnTheGatherBackend)
+{
+    // An interval experiment's profiling runs fall back to cycle,
+    // but evaluating its predictions must simulate on interval only.
+    const std::string dir = std::filesystem::temp_directory_path() /
+                            "adaptsim_experiment_backend";
+    std::filesystem::remove_all(dir);
+
+    auto opt = tinyOptions(dir);
+    opt.gather.backend = &sim::perfModel("interval");
+    Experiment exp(opt);
+    exp.phases();
+    auto simulated = [&exp](const std::string &backend) {
+        for (const auto &[name, n] : exp.repository().stats().backendEvals)
+            if (name == backend)
+                return n;
+        return std::uint64_t(0);
+    };
+    const std::uint64_t cycle_before = simulated("cycle");
+    const std::uint64_t interval_before = simulated("interval");
+    ASSERT_FALSE(exp.modelResults(counters::FeatureSet::Basic).empty());
+    EXPECT_EQ(simulated("cycle"), cycle_before);
+    EXPECT_GT(simulated("interval"), interval_before);
+
+    std::filesystem::remove_all(dir);
 }

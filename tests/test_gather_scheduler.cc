@@ -35,6 +35,9 @@ namespace
  *  reproducing this bit for bit. */
 constexpr std::uint64_t kGoldenHash = 0xb39c8bebd704dd53ULL;
 
+/** Backend cache tag the unit tests key their memo entries by. */
+constexpr std::uint64_t kBackend = 7;
+
 std::uint64_t
 hashGather(const std::vector<GatheredPhase> &gathered)
 {
@@ -123,29 +126,34 @@ TEST(GatherSchedulerIndex, LiveEntriesMatchOnlyExactRecurrences)
     GatherScheduler sched("");
     const auto spec = makeSpec();
     const auto sig = makeSig({1.0});
-    sched.record(spec, sig, makeGathered(0.0));
+    sched.record(kBackend, spec, sig, makeGathered(0.0));
     EXPECT_EQ(sched.size(), 1u);
 
     // A genuine recurrence (identical signature) hits...
-    const auto hit = sched.lookup(spec, sig);
+    const auto hit = sched.lookup(kBackend, spec, sig);
     ASSERT_TRUE(hit.has_value());
     EXPECT_LE(hit->distance, 1e-9);
     EXPECT_EQ(hit->memo.evals.size(), 4u);
-    EXPECT_TRUE(sched.wouldHit(spec, sig));
+    EXPECT_TRUE(sched.wouldHit(kBackend, spec, sig));
 
     // ...but an entry recorded by this run never matches a merely
     // nearby signature, even well inside the cross-run threshold
     // (distance 0.2 < 0.25): distinct SimPoint phases can sit that
     // close.
     const auto near = makeSig({0.9, 0.1});
-    EXPECT_FALSE(sched.lookup(spec, near).has_value());
-    EXPECT_FALSE(sched.wouldHit(spec, near));
+    EXPECT_FALSE(sched.lookup(kBackend, spec, near).has_value());
+    EXPECT_FALSE(sched.wouldHit(kBackend, spec, near));
 
     // Evals never transfer across gather geometry: same workload
     // and signature, different warm length → different bucket.
     auto other = spec;
     other.warmLength = 2000;
-    EXPECT_FALSE(sched.lookup(other, sig).has_value());
+    EXPECT_FALSE(sched.lookup(kBackend, other, sig).has_value());
+
+    // ...nor across backends: another backend's efficiencies are not
+    // this backend's ground truth.
+    EXPECT_FALSE(sched.lookup(kBackend + 1, spec, sig).has_value());
+    EXPECT_FALSE(sched.wouldHit(kBackend + 1, spec, sig));
 }
 
 TEST_F(GatherSchedulerTest, DiskEntriesMatchWithinThreshold)
@@ -158,7 +166,7 @@ TEST_F(GatherSchedulerTest, DiskEntriesMatchWithinThreshold)
 
     {
         GatherScheduler writer(path);
-        writer.record(spec, sig, gathered);
+        writer.record(kBackend, spec, sig, gathered);
         EXPECT_TRUE(writer.save());
     }
 
@@ -169,7 +177,7 @@ TEST_F(GatherSchedulerTest, DiskEntriesMatchWithinThreshold)
     // 0.2 away now matches (the probe + tolerance escalation is the
     // safety net for a wrong transfer)...
     const auto near = makeSig({0.9, 0.1});
-    const auto hit = reader.lookup(spec, near);
+    const auto hit = reader.lookup(kBackend, spec, near);
     ASSERT_TRUE(hit.has_value());
     EXPECT_NEAR(hit->distance, 0.2, 1e-12);
 
@@ -189,13 +197,13 @@ TEST_F(GatherSchedulerTest, DiskEntriesMatchWithinThreshold)
               gathered.features.advanced);
 
     // One-past-the-threshold stays a miss.
-    EXPECT_FALSE(reader.lookup(spec, makeSig({0.5, 0.5})).has_value());
+    EXPECT_FALSE(reader.lookup(kBackend, spec, makeSig({0.5, 0.5})).has_value());
 
     // Re-recording (re-characterisation) demotes the entry to
     // live: nearby signatures stop matching again.
-    reader.record(spec, sig, makeGathered(1.0));
-    EXPECT_FALSE(reader.lookup(spec, near).has_value());
-    EXPECT_TRUE(reader.lookup(spec, sig).has_value());
+    reader.record(kBackend, spec, sig, makeGathered(1.0));
+    EXPECT_FALSE(reader.lookup(kBackend, spec, near).has_value());
+    EXPECT_TRUE(reader.lookup(kBackend, spec, sig).has_value());
 }
 
 TEST_F(GatherSchedulerTest, CorruptIndexIsDiscarded)
@@ -212,7 +220,7 @@ TEST_F(GatherSchedulerTest, CorruptIndexIsDiscarded)
     // A bit flip anywhere in a valid index trips the checksum.
     {
         GatherScheduler writer(path);
-        writer.record(makeSpec(), makeSig({1.0}), makeGathered(0.0));
+        writer.record(kBackend, makeSpec(), makeSig({1.0}), makeGathered(0.0));
         ASSERT_TRUE(writer.save());
     }
     ASSERT_EQ(GatherScheduler(path).size(), 1u);
@@ -225,6 +233,39 @@ TEST_F(GatherSchedulerTest, CorruptIndexIsDiscarded)
                   static_cast<std::streamsize>(bytes.size()));
     }
     EXPECT_EQ(GatherScheduler(path).size(), 0u);
+}
+
+TEST_F(GatherSchedulerTest, PreviousVersionIndexIsDiscarded)
+{
+    // A v2 index keyed its buckets without the backend; its entries
+    // cannot be told apart by backend, so it is discarded whole even
+    // when its checksum is intact.
+    std::filesystem::create_directories(dir_);
+    const std::string path = dir_ + "/gather_memo.idx";
+    {
+        GatherScheduler writer(path);
+        writer.record(kBackend, makeSpec(), makeSig({1.0}),
+                      makeGathered(0.0));
+        ASSERT_TRUE(writer.save());
+    }
+    std::string bytes = readFile(path);
+    ASSERT_GE(bytes.size(), 24u);
+    ASSERT_EQ(getU64(bytes.data() + 8), 3u);
+    bytes.resize(bytes.size() - 8);
+    bytes.replace(8, 8, std::string(8, '\0'));
+    bytes[8] = 2;
+    putU64(bytes, fnv1a64(bytes.data(), bytes.size()));
+    {
+        std::ofstream out(path, std::ios::binary);
+        out.write(bytes.data(),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+    GatherScheduler reader(path);
+    EXPECT_EQ(reader.size(), 0u);
+    reader.record(kBackend, makeSpec(), makeSig({1.0}),
+                  makeGathered(0.0));
+    ASSERT_TRUE(reader.save());
+    EXPECT_EQ(GatherScheduler(path).size(), 1u);
 }
 
 TEST_F(GatherSchedulerTest, RecognisedPhaseReusesCharacterisation)

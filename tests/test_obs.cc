@@ -18,6 +18,7 @@
 
 #include "common/serial.hh"
 #include "harness/gather.hh"
+#include "ml/conjugate_gradient.hh"
 #include "obs/obs.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
@@ -552,6 +553,76 @@ TEST(ChipObs, CompiledOutChipRunRegistersNothing)
         nullptr);
     EXPECT_EQ(Registry::global().findCounter("chip/core/0/quanta"),
               nullptr);
+}
+
+#endif // ADAPTSIM_OBS_ENABLED
+
+namespace
+{
+
+/** f(w) = (w - 3)²: from 0, CG rejects the unit step, lands on the
+ *  minimum at half of it, and converges on its second iteration. */
+class ShiftedSquare : public adaptsim::ml::Objective
+{
+  public:
+    double value(const std::vector<double> &w) override
+    {
+        at_ = w[0];
+        return (at_ - 3.0) * (at_ - 3.0);
+    }
+
+    void gradient(std::vector<double> &grad) override
+    {
+        grad.assign(1, 2.0 * (at_ - 3.0));
+    }
+
+  private:
+    double at_ = 0.0;
+};
+
+/** One CG run on ShiftedSquare from 0. */
+void
+minimiseShiftedSquare()
+{
+    ShiftedSquare f;
+    std::vector<double> w = {0.0};
+    adaptsim::ml::minimiseCg(f, w);
+}
+
+const char *const kCgCounters[] = {
+    "ml/cg/runs", "ml/cg/iterations", "ml/cg/value_evals",
+    "ml/cg/gradient_evals", "ml/cg/converged"};
+
+} // namespace
+
+#if ADAPTSIM_OBS_ENABLED
+
+TEST(CgObs, CountsOneRunOnAKnownQuadratic)
+{
+    auto &reg = Registry::global();
+    std::vector<std::uint64_t> before;
+    for (const char *name : kCgCounters)
+        before.push_back(reg.counter(name).value());
+
+    minimiseShiftedSquare();
+
+    // 1 run; 2 iterations; values at 0, 6 (rejected) and 3;
+    // gradients at 0 and 3; converged.
+    const std::uint64_t expect[] = {1, 2, 3, 2, 1};
+    for (std::size_t i = 0; i < std::size(kCgCounters); ++i) {
+        EXPECT_EQ(reg.counter(kCgCounters[i]).value() - before[i],
+                  expect[i])
+            << kCgCounters[i];
+    }
+}
+
+#else // !ADAPTSIM_OBS_ENABLED
+
+TEST(CgObs, CompiledOutCgRegistersNothing)
+{
+    minimiseShiftedSquare();
+    for (const char *name : kCgCounters)
+        EXPECT_EQ(Registry::global().findCounter(name), nullptr) << name;
 }
 
 #endif // ADAPTSIM_OBS_ENABLED

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/rng.hh"
+#include "common/serial.hh"
+#include "ml/cross_validation.hh"
 #include "ml/trainer.hh"
 
 using namespace adaptsim;
@@ -53,6 +57,63 @@ syntheticPhases(std::size_t count, std::uint64_t seed)
         phases.push_back(std::move(ph));
     }
     return phases;
+}
+
+/**
+ * A fixed paper-shaped dataset: 64 sparse features (about half of
+ * them zero in each phase, as in the real counter vectors), three
+ * programs, and efficiencies that depend on every parameter, so all
+ * 14 classifiers see a non-trivial good set.
+ */
+std::vector<PhaseData>
+sparsePaperPhases()
+{
+    constexpr std::size_t kDim = 64;
+    const auto &ds = space::DesignSpace::the();
+    Rng rng(2010);
+    std::vector<PhaseData> phases;
+    const char *programs[] = {"p0", "p1", "p2"};
+    for (std::size_t i = 0; i < 12; ++i) {
+        PhaseData ph;
+        ph.workload = programs[i % 3];
+        ph.phaseIndex = i / 3;
+        ph.weight = 0.25;
+        ph.features.assign(kDim, 0.0);
+        for (double &x : ph.features) {
+            if (rng.nextBool(0.5))
+                x = rng.nextDouble() * 4.0 - 1.0;
+        }
+        ph.features.back() = 1.0;
+        for (int s = 0; s < 40; ++s) {
+            space::Configuration cfg;
+            double miss = 0.0;
+            for (auto p : space::allParams()) {
+                const std::size_t k = ds.numValues(p);
+                const auto idx = std::uint8_t(rng.nextBounded(k));
+                cfg.setIndex(p, idx);
+                const double target =
+                    std::abs(ph.features[std::size_t(p) * 4]) / 3.0;
+                const double d = double(idx) / double(k - 1) - target;
+                miss += d * d;
+            }
+            ph.evals.push_back(ConfigEval{cfg, 100.0 / (1.0 + miss)});
+        }
+        phases.push_back(std::move(ph));
+    }
+    return phases;
+}
+
+/** FNV-1a over the bit patterns of every classifier's weights. */
+std::uint64_t
+hashWeights(const AdaptivityModel &model, std::uint64_t h = kFnvBasis)
+{
+    for (auto p : space::allParams()) {
+        for (double w : model.classifier(p).weights().data()) {
+            const auto bits = std::bit_cast<std::uint64_t>(w);
+            h = fnv1a64(&bits, sizeof bits, h);
+        }
+    }
+    return h;
 }
 
 } // namespace
@@ -132,4 +193,19 @@ TEST(Trainer, RejectsEmptyAndInconsistent)
     phases[2].features.push_back(9.0);
     EXPECT_EXIT((void)trainModel(phases, {}),
                 ::testing::ExitedWithCode(1), "");
+}
+
+TEST(Trainer, WeightsMatchFrozenGolden)
+{
+    // Recorded before the sparse / value-only / fixed-K training
+    // kernel replaced the dense fused objective: that rewrite must
+    // keep every weight bit-identical.  Any change to training
+    // arithmetic (summation order included) moves this hash.
+    const auto phases = sparsePaperPhases();
+    std::uint64_t h = hashWeights(trainModel(phases, {}));
+    for (const auto &pred : leaveOneProgramOut(phases, {})) {
+        const std::uint64_t code = pred.predicted.encode();
+        h = fnv1a64(&code, sizeof code, h);
+    }
+    EXPECT_EQ(h, 0x1d5b14e7aa312b95ULL) << std::hex << "0x" << h;
 }
