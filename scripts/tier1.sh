@@ -16,6 +16,10 @@
 #   6. clang -DADAPTSIM_THREAD_SAFETY=ON static concurrency analysis:
 #      the annotations in src/common/thread_annotations.hh must prove
 #      lock discipline under -Wthread-safety -Werror
+#   7. the repository benchmark's own tests (perfbench/run.py
+#      --self-test): the benchmark still builds against the library
+#      and its gather_interval and control operations still match
+#      their pinned hashes
 # Sanitizer and clang passes skip gracefully where the toolchain
 # piece is unavailable (CI runs them unconditionally).
 set -euo pipefail
@@ -81,5 +85,15 @@ if command -v clang++ >/dev/null 2>&1; then
 else
     echo "tier1: clang++ unavailable; skipping thread-safety pass"
 fi
+
+# 7. Benchmark self-test.  run.py refuses to run under any ADAPTSIM_*
+# variable, so the subshell clears them; it builds into .bench_build/
+# and writes only under .bench_work/.
+(
+    for var in $(compgen -e | grep '^ADAPTSIM_'); do
+        unset "$var"
+    done
+    python3 perfbench/run.py --self-test
+)
 
 echo "tier1: all passes complete"

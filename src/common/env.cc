@@ -75,13 +75,6 @@ numThreads()
 }
 
 std::size_t
-flushEvery()
-{
-    const long n = envLong("ADAPTSIM_FLUSH_EVERY", 64);
-    return n > 0 ? static_cast<std::size_t>(n) : 1;
-}
-
-std::size_t
 traceCacheCapacity()
 {
     const long n = envLong("ADAPTSIM_TRACE_CACHE", 48);

@@ -31,10 +31,6 @@ std::string dataDir();
 /** ADAPTSIM_THREADS: evaluation threads (default hw concurrency). */
 unsigned numThreads();
 
-/** ADAPTSIM_FLUSH_EVERY: cache records buffered between incremental
- *  flushes (default 64, minimum 1). */
-std::size_t flushEvery();
-
 /** ADAPTSIM_TRACE_CACHE: interval-trace LRU capacity in traces
  *  (default 48, minimum 1). */
 std::size_t traceCacheCapacity();

@@ -57,7 +57,7 @@ class ADAPTSIM_CAPABILITY("mutex") Mutex
     }
 
     /** No-op assertion that the calling context holds this mutex;
-     *  use at the top of lambdas (wait predicates, merge folds) that
+     *  use at the top of lambdas (e.g. wait predicates) that
      *  touch ADAPTSIM_GUARDED_BY state, where the analysis cannot
      *  see the enclosing lock. */
     void assertHeld() const ADAPTSIM_ASSERT_CAPABILITY(this) {}

@@ -174,10 +174,9 @@ Experiment::computeModelResults(counters::FeatureSet set)
     std::vector<ModelResult> results(phases_.size());
     bool loaded = false;
 
-    // Try the prediction cache first: LOOCV over the suite's 260
-    // phases trains for 16-22 s on the advanced counters and 4-6 s on
-    // the basic ones (measured at ADAPTSIM_SCALE=0.15 on a 4-core
-    // x86-64 host).
+    // Try the prediction cache first: LOOCV retrains the model once
+    // per held-out program, and a cached run skips every one of those
+    // trainings.
     {
         std::ifstream in(path);
         if (in) {

@@ -1,7 +1,5 @@
 #include "harness/gather_scheduler.hh"
 
-#include <limits>
-
 #include "common/logging.hh"
 #include "common/serial.hh"
 #include "harness/gather.hh"
@@ -18,7 +16,7 @@ namespace
 // memo's PhaseSpec ends in a reserved u64 written as 0; an index
 // with a nonzero one is no index this build wrote and is discarded.
 constexpr std::uint64_t kIndexMagic = 0x41445349'4d474d58ULL;
-constexpr std::uint64_t kIndexVersion = 3;
+constexpr std::uint64_t kIndexVersion = 4;
 
 constexpr std::size_t kNpos = ~std::size_t(0);
 
@@ -153,15 +151,8 @@ GatherScheduler::record(std::uint64_t backend, const PhaseSpec &spec,
     Memo memo;
     memo.spec = spec;
     memo.evals.reserve(gathered.evals.size());
-    memo.bestEfficiency = -std::numeric_limits<double>::max();
-    for (const auto &e : gathered.evals) {
-        const std::uint64_t code = e.config.encode();
-        memo.evals.emplace_back(code, e.efficiency);
-        if (e.efficiency > memo.bestEfficiency) {
-            memo.bestEfficiency = e.efficiency;
-            memo.bestCode = code;
-        }
-    }
+    for (const auto &e : gathered.evals)
+        memo.evals.emplace_back(e.config.encode(), e.efficiency);
     memo.features = gathered.features;
 
     MutexLock lock(mutex_);
@@ -188,7 +179,6 @@ GatherScheduler::record(std::uint64_t backend, const PhaseSpec &spec,
     } else {
         // Re-characterisation of a recurring phase, or replacement
         // of the nearest entry once the signature table is full.
-        memo.hits = b.entries[obs.phaseId].hits;
         b.entries[obs.phaseId] = std::move(memo);
         b.fromDisk[obs.phaseId] = false;
     }
@@ -257,9 +247,6 @@ GatherScheduler::serializeLocked() const
         putU64(out, b.entries.size());
         for (const auto &m : b.entries) {
             putSpec(out, m.spec);
-            putU64(out, m.bestCode);
-            putDouble(out, m.bestEfficiency);
-            putU64(out, m.hits);
             putU64(out, m.evals.size());
             for (const auto &[code, eff] : m.evals) {
                 putU64(out, code);
@@ -309,14 +296,10 @@ GatherScheduler::deserialize(const std::string &bytes)
             Memo m;
             if (!getSpec(bytes, off, m.spec))
                 return false;
-            if (off + 32 > body)
+            if (off + 8 > body)
                 return false;
-            m.bestCode = getU64(bytes.data() + off);
-            m.bestEfficiency = getDouble(bytes.data() + off + 8);
-            m.hits = getU64(bytes.data() + off + 16);
-            const std::uint64_t n_evals =
-                getU64(bytes.data() + off + 24);
-            off += 32;
+            const std::uint64_t n_evals = getU64(bytes.data() + off);
+            off += 8;
             if (n_evals > (body - off) / 16)
                 return false;
             m.evals.reserve(n_evals);

@@ -82,10 +82,7 @@ class GatherScheduler
         PhaseSpec spec;
         /** (configuration code, efficiency) in gather order. */
         std::vector<std::pair<std::uint64_t, double>> evals;
-        std::uint64_t bestCode = 0;
-        double bestEfficiency = 0.0;
         ProfileRecord features;
-        std::uint64_t hits = 0;
     };
 
     /** A lookup() match: the entry plus how far the query sat. */

@@ -9,7 +9,6 @@
 #include <optional>
 #include <sstream>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/serial.hh"
 #include "obs/obs.hh"
@@ -122,7 +121,7 @@ PhaseSpec::key() const
 EvalRepository::EvalRepository(std::vector<workload::Workload> suite,
                                std::string data_dir, unsigned threads)
     : suite_(std::move(suite)), dataDir_(std::move(data_dir)),
-      pool_(threads), flushEvery_(adaptsim::flushEvery())
+      pool_(threads)
 {
     std::error_code ec;
     fs::create_directories(dataDir_, ec);

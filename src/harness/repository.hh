@@ -25,12 +25,11 @@
  * so completed records survive a `kill -9` at any point; a torn tail
  * or corrupt record fails its checksum and is simply re-simulated,
  * and the damaged file is rewritten whole on the next flush.
- * Unsaved records are buffered per phase and appended every
- * ADAPTSIM_FLUSH_EVERY records under the phase's own file lock, so
- * concurrent writers to different phases never serialize on one
- * flush.  The store is a regenerable cache: a file of any other
- * version (or a corrupt header) is ignored and atomically replaced
- * on the next flush.
+ * Unsaved records are buffered per phase and appended every 64
+ * records under the phase's own file lock, so concurrent writers to
+ * different phases never serialize on one flush.  The store is a
+ * regenerable cache: a file of any other version (or a corrupt
+ * header) is ignored and atomically replaced on the next flush.
  */
 
 #ifndef ADAPTSIM_HARNESS_REPOSITORY_HH
@@ -185,8 +184,8 @@ class EvalRepository
         ADAPTSIM_EXCLUDES(mutex_);
 
     /** Persist any unsaved results now (incremental flushing also
-     *  runs whenever any single phase accumulates flushEvery()
-     *  unsaved records; see ADAPTSIM_FLUSH_EVERY). */
+     *  runs whenever any single phase accumulates 64 unsaved
+     *  records, or setFlushEvery()'s count). */
     void flush() ADAPTSIM_EXCLUDES(mutex_);
 
     const workload::Workload &workload(const std::string &name) const;
@@ -212,14 +211,7 @@ class EvalRepository
     std::string statsSummary() const;
 
     /** Records buffered per phase between incremental flushes
-     *  (default from env). */
-    std::size_t
-    flushEvery() const
-    {
-        MutexLock lock(mutex_);
-        return flushEvery_;
-    }
-
+     *  (default 64, minimum 1). */
     void setFlushEvery(std::size_t n) ADAPTSIM_EXCLUDES(mutex_);
 
     /** The interval-trace cache shared by all worker threads. */
@@ -284,7 +276,7 @@ class EvalRepository
     /** Backends already warned about missing observer support, so
      *  profile() nags once per backend rather than per call. */
     std::set<std::string> profileWarned_ ADAPTSIM_GUARDED_BY(mutex_);
-    std::size_t flushEvery_ ADAPTSIM_GUARDED_BY(mutex_);
+    std::size_t flushEvery_ ADAPTSIM_GUARDED_BY(mutex_) = 64;
     std::map<std::string, std::uint64_t> simulatedByBackend_
         ADAPTSIM_GUARDED_BY(mutex_);
     std::uint64_t simulated_ ADAPTSIM_GUARDED_BY(mutex_) = 0;

@@ -44,18 +44,11 @@ secs(double v)
 
 } // namespace
 
-std::vector<double>
-latencyBounds()
-{
-    // 1µs .. ~137s in 28 power-of-two buckets.
-    return Registry::exponentialBounds(1e-6, 2.0, 28);
-}
-
 Histogram &
 spanHistogram(const char *name)
 {
-    return Registry::global().histogram(
-        std::string(name) + ".seconds", latencyBounds());
+    return Registry::global().histogram(std::string(name) +
+                                        ".seconds");
 }
 
 void
@@ -80,8 +73,7 @@ void
 report(std::FILE *out)
 {
     const Snapshot snap = Registry::global().snapshot();
-    if (snap.counters.empty() && snap.gauges.empty() &&
-        snap.histograms.empty())
+    if (snap.counters.empty() && snap.histograms.empty())
         return;
 
     std::ostringstream os;
@@ -111,23 +103,14 @@ report(std::FILE *out)
         os << "\n" << table.render();
     }
 
-    if (!snap.gauges.empty()) {
-        TextTable table;
-        table.setHeader({"gauge", "value"});
-        for (const auto &[name, value] : snap.gauges)
-            table.addRow({name, TextTable::num(value, 4)});
-        os << "\n" << table.render();
-    }
-
     if (!snap.histograms.empty()) {
         TextTable table;
-        table.setHeader({"timer", "count", "total", "mean", "p50",
-                         "p95", "max"});
+        table.setHeader(
+            {"timer", "count", "total", "mean", "min", "max"});
         for (const auto &[name, st] : snap.histograms) {
             table.addRow({name, TextTable::num(st.count),
                           secs(st.sum), secs(st.mean()),
-                          secs(st.quantile(0.5)),
-                          secs(st.quantile(0.95)), secs(st.max)});
+                          secs(st.min), secs(st.max)});
         }
         os << "\n" << table.render();
     }
@@ -151,27 +134,13 @@ metricsJson()
            << "\":" << value;
         first = false;
     }
-    os << "},\"gauges\":{";
-    first = true;
-    for (const auto &[name, value] : snap.gauges) {
-        os << (first ? "" : ",") << '"' << jsonEscape(name)
-           << "\":" << value;
-        first = false;
-    }
     os << "},\"histograms\":{";
     first = true;
     for (const auto &[name, st] : snap.histograms) {
         os << (first ? "" : ",") << '"' << jsonEscape(name)
            << "\":{\"count\":" << st.count << ",\"sum\":" << st.sum
-           << ",\"min\":" << (st.count ? st.min : 0.0)
-           << ",\"max\":" << (st.count ? st.max : 0.0)
-           << ",\"bounds\":[";
-        for (std::size_t i = 0; i < st.bounds.size(); ++i)
-            os << (i ? "," : "") << st.bounds[i];
-        os << "],\"counts\":[";
-        for (std::size_t i = 0; i < st.counts.size(); ++i)
-            os << (i ? "," : "") << st.counts[i];
-        os << "]}";
+           << ",\"min\":" << st.min
+           << ",\"max\":" << st.max << '}';
         first = false;
     }
     os << "}}\n";

@@ -42,9 +42,6 @@
 namespace adaptsim::obs
 {
 
-/** Default span-latency bounds: 1µs .. ~137s, ×2 per bucket. */
-std::vector<double> latencyBounds();
-
 /** The global "<name>.seconds" histogram backing a span. */
 Histogram &spanHistogram(const char *name);
 
@@ -117,14 +114,6 @@ void flushTrace();
     ([]() -> ::adaptsim::obs::Counter & {                            \
         static ::adaptsim::obs::Counter &handle =                    \
             ::adaptsim::obs::Registry::global().counter(name);       \
-        return handle;                                               \
-    }())
-
-/** Cached global "<name>.seconds" histogram handle. */
-#define OBS_SPAN_HISTOGRAM(name)                                     \
-    ([]() -> ::adaptsim::obs::Histogram & {                          \
-        static ::adaptsim::obs::Histogram &handle =                  \
-            ::adaptsim::obs::spanHistogram(name);                    \
         return handle;                                               \
     }())
 

@@ -1,12 +1,8 @@
 #include "obs/registry.hh"
 
 #include <algorithm>
-#include <deque>
-#include <limits>
-#include <unordered_map>
 
 #include "common/logging.hh"
-#include "common/sync.hh"
 
 namespace adaptsim::obs
 {
@@ -14,149 +10,33 @@ namespace adaptsim::obs
 namespace
 {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-enum class Kind { Counter, Gauge, Histogram };
-
-const char *
-kindName(Kind k)
+/** The entry for @p name in @p own, created on first use; panics if
+ *  @p other already holds that name as the other kind. */
+template <typename Metric, typename Other>
+Metric &
+findOrCreate(std::map<std::string, std::unique_ptr<Metric>> &own,
+             const std::map<std::string, std::unique_ptr<Other>> &other,
+             const std::string &name, const char *otherKind)
 {
-    switch (k) {
-      case Kind::Counter:
-        return "counter";
-      case Kind::Gauge:
-        return "gauge";
-      case Kind::Histogram:
-        return "histogram";
-    }
-    return "?";
+    if (other.count(name))
+        panic("obs metric '", name, "' already registered as a ",
+              otherKind);
+    auto &slot = own[name];
+    if (!slot)
+        slot = std::make_unique<Metric>(name);
+    return *slot;
+}
+
+template <typename Metric>
+Metric *
+findIn(const std::map<std::string, std::unique_ptr<Metric>> &map,
+       const std::string &name)
+{
+    const auto it = map.find(name);
+    return it == map.end() ? nullptr : it->second.get();
 }
 
 } // namespace
-
-/** One thread's private slice of every metric's value. */
-struct Registry::Shard
-{
-    struct Hist
-    {
-        std::vector<std::uint64_t> counts;
-        std::uint64_t count = 0;
-        double sum = 0.0;
-        double min = kInf;
-        double max = -kInf;
-    };
-
-    /** Owner thread vs. merging reader; never writer vs. writer. */
-    mutable Mutex mutex;
-    std::vector<std::uint64_t> counters ADAPTSIM_GUARDED_BY(mutex);
-    std::vector<Hist> hists ADAPTSIM_GUARDED_BY(mutex);
-
-    void
-    zero() ADAPTSIM_REQUIRES(mutex)
-    {
-        std::fill(counters.begin(), counters.end(), 0);
-        for (auto &h : hists)
-            h = Hist{std::vector<std::uint64_t>(h.counts.size(), 0)};
-    }
-};
-
-struct Registry::State
-{
-    mutable Mutex mutex;
-
-    std::unordered_map<std::string, std::pair<Kind, std::size_t>>
-        names ADAPTSIM_GUARDED_BY(mutex);
-    std::deque<std::unique_ptr<Counter>> counters
-        ADAPTSIM_GUARDED_BY(mutex);
-    std::deque<std::unique_ptr<Gauge>> gauges
-        ADAPTSIM_GUARDED_BY(mutex);
-    std::deque<std::unique_ptr<Histogram>> histograms
-        ADAPTSIM_GUARDED_BY(mutex);
-    std::vector<double> gaugeValues ADAPTSIM_GUARDED_BY(mutex);
-
-    std::vector<std::shared_ptr<Shard>> shards
-        ADAPTSIM_GUARDED_BY(mutex);
-    /** Totals inherited from exited threads.  The object is reached
-     *  only under the state mutex; its members additionally need its
-     *  own shard mutex, which is only ever acquired while the state
-     *  mutex is held (so the two-level order is acyclic). */
-    Shard retired ADAPTSIM_GUARDED_BY(mutex);
-};
-
-namespace
-{
-
-/** Per-thread shard table, torn down (and merged) at thread exit. */
-struct ThreadShards
-{
-    struct Entry
-    {
-        std::weak_ptr<Registry::State> state;
-        Registry::State *key;
-        std::shared_ptr<Registry::Shard> shard;
-    };
-    std::vector<Entry> entries;
-
-    // One-element cache: almost every process touches one registry.
-    Registry::State *lastState = nullptr;
-    Registry::Shard *lastShard = nullptr;
-
-    ~ThreadShards();
-};
-
-thread_local ThreadShards tls_shards;
-
-void
-mergeInto(Registry::Shard &into, const Registry::Shard &from)
-    ADAPTSIM_REQUIRES(into.mutex, from.mutex)
-{
-    if (into.counters.size() < from.counters.size())
-        into.counters.resize(from.counters.size(), 0);
-    for (std::size_t i = 0; i < from.counters.size(); ++i)
-        into.counters[i] += from.counters[i];
-
-    if (into.hists.size() < from.hists.size())
-        into.hists.resize(from.hists.size());
-    for (std::size_t i = 0; i < from.hists.size(); ++i) {
-        auto &dst = into.hists[i];
-        const auto &src = from.hists[i];
-        if (dst.counts.size() < src.counts.size())
-            dst.counts.resize(src.counts.size(), 0);
-        for (std::size_t b = 0; b < src.counts.size(); ++b)
-            dst.counts[b] += src.counts[b];
-        dst.count += src.count;
-        dst.sum += src.sum;
-        dst.min = std::min(dst.min, src.min);
-        dst.max = std::max(dst.max, src.max);
-    }
-}
-
-ThreadShards::~ThreadShards()
-{
-    for (auto &e : entries) {
-        const auto state = e.state.lock();
-        if (!state)
-            continue;   // registry died first; nothing to keep
-        MutexLock lock(state->mutex);
-        {
-            MutexLock rlock(state->retired.mutex);
-            MutexLock slock(e.shard->mutex);
-            mergeInto(state->retired, *e.shard);
-        }
-        auto &shards = state->shards;
-        shards.erase(
-            std::remove(shards.begin(), shards.end(), e.shard),
-            shards.end());
-    }
-}
-
-} // namespace
-
-Registry::Registry() : state_(std::make_shared<State>())
-{
-}
-
-Registry::~Registry() = default;
 
 Registry &
 Registry::global()
@@ -165,307 +45,75 @@ Registry::global()
     return registry;
 }
 
-Registry::Shard &
-Registry::localShard()
-{
-    auto &tls = tls_shards;
-    if (tls.lastState == state_.get())
-        return *tls.lastShard;
-    for (auto &e : tls.entries) {
-        if (e.key == state_.get() && !e.state.expired()) {
-            tls.lastState = e.key;
-            tls.lastShard = e.shard.get();
-            return *e.shard;
-        }
-    }
-    auto shard = std::make_shared<Shard>();
-    {
-        MutexLock lock(state_->mutex);
-        state_->shards.push_back(shard);
-    }
-    tls.entries.push_back(
-        ThreadShards::Entry{state_, state_.get(), shard});
-    tls.lastState = state_.get();
-    tls.lastShard = shard.get();
-    return *shard;
-}
-
 Counter &
 Registry::counter(const std::string &name)
 {
-    MutexLock lock(state_->mutex);
-    const auto it = state_->names.find(name);
-    if (it != state_->names.end()) {
-        if (it->second.first != Kind::Counter)
-            panic("obs metric '", name, "' already registered as a ",
-                  kindName(it->second.first));
-        return *state_->counters[it->second.second];
-    }
-    const std::size_t id = state_->counters.size();
-    state_->counters.emplace_back(new Counter(this, id, name));
-    state_->names.emplace(name, std::make_pair(Kind::Counter, id));
-    return *state_->counters.back();
-}
-
-Gauge &
-Registry::gauge(const std::string &name)
-{
-    MutexLock lock(state_->mutex);
-    const auto it = state_->names.find(name);
-    if (it != state_->names.end()) {
-        if (it->second.first != Kind::Gauge)
-            panic("obs metric '", name, "' already registered as a ",
-                  kindName(it->second.first));
-        return *state_->gauges[it->second.second];
-    }
-    const std::size_t id = state_->gauges.size();
-    state_->gauges.emplace_back(new Gauge(this, id, name));
-    state_->gaugeValues.push_back(0.0);
-    state_->names.emplace(name, std::make_pair(Kind::Gauge, id));
-    return *state_->gauges.back();
+    MutexLock lock(mutex_);
+    return findOrCreate(counters_, histograms_, name, "histogram");
 }
 
 Histogram &
-Registry::histogram(const std::string &name,
-                    std::vector<double> bounds)
+Registry::histogram(const std::string &name)
 {
-    if (bounds.empty())
-        panic("obs histogram '", name, "' needs at least one bound");
-    if (!std::is_sorted(bounds.begin(), bounds.end()))
-        panic("obs histogram '", name, "' bounds must be ascending");
-
-    MutexLock lock(state_->mutex);
-    const auto it = state_->names.find(name);
-    if (it != state_->names.end()) {
-        if (it->second.first != Kind::Histogram)
-            panic("obs metric '", name, "' already registered as a ",
-                  kindName(it->second.first));
-        return *state_->histograms[it->second.second];
-    }
-    const std::size_t id = state_->histograms.size();
-    state_->histograms.emplace_back(
-        new Histogram(this, id, name, std::move(bounds)));
-    state_->names.emplace(name, std::make_pair(Kind::Histogram, id));
-    return *state_->histograms.back();
+    MutexLock lock(mutex_);
+    return findOrCreate(histograms_, counters_, name, "counter");
 }
 
 Counter *
 Registry::findCounter(const std::string &name)
 {
-    MutexLock lock(state_->mutex);
-    const auto it = state_->names.find(name);
-    if (it == state_->names.end() ||
-        it->second.first != Kind::Counter)
-        return nullptr;
-    return state_->counters[it->second.second].get();
+    MutexLock lock(mutex_);
+    return findIn(counters_, name);
 }
 
 Histogram *
 Registry::findHistogram(const std::string &name)
 {
-    MutexLock lock(state_->mutex);
-    const auto it = state_->names.find(name);
-    if (it == state_->names.end() ||
-        it->second.first != Kind::Histogram)
-        return nullptr;
-    return state_->histograms[it->second.second].get();
+    MutexLock lock(mutex_);
+    return findIn(histograms_, name);
 }
 
 void
 Registry::reset()
 {
-    MutexLock lock(state_->mutex);
-    for (auto &shard : state_->shards) {
-        MutexLock slock(shard->mutex);
-        shard->zero();
+    MutexLock lock(mutex_);
+    for (auto &entry : counters_)
+        entry.second->value_.store(0, std::memory_order_relaxed);
+    for (auto &entry : histograms_) {
+        Histogram &h = *entry.second;
+        MutexLock hlock(h.mutex_);
+        h.stats_ = HistogramStats{};
     }
-    {
-        MutexLock rlock(state_->retired.mutex);
-        state_->retired.zero();
-    }
-    std::fill(state_->gaugeValues.begin(),
-              state_->gaugeValues.end(), 0.0);
-}
-
-std::vector<double>
-Registry::exponentialBounds(double first, double factor,
-                            std::size_t count)
-{
-    std::vector<double> bounds;
-    bounds.reserve(count);
-    double v = first;
-    for (std::size_t i = 0; i < count; ++i) {
-        bounds.push_back(v);
-        v *= factor;
-    }
-    return bounds;
-}
-
-void
-Counter::add(std::uint64_t n)
-{
-    auto &shard = owner_->localShard();
-    MutexLock lock(shard.mutex);
-    if (shard.counters.size() <= id_)
-        shard.counters.resize(id_ + 1, 0);
-    shard.counters[id_] += n;
-}
-
-std::uint64_t
-Counter::value() const
-{
-    const auto &state = *owner_->state_;
-    MutexLock lock(state.mutex);
-    std::uint64_t total = 0;
-    {
-        MutexLock rlock(state.retired.mutex);
-        if (state.retired.counters.size() > id_)
-            total = state.retired.counters[id_];
-    }
-    for (const auto &shard : state.shards) {
-        MutexLock slock(shard->mutex);
-        if (shard->counters.size() > id_)
-            total += shard->counters[id_];
-    }
-    return total;
-}
-
-void
-Gauge::set(double v)
-{
-    MutexLock lock(owner_->state_->mutex);
-    owner_->state_->gaugeValues[id_] = v;
-}
-
-double
-Gauge::value() const
-{
-    MutexLock lock(owner_->state_->mutex);
-    return owner_->state_->gaugeValues[id_];
-}
-
-void
-Histogram::record(double v)
-{
-    const std::size_t bucket =
-        std::lower_bound(bounds_.begin(), bounds_.end(), v) -
-        bounds_.begin();
-
-    auto &shard = owner_->localShard();
-    MutexLock lock(shard.mutex);
-    if (shard.hists.size() <= id_)
-        shard.hists.resize(id_ + 1);
-    auto &h = shard.hists[id_];
-    if (h.counts.size() < bounds_.size() + 1)
-        h.counts.resize(bounds_.size() + 1, 0);
-    ++h.counts[bucket];
-    ++h.count;
-    h.sum += v;
-    h.min = std::min(h.min, v);
-    h.max = std::max(h.max, v);
-}
-
-HistogramStats
-Histogram::stats() const
-{
-    HistogramStats out;
-    out.bounds = bounds_;
-    out.counts.assign(bounds_.size() + 1, 0);
-    double lo = kInf;
-    double hi = -kInf;
-
-    const auto fold = [&](const Registry::Shard &shard) {
-        // Every caller below holds shard.mutex; the lambda body is
-        // analysed as a separate function, so assert it.
-        shard.mutex.assertHeld();
-        if (shard.hists.size() <= id_)
-            return;
-        const auto &h = shard.hists[id_];
-        for (std::size_t b = 0; b < h.counts.size(); ++b)
-            out.counts[b] += h.counts[b];
-        out.count += h.count;
-        out.sum += h.sum;
-        lo = std::min(lo, h.min);
-        hi = std::max(hi, h.max);
-    };
-
-    const auto &state = *owner_->state_;
-    MutexLock lock(state.mutex);
-    {
-        MutexLock rlock(state.retired.mutex);
-        fold(state.retired);
-    }
-    for (const auto &shard : state.shards) {
-        MutexLock slock(shard->mutex);
-        fold(*shard);
-    }
-    if (out.count > 0) {
-        out.min = lo;
-        out.max = hi;
-    }
-    return out;
-}
-
-double
-HistogramStats::quantile(double q) const
-{
-    if (count == 0)
-        return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    const double target = q * double(count);
-    std::uint64_t below = 0;
-    for (std::size_t b = 0; b < counts.size(); ++b) {
-        if (counts[b] == 0)
-            continue;
-        if (double(below + counts[b]) < target) {
-            below += counts[b];
-            continue;
-        }
-        // Interpolate inside bucket b; clamp the open-ended edges
-        // to the observed extrema.
-        const double lo = b == 0 ? min : bounds[b - 1];
-        const double hi = b < bounds.size() ? bounds[b] : max;
-        const double frac =
-            (target - double(below)) / double(counts[b]);
-        return std::clamp(lo + (hi - lo) * frac,
-                          std::min(min, lo), std::max(max, hi));
-    }
-    return max;
 }
 
 Snapshot
 Registry::snapshot() const
 {
     Snapshot snap;
-    // Handle lists only grow; gather names first, then read each
-    // metric through its own (locking) accessor.
-    std::vector<const Counter *> counters;
-    std::vector<const Gauge *> gauges;
-    std::vector<const Histogram *> hists;
-    {
-        MutexLock lock(state_->mutex);
-        for (const auto &c : state_->counters)
-            counters.push_back(c.get());
-        for (const auto &g : state_->gauges)
-            gauges.push_back(g.get());
-        for (const auto &h : state_->histograms)
-            hists.push_back(h.get());
-    }
-    for (const auto *c : counters)
-        snap.counters.emplace_back(c->name(), c->value());
-    for (const auto *g : gauges)
-        snap.gauges.emplace_back(g->name(), g->value());
-    for (const auto *h : hists)
-        snap.histograms.emplace_back(h->name(), h->stats());
-
-    const auto by_name = [](const auto &a, const auto &b) {
-        return a.first < b.first;
-    };
-    std::sort(snap.counters.begin(), snap.counters.end(), by_name);
-    std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
-    std::sort(snap.histograms.begin(), snap.histograms.end(),
-              by_name);
+    MutexLock lock(mutex_);
+    for (const auto &[name, c] : counters_)
+        snap.counters.emplace_back(name, c->value());
+    for (const auto &[name, h] : histograms_)
+        snap.histograms.emplace_back(name, h->stats());
     return snap;
+}
+
+void
+Histogram::record(double v)
+{
+    MutexLock lock(mutex_);
+    auto &s = stats_;
+    s.min = s.count ? std::min(s.min, v) : v;
+    s.max = s.count ? std::max(s.max, v) : v;
+    ++s.count;
+    s.sum += v;
+}
+
+HistogramStats
+Histogram::stats() const
+{
+    MutexLock lock(mutex_);
+    return stats_;
 }
 
 } // namespace adaptsim::obs

@@ -1,59 +1,59 @@
 /**
  * @file
- * Thread-safe metrics registry: named counters, gauges and
- * fixed-bucket histograms.
+ * Thread-safe metrics registry: named counters and span timers.
  *
- * Hot-path writes (Counter::add, Histogram::record) go to a
- * per-thread shard guarded by a mutex only that thread and a
- * merging reader ever touch, so concurrent writers never contend
- * with each other.  Reads (value(), stats(), snapshot()) merge all
- * live shards plus the retained totals of exited threads, so a
- * metric's value survives its writer threads.
+ * A Counter is one relaxed atomic; a timer (Histogram) is a
+ * mutex-guarded {count, sum, min, max}.  Every write site runs once
+ * per simulation, pool job or run, never per µop or cycle, so no
+ * write path needs to be cheaper than that.
  *
- * Handles returned by counter()/gauge()/histogram() are stable for
- * the registry's lifetime; asking for an existing name returns the
- * same handle, so `static obs::Counter &c = ...` is the intended
+ * Handles returned by counter()/histogram() are stable for the
+ * registry's lifetime; asking for an existing name returns the same
+ * handle, so `static obs::Counter &c = ...` is the intended
  * call-site idiom (one name lookup per process).
  */
 
 #ifndef ADAPTSIM_OBS_REGISTRY_HH
 #define ADAPTSIM_OBS_REGISTRY_HH
 
+#include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "common/sync.hh"
 
 namespace adaptsim::obs
 {
 
-class Registry;
-
-/** Merged view of one histogram (see Histogram::stats()). */
+/** One timer's totals (see Histogram::stats()). */
 struct HistogramStats
 {
-    /** Ascending inclusive upper bounds; counts has one extra
-     *  overflow bucket for values above the last bound. */
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> counts;
     std::uint64_t count = 0;
     double sum = 0.0;
     double min = 0.0;   ///< meaningful only when count > 0
     double max = 0.0;   ///< meaningful only when count > 0
 
     double mean() const { return count ? sum / double(count) : 0.0; }
-
-    /** Approximate quantile (0..1) by linear interpolation inside
-     *  the containing bucket. */
-    double quantile(double q) const;
 };
 
 /** Monotonically increasing named value. */
 class Counter
 {
   public:
-    void add(std::uint64_t n = 1);
-    std::uint64_t value() const;    ///< merged over all threads
+    explicit Counter(std::string name) : name_(std::move(name)) {}
+
+    void add(std::uint64_t n = 1)
+    {
+        value_.fetch_add(n, std::memory_order_relaxed);
+    }
+    std::uint64_t value() const
+    {
+        return value_.load(std::memory_order_relaxed);
+    }
     const std::string &name() const { return name_; }
 
     Counter(const Counter &) = delete;
@@ -61,81 +61,44 @@ class Counter
 
   private:
     friend class Registry;
-    Counter(Registry *owner, std::size_t id, std::string name)
-        : owner_(owner), id_(id), name_(std::move(name))
-    {
-    }
 
-    Registry *owner_;
-    std::size_t id_;
     std::string name_;
+    std::atomic<std::uint64_t> value_{0};
 };
 
-/** Last-write-wins named value (set is rare; stored centrally). */
-class Gauge
-{
-  public:
-    void set(double v);
-    double value() const;
-    const std::string &name() const { return name_; }
-
-    Gauge(const Gauge &) = delete;
-    Gauge &operator=(const Gauge &) = delete;
-
-  private:
-    friend class Registry;
-    Gauge(Registry *owner, std::size_t id, std::string name)
-        : owner_(owner), id_(id), name_(std::move(name))
-    {
-    }
-
-    Registry *owner_;
-    std::size_t id_;
-    std::string name_;
-};
-
-/** Fixed-bucket histogram; bucket i counts bounds[i-1] < v <=
- *  bounds[i], with one extra overflow bucket. */
+/** Named span timer: count, sum, min and max of recorded values. */
 class Histogram
 {
   public:
+    explicit Histogram(std::string name) : name_(std::move(name)) {}
+
     void record(double v);
-    HistogramStats stats() const;   ///< merged over all threads
+    HistogramStats stats() const;
     const std::string &name() const { return name_; }
-    const std::vector<double> &bounds() const { return bounds_; }
 
     Histogram(const Histogram &) = delete;
     Histogram &operator=(const Histogram &) = delete;
 
   private:
     friend class Registry;
-    Histogram(Registry *owner, std::size_t id, std::string name,
-              std::vector<double> bounds)
-        : owner_(owner), id_(id), name_(std::move(name)),
-          bounds_(std::move(bounds))
-    {
-    }
 
-    Registry *owner_;
-    std::size_t id_;
     std::string name_;
-    std::vector<double> bounds_;   ///< immutable after registration
+    mutable Mutex mutex_;
+    HistogramStats stats_ ADAPTSIM_GUARDED_BY(mutex_);
 };
 
-/** Everything the registry knows, merged, sorted by name. */
+/** Everything the registry knows, sorted by name. */
 struct Snapshot
 {
     std::vector<std::pair<std::string, std::uint64_t>> counters;
-    std::vector<std::pair<std::string, double>> gauges;
     std::vector<std::pair<std::string, HistogramStats>> histograms;
 };
 
-/** The metric registry; see file comment for the sharding model. */
+/** The metric registry; see the file comment. */
 class Registry
 {
   public:
-    Registry();
-    ~Registry();
+    Registry() = default;
 
     Registry(const Registry &) = delete;
     Registry &operator=(const Registry &) = delete;
@@ -145,38 +108,24 @@ class Registry
 
     /** Find-or-create; panics if @p name exists with another kind. */
     Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
-    Histogram &histogram(const std::string &name,
-                         std::vector<double> bounds);
+    Histogram &histogram(const std::string &name);
 
     /** Existing metric by name, or nullptr (never creates). */
     Counter *findCounter(const std::string &name);
     Histogram *findHistogram(const std::string &name);
 
-    /** Merged values of every registered metric. */
+    /** Values of every registered metric. */
     Snapshot snapshot() const;
 
     /** Zero every value; handles stay valid (testing aid). */
     void reset();
 
-    /** @p count bounds: first, first*factor, first*factor², ... */
-    static std::vector<double>
-    exponentialBounds(double first, double factor, std::size_t count);
-
-    // Implementation types, public only so the per-thread shard
-    // bookkeeping in registry.cc can name them.
-    struct Shard;
-    struct State;
-
   private:
-    friend class Counter;
-    friend class Gauge;
-    friend class Histogram;
-
-    /** This thread's shard of this registry (created on first use). */
-    Shard &localShard();
-
-    std::shared_ptr<State> state_;
+    mutable Mutex mutex_;
+    std::map<std::string, std::unique_ptr<Counter>> counters_
+        ADAPTSIM_GUARDED_BY(mutex_);
+    std::map<std::string, std::unique_ptr<Histogram>> histograms_
+        ADAPTSIM_GUARDED_BY(mutex_);
 };
 
 } // namespace adaptsim::obs

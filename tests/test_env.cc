@@ -88,22 +88,6 @@ TEST(Env, DataDirDefaultAndOverride)
     unsetenv("ADAPTSIM_DATA_DIR");
 }
 
-TEST(Env, FlushEveryDefaultAndClamp)
-{
-    unsetenv("ADAPTSIM_FLUSH_EVERY");
-    EXPECT_EQ(flushEvery(), 64u);
-    setenv("ADAPTSIM_FLUSH_EVERY", "128", 1);
-    EXPECT_EQ(flushEvery(), 128u);
-    // Zero and negative clamp to the minimum of 1.
-    setenv("ADAPTSIM_FLUSH_EVERY", "0", 1);
-    EXPECT_EQ(flushEvery(), 1u);
-    setenv("ADAPTSIM_FLUSH_EVERY", "-5", 1);
-    EXPECT_EQ(flushEvery(), 1u);
-    setenv("ADAPTSIM_FLUSH_EVERY", "garbage", 1);
-    EXPECT_EQ(flushEvery(), 64u);
-    unsetenv("ADAPTSIM_FLUSH_EVERY");
-}
-
 TEST(Env, MetricsTristate)
 {
     unsetenv("ADAPTSIM_METRICS");

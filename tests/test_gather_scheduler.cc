@@ -183,15 +183,12 @@ TEST_F(GatherSchedulerTest, DiskEntriesMatchWithinThreshold)
 
     // ...and the memo round-tripped bit-exactly.
     ASSERT_EQ(hit->memo.evals.size(), gathered.evals.size());
-    double best_eff = hit->memo.evals[0].second;
     for (std::size_t i = 0; i < gathered.evals.size(); ++i) {
         EXPECT_EQ(hit->memo.evals[i].first,
                   gathered.evals[i].config.encode());
         EXPECT_EQ(hit->memo.evals[i].second,
                   gathered.evals[i].efficiency);
-        best_eff = std::max(best_eff, hit->memo.evals[i].second);
     }
-    EXPECT_EQ(hit->memo.bestEfficiency, best_eff);
     EXPECT_EQ(hit->memo.features.basic, gathered.features.basic);
     EXPECT_EQ(hit->memo.features.advanced,
               gathered.features.advanced);
@@ -237,35 +234,38 @@ TEST_F(GatherSchedulerTest, CorruptIndexIsDiscarded)
 
 TEST_F(GatherSchedulerTest, PreviousVersionIndexIsDiscarded)
 {
-    // A v2 index keyed its buckets without the backend; its entries
-    // cannot be told apart by backend, so it is discarded whole even
-    // when its checksum is intact.
+    // A v2 index keyed its buckets without the backend, and a v3
+    // index stored a best configuration and a hit count per entry
+    // that v4 dropped.  Either is discarded whole even when its
+    // checksum is intact.
     std::filesystem::create_directories(dir_);
     const std::string path = dir_ + "/gather_memo.idx";
-    {
-        GatherScheduler writer(path);
-        writer.record(kBackend, makeSpec(), makeSig({1.0}),
+    for (const char old_version : {2, 3}) {
+        {
+            GatherScheduler writer(path);
+            writer.record(kBackend, makeSpec(), makeSig({1.0}),
+                          makeGathered(0.0));
+            ASSERT_TRUE(writer.save());
+        }
+        std::string bytes = readFile(path);
+        ASSERT_GE(bytes.size(), 24u);
+        ASSERT_EQ(getU64(bytes.data() + 8), 4u);
+        bytes.resize(bytes.size() - 8);
+        bytes.replace(8, 8, std::string(8, '\0'));
+        bytes[8] = old_version;
+        putU64(bytes, fnv1a64(bytes.data(), bytes.size()));
+        {
+            std::ofstream out(path, std::ios::binary);
+            out.write(bytes.data(),
+                      static_cast<std::streamsize>(bytes.size()));
+        }
+        GatherScheduler reader(path);
+        EXPECT_EQ(reader.size(), 0u) << int(old_version);
+        reader.record(kBackend, makeSpec(), makeSig({1.0}),
                       makeGathered(0.0));
-        ASSERT_TRUE(writer.save());
+        ASSERT_TRUE(reader.save());
+        EXPECT_EQ(GatherScheduler(path).size(), 1u);
     }
-    std::string bytes = readFile(path);
-    ASSERT_GE(bytes.size(), 24u);
-    ASSERT_EQ(getU64(bytes.data() + 8), 3u);
-    bytes.resize(bytes.size() - 8);
-    bytes.replace(8, 8, std::string(8, '\0'));
-    bytes[8] = 2;
-    putU64(bytes, fnv1a64(bytes.data(), bytes.size()));
-    {
-        std::ofstream out(path, std::ios::binary);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-    }
-    GatherScheduler reader(path);
-    EXPECT_EQ(reader.size(), 0u);
-    reader.record(kBackend, makeSpec(), makeSig({1.0}),
-                  makeGathered(0.0));
-    ASSERT_TRUE(reader.save());
-    EXPECT_EQ(GatherScheduler(path).size(), 1u);
 }
 
 TEST_F(GatherSchedulerTest, RecognisedPhaseReusesCharacterisation)

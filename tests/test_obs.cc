@@ -1,17 +1,20 @@
 /**
  * @file
- * Tests of the obs subsystem: registry merge-on-read semantics,
- * histogram bucket edges, concurrent increments (exercised under
- * TSan by scripts/tier1.sh), and a golden-structure check that the
- * Chrome trace output is valid JSON made of complete events.
+ * Tests of the obs subsystem: registry counters and timers,
+ * concurrent increments (exercised under TSan by scripts/tier1.sh),
+ * the exit-time JSON dump and summary table, and a golden-structure
+ * check that the Chrome trace output is valid JSON made of complete
+ * events.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cctype>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,8 +48,7 @@ TEST(Registry, CounterMergesAcrossThreads)
     for (auto &t : threads)
         t.join();
 
-    // Writer threads have exited; their shards retired into the
-    // registry so nothing was lost.
+    // Writer threads have exited; their adds outlive them.
     EXPECT_EQ(c.value(), 4005u);
 }
 
@@ -60,7 +62,7 @@ TEST(Registry, ConcurrentIncrementsWithConcurrentReads)
         std::uint64_t last = 0;
         while (!stop.load()) {
             const std::uint64_t now = c.value();
-            EXPECT_GE(now, last);   // monotone despite merging
+            EXPECT_GE(now, last);   // monotone under writers
             last = now;
         }
     });
@@ -80,37 +82,35 @@ TEST(Registry, ConcurrentIncrementsWithConcurrentReads)
     EXPECT_EQ(c.value(), 80000u);
 }
 
-TEST(Registry, HistogramBucketEdges)
+TEST(Registry, HistogramCountSumMinMax)
 {
     Registry reg;
-    auto &h = reg.histogram("test/lat", {1.0, 2.0, 4.0});
+    auto &h = reg.histogram("test/lat");
 
-    h.record(0.5);     // bucket 0 (v <= 1)
-    h.record(1.0);     // bucket 0 (bounds are inclusive upper)
-    h.record(1.0001);  // bucket 1
-    h.record(2.0);     // bucket 1
-    h.record(4.0);     // bucket 2
-    h.record(5.0);     // overflow
+    // An empty timer reads all zeros, not ±infinity.
+    auto st = h.stats();
+    EXPECT_EQ(st.count, 0u);
+    EXPECT_EQ(st.sum, 0.0);
+    EXPECT_EQ(st.min, 0.0);
+    EXPECT_EQ(st.max, 0.0);
+    EXPECT_EQ(st.mean(), 0.0);
 
-    const auto st = h.stats();
-    ASSERT_EQ(st.counts.size(), 4u);   // 3 bounds + overflow
-    EXPECT_EQ(st.counts[0], 2u);
-    EXPECT_EQ(st.counts[1], 2u);
-    EXPECT_EQ(st.counts[2], 1u);
-    EXPECT_EQ(st.counts[3], 1u);
+    // Not in ascending order, so min and max are not first and last.
+    for (const double v : {1.0001, 0.5, 4.0, 1.0, 5.0, 2.0})
+        h.record(v);
+
+    st = h.stats();
     EXPECT_EQ(st.count, 6u);
     EXPECT_DOUBLE_EQ(st.min, 0.5);
     EXPECT_DOUBLE_EQ(st.max, 5.0);
     EXPECT_NEAR(st.sum, 0.5 + 1.0 + 1.0001 + 2.0 + 4.0 + 5.0, 1e-9);
-    EXPECT_GT(st.quantile(0.5), 0.0);
-    EXPECT_LE(st.quantile(0.5), st.quantile(0.95));
+    EXPECT_NEAR(st.mean(), st.sum / 6.0, 1e-12);
 }
 
 TEST(Registry, HistogramMergesAcrossThreads)
 {
     Registry reg;
-    auto &h = reg.histogram(
-        "test/merge", Registry::exponentialBounds(1.0, 2.0, 8));
+    auto &h = reg.histogram("test/merge");
 
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
@@ -130,39 +130,47 @@ TEST(Registry, HistogramMergesAcrossThreads)
     EXPECT_NEAR(st.mean(), 2.5, 1e-9);
 }
 
-TEST(Registry, GaugeLastWriteWins)
-{
-    Registry reg;
-    auto &g = reg.gauge("test/load");
-    EXPECT_DOUBLE_EQ(g.value(), 0.0);
-    g.set(0.25);
-    g.set(0.75);
-    EXPECT_DOUBLE_EQ(g.value(), 0.75);
-}
-
 TEST(Registry, SameNameReturnsSameHandle)
 {
     Registry reg;
     EXPECT_EQ(&reg.counter("dup"), &reg.counter("dup"));
-    EXPECT_EQ(&reg.histogram("duph", {1.0}),
-              &reg.histogram("duph", {1.0}));
+    EXPECT_EQ(&reg.histogram("duph"), &reg.histogram("duph"));
+    EXPECT_EQ(reg.findHistogram("duph"), &reg.histogram("duph"));
     EXPECT_EQ(reg.findCounter("dup"), &reg.counter("dup"));
     EXPECT_EQ(reg.findCounter("absent"), nullptr);
     EXPECT_EQ(reg.findHistogram("absent"), nullptr);
+    // A name found as one kind is absent as the other.
+    EXPECT_EQ(reg.findHistogram("dup"), nullptr);
+    EXPECT_EQ(reg.findCounter("duph"), nullptr);
+}
+
+TEST(Registry, NameOfTheOtherKindPanics)
+{
+    Registry reg;
+    reg.counter("taken/c");
+    reg.histogram("taken/h");
+    EXPECT_DEATH(reg.histogram("taken/c"),
+                 "already registered as a counter");
+    EXPECT_DEATH(reg.counter("taken/h"),
+                 "already registered as a histogram");
 }
 
 TEST(Registry, ResetZeroesButKeepsHandles)
 {
     Registry reg;
     auto &c = reg.counter("r/c");
-    auto &h = reg.histogram("r/h", {1.0, 2.0});
+    auto &h = reg.histogram("r/h");
     c.add(7);
     h.record(1.5);
     reg.reset();
     EXPECT_EQ(c.value(), 0u);
     EXPECT_EQ(h.stats().count, 0u);
+    EXPECT_EQ(h.stats().max, 0.0);
     c.add(2);
     EXPECT_EQ(c.value(), 2u);
+    // The first record after a reset sets min, not min(0, v).
+    h.record(2.5);
+    EXPECT_EQ(h.stats().min, 2.5);
 }
 
 TEST(Registry, SnapshotSortedByName)
@@ -170,8 +178,7 @@ TEST(Registry, SnapshotSortedByName)
     Registry reg;
     reg.counter("b").add(2);
     reg.counter("a").add(1);
-    reg.gauge("g").set(3.5);
-    reg.histogram("h", {1.0}).record(0.5);
+    reg.histogram("h").record(0.5);
 
     const auto snap = reg.snapshot();
     ASSERT_EQ(snap.counters.size(), 2u);
@@ -179,20 +186,8 @@ TEST(Registry, SnapshotSortedByName)
     EXPECT_EQ(snap.counters[0].second, 1u);
     EXPECT_EQ(snap.counters[1].first, "b");
     EXPECT_EQ(snap.counters[1].second, 2u);
-    ASSERT_EQ(snap.gauges.size(), 1u);
-    EXPECT_DOUBLE_EQ(snap.gauges[0].second, 3.5);
     ASSERT_EQ(snap.histograms.size(), 1u);
     EXPECT_EQ(snap.histograms[0].second.count, 1u);
-}
-
-TEST(Registry, ExponentialBounds)
-{
-    const auto b = Registry::exponentialBounds(1e-6, 2.0, 4);
-    ASSERT_EQ(b.size(), 4u);
-    EXPECT_DOUBLE_EQ(b[0], 1e-6);
-    EXPECT_DOUBLE_EQ(b[1], 2e-6);
-    EXPECT_DOUBLE_EQ(b[2], 4e-6);
-    EXPECT_DOUBLE_EQ(b[3], 8e-6);
 }
 
 namespace
@@ -424,6 +419,76 @@ TEST(Trace, FinishFirstCallWins)
                          t0 + std::chrono::microseconds(5));
     writer.finish();
     EXPECT_EQ(adaptsim::readFile(path), first);
+}
+
+TEST(Metrics, JsonCarriesEveryCounterAndTimer)
+{
+    auto &reg = Registry::global();
+    reg.counter("test/json \"quoted\"").add(7);
+    auto &busy = reg.histogram("test/json.busy.seconds");
+    for (const double v : {1.5, 0.5, 2.25})
+        busy.record(v);
+    reg.histogram("test/json.idle.seconds");   // never recorded
+
+    const std::string json = adaptsim::obs::metricsJson();
+    EXPECT_TRUE(JsonChecker(json).valid()) << json;
+    EXPECT_EQ(json.find("\"gauges\""), std::string::npos);
+    EXPECT_EQ(json.find("\"bounds\""), std::string::npos);
+    EXPECT_EQ(json.find("\"counts\""), std::string::npos);
+
+    const auto key = [](const std::string &name) {
+        return '"' + adaptsim::obs::jsonEscape(name) + "\":";
+    };
+    const auto snap = reg.snapshot();
+    ASSERT_FALSE(snap.counters.empty());
+    ASSERT_FALSE(snap.histograms.empty());
+    for (const auto &[name, value] : snap.counters) {
+        EXPECT_NE(json.find(key(name) + std::to_string(value)),
+                  std::string::npos)
+            << name;
+    }
+    for (const auto &[name, st] : snap.histograms) {
+        std::ostringstream os;
+        os.precision(17);
+        os << key(name) << "{\"count\":" << st.count
+           << ",\"sum\":" << st.sum << ",\"min\":" << st.min
+           << ",\"max\":" << st.max << '}';
+        EXPECT_NE(json.find(os.str()), std::string::npos) << os.str();
+    }
+
+    // The values this test wrote, spelled out.
+    EXPECT_NE(json.find("\"test/json \\\"quoted\\\"\":7"),
+              std::string::npos);
+    EXPECT_NE(json.find("\"test/json.busy.seconds\":{\"count\":3,"
+                        "\"sum\":4.25,\"min\":0.5,\"max\":2.25}"),
+              std::string::npos);
+    EXPECT_NE(json.find("\"test/json.idle.seconds\":{\"count\":0,"
+                        "\"sum\":0,\"min\":0,\"max\":0}"),
+              std::string::npos);
+}
+
+TEST(Metrics, ReportTimerColumns)
+{
+    Registry::global().histogram("test/report.seconds").record(0.25);
+
+    std::FILE *out = std::tmpfile();
+    ASSERT_NE(out, nullptr);
+    adaptsim::obs::report(out);
+    std::rewind(out);
+    std::string text;
+    char buf[4096];
+    while (const std::size_t n = std::fread(buf, 1, sizeof buf, out))
+        text.append(buf, n);
+    std::fclose(out);
+
+    const auto nl = text.find("\ntimer");
+    ASSERT_NE(nl, std::string::npos) << text;
+    const std::string line =
+        text.substr(nl + 1, text.find('\n', nl + 1) - (nl + 1));
+    for (const char *col : {"count", "total", "mean", "min", "max"})
+        EXPECT_NE(line.find(col), std::string::npos) << line;
+    EXPECT_EQ(line.find("p50"), std::string::npos) << line;
+    EXPECT_NE(text.find("test/report.seconds"), std::string::npos);
 }
 
 #if ADAPTSIM_OBS_ENABLED
