@@ -23,19 +23,6 @@ opClassName(OpClass c)
     }
 }
 
-bool
-isMemOp(OpClass c)
-{
-    return c == OpClass::Load || c == OpClass::Store;
-}
-
-bool
-isFpOp(OpClass c)
-{
-    return c == OpClass::FpAlu || c == OpClass::FpMul ||
-           c == OpClass::FpDiv;
-}
-
 std::string
 MicroOp::toString() const
 {

@@ -47,10 +47,19 @@ inline constexpr std::int16_t noReg = -1;
 const char *opClassName(OpClass c);
 
 /** True for Load and Store. */
-bool isMemOp(OpClass c);
+constexpr bool
+isMemOp(OpClass c)
+{
+    return c == OpClass::Load || c == OpClass::Store;
+}
 
 /** True for FpAlu/FpMul/FpDiv. */
-bool isFpOp(OpClass c);
+constexpr bool
+isFpOp(OpClass c)
+{
+    return c == OpClass::FpAlu || c == OpClass::FpMul ||
+           c == OpClass::FpDiv;
+}
 
 /**
  * One dynamic micro-operation of the synthetic trace.

@@ -8,7 +8,8 @@ namespace adaptsim::uarch
 {
 
 Cache::Cache(std::uint64_t bytes, int assoc, int line_bytes)
-    : bytes_(bytes), assoc_(assoc), lineBytes_(line_bytes),
+    : bytes_(bytes), assoc_(assoc),
+      lineShift_(std::countr_zero(static_cast<unsigned>(line_bytes))),
       numSets_(bytes / (std::uint64_t(assoc) * line_bytes)),
       lines_(numSets_ * assoc)
 {

@@ -50,19 +50,19 @@ class Cache
 
     std::uint64_t numSets() const { return numSets_; }
     int assoc() const { return assoc_; }
-    int lineBytes() const { return lineBytes_; }
+    int lineBytes() const { return 1 << lineShift_; }
     std::uint64_t sizeBytes() const { return bytes_; }
 
     /** Set index of @p addr in this geometry. */
     std::uint64_t setIndex(Addr addr) const
     {
-        return (addr / lineBytes_) & (numSets_ - 1);
+        return (addr >> lineShift_) & (numSets_ - 1);
     }
 
     /** Line-granular block address of @p addr. */
     Addr blockAddr(Addr addr) const
     {
-        return addr / lineBytes_;
+        return addr >> lineShift_;
     }
 
   private:
@@ -75,7 +75,7 @@ class Cache
 
     std::uint64_t bytes_;
     int assoc_;
-    int lineBytes_;
+    int lineShift_;   ///< log2 of the line size (shift, never divide)
     std::uint64_t numSets_;
     std::vector<Line> lines_;
     std::uint32_t clock_ = 0;

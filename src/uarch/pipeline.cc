@@ -20,7 +20,8 @@ Pipeline::Pipeline(const CoreConfig &cfg, CacheHierarchy &caches,
                    SimObserver *observer)
     : cfg_(cfg), caches_(caches), bpred_(bpred),
       wrongPathGen_(wrong_path), observer_(observer),
-      rob_(cfg.robSize), iq_(cfg.iqSize), lsq_(cfg.lsqSize),
+      rob_(cfg.robSize), iq_(cfg.iqSize, cfg.robSize),
+      lsq_(cfg.lsqSize),
       rfInt_(cfg.rfSize), rfFp_(cfg.rfSize), fus_(cfg),
       wbStamp_(wbRingSize, ~Cycles(0)),
       wbCount_(wbRingSize, 0),
@@ -28,41 +29,6 @@ Pipeline::Pipeline(const CoreConfig &cfg, CacheHierarchy &caches,
 {
     frontQCapacity_ = static_cast<std::size_t>(cfg.width) *
                       (cfg.frontendDelay + 1);
-    issuedPositions_.reserve(static_cast<std::size_t>(cfg.width));
-}
-
-bool
-Pipeline::producersReady(RobEntry &e) const
-{
-    // Memoised fast path: producers were walked before and cannot
-    // be ready yet.  Safe because producers are strictly older than
-    // their consumers (rename resolves to older slots only), so a
-    // live consumer implies its producers were never squashed, and
-    // doneCycle is fixed once an op issues.
-    if (e.readyAt > now_)
-        return false;
-
-    Cycles bound = 0;
-    const auto ready = [&](std::int32_t idx, std::uint32_t seq) {
-        if (idx < 0 || !rob_.valid(idx, seq))
-            return true;   // no producer, or producer committed
-        const RobEntry &p = rob_.entry(idx);
-        if (p.state == OpState::Done && p.doneCycle <= now_)
-            return true;
-        // Not ready: derive the earliest possible ready cycle.  A
-        // dispatched producer has no completion time yet, so the
-        // bound is just "recheck next cycle".
-        const Cycles b = p.state == OpState::Dispatched ?
-            now_ + 1 : p.doneCycle;
-        bound = std::max(bound, b);
-        return false;
-    };
-    const bool r0 = ready(e.prod0, e.prod0Seq);
-    const bool r1 = ready(e.prod1, e.prod1Seq);
-    if (r0 && r1)
-        return true;
-    e.readyAt = bound;
-    return false;
 }
 
 int
@@ -126,6 +92,7 @@ Pipeline::completeStage()
         if (e.state != OpState::Issued)
             continue;
         e.state = OpState::Done;
+        iq_.wakeup(c.robIdx);
         progress = true;
 
         // Result broadcast: wakeup CAM activity across the IQ.
@@ -163,9 +130,10 @@ Pipeline::squashAfter(std::int32_t branch_idx)
                         (rob_.distanceFromHead(branch_idx) + 1);
     int int_dests = 0;
     int fp_dests = 0;
-    rob_.squashYoungest(younger, [&](RobEntry &e) {
+    rob_.squashYoungest(younger, [&](std::int32_t idx, RobEntry &e) {
         ++ev_.squashedOps;
         if (e.inIq) {
+            iq_.remove(idx);
             ++ev_.iqSquashed;
             if (e.speculative)
                 --iqSpec_;
@@ -185,9 +153,6 @@ Pipeline::squashAfter(std::int32_t branch_idx)
             --inFlightBranches_;
             --unresolvedRobBranches_;
         }
-    });
-    iq_.removeIf([&](std::int32_t idx) {
-        return rob_.entry(idx).state == OpState::Empty;
     });
     lsq_.removeIf([&](std::int32_t idx) {
         return rob_.entry(idx).state == OpState::Empty;
@@ -298,27 +263,23 @@ Pipeline::issueStage()
     fus_.beginCycle(now_);
     rdPortsUsed_ = 0;
     int issued = 0;
-    issuedPositions_.clear();
 
-    const auto &slots = iq_.slots();
-    for (std::size_t pos = 0;
-         pos < slots.size() && issued < cfg_.width; ++pos) {
-        const std::int32_t idx = slots[pos];
+    // Select: only ops whose producers have all completed, oldest
+    // first; each still needs read ports, a free unit and, for a
+    // load, a clear LSQ search.
+    iq_.forEachReady(rob_.headIndex(), [&](std::int32_t idx) {
         RobEntry &e = rob_.entry(idx);
-
-        if (!producersReady(e))
-            continue;
         const int srcs = (e.op.srcReg0 != noReg ? 1 : 0) +
                          (e.op.srcReg1 != noReg ? 1 : 0);
         if (rdPortsUsed_ + srcs > cfg_.rfRdPorts)
-            continue;
+            return true;
         if (!fus_.canIssue(e.op.opClass, now_))
-            continue;
+            return true;
         if (e.op.isLoad()) {
             const auto check =
                 lsq_.checkLoad(rob_, idx, ev_.lsqSearches);
             if (check == LoadStoreQueue::LoadCheck::MustWait)
-                continue;
+                return true;
             e.forwarded =
                 check == LoadStoreQueue::LoadCheck::Forward;
         }
@@ -367,13 +328,12 @@ Pipeline::issueStage()
         e.doneCycle = done;
         completions_.push(Completion{done, idx, e.seq});
 
+        iq_.remove(idx);
         e.inIq = false;
         if (e.speculative)
             --iqSpec_;
-        issuedPositions_.push_back(pos);
-        ++issued;
-    }
-    iq_.removeAt(issuedPositions_);
+        return ++issued < cfg_.width;
+    });
     return issued > 0;
 }
 
@@ -405,25 +365,27 @@ Pipeline::dispatchStage()
         e.mispredicted = f.mispredicted;
         e.histSnapshot = f.histSnapshot;
         e.speculative = unresolvedRobBranches_ > 0;
-        e.readyAt = 0;   // slots recycle without clearing
         ++ev_.robWrites;
 
         // Resolve producers through the rename tables.  Register 0 is
-        // the hardwired-zero register and never has a producer.
+        // the hardwired-zero register and never has a producer.  Only
+        // a producer that has not completed makes the op wait; one
+        // that has committed or completed (at or before now) has its
+        // value ready.
         const bool fp_srcs = op.readsFp();
-        auto lookup = [&](std::int16_t reg, std::int32_t &p_idx,
-                          std::uint32_t &p_seq) {
+        auto pending = [&](std::int16_t reg) -> std::int32_t {
             if (reg <= 0)
-                return;
+                return -1;
             const Producer &p = fp_srcs ? renameFp_[reg] :
                                           renameInt_[reg];
-            if (p.idx >= 0 && rob_.valid(p.idx, p.seq)) {
-                p_idx = p.idx;
-                p_seq = p.seq;
+            if (p.idx < 0 || !rob_.valid(p.idx, p.seq) ||
+                rob_.entry(p.idx).state == OpState::Done) {
+                return -1;
             }
+            return p.idx;
         };
-        lookup(op.srcReg0, e.prod0, e.prod0Seq);
-        lookup(op.srcReg1, e.prod1, e.prod1Seq);
+        const std::int32_t prod0 = pending(op.srcReg0);
+        const std::int32_t prod1 = pending(op.srcReg1);
 
         if (op.destReg != noReg) {
             RegisterFile &rf = op.writesFp() ? rfFp_ : rfInt_;
@@ -437,7 +399,7 @@ Pipeline::dispatchStage()
             e.state = OpState::Done;
             e.doneCycle = now_;
         } else {
-            iq_.insert(idx);
+            iq_.insert(idx, prod0, prod1);
             e.inIq = true;
             ++ev_.iqWrites;
             if (e.speculative)

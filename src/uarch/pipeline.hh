@@ -14,6 +14,12 @@
  *   Branches     in-flight speculation cap (stalls fetch at limit)
  *   I/D/L2       hit/miss latencies per access (Cacti-timed)
  *   Depth        clock frequency, front-end refill, mispredict cost
+ *
+ * Each cycle runs complete, commit, issue, dispatch and fetch, in
+ * that order.  Issue is event-driven: processing a completion wakes
+ * the producer's consumers in the IssueQueue, and select visits only
+ * ops whose producers have all completed, so a waiting op costs
+ * nothing per cycle.
  */
 
 #ifndef ADAPTSIM_UARCH_PIPELINE_HH
@@ -96,9 +102,6 @@ class Pipeline
     void squashAfter(std::int32_t branch_idx);
     void rebuildRenameAndCounts();
     int execLatency(RobEntry &e);
-    /** True when both producers are done; otherwise memoizes the
-     *  earliest cycle the entry could issue into e.readyAt. */
-    bool producersReady(RobEntry &e) const;
     Cycles arbitrateWriteback(Cycles earliest);
     void observeCycle(std::uint64_t repeat);
     Cycles nextEventCycle() const;
@@ -110,7 +113,7 @@ class Pipeline
     SimObserver *observer_;
 
     Rob rob_;
-    IssueQueue iq_;
+    IssueQueue iq_;   ///< wakeup lists and ready set, by ROB slot
     LoadStoreQueue lsq_;
     RegisterFile rfInt_;
     RegisterFile rfFp_;
@@ -135,10 +138,6 @@ class Pipeline
     std::vector<Cycles> wbStamp_;
     std::vector<std::uint16_t> wbCount_;
     std::uint16_t wbPorts_ = 0;   ///< cfg_.rfWrPorts, hoisted
-
-    /** Issue-scan scratch (hoisted so the inner loop never
-     *  heap-allocates; cleared each cycle). */
-    std::vector<std::size_t> issuedPositions_;
 
     std::span<const isa::MicroOp> trace_;
     std::size_t traceIdx_ = 0;

@@ -36,7 +36,7 @@ Rob::popHead()
     RobEntry &e = entries_[head_];
     e.state = OpState::Empty;
     ++e.seq;
-    head_ = static_cast<std::int32_t>((head_ + 1) % capacity_);
+    head_ = indexFromHead(1);
     --count_;
 }
 

@@ -3,7 +3,9 @@
  * Reorder buffer: a ring of in-flight µop state.
  *
  * Entries are addressed by slot index; a per-entry sequence number
- * guards against stale references after squash/recycle.
+ * guards against stale references after squash/recycle (pending
+ * completions, rename-table entries).  Producer/consumer links live
+ * in the IssueQueue, keyed by the same slot indices.
  */
 
 #ifndef ADAPTSIM_UARCH_ROB_HH
@@ -41,13 +43,6 @@ struct RobEntry
     bool forwarded = false;       ///< load satisfied by a store
     std::uint32_t histSnapshot = 0; ///< bpred history before branch
     Cycles doneCycle = 0;
-    /** Producer-readiness memo: the entry cannot issue before this
-     *  cycle, so the IQ scan skips it without re-walking both
-     *  producers (reset at dispatch, updated by the scan). */
-    Cycles readyAt = 0;
-    // Producer references for wakeup: ROB slot + its seq at dispatch.
-    std::int32_t prod0 = -1, prod1 = -1;
-    std::uint32_t prod0Seq = 0, prod1Seq = 0;
 };
 
 /** The reorder buffer ring. */
@@ -78,8 +73,9 @@ class Rob
     void popHead();
 
     /**
-     * Squash the @p count youngest entries (from the tail), invoking
-     * @p on_squash for each before the slot is recycled.
+     * Squash the @p count youngest entries (from the tail), youngest
+     * first, invoking @p on_squash(slot, entry) for each before the
+     * slot is recycled.
      */
     template <typename Fn>
     void
@@ -87,7 +83,7 @@ class Rob
     {
         for (int i = 0; i < count; ++i) {
             const std::int32_t idx = tailIndex();
-            on_squash(entries_[idx]);
+            on_squash(idx, entries_[idx]);
             entries_[idx].state = OpState::Empty;
             ++entries_[idx].seq;
             --count_;
@@ -95,22 +91,22 @@ class Rob
     }
 
     /** Slot of the youngest entry (empty() must be false). */
-    std::int32_t tailIndex() const
-    {
-        return static_cast<std::int32_t>(
-            (head_ + count_ - 1) % capacity_);
-    }
+    std::int32_t tailIndex() const { return indexFromHead(count_ - 1); }
 
-    /** Slot of the i-th oldest entry, 0-based. */
+    /** Slot of the i-th oldest entry, 0-based (0 <= i < capacity).
+     *  Ring positions wrap with a compare, never a divide: most
+     *  Table I ROB sizes are not powers of two. */
     std::int32_t indexFromHead(int i) const
     {
-        return static_cast<std::int32_t>((head_ + i) % capacity_);
+        const std::int32_t idx = head_ + i;
+        return idx >= capacity_ ? idx - capacity_ : idx;
     }
 
     /** Age position (0 = oldest) of the entry in slot @p idx. */
     int distanceFromHead(std::int32_t idx) const
     {
-        return static_cast<int>((idx - head_ + capacity_) % capacity_);
+        const int d = idx - head_;
+        return d < 0 ? d + capacity_ : d;
     }
 
     /** True when a (slot, seq) reference is still the same entry. */

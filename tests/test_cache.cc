@@ -18,6 +18,19 @@ TEST(Cache, Geometry)
     EXPECT_EQ(c.lineBytes(), 64);
 }
 
+TEST(Cache, BlockAndSetIndexFollowTheLineSize)
+{
+    for (const int line : {16, 32, 64, 128}) {
+        Cache c(8 * 1024, 2, line);
+        EXPECT_EQ(c.lineBytes(), line);
+        for (const Addr a : {Addr(0), Addr(0x1234567), Addr(0xfedcba98),
+                             Addr(0x7fff'ffff'ffffULL)}) {
+            EXPECT_EQ(c.blockAddr(a), a / Addr(line));
+            EXPECT_EQ(c.setIndex(a), (a / Addr(line)) % c.numSets());
+        }
+    }
+}
+
 TEST(Cache, MissThenHit)
 {
     Cache c(8 * 1024, 2, 64);

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
+#include "common/serial.hh"
 #include "harness/gather.hh"
+#include "space/sampling.hh"
 #include "uarch/core.hh"
 #include "workload/spec_suite.hh"
 
@@ -318,7 +321,7 @@ TEST(Pipeline, GoldenResultsAreFrozen)
     // Exact SimResult values captured from the reference build
     // across a width/IQ matrix of benchmarks.  Any timing-model
     // change that alters these is NOT a pure optimisation: hot-loop
-    // work (trace caching, producer-readiness memoisation, scratch
+    // work (trace caching, wakeup/select scheduling, scratch
     // hoisting) must reproduce them bit-for-bit.
     struct Golden
     {
@@ -352,5 +355,114 @@ TEST(Pipeline, GoldenResultsAreFrozen)
         EXPECT_EQ(r.events.mispredicts, g.mispredicts) << g.bench;
         EXPECT_EQ(r.events.dcMisses, g.dcMisses) << g.bench;
         EXPECT_EQ(r.events.wrongPathOps, g.wrongPathOps) << g.bench;
+    }
+}
+
+namespace
+{
+
+/** FNV-1a over every EventCounts field, the cycle count and the
+ *  observer's streams: the CycleSample per (collapsed) cycle and
+ *  every cache and branch hook in order. */
+struct StreamHasher : SimObserver
+{
+    std::uint64_t h = kFnvBasis;
+
+    void
+    mix(const void *data, std::size_t size)
+    {
+        h = fnv1a64(data, size, h);
+    }
+    void
+    mixU64(std::uint64_t v)
+    {
+        mix(&v, sizeof(v));
+    }
+
+    void
+    onCycle(const CycleSample &s, std::uint64_t repeat) override
+    {
+        static_assert(sizeof(CycleSample) ==
+                      12 * sizeof(std::uint32_t));
+        mix(&s, sizeof(s));
+        mixU64(repeat);
+    }
+    void
+    onDCacheAccess(Addr a, bool write) override
+    {
+        mixU64(a * 2 + (write ? 1 : 0));
+    }
+    void onICacheAccess(Addr a) override { mixU64(a); }
+    void onL2Access(Addr a) override { mixU64(~a); }
+    void
+    onBranchFetch(Addr pc, bool btb_hit) override
+    {
+        mixU64(pc * 2 + (btb_hit ? 1 : 0));
+    }
+
+    void
+    mixResult(const SimResult &r)
+    {
+        // Every field is a std::uint64_t; a new field must be
+        // added here deliberately (it changes the golden).
+        static_assert(sizeof(EventCounts) ==
+                      50 * sizeof(std::uint64_t));
+        mixU64(r.cycles);
+        mix(&r.events, sizeof(r.events));
+    }
+};
+
+} // namespace
+
+TEST(Pipeline, EventCountsMatchFrozenGoldenOnRandomConfigs)
+{
+    // Pins every EventCounts field, the cycle count and the
+    // profiling observer's per-cycle samples across uniform-random
+    // configurations plus single-parameter corners (the smallest
+    // IQ, ROB, read/write ports and branch cap, and the widest
+    // core).  Recorded before the wakeup/select scheduler replaced
+    // the polling IQ scan; any scheduler or hot-loop change must
+    // reproduce every hash bit-for-bit.
+    std::vector<space::Configuration> configs;
+    Rng rng(0x601d3a7cULL);
+    for (int i = 0; i < 12; ++i)
+        configs.push_back(space::uniformRandom(rng));
+    const std::pair<space::Param, std::uint64_t> corners[] = {
+        {space::Param::IqSize, 8},    {space::Param::RobSize, 32},
+        {space::Param::RfRdPorts, 2}, {space::Param::RfWrPorts, 1},
+        {space::Param::MaxBranches, 8}, {space::Param::Width, 8},
+    };
+    auto all_corners = harness::paperBaselineConfig();
+    for (const auto &[param, value] : corners) {
+        auto cfg = harness::paperBaselineConfig();
+        cfg.setValue(param, value);
+        configs.push_back(cfg);
+        all_corners.setValue(param, value);
+    }
+    configs.push_back(all_corners);
+
+    struct Golden
+    {
+        const char *bench;
+        std::uint64_t hash;
+    };
+    const Golden goldens[] = {
+        {"gzip", 0xc4e3b0fffacf7cc9ull},
+        {"mcf", 0xaf03f3248956136dull},
+        {"swim", 0x4276fb35ba112500ull},
+        {"parser", 0x8a4c8b669a86da5bull},
+        {"eon", 0x0624ce629d5acf42ull},
+        {"gcc", 0xe04b52c9987ad287ull},
+        {"art", 0x39aedcb3b9b97444ull},
+        {"sixtrack", 0xe543b14af6a448f5ull},
+    };
+    for (const auto &g : goldens) {
+        StreamHasher hasher;
+        for (const auto &cfg : configs) {
+            const auto r = runOn(g.bench, cfg, 8000, 4000, &hasher);
+            hasher.mixResult(r);
+        }
+        EXPECT_EQ(hasher.h, g.hash)
+            << g.bench << ": 0x" << std::hex << hasher.h;
     }
 }

@@ -68,7 +68,7 @@ TEST(Rob, SquashYoungestInvokesCallbackNewestFirst)
     rob.entry(c).doneCycle = 3;
 
     std::vector<adaptsim::Cycles> seen;
-    rob.squashYoungest(2, [&](RobEntry &e) {
+    rob.squashYoungest(2, [&](std::int32_t, RobEntry &e) {
         seen.push_back(e.doneCycle);
     });
     ASSERT_EQ(seen.size(), 2u);
@@ -94,6 +94,35 @@ TEST(Rob, DistanceFromHead)
     EXPECT_EQ(rob.distanceFromHead(z), 2);
     EXPECT_EQ(rob.indexFromHead(1), y);
     EXPECT_EQ(rob.tailIndex(), z);
+}
+
+TEST(Rob, RingArithmeticOnANonPowerOfTwoCapacity)
+{
+    // Table I ROB sizes step by 8 and are mostly not powers of two;
+    // the ring must wrap exactly as modular arithmetic would.
+    constexpr int cap = 6;
+    Rob rob(cap);
+    int head = 0;
+    for (int round = 0; round < 20; ++round) {
+        // Fill or drain to a varying depth, check every position,
+        // then retire one so the head keeps walking the ring.
+        const int depth = 1 + round % cap;
+        while (rob.occupancy() < depth)
+            rob.push();
+        while (rob.occupancy() > depth) {
+            rob.popHead();
+            head = (head + 1) % cap;
+        }
+        ASSERT_EQ(rob.headIndex(), head);
+        for (int i = 0; i < depth; ++i) {
+            const std::int32_t idx = (head + i) % cap;
+            EXPECT_EQ(rob.indexFromHead(i), idx);
+            EXPECT_EQ(rob.distanceFromHead(idx), i);
+        }
+        EXPECT_EQ(rob.tailIndex(), (head + depth - 1) % cap);
+        rob.popHead();
+        head = (head + 1) % cap;
+    }
 }
 
 TEST(Rob, PushResetsEntryState)
