@@ -116,11 +116,4 @@ backendName()
     return envString("ADAPTSIM_BACKEND", "cycle");
 }
 
-bool
-cycleTraceEnabled()
-{
-    const std::string v = envString("ADAPTSIM_CYCLE_TRACE", "");
-    return !v.empty() && v != "0" && v != "off";
-}
-
 } // namespace adaptsim

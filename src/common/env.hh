@@ -46,10 +46,6 @@ std::string metricsJsonPath();
 /** ADAPTSIM_TRACE: truthy enables Chrome trace-event capture. */
 bool traceEnabled();
 
-/** ADAPTSIM_CYCLE_TRACE: truthy enables the per-cycle pipeline
- *  debug trace (first 400 cycles of each run, to stderr). */
-bool cycleTraceEnabled();
-
 /** ADAPTSIM_TRACE_FILE: trace output path
  *  (default "adaptsim_trace.json"). */
 std::string traceFile();

@@ -153,6 +153,8 @@ ThreadPool::workerLoop(unsigned worker_index)
             job = job_;
             n = jobSize_;
             submitted = batchSubmit_;
+            if (job)
+                ++holders_;
         }
         // A spurious/late wake-up can observe a batch that already
         // completed and was cleared; there is nothing left to claim.
@@ -173,7 +175,8 @@ ThreadPool::workerLoop(unsigned worker_index)
         {
             MutexLock lock(mutex_);
             remaining_ -= claimed;
-            if (remaining_ == 0)
+            --holders_;
+            if (remaining_ == 0 && holders_ == 0)
                 done_.notify_all();
         }
     }
@@ -251,7 +254,7 @@ ThreadPool::parallelFor(std::size_t n,
         MutexLock lock(mutex_);
         done_.wait(lock, [&] {
             mutex_.assertHeld();
-            return remaining_ == 0;
+            return remaining_ == 0 && holders_ == 0;
         });
         job_ = nullptr;
         jobSize_ = 0;

@@ -10,6 +10,11 @@
  * inside one of the pool's own jobs (reentrant use) throws
  * std::logic_error; concurrent calls from distinct external threads
  * are safe and simply serialize.
+ *
+ * Hand-off: parallelFor returns only after every worker that took
+ * the batch has stopped claiming from it, so a worker can never
+ * claim an index of the next batch through the previous batch's
+ * function.
  */
 
 #ifndef ADAPTSIM_HARNESS_THREAD_POOL_HH
@@ -82,6 +87,11 @@ class ThreadPool
     std::atomic<std::size_t> nextIndex_{0};
     std::atomic<bool> abort_{false};
     std::size_t remaining_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
+    /** Workers that took the current batch and have not finished
+     *  claiming from it.  parallelFor returns only when this is 0,
+     *  so no worker still holds a batch when the next one resets
+     *  nextIndex_: a stale claim cannot happen. */
+    std::size_t holders_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
     std::exception_ptr firstError_ ADAPTSIM_GUARDED_BY(mutex_);
     std::uint64_t generation_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
     bool stopping_ ADAPTSIM_GUARDED_BY(mutex_) = false;

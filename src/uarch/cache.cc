@@ -21,36 +21,6 @@ Cache::Cache(std::uint64_t bytes, int assoc, int line_bytes)
     }
 }
 
-Cache::AccessResult
-Cache::access(Addr addr, bool write)
-{
-    const Addr tag = blockAddr(addr);
-    const std::uint64_t set = setIndex(addr);
-    Line *base = &lines_[set * assoc_];
-
-    int victim = 0;
-    std::uint32_t oldest = ~0u;
-    for (int w = 0; w < assoc_; ++w) {
-        Line &line = base[w];
-        if (line.tag == tag) {
-            line.lruStamp = ++clock_;
-            line.dirty = line.dirty || write;
-            return {true, false};
-        }
-        if (line.lruStamp < oldest) {
-            oldest = line.lruStamp;
-            victim = w;
-        }
-    }
-
-    Line &line = base[victim];
-    const bool writeback = line.dirty && line.tag != invalidAddr;
-    line.tag = tag;
-    line.lruStamp = ++clock_;
-    line.dirty = write;
-    return {false, writeback};
-}
-
 bool
 Cache::probe(Addr addr) const
 {

@@ -4,7 +4,8 @@
  *
  * Only tags are modelled (trace-driven timing simulation never needs
  * data).  Timing is produced by the hierarchy, which composes L1I/L1D
- * with the unified L2.
+ * with the unified L2.  access() is defined here so it inlines into
+ * the pipeline loop.
  */
 
 #ifndef ADAPTSIM_UARCH_CACHE_HH
@@ -40,7 +41,34 @@ class Cache
      * Access @p addr; on a miss the line is filled (evicting LRU).
      * @p write marks the line dirty.
      */
-    AccessResult access(Addr addr, bool write);
+    AccessResult
+    access(Addr addr, bool write)
+    {
+        const Addr tag = blockAddr(addr);
+        Line *base = &lines_[setIndex(addr) * assoc_];
+
+        int victim = 0;
+        std::uint32_t oldest = ~0u;
+        for (int w = 0; w < assoc_; ++w) {
+            Line &line = base[w];
+            if (line.tag == tag) {
+                line.lruStamp = ++clock_;
+                line.dirty = line.dirty || write;
+                return {true, false};
+            }
+            if (line.lruStamp < oldest) {
+                oldest = line.lruStamp;
+                victim = w;
+            }
+        }
+
+        Line &line = base[victim];
+        const bool writeback = line.dirty && line.tag != invalidAddr;
+        line.tag = tag;
+        line.lruStamp = ++clock_;
+        line.dirty = write;
+        return {false, writeback};
+    }
 
     /** Probe without fill or LRU update (used by monitors). */
     bool probe(Addr addr) const;

@@ -1,82 +1,11 @@
 #include "uarch/functional_units.hh"
 
-#include "common/logging.hh"
-
 namespace adaptsim::uarch
 {
-
-using isa::OpClass;
 
 FunctionalUnits::FunctionalUnits(const CoreConfig &cfg)
     : cfg_(cfg)
 {
-}
-
-void
-FunctionalUnits::beginCycle(Cycles)
-{
-    aluUsed_ = 0;
-    memUsed_ = 0;
-    fpUsed_ = 0;
-    mulUsed_ = 0;
-}
-
-bool
-FunctionalUnits::canIssue(OpClass cls, Cycles now) const
-{
-    switch (cls) {
-      case OpClass::IntAlu:
-      case OpClass::Branch:
-      case OpClass::Nop:
-        return aluUsed_ < cfg_.numAlu;
-      case OpClass::IntMul:
-        return mulUsed_ < cfg_.numMul;
-      case OpClass::IntDiv:
-        return mulUsed_ < cfg_.numMul && intDivBusyUntil_ <= now;
-      case OpClass::FpAlu:
-      case OpClass::FpMul:
-        return fpUsed_ < cfg_.numFpu;
-      case OpClass::FpDiv:
-        return fpUsed_ < cfg_.numFpu && fpDivBusyUntil_ <= now;
-      case OpClass::Load:
-      case OpClass::Store:
-        return memUsed_ < cfg_.numMemPorts;
-      default:
-        return false;
-    }
-}
-
-void
-FunctionalUnits::issue(OpClass cls, Cycles now, int latency)
-{
-    switch (cls) {
-      case OpClass::IntAlu:
-      case OpClass::Branch:
-      case OpClass::Nop:
-        ++aluUsed_;
-        break;
-      case OpClass::IntMul:
-        ++mulUsed_;
-        break;
-      case OpClass::IntDiv:
-        ++mulUsed_;
-        intDivBusyUntil_ = now + latency;
-        break;
-      case OpClass::FpAlu:
-      case OpClass::FpMul:
-        ++fpUsed_;
-        break;
-      case OpClass::FpDiv:
-        ++fpUsed_;
-        fpDivBusyUntil_ = now + latency;
-        break;
-      case OpClass::Load:
-      case OpClass::Store:
-        ++memUsed_;
-        break;
-      default:
-        panic("FunctionalUnits::issue of invalid op class");
-    }
 }
 
 } // namespace adaptsim::uarch

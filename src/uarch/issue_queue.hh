@@ -13,7 +13,8 @@
  * per ROB slot), so nothing allocates after construction.  A list
  * is in dispatch order, youngest first.  Squash removes the youngest
  * ops first, so a squashed op's links are always at the heads of
- * their lists and unlink in O(1).
+ * their lists and unlink in O(1).  The per-op methods are defined
+ * here so they inline into the pipeline loop.
  */
 
 #ifndef ADAPTSIM_UARCH_ISSUE_QUEUE_HH
@@ -22,6 +23,8 @@
 #include <bit>
 #include <cstdint>
 #include <vector>
+
+#include "common/logging.hh"
 
 namespace adaptsim::uarch
 {
@@ -47,17 +50,59 @@ class IssueQueue
      * producers that have not completed, or -1; the same producer
      * may appear twice.  An op with no such producer is ready.
      */
-    void insert(std::int32_t rob_idx, std::int32_t prod0,
-                std::int32_t prod1);
+    void
+    insert(std::int32_t rob_idx, std::int32_t prod0, std::int32_t prod1)
+    {
+        if (full())
+            panic("IssueQueue::insert on full queue");
+        ++count_;
+        waiting_[rob_idx] = 0;
+        if (prod0 >= 0)
+            link(rob_idx, 0, prod0);
+        if (prod1 >= 0)
+            link(rob_idx, 1, prod1);
+        if (waiting_[rob_idx] == 0)
+            setReady(rob_idx);
+    }
 
     /** The op in ROB slot @p producer completed: wake its consumers. */
-    void wakeup(std::int32_t producer);
+    void
+    wakeup(std::int32_t producer)
+    {
+        for (std::int32_t l = consumers_[producer]; l >= 0;) {
+            const std::int32_t consumer = l / 2;
+            linkedTo_[l] = -1;
+            l = next_[l];
+            if (--waiting_[consumer] == 0)
+                setReady(consumer);
+        }
+        consumers_[producer] = -1;
+    }
 
     /**
      * Remove the op in ROB slot @p rob_idx: it issued (it is
      * ready), or it is squashed (the youngest op still queued).
      */
-    void remove(std::int32_t rob_idx);
+    void
+    remove(std::int32_t rob_idx)
+    {
+        // Unlink in reverse link order: when both operands wait on
+        // one producer, operand 1's link sits in front of operand 0's.
+        for (int operand = 1; operand >= 0; --operand) {
+            const std::int32_t l = 2 * rob_idx + operand;
+            const std::int32_t producer = linkedTo_[l];
+            if (producer < 0)
+                continue;
+            if (consumers_[producer] != l)
+                panic("IssueQueue::remove of a waiting op out of age "
+                      "order");
+            consumers_[producer] = next_[l];
+            linkedTo_[l] = -1;
+        }
+        ready_[wordOf(rob_idx)] &=
+            ~(std::uint64_t(1) << bitOf(rob_idx));
+        --count_;
+    }
 
     /**
      * Visit the ready ops oldest first, where ROB slot @p oldest
@@ -82,7 +127,15 @@ class IssueQueue
     {
         ready_[wordOf(idx)] |= std::uint64_t(1) << bitOf(idx);
     }
-    void link(std::int32_t rob_idx, int operand, std::int32_t producer);
+    void
+    link(std::int32_t rob_idx, int operand, std::int32_t producer)
+    {
+        const std::int32_t l = 2 * rob_idx + operand;
+        next_[l] = consumers_[producer];
+        linkedTo_[l] = producer;
+        consumers_[producer] = l;
+        ++waiting_[rob_idx];
+    }
 
     /** Visit ready slots in [lo, hi); false once @p visit stops. */
     template <typename Fn>

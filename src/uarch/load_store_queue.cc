@@ -1,8 +1,6 @@
 #include "uarch/load_store_queue.hh"
 
-#include <algorithm>
-
-#include "common/logging.hh"
+#include <bit>
 
 namespace adaptsim::uarch
 {
@@ -12,51 +10,9 @@ LoadStoreQueue::LoadStoreQueue(int capacity)
 {
     if (capacity < 2)
         fatal("LSQ capacity too small: ", capacity);
-    slots_.reserve(capacity);
-}
-
-void
-LoadStoreQueue::insert(std::int32_t rob_idx)
-{
-    if (full())
-        panic("LoadStoreQueue::insert on full queue");
-    slots_.push_back(rob_idx);
-}
-
-void
-LoadStoreQueue::remove(std::int32_t rob_idx)
-{
-    const auto it = std::find(slots_.begin(), slots_.end(), rob_idx);
-    if (it == slots_.end())
-        panic("LoadStoreQueue::remove of absent entry");
-    slots_.erase(it);
-}
-
-LoadStoreQueue::LoadCheck
-LoadStoreQueue::checkLoad(const Rob &rob, std::int32_t load_idx,
-                          std::uint64_t &searched) const
-{
-    // Find the load's position, then scan older entries (before it).
-    const Addr load_word = rob.entry(load_idx).op.effAddr >> 3;
-    LoadCheck result = LoadCheck::NoConflict;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        const std::int32_t idx = slots_[i];
-        if (idx == load_idx)
-            break;
-        const RobEntry &e = rob.entry(idx);
-        if (!e.op.isStore())
-            continue;
-        ++searched;
-        if ((e.op.effAddr >> 3) == load_word) {
-            // Youngest older match wins; keep scanning to find it.
-            result = e.state == OpState::Done ||
-                     e.state == OpState::Issued ?
-                LoadCheck::Forward : LoadCheck::MustWait;
-            if (e.state == OpState::Dispatched)
-                result = LoadCheck::MustWait;
-        }
-    }
-    return result;
+    const auto ring = std::bit_ceil(static_cast<std::uint64_t>(capacity));
+    mask_ = ring - 1;
+    stores_.resize(ring);
 }
 
 } // namespace adaptsim::uarch

@@ -1,9 +1,8 @@
 #include "uarch/pipeline.hh"
 
 #include <algorithm>
-#include <cstdio>
+#include <bit>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "obs/obs.hh"
 
@@ -23,12 +22,12 @@ Pipeline::Pipeline(const CoreConfig &cfg, CacheHierarchy &caches,
       rob_(cfg.robSize), iq_(cfg.iqSize, cfg.robSize),
       lsq_(cfg.lsqSize),
       rfInt_(cfg.rfSize), rfFp_(cfg.rfSize), fus_(cfg),
-      wbStamp_(wbRingSize, ~Cycles(0)),
-      wbCount_(wbRingSize, 0),
+      wbStamp_(wbRingInitialSize, ~Cycles(0)),
+      wbCount_(wbRingInitialSize, 0),
       wbPorts_(static_cast<std::uint16_t>(cfg.rfWrPorts))
 {
-    frontQCapacity_ = static_cast<std::size_t>(cfg.width) *
-                      (cfg.frontendDelay + 1);
+    frontQ_.ops.resize(static_cast<std::size_t>(cfg.width) *
+                       (cfg.frontendDelay + 1));
 }
 
 int
@@ -63,9 +62,10 @@ Pipeline::execLatency(RobEntry &e)
 Cycles
 Pipeline::arbitrateWriteback(Cycles earliest)
 {
-    Cycles c = earliest;
-    for (;;) {
-        const std::size_t slot = c & (wbRingSize - 1);
+    for (Cycles c = earliest;; ++c) {
+        if (c - now_ > wbMask_)
+            growWritebackRing(c - now_);
+        const std::size_t slot = c & wbMask_;
         if (wbStamp_[slot] != c) {
             wbStamp_[slot] = c;
             wbCount_[slot] = 0;
@@ -74,8 +74,29 @@ Pipeline::arbitrateWriteback(Cycles earliest)
             ++wbCount_[slot];
             return c;
         }
-        ++c;
     }
+}
+
+void
+Pipeline::growWritebackRing(Cycles ahead)
+{
+    // Live counts are for cycles in [now_, now_ + old size); in a
+    // ring of at least ahead + 1 slots they and the new grant all
+    // keep distinct slots.
+    const std::size_t size =
+        std::bit_ceil(static_cast<std::size_t>(ahead) + 1);
+    std::vector<Cycles> stamps(size, ~Cycles(0));
+    std::vector<std::uint16_t> counts(size, 0);
+    for (std::size_t slot = 0; slot < wbStamp_.size(); ++slot) {
+        const Cycles c = wbStamp_[slot];
+        if (c != ~Cycles(0) && c >= now_) {
+            stamps[c & (size - 1)] = c;
+            counts[c & (size - 1)] = wbCount_[slot];
+        }
+    }
+    wbStamp_ = std::move(stamps);
+    wbCount_ = std::move(counts);
+    wbMask_ = size - 1;
 }
 
 bool
@@ -100,7 +121,7 @@ Pipeline::completeStage()
             static_cast<std::uint64_t>(iq_.occupancy());
 
         if (e.op.isLoad()) {
-            lsq_.remove(c.robIdx);
+            lsq_.removeLoad();
             e.inLsq = false;
             if (e.speculative)
                 --lsqSpec_;
@@ -130,6 +151,8 @@ Pipeline::squashAfter(std::int32_t branch_idx)
                         (rob_.distanceFromHead(branch_idx) + 1);
     int int_dests = 0;
     int fp_dests = 0;
+    // Youngest first, so each restored rename mapping ends as the one
+    // the oldest squashed writer of that register replaced.
     rob_.squashYoungest(younger, [&](std::int32_t idx, RobEntry &e) {
         ++ev_.squashedOps;
         if (e.inIq) {
@@ -139,53 +162,37 @@ Pipeline::squashAfter(std::int32_t branch_idx)
                 --iqSpec_;
         }
         if (e.inLsq) {
+            if (e.op.isStore())
+                lsq_.squashStore();
+            else
+                lsq_.removeLoad();
             ++ev_.lsqSquashed;
             if (e.speculative)
                 --lsqSpec_;
         }
         if (e.op.destReg != noReg) {
-            if (e.op.writesFp())
+            if (e.op.writesFp()) {
+                renameFp_[e.op.destReg] = e.prevProducer;
                 ++fp_dests;
-            else
+            } else {
+                renameInt_[e.op.destReg] = e.prevProducer;
                 ++int_dests;
+            }
         }
         if (e.op.isBranch() && e.state != OpState::Done) {
             --inFlightBranches_;
             --unresolvedRobBranches_;
         }
     });
-    lsq_.removeIf([&](std::int32_t idx) {
-        return rob_.entry(idx).state == OpState::Empty;
-    });
     rfInt_.squash(int_dests);
     rfFp_.squash(fp_dests);
 
     // Everything in the front-end queue is younger than the branch.
-    for (const auto &f : frontQ_) {
-        if (f.op.isBranch())
+    for (std::size_t i = 0; i < frontQ_.count; ++i) {
+        if (frontQ_.at(i).op.isBranch())
             --inFlightBranches_;
     }
     frontQ_.clear();
-
-    rebuildRenameAndCounts();
-}
-
-void
-Pipeline::rebuildRenameAndCounts()
-{
-    for (auto &p : renameInt_)
-        p = Producer{};
-    for (auto &p : renameFp_)
-        p = Producer{};
-    for (int i = 0; i < rob_.occupancy(); ++i) {
-        const std::int32_t idx = rob_.indexFromHead(i);
-        const RobEntry &e = rob_.entry(idx);
-        if (e.op.destReg != noReg) {
-            Producer &slot = e.op.writesFp() ?
-                renameFp_[e.op.destReg] : renameInt_[e.op.destReg];
-            slot = Producer{idx, e.seq};
-        }
-    }
 }
 
 bool
@@ -228,7 +235,7 @@ Pipeline::commitStage()
             // Retire the store data into the cache hierarchy.
             caches_.dataAccess(e.op.effAddr, true, ev_, observer_,
                                now_);
-            lsq_.remove(idx);
+            lsq_.commitStore();
             e.inLsq = false;
             if (e.speculative)
                 --lsqSpec_;
@@ -276,8 +283,8 @@ Pipeline::issueStage()
         if (!fus_.canIssue(e.op.opClass, now_))
             return true;
         if (e.op.isLoad()) {
-            const auto check =
-                lsq_.checkLoad(rob_, idx, ev_.lsqSearches);
+            const auto check = lsq_.checkLoad(
+                rob_, e.op.effAddr, e.storeStamp, ev_.lsqSearches);
             if (check == LoadStoreQueue::LoadCheck::MustWait)
                 return true;
             e.forwarded =
@@ -392,6 +399,7 @@ Pipeline::dispatchStage()
             rf.allocate();
             Producer &slot = op.writesFp() ?
                 renameFp_[op.destReg] : renameInt_[op.destReg];
+            e.prevProducer = slot;   // the undo log for squash
             slot = Producer{idx, seq};
         }
 
@@ -405,7 +413,10 @@ Pipeline::dispatchStage()
             if (e.speculative)
                 ++iqSpec_;
             if (op.isMem()) {
-                lsq_.insert(idx);
+                if (op.isLoad())
+                    e.storeStamp = lsq_.insertLoad();
+                else
+                    lsq_.insertStore(idx, op.effAddr);
                 e.inLsq = true;
                 ++ev_.lsqInserts;
                 if (e.speculative)
@@ -415,7 +426,7 @@ Pipeline::dispatchStage()
                 ++unresolvedRobBranches_;
         }
 
-        frontQ_.pop_front();
+        frontQ_.pop();
         ++dispatched;
     }
     return dispatched > 0;
@@ -429,7 +440,7 @@ Pipeline::fetchStage()
 
     int fetched = 0;
     while (fetched < cfg_.width) {
-        if (frontQ_.size() >= frontQCapacity_)
+        if (frontQ_.full())
             break;
         if (!wrongPathMode_ && traceIdx_ >= trace_.size())
             break;
@@ -503,7 +514,7 @@ Pipeline::fetchStage()
             }
         }
 
-        frontQ_.push_back(f);
+        frontQ_.push(f);
         ++ev_.fetchedOps;
         if (f.wrongPath)
             ++ev_.wrongPathOps;
@@ -542,7 +553,7 @@ Pipeline::observeCycle(std::uint64_t repeat)
     s.intRegsUsed = static_cast<std::uint32_t>(rfInt_.used());
     s.fpRegsUsed = static_cast<std::uint32_t>(rfFp_.used());
     s.rdPortsUsed = static_cast<std::uint32_t>(rdPortsUsed_);
-    const std::size_t slot = now_ & (wbRingSize - 1);
+    const std::size_t slot = now_ & wbMask_;
     s.wrPortsUsed = wbStamp_[slot] == now_ ? wbCount_[slot] : 0;
     s.aluUsed = static_cast<std::uint32_t>(fus_.aluUsed());
     s.memPortsUsed =
@@ -627,21 +638,6 @@ Pipeline::run(std::span<const isa::MicroOp> trace)
         const bool c3 = issueStage();
         const bool c4 = dispatchStage();
         const bool c5 = fetchStage();
-
-        static const bool trace_cycles = cycleTraceEnabled();
-        if (trace_cycles && now_ < 400) {
-            char buf[160];
-            std::snprintf(buf, sizeof(buf),
-                          "cyc%llu cmp=%d com=%d iss=%d dis=%d "
-                          "fet=%d rob=%d iq=%d frontQ=%zu stall=%llu "
-                          "tIdx=%zu\n",
-                          (unsigned long long)now_, c1, c2, c3, c4,
-                          c5, rob_.occupancy(), iq_.occupancy(),
-                          frontQ_.size(),
-                          (unsigned long long)fetchStallUntil_,
-                          traceIdx_);
-            lockedWrite(stderr, buf);
-        }
 
         if (c1 || c2 || c3 || c4 || c5) {
             observeCycle(1);

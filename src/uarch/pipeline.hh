@@ -20,12 +20,17 @@
  * the producer's consumers in the IssueQueue, and select visits only
  * ops whose producers have all completed, so a waiting op costs
  * nothing per cycle.
+ *
+ * Nothing in the loop re-derives state, and only a write-back grant
+ * past the end of the port ring allocates.  The front-end queue is a
+ * fixed ring, the LSQ searches only a store FIFO, and mispredict
+ * recovery undoes the squashed ops' rename mappings from their ROB
+ * entries instead of rebuilding the tables from the ROB (DESIGN §10).
  */
 
 #ifndef ADAPTSIM_UARCH_PIPELINE_HH
 #define ADAPTSIM_UARCH_PIPELINE_HH
 
-#include <deque>
 #include <queue>
 #include <span>
 #include <vector>
@@ -100,9 +105,9 @@ class Pipeline
     bool fetchStage();
 
     void squashAfter(std::int32_t branch_idx);
-    void rebuildRenameAndCounts();
     int execLatency(RobEntry &e);
     Cycles arbitrateWriteback(Cycles earliest);
+    void growWritebackRing(Cycles ahead);
     void observeCycle(std::uint64_t repeat);
     Cycles nextEventCycle() const;
 
@@ -119,24 +124,52 @@ class Pipeline
     RegisterFile rfFp_;
     FunctionalUnits fus_;
 
-    struct Producer
-    {
-        std::int32_t idx = -1;
-        std::uint32_t seq = 0;
-    };
     Producer renameInt_[isa::numArchRegs];
     Producer renameFp_[isa::numArchRegs];
 
-    std::deque<FetchedOp> frontQ_;
-    std::size_t frontQCapacity_ = 0;
+    /** Fetched ops waiting for dispatch: a FIFO ring whose capacity,
+     *  width × (frontendDelay + 1), is fixed at construction. */
+    struct FrontQueue
+    {
+        std::vector<FetchedOp> ops;
+        std::size_t head = 0;
+        std::size_t count = 0;
+
+        bool empty() const { return count == 0; }
+        bool full() const { return count == ops.size(); }
+        /** The i-th oldest op, 0 <= i < capacity. */
+        FetchedOp &
+        at(std::size_t i)
+        {
+            const std::size_t slot = head + i;
+            return ops[slot >= ops.size() ? slot - ops.size() : slot];
+        }
+        const FetchedOp &front() const { return ops[head]; }
+        void push(const FetchedOp &f)
+        {
+            at(count) = f;
+            ++count;
+        }
+        void pop()
+        {
+            head = head + 1 == ops.size() ? 0 : head + 1;
+            --count;
+        }
+        void clear() { count = 0; }
+    };
+    FrontQueue frontQ_;
 
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<Completion>> completions_;
 
-    // Write-back port arbitration ring (cycle-stamped counters).
-    static constexpr std::size_t wbRingSize = 1u << 14;
+    // Write-back port arbitration ring: cycle-stamped counters for
+    // the cycles [now_, now_ + size).  A grant further ahead (a
+    // request queued behind a contended shared LLC) grows the ring
+    // first, so no live count is ever aliased.
+    static constexpr std::size_t wbRingInitialSize = 1u << 14;
     std::vector<Cycles> wbStamp_;
     std::vector<std::uint16_t> wbCount_;
+    std::size_t wbMask_ = wbRingInitialSize - 1;
     std::uint16_t wbPorts_ = 0;   ///< cfg_.rfWrPorts, hoisted
 
     std::span<const isa::MicroOp> trace_;

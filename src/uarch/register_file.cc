@@ -14,22 +14,6 @@ RegisterFile::RegisterFile(int phys_regs)
 }
 
 void
-RegisterFile::allocate()
-{
-    if (!canAllocate())
-        panic("RegisterFile::allocate with no free registers");
-    ++inFlight_;
-}
-
-void
-RegisterFile::release()
-{
-    if (inFlight_ <= 0)
-        panic("RegisterFile::release with nothing in flight");
-    --inFlight_;
-}
-
-void
 RegisterFile::squash(int count)
 {
     if (count > inFlight_)

@@ -11,6 +11,7 @@
 #ifndef ADAPTSIM_UARCH_REGISTER_FILE_HH
 #define ADAPTSIM_UARCH_REGISTER_FILE_HH
 
+#include "common/logging.hh"
 #include "isa/micro_op.hh"
 
 namespace adaptsim::uarch
@@ -26,10 +27,22 @@ class RegisterFile
     bool canAllocate() const { return inFlight_ < renameRegs_; }
 
     /** Claim one physical register for an in-flight destination. */
-    void allocate();
+    void
+    allocate()
+    {
+        if (!canAllocate())
+            panic("RegisterFile::allocate with no free registers");
+        ++inFlight_;
+    }
 
     /** Release at commit (the previous mapping is freed). */
-    void release();
+    void
+    release()
+    {
+        if (inFlight_ <= 0)
+            panic("RegisterFile::release with nothing in flight");
+        --inFlight_;
+    }
 
     /** Release @p count registers of squashed in-flight producers. */
     void squash(int count);

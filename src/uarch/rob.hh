@@ -6,6 +6,12 @@
  * guards against stale references after squash/recycle (pending
  * completions, rename-table entries).  Producer/consumer links live
  * in the IssueQueue, keyed by the same slot indices.
+ *
+ * Each entry also carries the rename mapping its destination
+ * replaced (an undo log): squash walks the squashed entries
+ * youngest first and restores those mappings, so recovery never
+ * re-walks the surviving entries.  The per-op methods are defined
+ * here so they inline into the pipeline loop.
  */
 
 #ifndef ADAPTSIM_UARCH_ROB_HH
@@ -14,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "isa/micro_op.hh"
 
@@ -27,6 +34,16 @@ enum class OpState : std::uint8_t
     Dispatched,   ///< waiting in IQ (and LSQ if memory)
     Issued,       ///< executing
     Done          ///< result available
+};
+
+/** A rename-table mapping: the ROB slot and seq of a register's
+ *  latest producer, or slot -1 for none.  A mapping whose (slot,
+ *  seq) is no longer valid() names a committed or recycled producer,
+ *  whose value is ready. */
+struct Producer
+{
+    std::int32_t idx = -1;
+    std::uint32_t seq = 0;
 };
 
 /** All pipeline-tracked state of one in-flight µop. */
@@ -43,6 +60,8 @@ struct RobEntry
     bool forwarded = false;       ///< load satisfied by a store
     std::uint32_t histSnapshot = 0; ///< bpred history before branch
     Cycles doneCycle = 0;
+    Producer prevProducer;        ///< mapping the destination replaced
+    std::uint64_t storeStamp = 0; ///< load: LSQ store tail at dispatch
 };
 
 /** The reorder buffer ring. */
@@ -67,10 +86,34 @@ class Rob
     }
 
     /** Append a new entry at the tail; returns its slot index. */
-    std::int32_t push();
+    std::int32_t
+    push()
+    {
+        if (full())
+            panic("Rob::push on full ROB");
+        ++count_;
+        const std::int32_t idx = tailIndex();
+        RobEntry &e = entries_[idx];
+        // Preserve seq (incremented on recycle), reset the rest.
+        const std::uint32_t seq = e.seq + 1;
+        e = RobEntry{};
+        e.seq = seq;
+        e.state = OpState::Dispatched;
+        return idx;
+    }
 
     /** Retire the head entry. */
-    void popHead();
+    void
+    popHead()
+    {
+        if (empty())
+            panic("Rob::popHead on empty ROB");
+        RobEntry &e = entries_[head_];
+        e.state = OpState::Empty;
+        ++e.seq;
+        head_ = indexFromHead(1);
+        --count_;
+    }
 
     /**
      * Squash the @p count youngest entries (from the tail), youngest

@@ -143,19 +143,6 @@ TEST(Env, TraceCacheCapacityDefaultAndClamp)
     unsetenv("ADAPTSIM_TRACE_CACHE");
 }
 
-TEST(Env, CycleTrace)
-{
-    unsetenv("ADAPTSIM_CYCLE_TRACE");
-    EXPECT_FALSE(cycleTraceEnabled());
-    setenv("ADAPTSIM_CYCLE_TRACE", "0", 1);
-    EXPECT_FALSE(cycleTraceEnabled());
-    setenv("ADAPTSIM_CYCLE_TRACE", "off", 1);
-    EXPECT_FALSE(cycleTraceEnabled());
-    setenv("ADAPTSIM_CYCLE_TRACE", "1", 1);
-    EXPECT_TRUE(cycleTraceEnabled());
-    unsetenv("ADAPTSIM_CYCLE_TRACE");
-}
-
 TEST(Env, BackendNameDefaultAndOverride)
 {
     unsetenv("ADAPTSIM_BACKEND");

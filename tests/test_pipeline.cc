@@ -316,6 +316,87 @@ TEST(Pipeline, MispredictRecoveryPromptDespiteWrongPathMisses)
     // latency per mispredict (~20 x memLatency ≈ 3400 cycles here).
 }
 
+namespace
+{
+
+/**
+ * Cycles to run: P, a load that misses to memory, writes r5; a mul
+ * chain feeds B, a branch the cold predictor mispredicts; C, the
+ * first correct-path op after B, is a load that reads r5 when
+ * @p c_reads_r5 (else r0) and also misses.  B resolves late enough
+ * for wrong-path ops that write every integer register, r5 among
+ * them, to dispatch and be squashed.
+ */
+SimResult
+runSquashedWriterTrace(bool c_reads_r5, Cycles &mem_latency)
+{
+    using isa::MicroOp;
+    using isa::OpClass;
+
+    constexpr Addr codeBase = 0x40'0000;
+    std::vector<MicroOp> trace;
+    auto add = [&](OpClass cls, std::int16_t dest, std::int16_t src) {
+        MicroOp op;
+        op.pc = codeBase + 4 * trace.size();
+        op.opClass = cls;
+        op.destReg = dest;
+        op.srcReg0 = src;
+        op.bbId = 1;
+        trace.push_back(op);
+        return &trace.back();
+    };
+    add(OpClass::Load, 5, 0)->effAddr = 0x2000'0000;   // P
+    add(OpClass::IntMul, 7, 0);
+    for (std::int16_t r = 8; r <= 12; ++r)
+        add(OpClass::IntMul, r, std::int16_t(r - 1));
+    MicroOp *b = add(OpClass::Branch, isa::noReg, 12);  // B
+    b->isCond = true;
+    b->taken = true;
+    b->target = b->pc + 4;
+    add(OpClass::Load, 6, c_reads_r5 ? 5 : 0)->effAddr =
+        0x3000'0000;                                     // C
+
+    // Wrong path: integer ALU ops only, no branches; their
+    // destinations walk every integer register in turn.
+    workload::KernelParams mix;
+    mix.fracLoad = 0.0;
+    mix.fracStore = 0.0;
+    mix.blockSize = 1000;
+    workload::WrongPathGenerator wp(mix, 5);
+
+    const auto cc = CoreConfig::fromConfiguration(
+        harness::paperBaselineConfig());
+    mem_latency = cc.memLatency;
+    Core core(cc, wp);
+    // Warm the I-cache over the code and the wrong path (no branch
+    // or memory op, so the predictor and D-cache stay cold).
+    std::vector<MicroOp> code(1024);
+    for (std::size_t i = 0; i < code.size(); ++i)
+        code[i].pc = codeBase + 4 * i;
+    core.warm(code);
+    return core.run(trace);
+}
+
+} // namespace
+
+TEST(Pipeline, SquashRestoresRenameMappingOfPreBranchProducer)
+{
+    // After the mispredict squash, C must wait on P (its producer
+    // from before the branch), not on a squashed wrong-path writer of
+    // r5 and not on nothing: its miss starts only when P's returns.
+    Cycles mem = 0;
+    const auto dep = runSquashedWriterTrace(true, mem);
+    const auto indep = runSquashedWriterTrace(false, mem);
+    for (const auto *r : {&dep, &indep}) {
+        EXPECT_EQ(r->events.committedOps, 9u);
+        EXPECT_EQ(r->events.mispredicts, 1u);
+        // 31 consecutive wrong-path ops write all 31 integer
+        // registers, r5 included.
+        EXPECT_GE(r->events.squashedOps, 31u);
+    }
+    EXPECT_GT(dep.cycles, indep.cycles + mem / 2);
+}
+
 TEST(Pipeline, GoldenResultsAreFrozen)
 {
     // Exact SimResult values captured from the reference build

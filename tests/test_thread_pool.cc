@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "common/logging.hh"
 #include "harness/thread_pool.hh"
 
 using adaptsim::harness::ThreadPool;
@@ -175,4 +179,86 @@ TEST(ThreadPool, ConcurrentExternalCallersSerialize)
     t2.join();
     EXPECT_EQ(a.load(), 499L * 500 / 2);
     EXPECT_EQ(b.load(), 499L * 500 / 2);
+}
+
+TEST(ThreadPool, BatchHandOffRunsEveryIndexOnceThroughItsOwnBatch)
+{
+    // Sequential batches that alternate between 64 and 2 indices.  A
+    // worker that wakes late for a finished 64-index batch must not
+    // claim indices of the next batch and run them through the old
+    // batch's function: that loses the new batch's work, and the
+    // stale claim count can wrap the drain counter so parallelFor
+    // never returns.  The last few batches' functions stay alive, so
+    // a stale call is counted instead of being undefined behaviour;
+    // a watchdog turns a hang into a failure.
+#if defined(__SANITIZE_THREAD__)
+    constexpr std::size_t batches = 20000;
+#else
+    constexpr std::size_t batches = 200000;
+#endif
+    constexpr std::size_t ring = 8;
+    constexpr std::size_t maxIndices = 64;
+
+    struct Batch
+    {
+        std::atomic<std::size_t> id{0};
+        std::atomic<bool> returned{false};
+        std::size_t n = 0;
+        std::array<std::atomic<int>, maxIndices> hits{};
+        std::function<void(std::size_t)> fn;
+    };
+    std::vector<Batch> slots(ring);
+    std::atomic<std::size_t> staleCalls{0};
+
+    // The watchdog fails the test when no batch drains for 10 s.
+    std::atomic<std::size_t> drained{0};
+    std::atomic<bool> finished{false};
+    std::thread watchdog([&] {
+        std::size_t seen = 0;
+        auto last_progress = std::chrono::steady_clock::now();
+        while (!finished.load()) {
+            const auto now = std::chrono::steady_clock::now();
+            if (drained.load() != seen) {
+                seen = drained.load();
+                last_progress = now;
+            } else if (now - last_progress > std::chrono::seconds(10)) {
+                adaptsim::panic("ThreadPool batch hand-off: batch ",
+                                seen, " did not drain within 10 s");
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+    });
+
+    ThreadPool pool(2);
+    std::size_t wrongBatches = 0;
+    for (std::size_t b = 0; b < batches; ++b) {
+        Batch &slot = slots[b % ring];
+        slot.id.store(b);
+        slot.returned.store(false);
+        slot.n = b % 2 == 0 ? maxIndices : 2;
+        for (auto &h : slot.hits)
+            h.store(0);
+        slot.fn = [&slot, &staleCalls, b](std::size_t i) {
+            if (slot.id.load() != b || slot.returned.load() ||
+                i >= slot.n) {
+                ++staleCalls;
+                return;
+            }
+            ++slot.hits[i];
+        };
+        pool.parallelFor(slot.n, slot.fn);
+        slot.returned.store(true);
+        drained.store(b + 1);
+        for (std::size_t i = 0; i < slot.n; ++i) {
+            if (slot.hits[i].load() != 1) {
+                ++wrongBatches;
+                break;
+            }
+        }
+    }
+    finished.store(true);
+    watchdog.join();
+
+    EXPECT_EQ(wrongBatches, 0u);
+    EXPECT_EQ(staleCalls.load(), 0u);
 }
