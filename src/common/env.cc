@@ -110,10 +110,4 @@ traceFile()
     return envString("ADAPTSIM_TRACE_FILE", "adaptsim_trace.json");
 }
 
-std::string
-backendName()
-{
-    return envString("ADAPTSIM_BACKEND", "cycle");
-}
-
 } // namespace adaptsim

@@ -50,10 +50,6 @@ bool traceEnabled();
  *  (default "adaptsim_trace.json"). */
 std::string traceFile();
 
-/** ADAPTSIM_BACKEND: default performance-model backend name
- *  ("cycle" when unset; see src/sim/perf_model.hh). */
-std::string backendName();
-
 } // namespace adaptsim
 
 #endif // ADAPTSIM_COMMON_ENV_HH

@@ -189,11 +189,8 @@ ChipController::ChipController(
     const ml::AdaptivityModel &model,
     const ChipControllerOptions &options)
     : workloads_(workloads), opt_(options),
-      backend_(options.backend ? *options.backend
-                               : sim::defaultPerfModel()),
-      profileBackend_(backend_.supportsObservers()
-                          ? backend_
-                          : sim::perfModel("cycle"))
+      backend_(sim::resolvePerfModel(options.backend)),
+      profileBackend_(sim::profilingPerfModel(backend_))
 {
     const std::size_t n = workloads_.size();
     if (n == 0)
@@ -357,8 +354,7 @@ runStaticChip(const std::vector<const workload::Workload *> &workloads,
     const std::size_t n = workloads.size();
     if (n == 0)
         fatal("runStaticChip: need at least one workload");
-    const sim::PerfModel &model =
-        backend ? *backend : sim::defaultPerfModel();
+    const sim::PerfModel &model = sim::resolvePerfModel(backend);
 
     uarch::ChipConfig chip_cfg = chip_geometry;
     chip_cfg.coreConfigs.assign(n, config);

@@ -18,9 +18,11 @@
  * single-core processor is the one-core chip.  A one-core chip runs
  * on any backend's own core session; a multi-core chip runs on the
  * cycle-level uarch::Chip, the only model of the shared LLC, so it
- * needs the "cycle" backend.
+ * needs the "cycle" backend.  A null backend means "cycle".
  * Profiling intervals run on a persistent per-core *solo* session at
- * the profiling configuration — the predictive model was trained on
+ * the profiling configuration, on sim::profilingPerfModel() of the
+ * chip's backend (the same choice EvalRepository::profile makes for
+ * training profiles) — the predictive model was trained on
  * interference-free profiles, so feeding it nominal-condition
  * counters keeps the feature distribution it learned; the
  * interference itself reaches the timing through the chip model, not
@@ -65,11 +67,11 @@ struct ChipControllerOptions
      *  each interval once instead of once per run. */
     workload::TraceCache *traceCache = nullptr;
 
-    /** Backend for the chip intervals; nullptr selects the
-     *  ADAPTSIM_BACKEND default.  Any backend runs a one-core chip;
-     *  a multi-core chip needs "cycle" (fatal otherwise).  Profiling
-     *  intervals need observer callbacks, so a backend without
-     *  observer support profiles on the cycle-level model. */
+    /** Backend for the chip intervals; nullptr selects "cycle".
+     *  Any backend runs a one-core chip; a multi-core chip needs
+     *  "cycle" (fatal otherwise).  Profiling intervals need observer
+     *  callbacks, so a backend without observer support profiles on
+     *  the cycle-level model (sim::profilingPerfModel). */
     const sim::PerfModel *backend = nullptr;
 };
 
@@ -160,9 +162,9 @@ class ChipController
 
 /**
  * Reference point: every core pinned to @p config for the whole run
- * on the same chip geometry.  @p backend nullptr selects the
- * ADAPTSIM_BACKEND default; as for ChipControllerOptions::backend,
- * a multi-core chip needs "cycle".
+ * on the same chip geometry.  @p backend nullptr selects "cycle";
+ * as for ChipControllerOptions::backend, a multi-core chip needs
+ * "cycle".
  */
 ChipRunStats
 runStaticChip(const std::vector<const workload::Workload *> &workloads,

@@ -180,6 +180,10 @@ Experiment::computeModelResults(counters::FeatureSet set)
     {
         std::ifstream in(path);
         if (in) {
+            // Served only if every phase index has a line: a file
+            // that repeats one index and lacks another would leave
+            // the missing phase on a default configuration.
+            std::vector<bool> seen(results.size(), false);
             std::size_t count = 0;
             std::string line;
             while (std::getline(in, line)) {
@@ -191,7 +195,10 @@ Experiment::computeModelResults(counters::FeatureSet set)
                     idx < results.size()) {
                     results[idx].config =
                         space::Configuration::decode(code);
-                    ++count;
+                    if (!seen[idx]) {
+                        seen[idx] = true;
+                        ++count;
+                    }
                 }
             }
             loaded = count == results.size();

@@ -255,8 +255,7 @@ gatherTrainingData(EvalRepository &repo,
     }
     // Memo entries only transfer between gathers on one backend.
     const std::uint64_t backend =
-        (options.backend ? *options.backend : sim::defaultPerfModel())
-            .cacheTag();
+        sim::resolvePerfModel(options.backend).cacheTag();
 
     std::vector<GatheredPhase> out;
     out.reserve(phases.size());

@@ -5,7 +5,9 @@
  * best point found, and a final one-at-a-time sweep around the
  * refined best.  The paper runs 1,298 simulations per phase; the
  * counts here are scaled (see DESIGN.md) and controlled by
- * ADAPTSIM_SCALE.
+ * ADAPTSIM_SCALE.  Every evaluation and each phase's profiling run
+ * is one EvalRepository phase simulation on GatherOptions::backend
+ * (null means "cycle").
  */
 
 #ifndef ADAPTSIM_HARNESS_GATHER_HH
@@ -34,9 +36,9 @@ struct GatherOptions
     bool progress = true;      ///< per-phase cache/progress lines
     std::uint64_t seed = 2010;
 
-    /** Backend for the evaluation batches; nullptr selects the
-     *  ADAPTSIM_BACKEND default.  (Profiling runs always use an
-     *  observer-capable backend; see EvalRepository::profile.) */
+    /** Backend for the evaluation batches; nullptr selects
+     *  "cycle".  (Profiling runs always use an observer-capable
+     *  backend; see sim::profilingPerfModel.) */
     const sim::PerfModel *backend = nullptr;
 
     /** Skip the per-phase profiling-counter run (step 4).  Backend

@@ -235,13 +235,14 @@ EvalRepository::cacheFor(const PhaseSpec &spec)
     return cache;
 }
 
-EvalRecord
+uarch::SimResult
 EvalRepository::simulate(const PhaseSpec &spec,
-                         const space::Configuration &config,
-                         const sim::PerfModel &backend)
+                         const uarch::CoreConfig &cc,
+                         const sim::PerfModel &backend,
+                         uarch::SimObserver *observer)
 {
+    const auto t0 = std::chrono::steady_clock::now();
     const auto &wl = workload(spec.workload);
-    const auto cc = uarch::CoreConfig::fromConfiguration(config);
     // Each simulation gets its own wrong-path stream (the generator
     // is stateful); seeding is canonical so results are reproducible.
     std::optional<workload::WrongPathGenerator> wrong_path;
@@ -264,22 +265,18 @@ EvalRepository::simulate(const PhaseSpec &spec,
     }
     const auto trace =
         traceCache_.get(wl, spec.startInst, spec.detailLength);
-    const auto result = backend.run(*session, *trace);
-    power::Metrics m;
-    {
-        OBS_SPAN("repo/metrics");
-        m = session->metricsFor(result);
-    }
+    const auto result = backend.run(*session, *trace, observer);
 
-    EvalRecord r;
-    r.cycles = m.cycles;
-    r.instructions = m.instructions;
-    r.seconds = m.seconds;
-    r.joules = m.joules;
-    r.ipc = m.ipc;
-    r.watts = m.watts;
-    r.efficiency = m.efficiency;
-    return r;
+    const double secs =
+        std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    OBS_ONLY(repoMetrics().miss.add(1);)
+    MutexLock lock(mutex_);
+    simSeconds_ += secs;
+    ++simulated_;
+    ++simulatedByBackend_[backend.name()];
+    return result;
 }
 
 EvalRecord
@@ -287,8 +284,7 @@ EvalRepository::evaluate(const PhaseSpec &spec,
                          const space::Configuration &config,
                          const sim::PerfModel *backend)
 {
-    const sim::PerfModel &model =
-        backend ? *backend : sim::defaultPerfModel();
+    const sim::PerfModel &model = sim::resolvePerfModel(backend);
     const EvalKey key{model.cacheTag(), config.encode()};
     {
         MutexLock lock(mutex_);
@@ -301,22 +297,24 @@ EvalRepository::evaluate(const PhaseSpec &spec,
         }
     }
 
-    const auto t0 = std::chrono::steady_clock::now();
     EvalRecord r;
     {
         OBS_SPAN("repo/simulate");
-        r = simulate(spec, config, model);
+        const auto cc = uarch::CoreConfig::fromConfiguration(config);
+        const auto result = simulate(spec, cc, model);
+        OBS_SPAN("repo/metrics");
+        const power::Metrics m =
+            power::computeMetrics(cc, result.events);
+        r.cycles = m.cycles;
+        r.instructions = m.instructions;
+        r.seconds = m.seconds;
+        r.joules = m.joules;
+        r.ipc = m.ipc;
+        r.watts = m.watts;
+        r.efficiency = m.efficiency;
     }
-    const double secs =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    OBS_ONLY(repoMetrics().miss.add(1);)
 
     MutexLock lock(mutex_);
-    simSeconds_ += secs;
-    ++simulated_;
-    ++simulatedByBackend_[model.name()];
     auto &cache = cacheFor(spec);
     // Two threads may race to simulate the same config (simulation
     // is deterministic, so both results are identical); only the
@@ -377,13 +375,10 @@ EvalRepository::evaluateBatch(
     const std::vector<space::Configuration> &configs,
     const sim::PerfModel *backend)
 {
-    // Concurrent gathers may share one repository; the pool runs one
-    // batch at a time, so callers queue here rather than racing into
-    // parallelFor.  The backend is resolved once so every evaluation
-    // of the batch uses the same model even if the env changes.
-    const sim::PerfModel &model =
-        backend ? *backend : sim::defaultPerfModel();
-    MutexLock batch(batchMutex_);
+    // Concurrent gathers may share one repository: the pool runs one
+    // batch at a time and queues other callers, and an inline batch
+    // only calls the thread-safe evaluate().
+    const sim::PerfModel &model = sim::resolvePerfModel(backend);
     std::vector<EvalRecord> out(configs.size());
     pool_.parallelFor(configs.size(), [&](std::size_t i) {
         out[i] = evaluate(spec, configs[i], &model);
@@ -399,11 +394,8 @@ EvalRepository::profile(const PhaseSpec &spec,
     // analytical backend cannot drive it; profiling falls back to
     // the cycle-level reference model in that case.  Profile caches
     // are therefore always observer-fidelity and carry no tag.
-    const sim::PerfModel &requested =
-        backend ? *backend : sim::defaultPerfModel();
-    const sim::PerfModel &model = requested.supportsObservers()
-                                      ? requested
-                                      : sim::perfModel("cycle");
+    const sim::PerfModel &requested = sim::resolvePerfModel(backend);
+    const sim::PerfModel &model = sim::profilingPerfModel(requested);
     if (&model != &requested) {
         MutexLock lock(mutex_);
         if (profileWarned_.insert(requested.name()).second)
@@ -467,27 +459,10 @@ EvalRepository::profile(const PhaseSpec &spec,
 
     // Run the profiling configuration with the counter bank.
     OBS_SPAN("repo/profile");
-    OBS_ONLY(repoMetrics().miss.add(1);)
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto &wl = workload(spec.workload);
-    workload::WrongPathGenerator wrong_path(wl.averageParams(),
-                                            wl.seed() ^ 0x57a71cULL);
-    const auto profiling = space::Configuration::profiling();
-    const auto cc = uarch::CoreConfig::fromConfiguration(profiling);
-    const auto session = model.makeSession(cc, wrong_path);
-
-    const std::uint64_t warm_start =
-        spec.startInst >= spec.warmLength ?
-            spec.startInst - spec.warmLength :
-            0;
-    if (spec.warmLength > 0)
-        session->warm(*traceCache_.get(wl, warm_start,
-                                       spec.warmLength));
-
+    const auto cc = uarch::CoreConfig::fromConfiguration(
+        space::Configuration::profiling());
     counters::CounterBank bank(cc);
-    const auto trace =
-        traceCache_.get(wl, spec.startInst, spec.detailLength);
-    const auto result = model.run(*session, *trace, &bank);
+    const auto result = simulate(spec, cc, model, &bank);
     bank.finalise(result.events);
 
     ProfileRecord rec;
@@ -495,10 +470,6 @@ EvalRepository::profile(const PhaseSpec &spec,
         bank, counters::FeatureSet::Basic);
     rec.advanced = counters::assembleFeatures(
         bank, counters::FeatureSet::Advanced);
-    const double secs =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
 
     // Persist atomically; 17 significant digits round-trip doubles
     // exactly through the decimal text format.
@@ -517,9 +488,6 @@ EvalRepository::profile(const PhaseSpec &spec,
 
     MutexLock lock(mutex_);
     profiles_[spec.key()] = rec;
-    ++simulated_;
-    ++simulatedByBackend_[model.name()];
-    simSeconds_ += secs;
     return rec;
 }
 

@@ -11,7 +11,10 @@
  * Evaluations run through a pluggable performance-model backend
  * (src/sim); results of different fidelities never mix, because the
  * backend's cache tag is part of every in-memory key and on-disk
- * record.
+ * record.  An evaluation and a profiling run are the same phase
+ * simulation (simulate(): wrong-path stream, session, warm window,
+ * detail window); a profile attaches the counter bank and runs on
+ * sim::profilingPerfModel() of the requested backend.
  *
  * On-disk format: each PhaseSpec's store is one file, `<key>.evc`: a
  * 24-byte header (8-byte magic "ADSIMEVC", little-endian u64
@@ -52,6 +55,13 @@
 namespace adaptsim::sim
 {
 class PerfModel;
+}
+
+namespace adaptsim::uarch
+{
+struct CoreConfig;
+struct SimResult;
+class SimObserver;
 }
 
 namespace adaptsim::harness
@@ -118,9 +128,10 @@ struct EvalKeyHash
 /** Running counters of repository activity (see stats()).  Every
  *  increment is mirrored into the process-wide obs registry under
  *  repo/hit, repo/miss, repo/loaded, repo/flushed and
- *  repo/dropped (plus the repo/simulate.seconds span histogram
- *  and, inside it, repo/session, repo/warm and repo/metrics), so the
- *  exit metrics report and traces see the same numbers. */
+ *  repo/dropped (plus the repo/simulate and repo/profile span
+ *  histograms, inside both the repo/session and repo/warm spans, and
+ *  inside repo/simulate repo/metrics), so the exit metrics report
+ *  and traces see the same numbers. */
 struct CacheStats
 {
     std::uint64_t hits = 0;        ///< served from memory/disk cache
@@ -157,7 +168,7 @@ class EvalRepository
     /**
      * Evaluate one configuration on one phase (cached).
      * @param backend performance model to simulate with; nullptr
-     *   selects the ADAPTSIM_BACKEND default.  Results are cached
+     *   selects "cycle".  Results are cached
      *   per backend (fidelities never mix): the record is looked up
      *   and stored under the backend's cacheTag().
      */
@@ -166,18 +177,20 @@ class EvalRepository
                         const sim::PerfModel *backend = nullptr)
         ADAPTSIM_EXCLUDES(mutex_);
 
-    /** Evaluate many configurations on one phase, in parallel. */
+    /** Evaluate many configurations on one phase, in parallel.
+     *  Batches from concurrent callers queue in the pool. */
     std::vector<EvalRecord>
     evaluateBatch(const PhaseSpec &spec,
                   const std::vector<space::Configuration> &configs,
                   const sim::PerfModel *backend = nullptr)
-        ADAPTSIM_EXCLUDES(batchMutex_, mutex_);
+        ADAPTSIM_EXCLUDES(mutex_);
 
     /**
      * Profiling-configuration run with counters (cached).  The
      * counter bank needs per-cycle observer callbacks, so a
      * @p backend without observer support (e.g. "interval") falls
-     * back to the cycle-level model with a warning.
+     * back to the cycle-level model (sim::profilingPerfModel), with
+     * one warning per backend.
      */
     ProfileRecord profile(const PhaseSpec &spec,
                           const sim::PerfModel *backend = nullptr)
@@ -239,10 +252,13 @@ class EvalRepository
         bool haveBinaryFile = false;
     };
 
-    /** Run the real simulation through @p backend (no caching). */
-    EvalRecord simulate(const PhaseSpec &spec,
-                        const space::Configuration &config,
-                        const sim::PerfModel &backend)
+    /** Simulate @p spec's detail window on @p cc through
+     *  @p backend after its warm window, with @p observer attached
+     *  (no caching; counted in stats()). */
+    uarch::SimResult simulate(const PhaseSpec &spec,
+                              const uarch::CoreConfig &cc,
+                              const sim::PerfModel &backend,
+                              uarch::SimObserver *observer = nullptr)
         ADAPTSIM_EXCLUDES(mutex_);
 
     PhaseCache &cacheFor(const PhaseSpec &spec)
@@ -263,10 +279,6 @@ class EvalRepository
     /** One trace per (phase × {warm, detail}) regardless of how
      *  many configurations replay it (thread-safe internally). */
     workload::TraceCache traceCache_;
-
-    /** Serializes evaluateBatch calls from distinct user threads so
-     *  concurrent gathers can share one repository. */
-    Mutex batchMutex_ ADAPTSIM_ACQUIRED_BEFORE(mutex_);
 
     mutable Mutex mutex_;
     std::unordered_map<std::string, PhaseCache> caches_

@@ -25,9 +25,6 @@ struct Metrics
     double joules = 0.0;
     double watts = 0.0;
     double efficiency = 0.0;     ///< ips³ / Watt
-
-    /** Serialise to a fixed-field line (cache file format). */
-    static constexpr int numFields = 9;
 };
 
 /** Compute the paper's metrics from a simulation outcome. */

@@ -5,6 +5,7 @@
 
 #include "uarch/branch_predictor.hh"
 #include "uarch/cache_hierarchy.hh"
+#include "uarch/core.hh"
 
 namespace adaptsim::sim
 {
@@ -38,21 +39,7 @@ class IntervalSession final : public CoreSession
 
     void warm(std::span<const isa::MicroOp> trace) override
     {
-        // Mirrors uarch::Core::warm so both backends see identically
-        // warmed caches and predictor for the same warm trace.
-        Addr last_line = invalidAddr;
-        for (const auto &op : trace) {
-            const Addr line =
-                op.pc / uarch::CoreConfig::cacheLineBytes;
-            if (line != last_line) {
-                caches_.warmFetch(op.pc);
-                last_line = line;
-            }
-            if (op.isMem())
-                caches_.warmData(op.effAddr, op.isStore());
-            else if (op.isBranch())
-                bpred_.warmAccess(op.pc, op.taken);
-        }
+        uarch::warmStructures(caches_, bpred_, trace);
     }
 
     uarch::SimResult run(std::span<const isa::MicroOp> trace,

@@ -2,7 +2,6 @@
 
 #include <array>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "obs/obs.hh"
 #include "sim/cycle_level_model.hh"
@@ -61,41 +60,32 @@ table()
 
 } // namespace
 
-const PerfModel *
-findPerfModel(const std::string &name)
-{
-    for (const auto &entry : table()) {
-        if (name == entry.model->name())
-            return entry.model.get();
-    }
-    return nullptr;
-}
-
 const PerfModel &
 perfModel(const std::string &name)
 {
-    if (const PerfModel *model = findPerfModel(name))
-        return *model;
+    for (const auto &entry : table()) {
+        if (name == entry.model->name())
+            return *entry.model;
+    }
     std::string known;
-    for (const auto &n : perfModelNames())
-        known += (known.empty() ? "" : ", ") + n;
+    for (const auto &entry : table())
+        known += (known.empty() ? "" : ", ") +
+                 std::string(entry.model->name());
     fatal("unknown perf-model backend \"", name, "\" (known: ", known,
-          "); check ADAPTSIM_BACKEND");
+          ")");
 }
 
 const PerfModel &
-defaultPerfModel()
+resolvePerfModel(const PerfModel *backend)
 {
-    return perfModel(backendName());
+    return backend ? *backend : perfModel("cycle");
 }
 
-std::vector<std::string>
-perfModelNames()
+const PerfModel &
+profilingPerfModel(const PerfModel &requested)
 {
-    std::vector<std::string> names;
-    for (const auto &entry : table())
-        names.push_back(entry.model->name());
-    return names;
+    return requested.supportsObservers() ? requested
+                                         : perfModel("cycle");
 }
 
 uarch::SimResult
@@ -115,20 +105,6 @@ PerfModel::run(CoreSession &session,
     }
 #endif
     return session.run(trace, observer);
-}
-
-power::Metrics
-PerfModel::evaluate(const space::Configuration &config,
-                    workload::WrongPathGenerator &wrong_path,
-                    std::span<const isa::MicroOp> warm_trace,
-                    std::span<const isa::MicroOp> detail_trace) const
-{
-    const auto cc = uarch::CoreConfig::fromConfiguration(config);
-    const auto session = makeSession(cc, wrong_path);
-    if (!warm_trace.empty())
-        session->warm(warm_trace);
-    const auto result = run(*session, detail_trace);
-    return session->metricsFor(result);
 }
 
 } // namespace adaptsim::sim

@@ -6,11 +6,12 @@
  * — the evaluation repository, the runtime controller, the benches —
  * goes through the abstract PerfModel interface instead of
  * constructing the cycle-level uarch::Core directly.  Backends are
- * looked up by name in a fixed table of the two built-ins;
- * ADAPTSIM_BACKEND selects the default (see common/env), and every
- * entry point takes a per-call override.  The backends simulate one
- * core; a multi-core chip runs on the cycle-level uarch::Chip
- * (control/chip_controller).
+ * looked up by name in a fixed table of the two built-ins; every
+ * entry point takes an optional backend, and a null one means
+ * "cycle" (resolvePerfModel).  Profiling runs need observer
+ * callbacks, so they run on profilingPerfModel() of the requested
+ * backend.  The backends simulate one core; a multi-core chip runs
+ * on the cycle-level uarch::Chip (control/chip_controller).
  *
  * Two backends ship built in:
  *
@@ -20,7 +21,7 @@
  *               analysis that replays the trace through the *real*
  *               cache and branch-predictor models in one linear pass
  *               and prices the penalty events analytically.  No
- *               per-cycle loop, ≥10× faster, bounded IPC error.
+ *               per-cycle loop, bounded IPC error.
  *
  * Results of different fidelities must never mix: each backend
  * carries a cacheTag() that the repository folds into its in-memory
@@ -33,10 +34,8 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "power/metrics.hh"
-#include "space/configuration.hh"
 #include "uarch/core_config.hh"
 #include "uarch/events.hh"
 #include "uarch/pipeline.hh"
@@ -117,31 +116,18 @@ class PerfModel
     uarch::SimResult run(CoreSession &session,
                          std::span<const isa::MicroOp> trace,
                          uarch::SimObserver *observer = nullptr) const;
-
-    /**
-     * One-shot convenience: session + optional warm + instrumented
-     * run + power metrics (the `run(trace, config) -> EvalMetrics`
-     * shape of the seam).  @p warm_trace may be empty.
-     */
-    power::Metrics
-    evaluate(const space::Configuration &config,
-             workload::WrongPathGenerator &wrong_path,
-             std::span<const isa::MicroOp> warm_trace,
-             std::span<const isa::MicroOp> detail_trace) const;
 };
 
 /** Backend by name; fatal on unknown names (message lists the
  *  known ones).  Handles stay valid for the process lifetime. */
 const PerfModel &perfModel(const std::string &name);
 
-/** Backend by name, or nullptr when unknown (never creates). */
-const PerfModel *findPerfModel(const std::string &name);
+/** @p backend, or the "cycle" reference model when it is null. */
+const PerfModel &resolvePerfModel(const PerfModel *backend);
 
-/** The ADAPTSIM_BACKEND-selected default backend. */
-const PerfModel &defaultPerfModel();
-
-/** Sorted names of all backends. */
-std::vector<std::string> perfModelNames();
+/** The backend profiling runs of @p requested use: @p requested
+ *  itself if it supportsObservers(), else "cycle". */
+const PerfModel &profilingPerfModel(const PerfModel &requested);
 
 } // namespace adaptsim::sim
 

@@ -15,8 +15,8 @@ Chip::Chip(const ChipConfig &cfg,
     : cfg_(cfg), wrongPaths_(wrong_paths)
 {
     const std::size_t n = cfg_.numCores();
-    if (n == 0)
-        panic("Chip: need at least one core");
+    if (n < 2)
+        panic("Chip: need at least two cores (got ", n, ")");
     if (wrong_paths.size() != n)
         panic("Chip: ", wrong_paths.size(), " wrong-path sources for ",
               n, " cores");
@@ -25,21 +25,16 @@ Chip::Chip(const ChipConfig &cfg,
             panic("Chip: null wrong-path source for core ", i);
     }
 
-    // A single-core chip is the original flat-DRAM model: no LLC at
-    // all, so the path below the L2 is bit-identical.
-    if (!cfg_.singleCore()) {
-        LlcConfig llc;
-        llc.bytes = cfg_.llcBytes;
-        llc.assoc = cfg_.llcAssoc;
-        llc.lineBytes = CoreConfig::cacheLineBytes;
-        llc.banks = cfg_.llcBanks;
-        llc.mshrsPerBank = cfg_.llcMshrsPerBank;
-        llc.hitLatency = cfg_.llcLatency;
-        llc.busLatency = cfg_.busLatency;
-        llc.bankService = cfg_.llcBankService;
-        llc_ = std::make_unique<SharedLlc>(
-            llc, static_cast<unsigned>(n));
-    }
+    LlcConfig llc;
+    llc.bytes = cfg_.llcBytes;
+    llc.assoc = cfg_.llcAssoc;
+    llc.lineBytes = CoreConfig::cacheLineBytes;
+    llc.banks = cfg_.llcBanks;
+    llc.mshrsPerBank = cfg_.llcMshrsPerBank;
+    llc.hitLatency = cfg_.llcLatency;
+    llc.busLatency = cfg_.busLatency;
+    llc.bankService = cfg_.llcBankService;
+    llc_ = std::make_unique<SharedLlc>(llc, static_cast<unsigned>(n));
 
     cores_.reserve(n);
     elapsed_.assign(n, 0);
@@ -62,31 +57,20 @@ Chip::warm(std::size_t core, std::span<const isa::MicroOp> trace)
 }
 
 ChipResult
-Chip::run(const std::vector<std::span<const isa::MicroOp>> &traces,
-          const std::vector<SimObserver *> &observers)
+Chip::run(const std::vector<std::span<const isa::MicroOp>> &traces)
 {
     OBS_SPAN("uarch/chip_run");
     const std::size_t n = cores_.size();
     if (traces.size() != n)
         panic("Chip: ", traces.size(), " traces for ", n, " cores");
-    if (!observers.empty() && observers.size() != n)
-        panic("Chip: ", observers.size(), " observers for ", n,
-              " cores");
 
     ChipResult res;
     res.cores.resize(n);
     res.occupancyShare.assign(n, 0.0);
     res.sharedMissRatio.assign(n, 0.0);
 
-    auto observer = [&](std::size_t i) -> SimObserver * {
-        return observers.empty() ? nullptr : observers[i];
-    };
-
-    // Single core: one slice, no quantisation — bit-identical to
-    // running uarch::Core directly.
     const std::uint64_t quantum =
-        cfg_.singleCore() ? ~std::uint64_t(0)
-                          : std::max<std::uint64_t>(1, cfg_.quantum);
+        std::max<std::uint64_t>(1, cfg_.quantum);
 
     std::vector<std::size_t> pos(n, 0);
     for (;;) {
@@ -100,8 +84,8 @@ Chip::run(const std::vector<std::span<const isa::MicroOp>> &traces,
                 std::min<std::uint64_t>(quantum,
                                         trace.size() - pos[i]));
             cores_[i]->setTimeBase(elapsed_[i]);
-            const SimResult r = cores_[i]->run(
-                trace.subspan(pos[i], len), observer(i));
+            const SimResult r =
+                cores_[i]->run(trace.subspan(pos[i], len));
             res.cores[i].cycles += r.cycles;
             res.cores[i].events.merge(r.events);
             elapsed_[i] += r.cycles;
@@ -119,9 +103,8 @@ Chip::run(const std::vector<std::span<const isa::MicroOp>> &traces,
 
     for (std::size_t i = 0; i < n; ++i) {
         const EventCounts &ev = res.cores[i].events;
-        if (llc_)
-            res.occupancyShare[i] =
-                llc_->occupancyShare(static_cast<unsigned>(i));
+        res.occupancyShare[i] =
+            llc_->occupancyShare(static_cast<unsigned>(i));
         res.sharedMissRatio[i] =
             ev.llcAccesses
                 ? double(ev.llcMisses) / double(ev.llcAccesses)

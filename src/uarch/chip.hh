@@ -8,10 +8,9 @@
  * synchronisation style: each core advances `quantum` µops per turn
  * on its own private clock, and cross-core timing only meets at the
  * shared LLC, where accesses are stamped with the owning core's
- * absolute elapsed time.  A one-core chip attaches no LLC and runs
- * the trace in a single slice, making it bit-identical to the
- * original single-core uarch::Core path (the frozen golden matrix
- * holds on both).
+ * absolute elapsed time.  Chip models multi-core chips only
+ * (construction panics below two cores): a one-core processor runs
+ * on a backend's own core session (control/chip_controller).
  */
 
 #ifndef ADAPTSIM_UARCH_CHIP_HH
@@ -34,12 +33,10 @@ struct ChipResult
     /** Per-core timing and events (cycles are per-core clocks). */
     std::vector<SimResult> cores;
 
-    /** Per-core fraction of LLC lines owned at the end of the run
-     *  (all zero on a single-core chip). */
+    /** Per-core fraction of LLC lines owned at the end of the run. */
     std::vector<double> occupancyShare;
 
-    /** Per-core LLC miss ratio over this run's accesses (zero on a
-     *  single-core chip). */
+    /** Per-core LLC miss ratio over this run's accesses. */
     std::vector<double> sharedMissRatio;
 };
 
@@ -48,7 +45,8 @@ class Chip
 {
   public:
     /**
-     * @param cfg chip geometry; one core config per core.
+     * @param cfg chip geometry; one core config per core, at least
+     *        two cores.
      * @param wrong_paths one wrong-path µop source per core (their
      *        lifetime must cover the chip's).
      */
@@ -60,14 +58,10 @@ class Chip
      *  shared LLC) with @p trace. */
     void warm(std::size_t core, std::span<const isa::MicroOp> trace);
 
-    /**
-     * Timed co-run: one trace per core (empty spans are allowed and
-     * leave that core idle).  @p observers is either empty or one
-     * (possibly null) observer per core.
-     */
+    /** Timed co-run: one trace per core (empty spans are allowed
+     *  and leave that core idle). */
     ChipResult
-    run(const std::vector<std::span<const isa::MicroOp>> &traces,
-        const std::vector<SimObserver *> &observers = {});
+    run(const std::vector<std::span<const isa::MicroOp>> &traces);
 
     /**
      * Rebuild one core at a new design point, modelling the
@@ -83,8 +77,8 @@ class Chip
     Core &core(std::size_t i) { return *cores_[i]; }
     const Core &core(std::size_t i) const { return *cores_[i]; }
 
-    /** The shared LLC, or nullptr on a single-core chip. */
-    const SharedLlc *llc() const { return llc_.get(); }
+    /** The shared LLC. */
+    const SharedLlc &llc() const { return *llc_; }
 
     /** Core @p i's accumulated clock across run() calls. */
     Cycles elapsed(std::size_t i) const { return elapsed_[i]; }

@@ -16,21 +16,28 @@ Core::Core(const CoreConfig &cfg,
 }
 
 void
-Core::warm(std::span<const isa::MicroOp> trace)
+warmStructures(CacheHierarchy &caches, BranchPredictor &bpred,
+               std::span<const isa::MicroOp> trace)
 {
-    OBS_SPAN("uarch/warm");
     Addr last_line = invalidAddr;
     for (const auto &op : trace) {
         const Addr line = op.pc / CoreConfig::cacheLineBytes;
         if (line != last_line) {
-            caches_.warmFetch(op.pc);
+            caches.warmFetch(op.pc);
             last_line = line;
         }
         if (op.isMem())
-            caches_.warmData(op.effAddr, op.isStore());
+            caches.warmData(op.effAddr, op.isStore());
         else if (op.isBranch())
-            bpred_.warmAccess(op.pc, op.taken);
+            bpred.warmAccess(op.pc, op.taken);
     }
+}
+
+void
+Core::warm(std::span<const isa::MicroOp> trace)
+{
+    OBS_SPAN("uarch/warm");
+    warmStructures(caches_, bpred_, trace);
 }
 
 SimResult

@@ -19,6 +19,15 @@
 namespace adaptsim::uarch
 {
 
+/**
+ * Functionally warm @p caches and @p bpred with @p trace (no timing,
+ * no statistics) — the "warm for 10M instructions" step of Sec. V-A,
+ * scaled.  Every backend warms through this one loop, so all see
+ * identically warmed structures for the same warm trace.
+ */
+void warmStructures(CacheHierarchy &caches, BranchPredictor &bpred,
+                    std::span<const isa::MicroOp> trace);
+
 /** One simulated core instance. */
 class Core
 {
@@ -34,11 +43,8 @@ class Core
          workload::WrongPathGenerator &wrong_path,
          SharedLlc *llc = nullptr, unsigned core_id = 0);
 
-    /**
-     * Functionally warm caches and branch predictor with @p trace
-     * (no timing, no statistics) — the "warm for 10M instructions"
-     * step of Sec. V-A, scaled.
-     */
+    /** Functionally warm this core's caches and branch predictor
+     *  with @p trace (warmStructures). */
     void warm(std::span<const isa::MicroOp> trace);
 
     /**

@@ -80,8 +80,8 @@ struct CoreConfig
 /**
  * One multi-core chip: per-core design-space points plus the shared
  * LLC and interconnect geometry below the private L2s.  A one-core
- * chip carries no shared LLC at all and is bit-identical to the
- * original single-core model (DESIGN.md §15).
+ * chip has no shared LLC: the controller runs it on a backend's own
+ * core session, not on uarch::Chip (DESIGN.md §15).
  */
 struct ChipConfig
 {

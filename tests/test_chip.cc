@@ -1,11 +1,8 @@
 /**
  * @file
- * Tests of the multi-core chip model.
- *
- * The single most important property here: a one-core Chip is
- * bit-identical to the original single-core path — the frozen golden
- * matrix from test_pipeline must hold, value for value, when the
- * same runs go through Chip.
+ * Tests of the multi-core chip model.  (A one-core processor runs on
+ * a backend's own core session; its goldens are pinned in
+ * test_pipeline, test_sim and test_controller.)
  */
 
 #include <gtest/gtest.h>
@@ -27,20 +24,6 @@ namespace
 {
 
 constexpr std::uint64_t programLength = 100000;
-
-/** Same windowing as test_pipeline's runOn, through a 1-core Chip. */
-SimResult
-chipRunOn(const std::string &bench, const space::Configuration &cfg,
-          std::uint64_t warm = 8000, std::uint64_t detail = 4000)
-{
-    const auto wl = workload::specBenchmark(bench, programLength);
-    workload::WrongPathGenerator wp(wl.averageParams(),
-                                    wl.seed() ^ 0x57a71cULL);
-    Chip chip(ChipConfig::homogeneous(cfg, 1), {&wp});
-    chip.warm(0, wl.generate(40000 - warm, warm));
-    const auto res = chip.run({wl.generate(40000, detail)});
-    return res.cores[0];
-}
 
 /** A small-LLC 2-core chip geometry that makes contention visible
  *  on 4000-µop traces. */
@@ -86,33 +69,15 @@ coRunSetup(const std::vector<std::string> &benches)
 
 } // namespace
 
-TEST(Chip, SingleCoreMatchesTheFrozenGoldenMatrix)
+TEST(Chip, FewerThanTwoCoresPanics)
 {
-    // The exact values frozen in test_pipeline's
-    // GoldenResultsAreFrozen: N=1 through Chip must reproduce them
-    // bit-for-bit (no LLC is attached, the quantum is unbounded).
-    struct Golden
-    {
-        const char *bench;
-        std::uint64_t cycles, committedOps, mispredicts, dcMisses,
-            wrongPathOps;
-    };
-    const Golden goldens[] = {
-        {"eon", 4609ull, 4000ull, 13ull, 104ull, 381ull},
-        {"gcc", 12152ull, 4000ull, 232ull, 816ull, 9580ull},
-        {"mcf", 18507ull, 4000ull, 56ull, 1675ull, 3497ull},
-    };
-    for (const auto &g : goldens) {
-        const auto r =
-            chipRunOn(g.bench, harness::paperBaselineConfig());
-        EXPECT_EQ(r.cycles, g.cycles) << g.bench;
-        EXPECT_EQ(r.events.committedOps, g.committedOps) << g.bench;
-        EXPECT_EQ(r.events.mispredicts, g.mispredicts) << g.bench;
-        EXPECT_EQ(r.events.dcMisses, g.dcMisses) << g.bench;
-        EXPECT_EQ(r.events.wrongPathOps, g.wrongPathOps) << g.bench;
-        // And no LLC events: the single-core chip has no LLC.
-        EXPECT_EQ(r.events.llcAccesses, 0u) << g.bench;
-    }
+    const auto wl = workload::specBenchmark("gcc", programLength);
+    workload::WrongPathGenerator wp(wl.averageParams(),
+                                    wl.seed() ^ 0x57a71cULL);
+    EXPECT_DEATH(
+        Chip(ChipConfig::homogeneous(harness::paperBaselineConfig(), 1),
+             {&wp}),
+        "at least two cores");
 }
 
 TEST(Chip, CoRunIsDeterministic)
@@ -181,7 +146,7 @@ TEST(Chip, ReconfigureCoreKeepsElapsedAndLlcContents)
     chip.run(s.traces);
     const Cycles elapsed0 = chip.elapsed(0);
     ASSERT_GT(elapsed0, 0u);
-    const auto before = chip.llc()->coreStats(1).linesOwned;
+    const auto before = chip.llc().coreStats(1).linesOwned;
     ASSERT_GT(before, 0u);
 
     auto narrow = harness::paperBaselineConfig();
@@ -191,7 +156,7 @@ TEST(Chip, ReconfigureCoreKeepsElapsedAndLlcContents)
     // The core restarted cold but its clock and the shared LLC
     // contents (including the *other* core's lines) survived.
     EXPECT_EQ(chip.elapsed(0), elapsed0);
-    EXPECT_EQ(chip.llc()->coreStats(1).linesOwned, before);
+    EXPECT_EQ(chip.llc().coreStats(1).linesOwned, before);
     const auto res2 = chip.run(s.traces);
     EXPECT_EQ(res2.cores[0].events.committedOps, 4000u);
 }

@@ -142,14 +142,3 @@ TEST(Env, TraceCacheCapacityDefaultAndClamp)
     EXPECT_EQ(traceCacheCapacity(), 48u);
     unsetenv("ADAPTSIM_TRACE_CACHE");
 }
-
-TEST(Env, BackendNameDefaultAndOverride)
-{
-    unsetenv("ADAPTSIM_BACKEND");
-    EXPECT_EQ(backendName(), "cycle");
-    setenv("ADAPTSIM_BACKEND", "interval", 1);
-    EXPECT_EQ(backendName(), "interval");
-    setenv("ADAPTSIM_BACKEND", "", 1);
-    EXPECT_EQ(backendName(), "cycle");
-    unsetenv("ADAPTSIM_BACKEND");
-}

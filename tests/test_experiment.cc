@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -131,6 +133,52 @@ TEST(Experiment, LoocvPredictionsNeverLeakBetweenExperiments)
 
     std::filesystem::remove_all(shared);
     std::filesystem::remove_all(fresh);
+}
+
+TEST(Experiment, LoocvCacheWithAMissingPhaseIsRetrained)
+{
+    // A prediction file whose line count is right but which repeats
+    // one phase index and lacks another must not be served: the
+    // missing phase would silently get a default configuration.
+    const std::string dir =
+        std::filesystem::temp_directory_path() /
+        "adaptsim_experiment_loocv_missing";
+    std::filesystem::remove_all(dir);
+
+    const auto codes = [&] {
+        Experiment exp(tinyOptions(dir));
+        std::vector<std::uint64_t> out;
+        for (const auto &r :
+             exp.modelResults(counters::FeatureSet::Advanced))
+            out.push_back(r.config.encode());
+        return out;
+    };
+    const auto first = codes();
+    ASSERT_GE(first.size(), 2u);
+
+    std::string path;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        const std::string name = entry.path().filename();
+        if (name.rfind("loocv_advanced_", 0) == 0)
+            path = entry.path();
+    }
+    ASSERT_FALSE(path.empty());
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(path);
+        for (std::string line; std::getline(in, line);)
+            lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), first.size());
+    lines.back() = lines.front();
+    {
+        std::ofstream out(path, std::ios::trunc);
+        for (const auto &line : lines)
+            out << line << '\n';
+    }
+
+    EXPECT_EQ(codes(), first);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Experiment, CycleGatherNeverReusesIntervalMemoEntries)

@@ -14,6 +14,7 @@
 
 #include "common/rng.hh"
 #include "common/serial.hh"
+#include "counters/counter_bank.hh"
 #include "counters/feature_vector.hh"
 #include "harness/gather.hh"
 #include "harness/repository.hh"
@@ -163,6 +164,34 @@ TEST_F(RepositoryTest, ProfileIsCachedInMemoryAndOnDisk)
     ASSERT_EQ(c.advanced.size(), a.advanced.size());
     for (std::size_t i = 0; i < c.advanced.size(); ++i)
         EXPECT_NEAR(c.advanced[i], a.advanced[i], 1e-6);
+}
+
+TEST_F(RepositoryTest, ProfileMatchesHandBuiltCounterBankRun)
+{
+    // A profile is one cycle-level run of the profiling
+    // configuration: the phase's own wrong-path seed, the warm
+    // window, then the detail window observed by the counter bank.
+    EvalRepository repo(workload::specSuite(60000), dir_, 0);
+    const auto got = repo.profile(spec());
+
+    const PhaseSpec s = spec();
+    const auto wl = workload::specBenchmark(s.workload, s.programLength);
+    workload::WrongPathGenerator wp(wl.averageParams(),
+                                    wl.seed() ^ 0x57a71cULL);
+    const auto cc = uarch::CoreConfig::fromConfiguration(
+        space::Configuration::profiling());
+    const auto &cycle = sim::perfModel("cycle");
+    const auto session = cycle.makeSession(cc, wp);
+    session->warm(wl.generate(s.startInst - s.warmLength, s.warmLength));
+    counters::CounterBank bank(cc);
+    const auto result = cycle.run(
+        *session, wl.generate(s.startInst, s.detailLength), &bank);
+    bank.finalise(result.events);
+
+    EXPECT_EQ(got.basic, counters::assembleFeatures(
+                             bank, counters::FeatureSet::Basic));
+    EXPECT_EQ(got.advanced, counters::assembleFeatures(
+                                bank, counters::FeatureSet::Advanced));
 }
 
 TEST_F(RepositoryTest, DistinctSpecsAreDistinctEntries)
@@ -359,6 +388,48 @@ TEST_F(RepositoryTest, ConcurrentGathersShareOneRepository)
     for (std::size_t i = 0; i < configs.size(); ++i)
         EXPECT_TRUE(bitIdentical(again[i], r1[i]));
     EXPECT_EQ(repo.simulationsRun(), sims);
+}
+
+TEST_F(RepositoryTest, ConcurrentInlineBatchesShareOneRepository)
+{
+    // With threads = 0 every batch runs inline on its caller's
+    // thread, so two callers evaluate into one repository at once,
+    // racing on the same phases.  Results must be bit-identical to
+    // serial calls.
+    Rng rng(11);
+    const auto configs = space::uniformRandomSet(rng, 6);
+    auto other = spec();
+    other.startInst = 30000;
+
+    std::vector<EvalRecord> serial_a, serial_b;
+    {
+        EvalRepository repo(workload::specSuite(60000), dir_, 0);
+        serial_a = repo.evaluateBatch(spec(), configs);
+        serial_b = repo.evaluateBatch(other, configs);
+    }
+    std::filesystem::remove_all(dir_);
+
+    EvalRepository repo(workload::specSuite(60000), dir_, 0);
+    repo.setFlushEvery(2);
+    std::vector<EvalRecord> a1, b1, a2, b2;
+    std::thread t1([&] {
+        a1 = repo.evaluateBatch(spec(), configs);
+        b1 = repo.evaluateBatch(other, configs);
+    });
+    std::thread t2([&] {
+        b2 = repo.evaluateBatch(other, configs);
+        a2 = repo.evaluateBatch(spec(), configs);
+    });
+    t1.join();
+    t2.join();
+
+    ASSERT_EQ(a1.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        EXPECT_TRUE(bitIdentical(a1[i], serial_a[i])) << i;
+        EXPECT_TRUE(bitIdentical(a2[i], serial_a[i])) << i;
+        EXPECT_TRUE(bitIdentical(b1[i], serial_b[i])) << i;
+        EXPECT_TRUE(bitIdentical(b2[i], serial_b[i])) << i;
+    }
 }
 
 TEST_F(RepositoryTest, TraceCacheReplayIsBitExact)

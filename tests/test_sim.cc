@@ -14,7 +14,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "harness/gather.hh"
@@ -49,9 +48,6 @@ runBackend(const sim::PerfModel &model, const std::string &bench,
 
 TEST(Sim, RegistryHasBuiltins)
 {
-    EXPECT_EQ(sim::perfModelNames(),
-              (std::vector<std::string>{"cycle", "interval"}));
-
     const auto &cycle = sim::perfModel("cycle");
     EXPECT_STREQ(cycle.name(), "cycle");
     EXPECT_TRUE(cycle.supportsObservers());
@@ -64,18 +60,16 @@ TEST(Sim, RegistryHasBuiltins)
     EXPECT_FALSE(interval.supportsObservers());
     EXPECT_NE(interval.cacheTag(), cycle.cacheTag());
 
-    EXPECT_EQ(sim::findPerfModel("no-such-backend"), nullptr);
-    EXPECT_EQ(sim::findPerfModel("cycle"), &cycle);
-}
+    EXPECT_EXIT((void)sim::perfModel("no-such-backend"),
+                ::testing::ExitedWithCode(1),
+                "known: cycle, interval");
 
-TEST(Sim, DefaultBackendFollowsEnv)
-{
-    unsetenv("ADAPTSIM_BACKEND");
-    EXPECT_STREQ(sim::defaultPerfModel().name(), "cycle");
-    setenv("ADAPTSIM_BACKEND", "interval", 1);
-    EXPECT_STREQ(sim::defaultPerfModel().name(), "interval");
-    unsetenv("ADAPTSIM_BACKEND");
-    EXPECT_STREQ(sim::defaultPerfModel().name(), "cycle");
+    // A null backend means "cycle"; profiling needs observers, so it
+    // falls back to "cycle" from a backend without them.
+    EXPECT_EQ(&sim::resolvePerfModel(nullptr), &cycle);
+    EXPECT_EQ(&sim::resolvePerfModel(&interval), &interval);
+    EXPECT_EQ(&sim::profilingPerfModel(cycle), &cycle);
+    EXPECT_EQ(&sim::profilingPerfModel(interval), &cycle);
 }
 
 TEST(Sim, CycleBackendBitIdenticalToDirectCore)
@@ -215,30 +209,6 @@ TEST(Sim, IntervalAccuracyBoundedOnSuite)
     EXPECT_LT(worst, 0.18);
 }
 
-TEST(Sim, EvaluateConvenienceMatchesManualPipeline)
-{
-    const auto wl = workload::specBenchmark("mcf", programLength);
-    const auto cfg = harness::paperBaselineConfig();
-    const auto warm = wl.generate(32000, 8000);
-    const auto trace = wl.generate(40000, 4000);
-
-    workload::WrongPathGenerator wp(wl.averageParams(),
-                                    wl.seed() ^ 0x57a71cULL);
-    const auto m = sim::perfModel("cycle").evaluate(cfg, wp, warm,
-                                                    trace);
-    EXPECT_GT(m.cycles, 0.0);
-    EXPECT_DOUBLE_EQ(m.instructions, 4000.0);
-    EXPECT_GT(m.ipc, 0.0);
-    EXPECT_GT(m.joules, 0.0);
-
-    workload::WrongPathGenerator wp2(wl.averageParams(),
-                                     wl.seed() ^ 0x57a71cULL);
-    const auto m2 = sim::perfModel("cycle").evaluate(cfg, wp2, warm,
-                                                     trace);
-    EXPECT_DOUBLE_EQ(m2.cycles, m.cycles);
-    EXPECT_DOUBLE_EQ(m2.joules, m.joules);
-}
-
 TEST(Sim, EmptyTraceYieldsEmptyResult)
 {
     // Regression: zero-instruction detail windows (phase boundaries
@@ -275,8 +245,8 @@ TEST(Sim, RegistryConcurrentLookupIsSafe)
                 const auto &cycle = sim::perfModel("cycle");
                 const auto &interval = sim::perfModel("interval");
                 if (cycle.cacheTag() != interval.cacheTag() &&
-                    sim::findPerfModel("nope") == nullptr &&
-                    sim::perfModelNames().size() >= 2)
+                    &sim::resolvePerfModel(nullptr) == &cycle &&
+                    &sim::profilingPerfModel(interval) == &cycle)
                     ok.fetch_add(1, std::memory_order_relaxed);
             }
         });
