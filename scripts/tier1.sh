@@ -6,8 +6,8 @@
 #   2. ThreadSanitizer pass over the concurrency-critical tests
 #      (thread pool, shared simulation repository, shared trace
 #      cache, metrics registry, first-use construction of the fixed
-#      perf-model backend table, the gather scheduler, and the
-#      multi-core chip model with its shared LLC)
+#      perf-model backend table, the gather scheduler, the multi-core
+#      chip model with its shared LLC, and the shared warm memo)
 #   3. AddressSanitizer+UBSan pass over the full test suite
 #   4. -DADAPTSIM_OBS=OFF build proving the instrumentation compiles
 #      out cleanly, and that the repository, backend and controller
@@ -44,9 +44,9 @@ if san_available thread; then
     cmake --build build-tsan -j \
         --target test_thread_pool test_repository test_trace_cache \
                  test_obs test_sim test_gather_scheduler \
-                 test_shared_llc test_chip
+                 test_shared_llc test_chip test_warm_memo
     ctest --test-dir build-tsan --output-on-failure \
-        -R 'test_thread_pool|test_repository|test_trace_cache|test_obs|test_sim$|test_gather_scheduler|test_shared_llc|test_chip'
+        -R 'test_thread_pool|test_repository|test_trace_cache|test_obs|test_sim$|test_gather_scheduler|test_shared_llc|test_chip|test_warm_memo'
 else
     echo "tier1: ThreadSanitizer unavailable; skipping TSan pass"
 fi

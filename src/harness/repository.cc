@@ -14,6 +14,7 @@
 #include "obs/obs.hh"
 #include "power/metrics.hh"
 #include "sim/perf_model.hh"
+#include "uarch/warm.hh"
 
 namespace adaptsim::harness
 {
@@ -96,6 +97,10 @@ struct RepoMetrics
         obs::Registry::global().counter("repo/flushed");
     obs::Counter &dropped =
         obs::Registry::global().counter("repo/dropped");
+    obs::Counter &warmMemoHits =
+        obs::Registry::global().counter("repo/warm_memo/hits");
+    obs::Counter &warmMemoBuilds =
+        obs::Registry::global().counter("repo/warm_memo/builds");
 };
 
 RepoMetrics &
@@ -152,9 +157,9 @@ EvalRepository::storePath(const std::string &spec_key) const
 }
 
 std::string
-EvalRepository::profilePath(const PhaseSpec &spec) const
+EvalRepository::profilePath(const std::string &spec_key) const
 {
-    return dataDir_ + "/" + spec.key() + ".features";
+    return dataDir_ + "/" + spec_key + ".features";
 }
 
 bool
@@ -217,22 +222,35 @@ EvalRepository::loadBinaryCache(const std::string &path,
     return bad == 0 && tail == 0;
 }
 
-void
-EvalRepository::loadCache(const PhaseSpec &spec, PhaseCache &cache)
+EvalRepository::PhaseCache &
+EvalRepository::cacheFor(const std::string &spec_key)
 {
-    cache.loaded = true;
-    const std::string path = storePath(spec.key());
-    cache.haveBinaryFile =
-        loadBinaryCache(path, readFile(path), cache);
+    auto &cache = caches_[spec_key];
+    if (!cache.loaded) {
+        cache.loaded = true;
+        const std::string path = storePath(spec_key);
+        cache.haveBinaryFile =
+            loadBinaryCache(path, readFile(path), cache);
+    }
+    return cache;
 }
 
-EvalRepository::PhaseCache &
-EvalRepository::cacheFor(const PhaseSpec &spec)
+std::shared_ptr<uarch::WarmMemo>
+EvalRepository::warmMemo(const workload::Workload &wl,
+                         std::uint64_t start, std::uint64_t length,
+                         workload::TracePtr warm)
 {
-    auto &cache = caches_[spec.key()];
-    if (!cache.loaded)
-        loadCache(spec, cache);
-    return cache;
+    const workload::TraceKey key{wl.uid(), start, length};
+    MutexLock lock(memoMutex_);
+    if (warmMemo_ && warmKey_ == key) {
+        OBS_ONLY(repoMetrics().warmMemoHits.add(1);)
+        return warmMemo_;
+    }
+    // Sessions still warming from the old memo keep it alive.
+    warmKey_ = key;
+    warmMemo_ = std::make_shared<uarch::WarmMemo>(std::move(warm));
+    OBS_ONLY(repoMetrics().warmMemoBuilds.add(1);)
+    return warmMemo_;
 }
 
 uarch::SimResult
@@ -258,10 +276,10 @@ EvalRepository::simulate(const PhaseSpec &spec,
             spec.startInst - spec.warmLength :
             0;
     if (spec.warmLength > 0) {
-        const auto warm =
-            traceCache_.get(wl, warm_start, spec.warmLength);
+        auto warm = traceCache_.get(wl, warm_start, spec.warmLength);
         OBS_SPAN("repo/warm");
-        session->warm(*warm);
+        session->warm(*warmMemo(wl, warm_start, spec.warmLength,
+                                std::move(warm)));
     }
     const auto trace =
         traceCache_.get(wl, spec.startInst, spec.detailLength);
@@ -286,9 +304,10 @@ EvalRepository::evaluate(const PhaseSpec &spec,
 {
     const sim::PerfModel &model = sim::resolvePerfModel(backend);
     const EvalKey key{model.cacheTag(), config.encode()};
+    const std::string spec_key = spec.key();
     {
         MutexLock lock(mutex_);
-        auto &cache = cacheFor(spec);
+        auto &cache = cacheFor(spec_key);
         const auto it = cache.records.find(key);
         if (it != cache.records.end()) {
             ++hits_;
@@ -315,7 +334,7 @@ EvalRepository::evaluate(const PhaseSpec &spec,
     }
 
     MutexLock lock(mutex_);
-    auto &cache = cacheFor(spec);
+    auto &cache = cacheFor(spec_key);
     // Two threads may race to simulate the same config (simulation
     // is deterministic, so both results are identical); only the
     // first insert is queued for persistence.
@@ -344,7 +363,7 @@ EvalRepository::evaluate(const PhaseSpec &spec,
     std::vector<std::pair<EvalKey, EvalRecord>> batch;
     batch.swap(cache.unsaved);
     Mutex &file_mutex = cache.fileMutex;
-    const std::string path = storePath(spec.key());
+    const std::string path = storePath(spec_key);
     lock.unlock();
 
     std::string bytes;
@@ -396,6 +415,7 @@ EvalRepository::profile(const PhaseSpec &spec,
     // are therefore always observer-fidelity and carry no tag.
     const sim::PerfModel &requested = sim::resolvePerfModel(backend);
     const sim::PerfModel &model = sim::profilingPerfModel(requested);
+    const std::string spec_key = spec.key();
     if (&model != &requested) {
         MutexLock lock(mutex_);
         if (profileWarned_.insert(requested.name()).second)
@@ -406,7 +426,7 @@ EvalRepository::profile(const PhaseSpec &spec,
     }
     {
         MutexLock lock(mutex_);
-        const auto it = profiles_.find(spec.key());
+        const auto it = profiles_.find(spec_key);
         if (it != profiles_.end()) {
             ++hits_;
             OBS_ONLY(repoMetrics().hit.add(1);)
@@ -418,8 +438,9 @@ EvalRepository::profile(const PhaseSpec &spec,
     // feature-set change) must not be accepted just because *some*
     // doubles parsed: both vectors have to match the expected
     // dimensions exactly, or we fall back to re-simulation.
+    const std::string path = profilePath(spec_key);
     {
-        std::ifstream in(profilePath(spec));
+        std::ifstream in(path);
         if (in) {
             ProfileRecord rec;
             auto read_line = [&](std::vector<double> &v) {
@@ -444,11 +465,11 @@ EvalRepository::profile(const PhaseSpec &spec,
                 MutexLock lock(mutex_);
                 ++hits_;
                 OBS_ONLY(repoMetrics().hit.add(1);)
-                profiles_[spec.key()] = rec;
+                profiles_[spec_key] = rec;
                 return rec;
             }
             if (parsed) {
-                warn("profile cache ", profilePath(spec),
+                warn("profile cache ", path,
                      ": feature dimensions ", rec.basic.size(), "/",
                      rec.advanced.size(), " (expected ", want_basic,
                      "/", want_advanced,
@@ -482,12 +503,12 @@ EvalRepository::profile(const PhaseSpec &spec,
         for (double v : rec.advanced)
             os << v << ' ';
         os << '\n';
-        if (!atomicWriteFile(profilePath(spec), os.str()))
-            warn("cannot persist profile for ", spec.key());
+        if (!atomicWriteFile(path, os.str()))
+            warn("cannot persist profile for ", spec_key);
     }
 
     MutexLock lock(mutex_);
-    profiles_[spec.key()] = rec;
+    profiles_[spec_key] = rec;
     return rec;
 }
 

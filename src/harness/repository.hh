@@ -14,7 +14,10 @@
  * record.  An evaluation and a profiling run are the same phase
  * simulation (simulate(): wrong-path stream, session, warm window,
  * detail window); a profile attaches the counter bank and runs on
- * sim::profilingPerfModel() of the requested backend.
+ * sim::profilingPerfModel() of the requested backend.  Sessions warm
+ * through a uarch::WarmMemo of their warm window, kept for the most
+ * recent window, so a phase's warm trace is replayed once per
+ * structure size rather than once per configuration.
  *
  * On-disk format: each PhaseSpec's store is one file, `<key>.evc`: a
  * 24-byte header (8-byte magic "ADSIMEVC", little-endian u64
@@ -39,6 +42,7 @@
 #define ADAPTSIM_HARNESS_REPOSITORY_HH
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -62,6 +66,7 @@ namespace adaptsim::uarch
 struct CoreConfig;
 struct SimResult;
 class SimObserver;
+class WarmMemo;
 }
 
 namespace adaptsim::harness
@@ -131,7 +136,9 @@ struct EvalKeyHash
  *  repo/dropped (plus the repo/simulate and repo/profile span
  *  histograms, inside both the repo/session and repo/warm spans, and
  *  inside repo/simulate repo/metrics), so the exit metrics report
- *  and traces see the same numbers. */
+ *  and traces see the same numbers.  Warm-ups served by the current
+ *  warm memo count into repo/warm_memo/hits, new memos into
+ *  repo/warm_memo/builds. */
 struct CacheStats
 {
     std::uint64_t hits = 0;        ///< served from memory/disk cache
@@ -261,16 +268,24 @@ class EvalRepository
                               uarch::SimObserver *observer = nullptr)
         ADAPTSIM_EXCLUDES(mutex_);
 
-    PhaseCache &cacheFor(const PhaseSpec &spec)
-        ADAPTSIM_REQUIRES(mutex_);
-    void loadCache(const PhaseSpec &spec, PhaseCache &cache)
+    /** The warm memo of @p warm, @p wl's trace of @p length µops
+     *  from @p start: the current one, or a new one that replaces
+     *  it. */
+    std::shared_ptr<uarch::WarmMemo>
+    warmMemo(const workload::Workload &wl, std::uint64_t start,
+             std::uint64_t length, workload::TracePtr warm)
+        ADAPTSIM_EXCLUDES(memoMutex_);
+
+    /** The phase cache stored under @p spec_key (PhaseSpec::key()),
+     *  loaded from disk on first use. */
+    PhaseCache &cacheFor(const std::string &spec_key)
         ADAPTSIM_REQUIRES(mutex_);
     bool loadBinaryCache(const std::string &path,
                          const std::string &bytes, PhaseCache &cache)
         ADAPTSIM_REQUIRES(mutex_);
     void flushLocked() ADAPTSIM_REQUIRES(mutex_);
     std::string storePath(const std::string &spec_key) const;
-    std::string profilePath(const PhaseSpec &spec) const;
+    std::string profilePath(const std::string &spec_key) const;
 
     std::vector<workload::Workload> suite_;
     std::string dataDir_;
@@ -279,6 +294,14 @@ class EvalRepository
     /** One trace per (phase × {warm, detail}) regardless of how
      *  many configurations replay it (thread-safe internally). */
     workload::TraceCache traceCache_;
+
+    /** The memo of the most recent warm window, keyed like the
+     *  trace cache.  One is enough: the gather walks phases in turn,
+     *  and every worker evaluates the current one. */
+    Mutex memoMutex_;
+    workload::TraceKey warmKey_ ADAPTSIM_GUARDED_BY(memoMutex_);
+    std::shared_ptr<uarch::WarmMemo> warmMemo_
+        ADAPTSIM_GUARDED_BY(memoMutex_);
 
     mutable Mutex mutex_;
     std::unordered_map<std::string, PhaseCache> caches_

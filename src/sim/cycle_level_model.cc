@@ -1,5 +1,9 @@
 #include "sim/cycle_level_model.hh"
 
+#include <optional>
+
+#include "common/logging.hh"
+
 namespace adaptsim::sim
 {
 
@@ -11,28 +15,34 @@ class CycleLevelSession final : public CoreSession
   public:
     CycleLevelSession(const uarch::CoreConfig &cfg,
                       workload::WrongPathGenerator &wrong_path)
-        : core_(cfg, wrong_path)
+        : cfg_(cfg), wrongPath_(wrong_path)
     {
     }
 
-    void warm(std::span<const isa::MicroOp> trace) override
+    void warm(uarch::WarmMemo &memo) override
     {
-        core_.warm(trace);
+        if (core_)
+            panic("a core session warms once, before its first run");
+        core_.emplace(cfg_, wrongPath_, memo.warm(cfg_));
     }
 
     uarch::SimResult run(std::span<const isa::MicroOp> trace,
                          uarch::SimObserver *observer) override
     {
-        return core_.run(trace, observer);
+        if (!core_)
+            core_.emplace(cfg_, wrongPath_);
+        return core_->run(trace, observer);
     }
 
     const uarch::CoreConfig &config() const override
     {
-        return core_.config();
+        return cfg_;
     }
 
   private:
-    uarch::Core core_;
+    uarch::CoreConfig cfg_;
+    workload::WrongPathGenerator &wrongPath_;
+    std::optional<uarch::Core> core_;   ///< built by warm() or run()
 };
 
 } // namespace

@@ -3,9 +3,9 @@
  * The cycle-level backend: uarch::Core behind the PerfModel seam.
  *
  * A session is exactly one uarch::Core — same construction, same
- * warm(), same run() — so results through the seam are bit-identical
- * to calling the core directly (the golden pipeline matrix test
- * holds through both paths).
+ * run(), and a warm-up equal to Core::warm()'s — so results through
+ * the seam are bit-identical to calling the core directly (the
+ * golden pipeline matrix test holds through both paths).
  */
 
 #ifndef ADAPTSIM_SIM_CYCLE_LEVEL_MODEL_HH

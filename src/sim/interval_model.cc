@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 
-#include "uarch/branch_predictor.hh"
-#include "uarch/cache_hierarchy.hh"
-#include "uarch/core.hh"
+#include "common/logging.hh"
+#include "uarch/warm.hh"
 
 namespace adaptsim::sim
 {
@@ -31,15 +31,15 @@ class IntervalSession final : public CoreSession
   public:
     IntervalSession(const uarch::CoreConfig &cfg,
                     workload::WrongPathGenerator &)
-        : cfg_(cfg), caches_(cfg),
-          bpred_(cfg.gshareEntries, cfg.btbEntries,
-                 uarch::CoreConfig::btbAssoc)
+        : cfg_(cfg)
     {
     }
 
-    void warm(std::span<const isa::MicroOp> trace) override
+    void warm(uarch::WarmMemo &memo) override
     {
-        uarch::warmStructures(caches_, bpred_, trace);
+        if (structures_)
+            panic("a core session warms once, before its first run");
+        structures_ = memo.warm(cfg_);
     }
 
     uarch::SimResult run(std::span<const isa::MicroOp> trace,
@@ -52,8 +52,8 @@ class IntervalSession final : public CoreSession
 
   private:
     uarch::CoreConfig cfg_;
-    uarch::CacheHierarchy caches_;
-    uarch::BranchPredictor bpred_;
+    /// caches and predictor, built by warm() or run()
+    std::optional<uarch::WarmedStructures> structures_;
 };
 
 std::uint64_t
@@ -66,6 +66,15 @@ uarch::SimResult
 IntervalSession::run(std::span<const isa::MicroOp> trace,
                      uarch::SimObserver * /* unsupported */)
 {
+    if (!structures_) {
+        structures_ = uarch::WarmedStructures{
+            uarch::CacheHierarchy(cfg_),
+            uarch::BranchPredictor(cfg_.gshareEntries, cfg_.btbEntries,
+                                   uarch::CoreConfig::btbAssoc)};
+    }
+    uarch::CacheHierarchy &caches = structures_->caches;
+    uarch::BranchPredictor &bpred = structures_->bpred;
+
     // Degenerate window: a zero-instruction trace yields the
     // well-defined all-zero result (no divisions reach a zero
     // denominator downstream; see the empty-trace regression tests).
@@ -117,7 +126,7 @@ IntervalSession::run(std::span<const isa::MicroOp> trace,
         // its exposed fraction after the pass.
         const Addr line = op.pc / uarch::CoreConfig::cacheLineBytes;
         if (line != last_line) {
-            const int lat = caches_.fetchAccess(op.pc, ev, nullptr);
+            const int lat = caches.fetchAccess(op.pc, ev, nullptr);
             last_line = line;
             if (lat > cfg_.icacheLatency)
                 fetch_raw += static_cast<std::uint64_t>(
@@ -159,7 +168,7 @@ IntervalSession::run(std::span<const isa::MicroOp> trace,
           case OpClass::Load: {
             ++pc.loads;
             const int lat =
-                caches_.dataAccess(op.effAddr, false, ev, nullptr);
+                caches.dataAccess(op.effAddr, false, ev, nullptr);
             if (lat >= cfg_.memLatency) {
                 if (src_taint)
                     mem_penalty += serial_pen;
@@ -185,11 +194,11 @@ IntervalSession::run(std::span<const isa::MicroOp> trace,
             ++pc.stores;
             // Committed store: latency hidden by the store buffer;
             // the access still moves the cache state and counts.
-            caches_.dataAccess(op.effAddr, true, ev, nullptr);
+            caches.dataAccess(op.effAddr, true, ev, nullptr);
             break;
           case OpClass::Branch: {
             ++pc.branches;
-            const auto pred = bpred_.predict(op.pc);
+            const auto pred = bpred.predict(op.pc);
             ++ev.bpredLookups;
             ++ev.btbLookups;
             if (pred.btbHit)
@@ -201,7 +210,7 @@ IntervalSession::run(std::span<const isa::MicroOp> trace,
                     cfg_.frontendDelay +
                     IntervalModel::kBranchResolveCycles);
                 // Squash repairs the speculative global history.
-                bpred_.recover(pred.history, op.taken);
+                bpred.recover(pred.history, op.taken);
             } else if (pred.taken && !pred.btbHit) {
                 // Taken without a BTB target: the 2-cycle decode
                 // bubble of the detailed fetch stage.
@@ -209,7 +218,7 @@ IntervalSession::run(std::span<const isa::MicroOp> trace,
             }
             // Commit order equals trace order here, so training
             // happens under the same history the branch saw.
-            bpred_.update(op.pc, op.taken, pred.history);
+            bpred.update(op.pc, op.taken, pred.history);
             ++ev.bpredUpdates;
             if (op.isCond) {
                 ++ev.condBranches;

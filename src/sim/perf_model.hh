@@ -39,6 +39,7 @@
 #include "uarch/core_config.hh"
 #include "uarch/events.hh"
 #include "uarch/pipeline.hh"
+#include "uarch/warm.hh"
 #include "workload/wrong_path.hh"
 
 namespace adaptsim::sim
@@ -46,17 +47,23 @@ namespace adaptsim::sim
 
 /**
  * One configured simulated core owned by a backend: caches and
- * branch predictor persist across warm() and run() calls exactly as
+ * branch predictor persist across run() calls exactly as
  * uarch::Core's do, so multi-interval executions (the controller)
- * keep state warm between intervals.
+ * keep state warm between intervals.  A session builds its structures
+ * on its first warm() or run(), so a warmed session never fills them
+ * with defaults first.
  */
 class CoreSession
 {
   public:
     virtual ~CoreSession() = default;
 
-    /** Functional warm-up of caches/predictor (no timing). */
-    virtual void warm(std::span<const isa::MicroOp> trace) = 0;
+    /**
+     * Functional warm-up (no timing): the caches and predictor
+     * become @p memo's for config() (uarch::WarmMemo::warm).  At
+     * most once, before the first run(); panics otherwise.
+     */
+    virtual void warm(uarch::WarmMemo &memo) = 0;
 
     /**
      * Timing simulation of @p trace.  @p observer is the profiling

@@ -30,6 +30,19 @@ BranchPredictor::BranchPredictor(int gshare_entries, int btb_entries,
     }
 }
 
+BranchPredictor::BranchPredictor(const BranchPredictor &direction,
+                                 const BranchPredictor &targets)
+    : gshareEntries_(direction.gshareEntries_),
+      historyBits_(direction.historyBits_),
+      pht_(direction.pht_),
+      btbSets_(targets.btbSets_),
+      btbAssoc_(targets.btbAssoc_),
+      btb_(targets.btb_),
+      btbClock_(targets.btbClock_),
+      history_(direction.history_)
+{
+}
+
 std::size_t
 BranchPredictor::phtIndex(Addr pc, std::uint32_t history) const
 {
@@ -73,24 +86,29 @@ BranchPredictor::update(Addr pc, bool taken,
     else if (!taken && ctr > 0)
         --ctr;
 
-    if (taken) {
-        const std::size_t set = (pc >> 2) & (btbSets_ - 1);
-        // Hit? refresh; miss? replace LRU way.
-        int victim = 0;
-        std::uint32_t oldest = ~0u;
-        for (int w = 0; w < btbAssoc_; ++w) {
-            BtbEntry &e = btb_[set * btbAssoc_ + w];
-            if (e.tag == pc) {
-                e.lruStamp = ++btbClock_;
-                return;
-            }
-            if (e.lruStamp < oldest) {
-                oldest = e.lruStamp;
-                victim = w;
-            }
+    if (taken)
+        trainTarget(pc);
+}
+
+void
+BranchPredictor::trainTarget(Addr pc)
+{
+    const std::size_t set = (pc >> 2) & (btbSets_ - 1);
+    // Hit? refresh; miss? replace LRU way.
+    int victim = 0;
+    std::uint32_t oldest = ~0u;
+    for (int w = 0; w < btbAssoc_; ++w) {
+        BtbEntry &e = btb_[set * btbAssoc_ + w];
+        if (e.tag == pc) {
+            e.lruStamp = ++btbClock_;
+            return;
         }
-        btb_[set * btbAssoc_ + victim] = {pc, ++btbClock_};
+        if (e.lruStamp < oldest) {
+            oldest = e.lruStamp;
+            victim = w;
+        }
     }
+    btb_[set * btbAssoc_ + victim] = {pc, ++btbClock_};
 }
 
 void
@@ -103,33 +121,27 @@ BranchPredictor::recover(std::uint32_t history, bool taken)
 void
 BranchPredictor::warmAccess(Addr pc, bool taken)
 {
+    warmDirection(pc, taken);
+    warmTarget(pc, taken);
+}
+
+void
+BranchPredictor::warmDirection(Addr pc, bool taken)
+{
     std::uint8_t &ctr = pht_[phtIndex(pc, history_)];
     if (taken && ctr < 3)
         ++ctr;
     else if (!taken && ctr > 0)
         --ctr;
-    if (taken) {
-        const std::size_t set = (pc >> 2) & (btbSets_ - 1);
-        int victim = 0;
-        std::uint32_t oldest = ~0u;
-        bool hit = false;
-        for (int w = 0; w < btbAssoc_; ++w) {
-            BtbEntry &e = btb_[set * btbAssoc_ + w];
-            if (e.tag == pc) {
-                e.lruStamp = ++btbClock_;
-                hit = true;
-                break;
-            }
-            if (e.lruStamp < oldest) {
-                oldest = e.lruStamp;
-                victim = w;
-            }
-        }
-        if (!hit)
-            btb_[set * btbAssoc_ + victim] = {pc, ++btbClock_};
-    }
     history_ = ((history_ << 1) | (taken ? 1u : 0u)) &
                ((1u << historyBits_) - 1u);
+}
+
+void
+BranchPredictor::warmTarget(Addr pc, bool taken)
+{
+    if (taken)
+        trainTarget(pc);
 }
 
 } // namespace adaptsim::uarch

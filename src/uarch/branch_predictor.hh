@@ -29,6 +29,15 @@ class BranchPredictor
      */
     BranchPredictor(int gshare_entries, int btb_entries, int btb_assoc);
 
+    /**
+     * The PHT and global history of @p direction with the BTB of
+     * @p targets.  The two halves never read each other's state, so
+     * each can be warmed alone (warmDirection, warmTarget) and the
+     * results joined here.
+     */
+    BranchPredictor(const BranchPredictor &direction,
+                    const BranchPredictor &targets);
+
     /** Direction prediction result with bookkeeping for recovery. */
     struct Prediction
     {
@@ -57,13 +66,26 @@ class BranchPredictor
      */
     void recover(std::uint32_t history, bool taken);
 
-    /** Warm-mode combined predict+update without statistics. */
+    /** Warm-mode combined predict+update without statistics:
+     *  warmDirection then warmTarget. */
     void warmAccess(Addr pc, bool taken);
+
+    /** The PHT and global-history half of warmAccess. */
+    void warmDirection(Addr pc, bool taken);
+
+    /** The BTB half of warmAccess. */
+    void warmTarget(Addr pc, bool taken);
 
     std::uint32_t history() const { return history_; }
 
+    /** Same geometry, counters, history, BTB entries and LRU state. */
+    bool operator==(const BranchPredictor &) const = default;
+
   private:
     std::size_t phtIndex(Addr pc, std::uint32_t history) const;
+
+    /** Refresh @p pc's BTB entry, or allocate it over the LRU way. */
+    void trainTarget(Addr pc);
 
     int gshareEntries_;
     int historyBits_;
@@ -75,6 +97,8 @@ class BranchPredictor
     {
         Addr tag = invalidAddr;
         std::uint32_t lruStamp = 0;
+
+        bool operator==(const BtbEntry &) const = default;
     };
     std::vector<BtbEntry> btb_;
     std::uint32_t btbClock_ = 0;

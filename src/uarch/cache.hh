@@ -93,12 +93,17 @@ class Cache
         return addr >> lineShift_;
     }
 
+    /** Same geometry, tags, dirty bits and LRU state. */
+    bool operator==(const Cache &) const = default;
+
   private:
     struct Line
     {
         Addr tag = invalidAddr;
         std::uint32_t lruStamp = 0;
         bool dirty = false;
+
+        bool operator==(const Line &) const = default;
     };
 
     std::uint64_t bytes_;

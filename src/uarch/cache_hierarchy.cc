@@ -1,5 +1,8 @@
 #include "uarch/cache_hierarchy.hh"
 
+#include <utility>
+
+#include "common/logging.hh"
 #include "power/frequency.hh"
 
 namespace adaptsim::uarch
@@ -7,14 +10,36 @@ namespace adaptsim::uarch
 
 CacheHierarchy::CacheHierarchy(const CoreConfig &cfg, SharedLlc *llc,
                                unsigned core_id)
-    : cfg_(cfg),
-      icache_(cfg.icacheBytes, CoreConfig::l1Assoc,
-              CoreConfig::cacheLineBytes),
-      dcache_(cfg.dcacheBytes, CoreConfig::l1Assoc,
-              CoreConfig::cacheLineBytes),
-      l2_(cfg.l2Bytes, CoreConfig::l2Assoc,
-          CoreConfig::cacheLineBytes),
-      llc_(llc), coreId_(core_id)
+    : CacheHierarchy(cfg,
+                     Cache(cfg.icacheBytes, CoreConfig::l1Assoc,
+                           CoreConfig::cacheLineBytes),
+                     Cache(cfg.dcacheBytes, CoreConfig::l1Assoc,
+                           CoreConfig::cacheLineBytes),
+                     Cache(cfg.l2Bytes, CoreConfig::l2Assoc,
+                           CoreConfig::cacheLineBytes),
+                     llc, core_id)
+{
+}
+
+CacheHierarchy::CacheHierarchy(const CoreConfig &cfg, Cache icache,
+                               Cache dcache, Cache l2)
+    : CacheHierarchy(cfg, std::move(icache), std::move(dcache),
+                     std::move(l2), nullptr, 0)
+{
+    if (icache_.sizeBytes() != cfg.icacheBytes ||
+        dcache_.sizeBytes() != cfg.dcacheBytes ||
+        l2_.sizeBytes() != cfg.l2Bytes) {
+        panic("cache levels do not match the configuration: ",
+              icache_.sizeBytes(), "/", dcache_.sizeBytes(), "/",
+              l2_.sizeBytes(), "B for ", cfg.toString());
+    }
+}
+
+CacheHierarchy::CacheHierarchy(const CoreConfig &cfg, Cache icache,
+                               Cache dcache, Cache l2, SharedLlc *llc,
+                               unsigned core_id)
+    : cfg_(cfg), icache_(std::move(icache)), dcache_(std::move(dcache)),
+      l2_(std::move(l2)), llc_(llc), coreId_(core_id)
 {
     // Period ∝ depth + latch overhead (power/frequency.cc), so these
     // integer unit counts give the exact clock-ratio rational.

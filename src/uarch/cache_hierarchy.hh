@@ -37,6 +37,13 @@ class CacheHierarchy
                             unsigned core_id = 0);
 
     /**
+     * Single-core hierarchy over levels built elsewhere (a WarmMemo
+     * warms them); their sizes must be @p cfg's.
+     */
+    CacheHierarchy(const CoreConfig &cfg, Cache icache, Cache dcache,
+                   Cache l2);
+
+    /**
      * Instruction fetch of the line containing @p pc.
      * @param now pipeline-local cycle of the access (used only for
      *        shared-LLC contention timing).
@@ -70,6 +77,9 @@ class CacheHierarchy
     unsigned coreId() const { return coreId_; }
 
   private:
+    CacheHierarchy(const CoreConfig &cfg, Cache icache, Cache dcache,
+                   Cache l2, SharedLlc *llc, unsigned core_id);
+
     /** Timing below a missing L2: shared LLC or flat DRAM. */
     int beyondL2(Addr addr, bool write, EventCounts &ev, Cycles now);
 

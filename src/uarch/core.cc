@@ -1,5 +1,7 @@
 #include "uarch/core.hh"
 
+#include <utility>
+
 #include "obs/obs.hh"
 
 namespace adaptsim::uarch
@@ -15,22 +17,12 @@ Core::Core(const CoreConfig &cfg,
 {
 }
 
-void
-warmStructures(CacheHierarchy &caches, BranchPredictor &bpred,
-               std::span<const isa::MicroOp> trace)
+Core::Core(const CoreConfig &cfg,
+           workload::WrongPathGenerator &wrong_path,
+           WarmedStructures warmed)
+    : cfg_(cfg), caches_(std::move(warmed.caches)),
+      bpred_(std::move(warmed.bpred)), wrongPath_(wrong_path)
 {
-    Addr last_line = invalidAddr;
-    for (const auto &op : trace) {
-        const Addr line = op.pc / CoreConfig::cacheLineBytes;
-        if (line != last_line) {
-            caches.warmFetch(op.pc);
-            last_line = line;
-        }
-        if (op.isMem())
-            caches.warmData(op.effAddr, op.isStore());
-        else if (op.isBranch())
-            bpred.warmAccess(op.pc, op.taken);
-    }
 }
 
 void

@@ -14,19 +14,11 @@
 #include "uarch/cache_hierarchy.hh"
 #include "uarch/core_config.hh"
 #include "uarch/pipeline.hh"
+#include "uarch/warm.hh"
 #include "workload/wrong_path.hh"
 
 namespace adaptsim::uarch
 {
-
-/**
- * Functionally warm @p caches and @p bpred with @p trace (no timing,
- * no statistics) — the "warm for 10M instructions" step of Sec. V-A,
- * scaled.  Every backend warms through this one loop, so all see
- * identically warmed structures for the same warm trace.
- */
-void warmStructures(CacheHierarchy &caches, BranchPredictor &bpred,
-                    std::span<const isa::MicroOp> trace);
 
 /** One simulated core instance. */
 class Core
@@ -43,8 +35,14 @@ class Core
          workload::WrongPathGenerator &wrong_path,
          SharedLlc *llc = nullptr, unsigned core_id = 0);
 
+    /** A single-core core over already warmed structures (from a
+     *  WarmMemo). */
+    Core(const CoreConfig &cfg,
+         workload::WrongPathGenerator &wrong_path,
+         WarmedStructures warmed);
+
     /** Functionally warm this core's caches and branch predictor
-     *  with @p trace (warmStructures). */
+     *  with @p trace (warmStructures; uarch/warm span). */
     void warm(std::span<const isa::MicroOp> trace);
 
     /**

@@ -18,9 +18,11 @@
 #include "counters/feature_vector.hh"
 #include "harness/gather.hh"
 #include "harness/repository.hh"
+#include "obs/registry.hh"
 #include "sim/cycle_level_model.hh"
 #include "sim/perf_model.hh"
 #include "space/sampling.hh"
+#include "uarch/core.hh"
 #include "workload/spec_suite.hh"
 
 using namespace adaptsim;
@@ -170,7 +172,8 @@ TEST_F(RepositoryTest, ProfileMatchesHandBuiltCounterBankRun)
 {
     // A profile is one cycle-level run of the profiling
     // configuration: the phase's own wrong-path seed, the warm
-    // window, then the detail window observed by the counter bank.
+    // window (through the reference warm-up, not a warm memo), then
+    // the detail window observed by the counter bank.
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
     const auto got = repo.profile(spec());
 
@@ -180,12 +183,11 @@ TEST_F(RepositoryTest, ProfileMatchesHandBuiltCounterBankRun)
                                     wl.seed() ^ 0x57a71cULL);
     const auto cc = uarch::CoreConfig::fromConfiguration(
         space::Configuration::profiling());
-    const auto &cycle = sim::perfModel("cycle");
-    const auto session = cycle.makeSession(cc, wp);
-    session->warm(wl.generate(s.startInst - s.warmLength, s.warmLength));
+    uarch::Core core(cc, wp);
+    core.warm(wl.generate(s.startInst - s.warmLength, s.warmLength));
     counters::CounterBank bank(cc);
-    const auto result = cycle.run(
-        *session, wl.generate(s.startInst, s.detailLength), &bank);
+    const auto result =
+        core.run(wl.generate(s.startInst, s.detailLength), &bank);
     bank.finalise(result.events);
 
     EXPECT_EQ(got.basic, counters::assembleFeatures(
@@ -430,6 +432,86 @@ TEST_F(RepositoryTest, ConcurrentInlineBatchesShareOneRepository)
         EXPECT_TRUE(bitIdentical(b1[i], serial_b[i])) << i;
         EXPECT_TRUE(bitIdentical(b2[i], serial_b[i])) << i;
     }
+}
+
+TEST_F(RepositoryTest, ConcurrentWarmsOfOnePhaseMatchSerialEvaluation)
+{
+    // Two threads evaluate disjoint configurations of one phase, so
+    // they share, and race to build, that phase's warm memo.  Every
+    // record must equal a serial evaluation bit for bit, on both
+    // backends.
+    Rng rng(17);
+    const auto configs = space::uniformRandomSet(rng, 16);
+    for (const char *name : {"cycle", "interval"}) {
+        const auto &model = sim::perfModel(name);
+        std::vector<EvalRecord> serial;
+        {
+            EvalRepository repo(workload::specSuite(60000), dir_, 0);
+            for (const auto &cfg : configs)
+                serial.push_back(repo.evaluate(spec(), cfg, &model));
+        }
+        std::filesystem::remove_all(dir_);
+
+        {
+            EvalRepository repo(workload::specSuite(60000), dir_, 0);
+            std::vector<EvalRecord> got(configs.size());
+            const auto every_other = [&](std::size_t first) {
+                for (std::size_t i = first; i < configs.size(); i += 2)
+                    got[i] = repo.evaluate(spec(), configs[i], &model);
+            };
+            std::thread t1(every_other, 0);
+            std::thread t2(every_other, 1);
+            t1.join();
+            t2.join();
+            EXPECT_EQ(repo.simulationsRun(), configs.size()) << name;
+            for (std::size_t i = 0; i < configs.size(); ++i) {
+                EXPECT_TRUE(bitIdentical(got[i], serial[i]))
+                    << name << ' ' << i;
+            }
+        }
+        std::filesystem::remove_all(dir_);
+    }
+}
+
+TEST_F(RepositoryTest, WarmMemoEvictionKeepsRecordsBitExact)
+{
+    // The repository keeps the warm memo of one phase: evaluating
+    // other phases and then returning to the first rebuilds that
+    // phase's memo, and its records must not change.
+    Rng rng(19);
+    const auto configs = space::uniformRandomSet(rng, 4);
+    std::vector<PhaseSpec> phases;
+    for (const std::uint64_t start : {20000, 26000, 32000, 38000}) {
+        auto s = spec();
+        s.startInst = start;
+        phases.push_back(s);
+    }
+
+    std::vector<EvalRecord> reference;
+    {
+        EvalRepository repo(workload::specSuite(60000), dir_, 0);
+        for (const auto &cfg : configs)
+            reference.push_back(repo.evaluate(phases[0], cfg));
+    }
+    std::filesystem::remove_all(dir_);
+
+    EvalRepository repo(workload::specSuite(60000), dir_, 0);
+#if ADAPTSIM_OBS_ENABLED
+    const obs::Counter &builds =
+        obs::Registry::global().counter("repo/warm_memo/builds");
+    const std::uint64_t builds_before = builds.value();
+#endif
+    std::vector<EvalRecord> got{repo.evaluate(phases[0], configs[0])};
+    for (std::size_t p = 1; p < phases.size(); ++p)
+        (void)repo.evaluate(phases[p], configs[0]);
+    for (std::size_t i = 1; i < configs.size(); ++i)
+        got.push_back(repo.evaluate(phases[0], configs[i]));
+#if ADAPTSIM_OBS_ENABLED
+    // One memo per phase, then the first phase's once more.
+    EXPECT_EQ(builds.value() - builds_before, phases.size() + 1);
+#endif
+    for (std::size_t i = 0; i < configs.size(); ++i)
+        EXPECT_TRUE(bitIdentical(got[i], reference[i])) << i;
 }
 
 TEST_F(RepositoryTest, TraceCacheReplayIsBitExact)

@@ -30,6 +30,15 @@ namespace
 
 constexpr std::uint64_t programLength = 100000;
 
+/** A warm memo over @p trace. */
+uarch::WarmMemo
+memoOf(std::vector<isa::MicroOp> trace)
+{
+    return uarch::WarmMemo(
+        std::make_shared<const std::vector<isa::MicroOp>>(
+            std::move(trace)));
+}
+
 uarch::SimResult
 runBackend(const sim::PerfModel &model, const std::string &bench,
            const space::Configuration &cfg,
@@ -40,7 +49,8 @@ runBackend(const sim::PerfModel &model, const std::string &bench,
                                     wl.seed() ^ 0x57a71cULL);
     const auto cc = uarch::CoreConfig::fromConfiguration(cfg);
     const auto session = model.makeSession(cc, wp);
-    session->warm(wl.generate(40000 - warm, warm));
+    auto memo = memoOf(wl.generate(40000 - warm, warm));
+    session->warm(memo);
     return model.run(*session, wl.generate(40000, detail));
 }
 
@@ -133,7 +143,8 @@ TEST(Sim, CycleBackendMatchesDirectCoreEventForEvent)
                                          wl.seed() ^ 0x57a71cULL);
     const auto &model = sim::perfModel("cycle");
     const auto session = model.makeSession(cc, wp_seam);
-    session->warm(warm);
+    auto memo = memoOf(warm);
+    session->warm(memo);
     const auto seam = model.run(*session, trace);
 
     EXPECT_EQ(seam.cycles, direct.cycles);
@@ -222,7 +233,8 @@ TEST(Sim, EmptyTraceYieldsEmptyResult)
         workload::WrongPathGenerator wp(wl.averageParams(),
                                         wl.seed() ^ 0x57a71cULL);
         const auto session = model.makeSession(cc, wp);
-        session->warm(wl.generate(32000, 8000));
+        auto memo = memoOf(wl.generate(32000, 8000));
+        session->warm(memo);
         const auto r = model.run(*session, {});
         EXPECT_EQ(r.cycles, 0u) << name;
         EXPECT_EQ(r.events.committedOps, 0u) << name;
