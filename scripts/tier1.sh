@@ -10,8 +10,9 @@
 #      chip model with its shared LLC, and the shared warm memo)
 #   3. AddressSanitizer+UBSan pass over the full test suite
 #   4. -DADAPTSIM_OBS=OFF build proving the instrumentation compiles
-#      out cleanly, and that the repository, backend and controller
-#      tests (whose bookkeeping sits beside OBS_ONLY code) still pass
+#      out cleanly, and that the repository, backend, trace-cache and
+#      controller tests (whose bookkeeping sits beside OBS_ONLY code)
+#      still pass
 #   5. -DADAPTSIM_WERROR=ON hardened compile: the whole tree (library,
 #      tools, tests, benches, examples) must be -Wshadow -Werror clean
 #   6. clang -DADAPTSIM_THREAD_SAFETY=ON static concurrency analysis:
@@ -65,14 +66,14 @@ fi
 
 # 4. Compile-out check: with ADAPTSIM_OBS=OFF the OBS_* macros vanish
 # from every call site; the library, a bench, the obs unit tests and
-# the repository, backend and controller tests must still build and
-# pass.
+# the repository, backend, trace-cache and controller tests must
+# still build and pass.
 cmake -B build-noobs -S . -DADAPTSIM_OBS=OFF
 cmake --build build-noobs -j \
-    --target test_obs test_repository test_sim test_controller \
-             table3_baseline_static
+    --target test_obs test_repository test_sim test_trace_cache \
+             test_controller table3_baseline_static
 ctest --test-dir build-noobs --output-on-failure \
-    -R 'test_obs|test_repository|test_sim$|test_controller'
+    -R 'test_obs|test_repository|test_sim$|test_trace_cache|test_controller'
 
 # 5. Hardened warning profile (compile-only).
 cmake -B build-werror -S . -DADAPTSIM_WERROR=ON

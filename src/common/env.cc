@@ -74,13 +74,6 @@ numThreads()
     return hw ? hw : 1;
 }
 
-std::size_t
-traceCacheCapacity()
-{
-    const long n = envLong("ADAPTSIM_TRACE_CACHE", 48);
-    return n > 0 ? static_cast<std::size_t>(n) : 1;
-}
-
 bool
 metricsEnabled()
 {

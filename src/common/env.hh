@@ -6,7 +6,6 @@
 #ifndef ADAPTSIM_COMMON_ENV_HH
 #define ADAPTSIM_COMMON_ENV_HH
 
-#include <cstddef>
 #include <string>
 
 namespace adaptsim
@@ -30,10 +29,6 @@ std::string dataDir();
 
 /** ADAPTSIM_THREADS: evaluation threads (default hw concurrency). */
 unsigned numThreads();
-
-/** ADAPTSIM_TRACE_CACHE: interval-trace LRU capacity in traces
- *  (default 48, minimum 1). */
-std::size_t traceCacheCapacity();
 
 /** ADAPTSIM_METRICS: exit metrics summary.  Unset/"1" enables the
  *  table; "0"/"off" disables it; any other value is additionally

@@ -72,15 +72,6 @@ class SimulatedChip
                 uarch::CoreConfig::fromConfiguration(c), *wrongPath_);
     }
 
-    power::Metrics
-    metricsFor(std::size_t core, const uarch::SimResult &result) const
-    {
-        if (chip_)
-            return power::computeMetrics(chip_->core(core).config(),
-                                         result.events);
-        return session_->metricsFor(result);
-    }
-
   private:
     const sim::PerfModel &backend_;
     workload::WrongPathGenerator *wrongPath_;
@@ -105,50 +96,184 @@ interferenceOf(const uarch::ChipResult &res)
     return out;
 }
 
-/**
- * One interval's trace per core: replayed from the shared trace
- * cache when there is one, else generated through a per-core
- * resumable cursor.  The spans stay valid until the next fetch().
- */
-class IntervalTraces
+using WrongPaths =
+    std::vector<std::unique_ptr<workload::WrongPathGenerator>>;
+
+/** One wrong-path generator per core, seeded from its workload
+ *  with @p salt; @p who names the caller in fatal errors. */
+WrongPaths
+makeWrongPaths(const std::vector<const workload::Workload *> &workloads,
+               std::uint64_t salt, const char *who)
 {
-  public:
-    IntervalTraces(
-        const std::vector<const workload::Workload *> &workloads,
-        std::uint64_t interval_length, workload::TraceCache *cache)
-        : workloads_(workloads), length_(interval_length),
-          cache_(cache), hold_(workloads.size()),
-          local_(workloads.size()), cursors_(workloads.size()),
-          spans_(workloads.size())
-    {
+    if (workloads.empty())
+        fatal(who, ": need at least one workload");
+    WrongPaths out;
+    out.reserve(workloads.size());
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+        const auto *wl = workloads[i];
+        if (!wl)
+            fatal(who, ": null workload for core ", i);
+        out.push_back(std::make_unique<workload::WrongPathGenerator>(
+            wl->averageParams(), wl->seed() ^ salt));
+    }
+    return out;
+}
+
+/** Charge one executed interval of @p events on @p cc to @p cs. */
+void
+chargeInterval(RunStats &cs, const uarch::CoreConfig &cc,
+               const uarch::EventCounts &events)
+{
+    const auto m = power::computeMetrics(cc, events);
+    cs.seconds += m.seconds;
+    cs.joules += m.joules;
+    cs.instructions += events.committedOps;
+    ++cs.intervals;
+}
+
+/**
+ * The Fig. 2 interval loop over one chip whose cores all start on
+ * opt.initialConfig.  With @p policies null every core stays there
+ * and nothing is profiled or reconfigured: the static reference.
+ * Every interval reads through a trace cache, opt.traceCache or one
+ * this run owns.
+ */
+ChipRunStats
+runIntervals(
+    const std::vector<const workload::Workload *> &workloads,
+    const ChipControllerOptions &opt, const WrongPaths &wrong_paths,
+    std::vector<CorePolicy> *policies, std::uint64_t max_instructions)
+{
+    const std::size_t n = workloads.size();
+    const sim::PerfModel &backend = sim::resolvePerfModel(opt.backend);
+
+    uarch::ChipConfig chip_cfg = opt.chip;
+    chip_cfg.coreConfigs.assign(n, opt.initialConfig);
+    std::vector<workload::WrongPathGenerator *> wpp;
+    wpp.reserve(n);
+    for (const auto &wp : wrong_paths)
+        wpp.push_back(wp.get());
+    SimulatedChip chip(backend, chip_cfg, wpp);
+
+    std::vector<space::Configuration> current(n, opt.initialConfig);
+    std::vector<uarch::CoreConfig> current_cc(
+        n, uarch::CoreConfig::fromConfiguration(opt.initialConfig));
+
+    // Persistent per-core solo profiling sessions at the profiling
+    // configuration (nominal, interference-free counters — the
+    // distribution the model was trained on).
+    const sim::PerfModel &profile_backend =
+        sim::profilingPerfModel(backend);
+    const auto profiling_cc = uarch::CoreConfig::fromConfiguration(
+        space::Configuration::profiling());
+    std::vector<std::unique_ptr<sim::CoreSession>> profilers;
+    if (policies) {
+        profilers.reserve(n);
+        for (const auto &wp : wrong_paths)
+            profilers.push_back(
+                profile_backend.makeSession(profiling_cc, *wp));
     }
 
-    const std::vector<std::span<const isa::MicroOp>> &
-    fetch(std::uint64_t interval)
-    {
-        const std::uint64_t start = interval * length_;
-        for (std::size_t c = 0; c < workloads_.size(); ++c) {
-            const auto &wl = *workloads_[c];
-            if (cache_) {
-                hold_[c] = cache_->get(wl, start, length_);
-                spans_[c] = *hold_[c];
-            } else {
-                local_[c] = wl.generate(start, length_, cursors_[c]);
-                spans_[c] = local_[c];
+    // A run without a shared cache owns one that holds an interval
+    // of every core; misses walk each program sequentially.
+    std::optional<workload::TraceCache> own_cache;
+    workload::TraceCache &cache =
+        opt.traceCache ? *opt.traceCache : own_cache.emplace(n);
+
+    ChipRunStats stats;
+    stats.cores.resize(n);
+    stats.interference.resize(n);
+
+    const std::uint64_t length = opt.intervalLength;
+    const std::uint64_t num_intervals = max_instructions / length;
+    std::vector<workload::TracePtr> traces(n);
+    std::vector<std::span<const isa::MicroOp>> chip_traces(n);
+    std::vector<bool> just_reconfigured(n);
+    for (std::uint64_t i = 0; i < num_intervals; ++i) {
+        for (std::size_t c = 0; c < n; ++c)
+            traces[c] = cache.get(*workloads[c], i * length, length);
+        bool any_chip_work = false;
+
+        for (std::size_t c = 0; c < n; ++c) {
+            const std::span<const isa::MicroOp> trace = *traces[c];
+            RunStats &cs = stats.cores[c];
+            space::Configuration target = current[c];
+            bool profiled = false;
+            if (policies) {
+                // Stage 1 per core.
+                CorePolicy &policy = (*policies)[c];
+                const auto obs = policy.observe(trace);
+                if (obs.phaseChanged)
+                    ++cs.phaseChanges;
+                if (obs.newPhase) {
+                    // Stage 2: solo profile at nominal conditions;
+                    // the core sits out this chip interval.
+                    counters::CounterBank bank(profiling_cc);
+                    uarch::SimResult prof;
+                    {
+                        OBS_SPAN("control/profile");
+                        prof = profile_backend.run(*profilers[c],
+                                                   trace, &bank);
+                    }
+                    bank.finalise(prof.events);
+                    chargeInterval(cs, profiling_cc, prof.events);
+                    ++cs.profilingIntervals;
+                    profiled = true;
+
+                    // Stage 3 per core.
+                    target = policy.predictFrom(obs.phaseId, bank);
+                } else if (const auto *p =
+                               policy.prediction(obs.phaseId)) {
+                    target = *p;
+                }
+            }
+            chip_traces[c] =
+                profiled ? std::span<const isa::MicroOp>() : trace;
+            any_chip_work |= !profiled;
+
+            just_reconfigured[c] = target != current[c];
+            if (just_reconfigured[c]) {
+                const ReconfigCostModel cost_model(current_cc[c]);
+                const Cycles penalty =
+                    cost_model.transitionCycles(current[c], target);
+                cs.reconfigCycles += penalty;
+                cs.seconds +=
+                    double(penalty) * current_cc[c].clockPeriodSec;
+                ++cs.reconfigurations;
+                OBS_ONLY(
+                    OBS_COUNTER("control/reconfigurations").add(1);)
+
+                current[c] = target;
+                current_cc[c] =
+                    uarch::CoreConfig::fromConfiguration(target);
+                // Reconfiguration flush: the chip rebuilds the
+                // core's private state cold.
+                chip.reconfigureCore(c, target);
             }
         }
-        return spans_;
-    }
 
-  private:
-    const std::vector<const workload::Workload *> &workloads_;
-    const std::uint64_t length_;
-    workload::TraceCache *const cache_;
-    std::vector<workload::TracePtr> hold_;
-    std::vector<std::vector<isa::MicroOp>> local_;
-    std::vector<workload::Workload::Cursor> cursors_;
-    std::vector<std::span<const isa::MicroOp>> spans_;
-};
+        if (!any_chip_work)
+            continue;
+
+        const auto res = chip.run(chip_traces);
+        stats.interference = interferenceOf(res);
+        for (std::size_t c = 0; c < n; ++c) {
+            if (chip_traces[c].empty())
+                continue;
+            RunStats &cs = stats.cores[c];
+            const double joules_before = cs.joules;
+            chargeInterval(cs, current_cc[c], res.cores[c].events);
+            if (just_reconfigured[c]) {
+                // ~3% energy overhead on the reconfiguring interval
+                // (powering transitions, flush traffic) — Sec. VIII.
+                cs.joules +=
+                    (cs.joules - joules_before) *
+                    ReconfigCostModel::intervalEnergyOverhead;
+            }
+        }
+    }
+    return stats;
+}
 
 } // namespace
 
@@ -189,211 +314,40 @@ ChipController::ChipController(
     const ml::AdaptivityModel &model,
     const ChipControllerOptions &options)
     : workloads_(workloads), opt_(options),
-      backend_(sim::resolvePerfModel(options.backend)),
-      profileBackend_(sim::profilingPerfModel(backend_))
+      wrongPaths_(makeWrongPaths(workloads, 0x771ULL, "ChipController"))
 {
-    const std::size_t n = workloads_.size();
-    if (n == 0)
-        fatal("ChipController: need at least one workload");
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!workloads_[i])
-            fatal("ChipController: null workload for core ", i);
-    }
-
-    opt_.chip.coreConfigs.assign(n, opt_.initialConfig);
-
-    wrongPaths_.reserve(n);
-    policies_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto &wl = *workloads_[i];
-        wrongPaths_.push_back(
-            std::make_unique<workload::WrongPathGenerator>(
-                wl.averageParams(), wl.seed() ^ 0x771ULL));
+    policies_.reserve(workloads_.size());
+    for (std::size_t i = 0; i < workloads_.size(); ++i)
         policies_.emplace_back(model, opt_.featureSet,
                                opt_.detectorThreshold);
-    }
 }
 
 ChipRunStats
 ChipController::run(std::uint64_t max_instructions)
 {
-    const std::size_t n = workloads_.size();
-    ChipRunStats stats;
-    stats.cores.resize(n);
-    stats.interference.resize(n);
-
-    const std::uint64_t interval = opt_.intervalLength;
-    const std::uint64_t num_intervals = max_instructions / interval;
-
-    std::vector<space::Configuration> current(n,
-                                              opt_.initialConfig);
-    std::vector<uarch::CoreConfig> current_cc(
-        n, uarch::CoreConfig::fromConfiguration(opt_.initialConfig));
-
-    std::vector<workload::WrongPathGenerator *> wpp;
-    wpp.reserve(n);
-    for (const auto &wp : wrongPaths_)
-        wpp.push_back(wp.get());
-    SimulatedChip chip(backend_, opt_.chip, wpp);
-
-    // Persistent per-core solo profiling sessions at the profiling
-    // configuration (nominal, interference-free counters — the
-    // distribution the model was trained on).
-    const auto profiling = space::Configuration::profiling();
-    const auto profiling_cc =
-        uarch::CoreConfig::fromConfiguration(profiling);
-    std::vector<std::unique_ptr<sim::CoreSession>> profilers;
-    profilers.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        profilers.push_back(
-            profileBackend_.makeSession(profiling_cc,
-                                        *wrongPaths_[i]));
-
-    IntervalTraces fetcher(workloads_, interval, opt_.traceCache);
-    for (std::uint64_t i = 0; i < num_intervals; ++i) {
-        const auto &traces = fetcher.fetch(i);
-        std::vector<std::span<const isa::MicroOp>> chip_traces(n);
-        std::vector<bool> just_reconfigured(n, false);
-        bool any_chip_work = false;
-
-        for (std::size_t c = 0; c < n; ++c) {
-            // Stage 1 per core.
-            const auto obs = policies_[c].observe(traces[c]);
-            if (obs.phaseChanged)
-                ++stats.cores[c].phaseChanges;
-
-            space::Configuration target = current[c];
-            if (obs.newPhase) {
-                // Stage 2: solo profile at nominal conditions; the
-                // core sits out this chip interval.
-                counters::CounterBank bank(profiling_cc);
-                uarch::SimResult prof;
-                {
-                    OBS_SPAN("control/profile");
-                    prof = profileBackend_.run(*profilers[c],
-                                               traces[c], &bank);
-                }
-                bank.finalise(prof.events);
-                const auto m = power::computeMetrics(profiling_cc,
-                                                     prof.events);
-                RunStats &cs = stats.cores[c];
-                cs.seconds += m.seconds;
-                cs.joules += m.joules;
-                cs.instructions += prof.events.committedOps;
-                ++cs.intervals;
-                ++cs.profilingIntervals;
-
-                // Stage 3 per core.
-                target = policies_[c].predictFrom(obs.phaseId, bank);
-            } else {
-                if (const auto *p =
-                        policies_[c].prediction(obs.phaseId))
-                    target = *p;
-                chip_traces[c] = traces[c];
-                any_chip_work = true;
-            }
-
-            if (target != current[c]) {
-                const ReconfigCostModel cost_model(current_cc[c]);
-                const Cycles penalty =
-                    cost_model.transitionCycles(current[c], target);
-                RunStats &cs = stats.cores[c];
-                cs.reconfigCycles += penalty;
-                cs.seconds +=
-                    double(penalty) * current_cc[c].clockPeriodSec;
-                ++cs.reconfigurations;
-                OBS_ONLY(
-                    OBS_COUNTER("control/reconfigurations").add(1);)
-                just_reconfigured[c] = true;
-
-                current[c] = target;
-                current_cc[c] =
-                    uarch::CoreConfig::fromConfiguration(target);
-                // Reconfiguration flush: the chip rebuilds the
-                // core's private state cold.
-                chip.reconfigureCore(c, target);
-            }
-        }
-
-        if (!any_chip_work)
-            continue;
-
-        const auto res = chip.run(chip_traces);
-        stats.interference = interferenceOf(res);
-        for (std::size_t c = 0; c < n; ++c) {
-            if (chip_traces[c].empty())
-                continue;
-            const auto m = chip.metricsFor(c, res.cores[c]);
-            RunStats &cs = stats.cores[c];
-            const double joules_before = cs.joules;
-            cs.seconds += m.seconds;
-            cs.joules += m.joules;
-            cs.instructions += res.cores[c].events.committedOps;
-            ++cs.intervals;
-            if (just_reconfigured[c]) {
-                // ~3% energy overhead on the reconfiguring interval
-                // (powering transitions, flush traffic) — Sec. VIII.
-                cs.joules +=
-                    (cs.joules - joules_before) *
-                    ReconfigCostModel::intervalEnergyOverhead;
-            }
-        }
-    }
-    return stats;
+    return runIntervals(workloads_, opt_, wrongPaths_, &policies_,
+                        max_instructions);
 }
 
 ChipRunStats
 runStaticChip(const std::vector<const workload::Workload *> &workloads,
               const space::Configuration &config,
-              const uarch::ChipConfig &chip_geometry,
+              const uarch::ChipConfig &chip,
               std::uint64_t max_instructions,
               std::uint64_t interval_length,
               workload::TraceCache *trace_cache,
               const sim::PerfModel *backend)
 {
-    const std::size_t n = workloads.size();
-    if (n == 0)
-        fatal("runStaticChip: need at least one workload");
-    const sim::PerfModel &model = sim::resolvePerfModel(backend);
-
-    uarch::ChipConfig chip_cfg = chip_geometry;
-    chip_cfg.coreConfigs.assign(n, config);
-
-    std::vector<std::unique_ptr<workload::WrongPathGenerator>>
-        wrong_paths;
-    std::vector<workload::WrongPathGenerator *> wpp;
-    wrong_paths.reserve(n);
-    wpp.reserve(n);
-    for (const auto *wl : workloads) {
-        if (!wl)
-            fatal("runStaticChip: null workload");
-        wrong_paths.push_back(
-            std::make_unique<workload::WrongPathGenerator>(
-                wl->averageParams(), wl->seed() ^ 0x57a71cULL));
-        wpp.push_back(wrong_paths.back().get());
-    }
-    SimulatedChip chip(model, chip_cfg, wpp);
-
-    ChipRunStats stats;
-    stats.cores.resize(n);
-    stats.interference.resize(n);
-
-    const std::uint64_t num_intervals =
-        max_instructions / interval_length;
-    IntervalTraces fetcher(workloads, interval_length, trace_cache);
-    for (std::uint64_t i = 0; i < num_intervals; ++i) {
-        const auto res = chip.run(fetcher.fetch(i));
-        stats.interference = interferenceOf(res);
-        for (std::size_t c = 0; c < n; ++c) {
-            const auto m = chip.metricsFor(c, res.cores[c]);
-            RunStats &cs = stats.cores[c];
-            cs.seconds += m.seconds;
-            cs.joules += m.joules;
-            cs.instructions += res.cores[c].events.committedOps;
-            ++cs.intervals;
-        }
-    }
-    return stats;
+    ChipControllerOptions opt;
+    opt.intervalLength = interval_length;
+    opt.initialConfig = config;
+    opt.chip = chip;
+    opt.traceCache = trace_cache;
+    opt.backend = backend;
+    const auto wrong_paths =
+        makeWrongPaths(workloads, 0x57a71cULL, "runStaticChip");
+    return runIntervals(workloads, opt, wrong_paths, nullptr,
+                        max_instructions);
 }
 
 } // namespace adaptsim::control

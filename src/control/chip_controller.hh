@@ -28,6 +28,12 @@
  * interference itself reaches the timing through the chip model, not
  * the features.  The profiled core sits out the chip interval: its
  * work happened on the profiling core.
+ *
+ * runStaticChip, the fixed-configuration reference, is the same
+ * interval loop with no policy: every core stays on its
+ * configuration and nothing is profiled or reconfigured.  Both read
+ * every interval's traces through a workload::TraceCache, the
+ * caller's or one the run owns.
  */
 
 #ifndef ADAPTSIM_CONTROL_CHIP_CONTROLLER_HH
@@ -64,7 +70,8 @@ struct ChipControllerOptions
 
     /** Optional shared interval-trace cache: replayed runs of the
      *  same workloads (static vs adaptive comparisons) then generate
-     *  each interval once instead of once per run. */
+     *  each interval once instead of once per run.  nullptr: each
+     *  run owns a cache of one interval per core. */
     workload::TraceCache *traceCache = nullptr;
 
     /** Backend for the chip intervals; nullptr selects "cycle".
@@ -152,8 +159,6 @@ class ChipController
   private:
     std::vector<const workload::Workload *> workloads_;
     ChipControllerOptions opt_;
-    const sim::PerfModel &backend_;
-    const sim::PerfModel &profileBackend_;
 
     std::vector<std::unique_ptr<workload::WrongPathGenerator>>
         wrongPaths_;
@@ -161,10 +166,11 @@ class ChipController
 };
 
 /**
- * Reference point: every core pinned to @p config for the whole run
- * on the same chip geometry.  @p backend nullptr selects "cycle";
- * as for ChipControllerOptions::backend, a multi-core chip needs
- * "cycle".
+ * Reference point: the controller's interval loop with every core
+ * pinned to @p config for the whole run on the same chip geometry.
+ * @p trace_cache and @p backend mean what ChipControllerOptions'
+ * traceCache and backend do: nullptr selects a run-owned cache and
+ * "cycle", and a multi-core chip needs "cycle".
  */
 ChipRunStats
 runStaticChip(const std::vector<const workload::Workload *> &workloads,

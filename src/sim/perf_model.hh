@@ -35,7 +35,6 @@
 #include <span>
 #include <string>
 
-#include "power/metrics.hh"
 #include "uarch/core_config.hh"
 #include "uarch/events.hh"
 #include "uarch/pipeline.hh"
@@ -76,13 +75,6 @@ class CoreSession
 
     /** The derived configuration this session was built from. */
     virtual const uarch::CoreConfig &config() const = 0;
-
-    /** Turn a run() result into full power/performance metrics,
-     *  derived from the result's event counts. */
-    power::Metrics metricsFor(const uarch::SimResult &result) const
-    {
-        return power::computeMetrics(config(), result.events);
-    }
 };
 
 /** Abstract performance-model backend (stateless; sessions carry

@@ -24,6 +24,11 @@
 #include "uarch/core_config.hh"
 #include "uarch/shared_llc.hh"
 
+namespace adaptsim::obs
+{
+class Counter;
+} // namespace adaptsim::obs
+
 namespace adaptsim::uarch
 {
 
@@ -89,6 +94,15 @@ class Chip
     std::unique_ptr<SharedLlc> llc_;
     std::vector<std::unique_ptr<Core>> cores_;
     std::vector<Cycles> elapsed_;
+
+    /** Per-core registry counters, resolved once at construction
+     *  (left empty when instrumentation is compiled out). */
+    struct CoreCounters
+    {
+        obs::Counter *quanta;
+        obs::Counter *committedOps;
+    };
+    std::vector<CoreCounters> counters_;
 };
 
 } // namespace adaptsim::uarch

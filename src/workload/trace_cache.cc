@@ -1,6 +1,6 @@
 #include "workload/trace_cache.hh"
 
-#include "common/env.hh"
+#include "common/logging.hh"
 #include "obs/obs.hh"
 
 namespace adaptsim::workload
@@ -35,9 +35,10 @@ traceCacheMetrics()
 
 #endif // ADAPTSIM_OBS_ENABLED
 
-TraceCache::TraceCache(std::size_t capacity)
-    : capacity_(capacity ? capacity : traceCacheCapacity())
+TraceCache::TraceCache(std::size_t capacity) : capacity_(capacity)
 {
+    if (capacity_ == 0)
+        panic("TraceCache: capacity must be at least 1");
 }
 
 TracePtr

@@ -21,10 +21,9 @@
  * the program rather than a replay from each segment start per
  * miss.  Misses that jump around fall back to a cold reseek.
  *
- * Capacity comes from ADAPTSIM_TRACE_CACHE (default 48, clamped to
- * at least 1; see common/env).  Hits, misses, evictions and
- * reseek-replayed µops are mirrored into the obs registry under the
- * tracecache/ prefix.
+ * Capacity is fixed at construction (default 48 traces).  Hits,
+ * misses, evictions and reseek-replayed µops are mirrored into the
+ * obs registry under the tracecache/ prefix.
  */
 
 #ifndef ADAPTSIM_WORKLOAD_TRACE_CACHE_HH
@@ -90,9 +89,12 @@ struct TraceCacheStats
 class TraceCache
 {
   public:
-    /** @param capacity max resident traces; 0 means "use the
-     *  ADAPTSIM_TRACE_CACHE env default" (itself clamped to >= 1). */
-    explicit TraceCache(std::size_t capacity = 0);
+    /** Default capacity in traces. */
+    static constexpr std::size_t defaultCapacity = 48;
+
+    /** @param capacity max resident traces; must be at least 1
+     *  (panics on 0). */
+    explicit TraceCache(std::size_t capacity = defaultCapacity);
 
     /**
      * Fetch (generating if needed) the trace of @p count µops of

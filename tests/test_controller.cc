@@ -365,3 +365,64 @@ TEST(ChipController, AdaptiveBeatsStaticOnContendedPair)
     ASSERT_GT(static_eff, 0.0);
     EXPECT_GE(adaptive_stats.meanEfficiency() / static_eff, 1.0);
 }
+
+TEST(ChipController, TwoCoreChipMatchesFrozenGolden)
+{
+    // The multi-core path of both entry points, pinned bit for bit:
+    // gzip + gap on a two-core Table III chip, 30k µops in 5k
+    // intervals, default backend, dummy model.
+    const auto a = workload::specBenchmark("gzip", 100000);
+    const auto b = workload::specBenchmark("gap", 100000);
+    const auto chip = uarch::ChipConfig::homogeneous(
+        harness::paperBaselineConfig(), 2);
+
+    struct Golden
+    {
+        std::uint64_t phaseChanges, profilingIntervals,
+            reconfigurations, reconfigCycles, seconds, joules,
+            occupancyShare;
+    };
+    const auto check = [](const ChipRunStats &got,
+                          const std::vector<Golden> &want) {
+        ASSERT_EQ(got.cores.size(), want.size());
+        for (std::size_t c = 0; c < want.size(); ++c) {
+            const RunStats &s = got.cores[c];
+            EXPECT_EQ(s.intervals, 6u) << c;
+            EXPECT_EQ(s.instructions, 30000u) << c;
+            EXPECT_EQ(s.phaseChanges, want[c].phaseChanges) << c;
+            EXPECT_EQ(s.profilingIntervals,
+                      want[c].profilingIntervals)
+                << c;
+            EXPECT_EQ(s.reconfigurations, want[c].reconfigurations)
+                << c;
+            EXPECT_EQ(s.reconfigCycles, want[c].reconfigCycles) << c;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(s.seconds),
+                      want[c].seconds)
+                << c;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(s.joules),
+                      want[c].joules)
+                << c;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                          got.interference[c].occupancyShare),
+                      want[c].occupancyShare)
+                << c;
+        }
+    };
+
+    check(runStaticChip({&a, &b}, harness::paperBaselineConfig(),
+                        chip, 30000, 5000),
+          {{0, 0, 0, 0, 0x3f02da5a207f48d8ULL, 0x3f2dffb99a0fa736ULL,
+            0x3f8ebc0000000000ULL},
+           {0, 0, 0, 0, 0x3f01161266091e62ULL, 0x3f296f8f90430641ULL,
+            0x3f75d80000000000ULL}});
+
+    const auto model = dummyModel();
+    ChipControllerOptions opt = soloOptions(5000);
+    opt.chip = chip;
+    ChipController controller({&a, &b}, model, opt);
+    check(controller.run(30000),
+          {{2, 2, 1, 2966, 0x3f1d14c2aa96086eULL,
+            0x3f418018cbb4da68ULL, 0x3f81900000000000ULL},
+           {1, 1, 1, 2966, 0x3f1e12bfbf2af538ULL,
+            0x3f406b04009747bdULL, 0x3f71c80000000000ULL}});
+}

@@ -126,19 +126,3 @@ TEST(Env, TraceKnobs)
     EXPECT_EQ(traceFile(), "t.json");
     unsetenv("ADAPTSIM_TRACE_FILE");
 }
-
-TEST(Env, TraceCacheCapacityDefaultAndClamp)
-{
-    unsetenv("ADAPTSIM_TRACE_CACHE");
-    EXPECT_EQ(traceCacheCapacity(), 48u);
-    setenv("ADAPTSIM_TRACE_CACHE", "6", 1);
-    EXPECT_EQ(traceCacheCapacity(), 6u);
-    // Zero and negative clamp to the minimum of 1.
-    setenv("ADAPTSIM_TRACE_CACHE", "0", 1);
-    EXPECT_EQ(traceCacheCapacity(), 1u);
-    setenv("ADAPTSIM_TRACE_CACHE", "-9", 1);
-    EXPECT_EQ(traceCacheCapacity(), 1u);
-    setenv("ADAPTSIM_TRACE_CACHE", "garbage", 1);
-    EXPECT_EQ(traceCacheCapacity(), 48u);
-    unsetenv("ADAPTSIM_TRACE_CACHE");
-}

@@ -19,6 +19,7 @@
 #include "harness/gather.hh"
 #include "harness/repository.hh"
 #include "obs/registry.hh"
+#include "power/metrics.hh"
 #include "sim/cycle_level_model.hh"
 #include "sim/perf_model.hh"
 #include "space/sampling.hh"
@@ -516,33 +517,40 @@ TEST_F(RepositoryTest, WarmMemoEvictionKeepsRecordsBitExact)
 
 TEST_F(RepositoryTest, TraceCacheReplayIsBitExact)
 {
+    // From the second configuration on, the warm and detail traces
+    // replay from the repository's trace cache.  Each evaluation must
+    // equal a hand-built cycle-level run on freshly generated traces:
+    // the phase's wrong-path seed, the reference warm-up of the warm
+    // window, then the detail window.
     Rng rng(13);
     const auto configs = space::uniformRandomSet(rng, 4);
+    EvalRepository repo(workload::specSuite(60000), dir_, 0);
 
-    // Shared-cache repo: from the second config on, both the warm
-    // and detail traces replay from the trace cache.
-    EvalRepository cached(workload::specSuite(60000),
-                          dir_ + "/cached", 0);
-    // Thrashing repo: a capacity-1 trace cache means the detail
-    // interval evicts the warm interval every simulation, so each
-    // evaluation regenerates both traces — the cache-off baseline.
-    setenv("ADAPTSIM_TRACE_CACHE", "1", 1);
-    EvalRepository regen(workload::specSuite(60000),
-                         dir_ + "/regen", 0);
-    unsetenv("ADAPTSIM_TRACE_CACHE");
-    ASSERT_EQ(regen.traceCache().capacity(), 1u);
+    const PhaseSpec s = spec();
+    const auto wl = workload::specBenchmark(s.workload, s.programLength);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const auto got = repo.evaluate(s, configs[i]);
 
-    for (const auto &cfg : configs) {
-        const auto a = cached.evaluate(spec(), cfg);
-        const auto b = regen.evaluate(spec(), cfg);
-        EXPECT_TRUE(bitIdentical(a, b));
+        workload::WrongPathGenerator wp(wl.averageParams(),
+                                        wl.seed() ^ 0x57a71cULL);
+        const auto cc = uarch::CoreConfig::fromConfiguration(configs[i]);
+        uarch::Core core(cc, wp);
+        core.warm(wl.generate(s.startInst - s.warmLength, s.warmLength));
+        const auto m = power::computeMetrics(
+            cc, core.run(wl.generate(s.startInst, s.detailLength)).events);
+        EvalRecord want;
+        want.cycles = m.cycles;
+        want.instructions = m.instructions;
+        want.seconds = m.seconds;
+        want.joules = m.joules;
+        want.ipc = m.ipc;
+        want.watts = m.watts;
+        want.efficiency = m.efficiency;
+        EXPECT_TRUE(bitIdentical(got, want)) << i;
     }
-    // Sanity: the shared cache actually replayed, the thrashing
-    // cache actually regenerated.
-    EXPECT_GT(cached.stats().traceHits, 0u);
-    EXPECT_EQ(regen.stats().traceHits, 0u);
-    EXPECT_GT(regen.stats().traceMisses,
-              cached.stats().traceMisses);
+    // One generation per window; every later evaluation replayed.
+    EXPECT_EQ(repo.stats().traceMisses, 2u);
+    EXPECT_EQ(repo.stats().traceHits, 2 * (configs.size() - 1));
 }
 
 TEST_F(RepositoryTest, TruncatedProfileIsReSimulated)

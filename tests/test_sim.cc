@@ -17,6 +17,7 @@
 #include <thread>
 
 #include "harness/gather.hh"
+#include "power/metrics.hh"
 #include "sim/cycle_level_model.hh"
 #include "sim/interval_model.hh"
 #include "sim/perf_model.hh"
@@ -238,7 +239,7 @@ TEST(Sim, EmptyTraceYieldsEmptyResult)
         const auto r = model.run(*session, {});
         EXPECT_EQ(r.cycles, 0u) << name;
         EXPECT_EQ(r.events.committedOps, 0u) << name;
-        const auto m = session->metricsFor(r);
+        const auto m = power::computeMetrics(session->config(), r.events);
         EXPECT_EQ(m.instructions, 0.0) << name;
         EXPECT_TRUE(std::isfinite(m.joules)) << name;
     }

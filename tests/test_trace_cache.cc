@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -68,14 +67,11 @@ TEST(TraceCache, DifferentWorkloadsDoNotCollide)
     EXPECT_LT(same, 40);
 }
 
-TEST(TraceCache, CapacityZeroUsesEnvDefault)
+TEST(TraceCache, DefaultCapacityIs48)
 {
-    setenv("ADAPTSIM_TRACE_CACHE", "3", 1);
-    TraceCache cache;   // 0 → env knob
-    EXPECT_EQ(cache.capacity(), 3u);
-    unsetenv("ADAPTSIM_TRACE_CACHE");
     TraceCache dflt;
     EXPECT_EQ(dflt.capacity(), 48u);
+    EXPECT_DEATH(TraceCache(0), "capacity must be at least 1");
 }
 
 TEST(TraceCache, CapacityOneStillServesHits)
