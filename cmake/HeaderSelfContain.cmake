@@ -33,6 +33,6 @@ foreach(_hdr IN LISTS _adaptsim_public_headers)
 endforeach()
 
 add_library(header_selfcontain OBJECT ${_adaptsim_hc_srcs})
-# Inherit include dirs and the ADAPTSIM_OBS_ENABLED define; OBJECT
-# libraries take usage requirements without linking anything.
+# Inherit the include dirs; OBJECT libraries take usage
+# requirements without linking anything.
 target_link_libraries(header_selfcontain PRIVATE adaptsim)

@@ -9,16 +9,12 @@
 #      perf-model backend table, the gather scheduler, the multi-core
 #      chip model with its shared LLC, and the shared warm memo)
 #   3. AddressSanitizer+UBSan pass over the full test suite
-#   4. -DADAPTSIM_OBS=OFF build proving the instrumentation compiles
-#      out cleanly, and that the repository, backend, trace-cache and
-#      controller tests (whose bookkeeping sits beside OBS_ONLY code)
-#      still pass
-#   5. -DADAPTSIM_WERROR=ON hardened compile: the whole tree (library,
+#   4. -DADAPTSIM_WERROR=ON hardened compile: the whole tree (library,
 #      tools, tests, benches, examples) must be -Wshadow -Werror clean
-#   6. clang -DADAPTSIM_THREAD_SAFETY=ON static concurrency analysis:
+#   5. clang -DADAPTSIM_THREAD_SAFETY=ON static concurrency analysis:
 #      the annotations in src/common/thread_annotations.hh must prove
 #      lock discipline under -Wthread-safety -Werror
-#   7. the repository benchmark's own tests (perfbench/run.py
+#   6. the repository benchmark's own tests (perfbench/run.py
 #      --self-test): the benchmark still builds against the library
 #      and its gather_interval and control operations still match
 #      their pinned hashes
@@ -36,13 +32,13 @@ san_available() {
 
 # 1. Build + full suite (lint gate included).
 cmake -B build -S .
-cmake --build build -j
+cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
 # 2. TSan over the concurrency tests.
 if san_available thread; then
     cmake -B build-tsan -S . -DADAPTSIM_SANITIZE=thread
-    cmake --build build-tsan -j \
+    cmake --build build-tsan -j"$(nproc)" \
         --target test_thread_pool test_repository test_trace_cache \
                  test_obs test_sim test_gather_scheduler \
                  test_shared_llc test_chip test_warm_memo
@@ -56,7 +52,7 @@ fi
 if san_available address,undefined; then
     cmake -B build-asan-ubsan -S . \
         -DADAPTSIM_SANITIZE="address;undefined"
-    cmake --build build-asan-ubsan -j
+    cmake --build build-asan-ubsan -j"$(nproc)"
     UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
         ctest --test-dir build-asan-ubsan --output-on-failure \
         -j"$(nproc)"
@@ -64,34 +60,23 @@ else
     echo "tier1: ASan+UBSan unavailable; skipping sanitizer pass"
 fi
 
-# 4. Compile-out check: with ADAPTSIM_OBS=OFF the OBS_* macros vanish
-# from every call site; the library, a bench, the obs unit tests and
-# the repository, backend, trace-cache and controller tests must
-# still build and pass.
-cmake -B build-noobs -S . -DADAPTSIM_OBS=OFF
-cmake --build build-noobs -j \
-    --target test_obs test_repository test_sim test_trace_cache \
-             test_controller table3_baseline_static
-ctest --test-dir build-noobs --output-on-failure \
-    -R 'test_obs|test_repository|test_sim$|test_trace_cache|test_controller'
-
-# 5. Hardened warning profile (compile-only).
+# 4. Hardened warning profile (compile-only).
 cmake -B build-werror -S . -DADAPTSIM_WERROR=ON
-cmake --build build-werror -j
+cmake --build build-werror -j"$(nproc)"
 
-# 6. Clang thread-safety analysis (compile-only): proves the lock
+# 5. Clang thread-safety analysis (compile-only): proves the lock
 # annotations across every locked subsystem.  GCC compiles the
 # macros out, so this pass needs a real clang++.
 if command -v clang++ >/dev/null 2>&1; then
     cmake -B build-threadsafety -S . \
         -DCMAKE_CXX_COMPILER=clang++ -DADAPTSIM_THREAD_SAFETY=ON
-    cmake --build build-threadsafety -j \
+    cmake --build build-threadsafety -j"$(nproc)" \
         --target adaptsim adaptsim_lint
 else
     echo "tier1: clang++ unavailable; skipping thread-safety pass"
 fi
 
-# 7. Benchmark self-test.  run.py refuses to run under any ADAPTSIM_*
+# 6. Benchmark self-test.  run.py refuses to run under any ADAPTSIM_*
 # variable, so the subshell clears them; it builds into .bench_build/
 # and writes only under .bench_work/.
 (

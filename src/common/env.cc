@@ -90,17 +90,13 @@ metricsJsonPath()
     return v;
 }
 
-bool
-traceEnabled()
-{
-    const std::string v = envString("ADAPTSIM_TRACE", "");
-    return !v.empty() && v != "0" && v != "off";
-}
-
 std::string
 traceFile()
 {
-    return envString("ADAPTSIM_TRACE_FILE", "adaptsim_trace.json");
+    const std::string v = envString("ADAPTSIM_TRACE", "");
+    if (v.empty() || v == "0" || v == "off")
+        return "";
+    return v == "1" ? "adaptsim_trace.json" : v;
 }
 
 } // namespace adaptsim

@@ -38,11 +38,9 @@ bool metricsEnabled();
 /** Path for the JSON metrics dump, empty when none requested. */
 std::string metricsJsonPath();
 
-/** ADAPTSIM_TRACE: truthy enables Chrome trace-event capture. */
-bool traceEnabled();
-
-/** ADAPTSIM_TRACE_FILE: trace output path
- *  (default "adaptsim_trace.json"). */
+/** ADAPTSIM_TRACE: Chrome trace-event output path, empty when
+ *  capture is off.  Unset/"0"/"off" disables it; "1" traces to
+ *  "adaptsim_trace.json"; any other value is the path itself. */
 std::string traceFile();
 
 } // namespace adaptsim

@@ -31,7 +31,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 #include <utility>
 
 #include "common/thread_annotations.hh"
@@ -124,69 +123,6 @@ class CondVar
   private:
     // Wrapped by the predicate-only API above.
     std::condition_variable cv_; // lint:allow(mutex-annotated)
-};
-
-/** A std::shared_mutex capability (reader/writer).  Unused by the
- *  core subsystems today but kept so future shared state starts out
- *  annotated. */
-class ADAPTSIM_CAPABILITY("shared_mutex") SharedMutex
-{
-  public:
-    SharedMutex() = default;
-    SharedMutex(const SharedMutex &) = delete;
-    SharedMutex &operator=(const SharedMutex &) = delete;
-
-    void lock() ADAPTSIM_ACQUIRE() { raw_.lock(); }
-    void unlock() ADAPTSIM_RELEASE() { raw_.unlock(); }
-    void lock_shared() const ADAPTSIM_ACQUIRE_SHARED()
-    {
-        raw_.lock_shared();
-    }
-    void unlock_shared() const ADAPTSIM_RELEASE_SHARED()
-    {
-        raw_.unlock_shared();
-    }
-
-  private:
-    // The one wrapped raw shared_mutex in the tree.
-    mutable std::shared_mutex raw_; // lint:allow(mutex-annotated)
-};
-
-/** Scoped exclusive lock of a SharedMutex. */
-class ADAPTSIM_SCOPED_CAPABILITY WriterLock
-{
-  public:
-    explicit WriterLock(SharedMutex &mutex) ADAPTSIM_ACQUIRE(mutex)
-        : mutex_(mutex)
-    {
-        mutex_.lock();
-    }
-    ~WriterLock() ADAPTSIM_RELEASE() { mutex_.unlock(); }
-
-    WriterLock(const WriterLock &) = delete;
-    WriterLock &operator=(const WriterLock &) = delete;
-
-  private:
-    SharedMutex &mutex_;
-};
-
-/** Scoped shared (reader) lock of a SharedMutex. */
-class ADAPTSIM_SCOPED_CAPABILITY ReaderLock
-{
-  public:
-    explicit ReaderLock(const SharedMutex &mutex)
-        ADAPTSIM_ACQUIRE_SHARED(mutex)
-        : mutex_(mutex)
-    {
-        mutex_.lock_shared();
-    }
-    ~ReaderLock() ADAPTSIM_RELEASE_SHARED() { mutex_.unlock_shared(); }
-
-    ReaderLock(const ReaderLock &) = delete;
-    ReaderLock &operator=(const ReaderLock &) = delete;
-
-  private:
-    const SharedMutex &mutex_;
 };
 
 } // namespace adaptsim

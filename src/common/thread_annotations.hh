@@ -48,20 +48,14 @@
 /** Function may only be called with the capabilities already held. */
 #define ADAPTSIM_REQUIRES(...) \
     ADAPTSIM_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define ADAPTSIM_REQUIRES_SHARED(...) \
-    ADAPTSIM_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 
 /** Function acquires the capability and holds it on return. */
 #define ADAPTSIM_ACQUIRE(...) \
     ADAPTSIM_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define ADAPTSIM_ACQUIRE_SHARED(...) \
-    ADAPTSIM_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 
 /** Function releases a capability held on entry. */
 #define ADAPTSIM_RELEASE(...) \
     ADAPTSIM_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define ADAPTSIM_RELEASE_SHARED(...) \
-    ADAPTSIM_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 
 /** Function attempts the acquisition; first argument is the return
  *  value meaning success. */

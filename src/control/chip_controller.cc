@@ -162,8 +162,7 @@ runIntervals(
     // Persistent per-core solo profiling sessions at the profiling
     // configuration (nominal, interference-free counters — the
     // distribution the model was trained on).
-    const sim::PerfModel &profile_backend =
-        sim::profilingPerfModel(backend);
+    const sim::PerfModel &profile_backend = sim::perfModel("cycle");
     const auto profiling_cc = uarch::CoreConfig::fromConfiguration(
         space::Configuration::profiling());
     std::vector<std::unique_ptr<sim::CoreSession>> profilers;
@@ -240,8 +239,7 @@ runIntervals(
                 cs.seconds +=
                     double(penalty) * current_cc[c].clockPeriodSec;
                 ++cs.reconfigurations;
-                OBS_ONLY(
-                    OBS_COUNTER("control/reconfigurations").add(1);)
+                OBS_COUNTER("control/reconfigurations").add(1);
 
                 current[c] = target;
                 current_cc[c] =

@@ -20,9 +20,9 @@
  * cycle-level uarch::Chip, the only model of the shared LLC, so it
  * needs the "cycle" backend.  A null backend means "cycle".
  * Profiling intervals run on a persistent per-core *solo* session at
- * the profiling configuration, on sim::profilingPerfModel() of the
- * chip's backend (the same choice EvalRepository::profile makes for
- * training profiles) — the predictive model was trained on
+ * the profiling configuration, on the "cycle" backend whatever the
+ * chip's backend (as EvalRepository::profile runs training
+ * profiles) — the predictive model was trained on
  * interference-free profiles, so feeding it nominal-condition
  * counters keeps the feature distribution it learned; the
  * interference itself reaches the timing through the chip model, not
@@ -77,8 +77,7 @@ struct ChipControllerOptions
     /** Backend for the chip intervals; nullptr selects "cycle".
      *  Any backend runs a one-core chip; a multi-core chip needs
      *  "cycle" (fatal otherwise).  Profiling intervals need observer
-     *  callbacks, so a backend without observer support profiles on
-     *  the cycle-level model (sim::profilingPerfModel). */
+     *  callbacks, so they always run on "cycle". */
     const sim::PerfModel *backend = nullptr;
 };
 

@@ -90,7 +90,7 @@ gatherOnePhase(EvalRepository &repo,
 
     // 4. Profiling-configuration counters.
     if (options.profileFeatures)
-        g.features = repo.profile(g.spec, options.backend);
+        g.features = repo.profile(g.spec);
     return g;
 }
 

@@ -37,8 +37,8 @@ struct GatherOptions
     std::uint64_t seed = 2010;
 
     /** Backend for the evaluation batches; nullptr selects
-     *  "cycle".  (Profiling runs always use an observer-capable
-     *  backend; see sim::profilingPerfModel.) */
+     *  "cycle".  (Profiling runs always use "cycle"; see
+     *  EvalRepository::profile.) */
     const sim::PerfModel *backend = nullptr;
 
     /** Skip the per-phase profiling-counter run (step 4).  Backend

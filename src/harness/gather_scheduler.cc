@@ -192,9 +192,8 @@ GatherScheduler::noteHit(std::uint64_t reused_evals)
         ++stats_.hits;
         stats_.reusedEvals += reused_evals;
     }
-    OBS_ONLY(OBS_COUNTER("gather/memo/hit").add(1);)
-    OBS_ONLY(OBS_COUNTER("gather/memo/reused_evals")
-                 .add(reused_evals);)
+    OBS_COUNTER("gather/memo/hit").add(1);
+    OBS_COUNTER("gather/memo/reused_evals").add(reused_evals);
 }
 
 void
@@ -204,7 +203,7 @@ GatherScheduler::noteMiss()
         MutexLock lock(mutex_);
         ++stats_.misses;
     }
-    OBS_ONLY(OBS_COUNTER("gather/memo/miss").add(1);)
+    OBS_COUNTER("gather/memo/miss").add(1);
 }
 
 void
@@ -214,7 +213,7 @@ GatherScheduler::noteEscalation()
         MutexLock lock(mutex_);
         ++stats_.escalations;
     }
-    OBS_ONLY(OBS_COUNTER("gather/memo/escalated").add(1);)
+    OBS_COUNTER("gather/memo/escalated").add(1);
 }
 
 GatherScheduler::Stats

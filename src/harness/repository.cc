@@ -81,8 +81,6 @@ hasMagic(const std::string &bytes)
            std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0;
 }
 
-#if ADAPTSIM_OBS_ENABLED
-
 /** Process-wide mirror of the per-instance CacheStats counters, so
  *  the obs exit report and gather progress can source repository
  *  activity from the registry. */
@@ -109,8 +107,6 @@ repoMetrics()
     static RepoMetrics metrics;
     return metrics;
 }
-
-#endif // ADAPTSIM_OBS_ENABLED
 
 } // namespace
 
@@ -212,10 +208,10 @@ EvalRepository::loadBinaryCache(const std::string &path,
              " corrupt record(s) and ", tail,
              " torn tail byte(s); they will be re-simulated");
         dropped_ += bad + (tail > 0 ? 1 : 0);
-        OBS_ONLY(repoMetrics().dropped.add(bad + (tail > 0 ? 1 : 0));)
+        repoMetrics().dropped.add(bad + (tail > 0 ? 1 : 0));
     }
     loaded_ += count;
-    OBS_ONLY(repoMetrics().loaded.add(count);)
+    repoMetrics().loaded.add(count);
     // A damaged file is not appended to: records written after a torn
     // tail would sit misaligned and fail their checksums on every
     // later load.  The next flush rewrites it atomically instead.
@@ -243,13 +239,13 @@ EvalRepository::warmMemo(const workload::Workload &wl,
     const workload::TraceKey key{wl.uid(), start, length};
     MutexLock lock(memoMutex_);
     if (warmMemo_ && warmKey_ == key) {
-        OBS_ONLY(repoMetrics().warmMemoHits.add(1);)
+        repoMetrics().warmMemoHits.add(1);
         return warmMemo_;
     }
     // Sessions still warming from the old memo keep it alive.
     warmKey_ = key;
     warmMemo_ = std::make_shared<uarch::WarmMemo>(std::move(warm));
-    OBS_ONLY(repoMetrics().warmMemoBuilds.add(1);)
+    repoMetrics().warmMemoBuilds.add(1);
     return warmMemo_;
 }
 
@@ -289,7 +285,7 @@ EvalRepository::simulate(const PhaseSpec &spec,
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - t0)
             .count();
-    OBS_ONLY(repoMetrics().miss.add(1);)
+    repoMetrics().miss.add(1);
     MutexLock lock(mutex_);
     simSeconds_ += secs;
     ++simulated_;
@@ -311,7 +307,7 @@ EvalRepository::evaluate(const PhaseSpec &spec,
         const auto it = cache.records.find(key);
         if (it != cache.records.end()) {
             ++hits_;
-            OBS_ONLY(repoMetrics().hit.add(1);)
+            repoMetrics().hit.add(1);
             return it->second;
         }
     }
@@ -378,7 +374,7 @@ EvalRepository::evaluate(const PhaseSpec &spec,
     lock.lock();
     if (ok) {
         flushed_ += batch.size();
-        OBS_ONLY(repoMetrics().flushed.add(batch.size());)
+        repoMetrics().flushed.add(batch.size());
     } else {
         warn("cannot persist cache ", path);
         // Re-queue so a later flush (or the destructor) retries.
@@ -406,30 +402,18 @@ EvalRepository::evaluateBatch(
 }
 
 ProfileRecord
-EvalRepository::profile(const PhaseSpec &spec,
-                        const sim::PerfModel *backend)
+EvalRepository::profile(const PhaseSpec &spec)
 {
-    // The counter bank is fed by per-cycle observer callbacks, so an
-    // analytical backend cannot drive it; profiling falls back to
-    // the cycle-level reference model in that case.  Profile caches
-    // are therefore always observer-fidelity and carry no tag.
-    const sim::PerfModel &requested = sim::resolvePerfModel(backend);
-    const sim::PerfModel &model = sim::profilingPerfModel(requested);
+    // The counter bank is fed by per-cycle observer callbacks, which
+    // only the cycle-level model drives, so profile caches carry no
+    // backend tag.
     const std::string spec_key = spec.key();
-    if (&model != &requested) {
-        MutexLock lock(mutex_);
-        if (profileWarned_.insert(requested.name()).second)
-            warn("backend \"", requested.name(),
-                 "\" cannot drive profiling counters; using \"",
-                 model.name(),
-                 "\" for its profiling runs (warned once)");
-    }
     {
         MutexLock lock(mutex_);
         const auto it = profiles_.find(spec_key);
         if (it != profiles_.end()) {
             ++hits_;
-            OBS_ONLY(repoMetrics().hit.add(1);)
+            repoMetrics().hit.add(1);
             return it->second;
         }
     }
@@ -464,7 +448,7 @@ EvalRepository::profile(const PhaseSpec &spec,
                 rec.advanced.size() == want_advanced) {
                 MutexLock lock(mutex_);
                 ++hits_;
-                OBS_ONLY(repoMetrics().hit.add(1);)
+                repoMetrics().hit.add(1);
                 profiles_[spec_key] = rec;
                 return rec;
             }
@@ -483,7 +467,8 @@ EvalRepository::profile(const PhaseSpec &spec,
     const auto cc = uarch::CoreConfig::fromConfiguration(
         space::Configuration::profiling());
     counters::CounterBank bank(cc);
-    const auto result = simulate(spec, cc, model, &bank);
+    const auto result =
+        simulate(spec, cc, sim::perfModel("cycle"), &bank);
     bank.finalise(result.events);
 
     ProfileRecord rec;
@@ -551,7 +536,7 @@ EvalRepository::flushLocked()
             continue;
         }
         flushed_ += written;
-        OBS_ONLY(repoMetrics().flushed.add(written);)
+        repoMetrics().flushed.add(written);
         cache.unsaved.clear();
     }
 }

@@ -14,7 +14,7 @@
  * record.  An evaluation and a profiling run are the same phase
  * simulation (simulate(): wrong-path stream, session, warm window,
  * detail window); a profile attaches the counter bank and runs on
- * sim::profilingPerfModel() of the requested backend.  Sessions warm
+ * the cycle-level model, the one backend that drives it.  Sessions warm
  * through a uarch::WarmMemo of their warm window, kept for the most
  * recent window, so a phase's warm trace is replayed once per
  * structure size rather than once per configuration.
@@ -43,7 +43,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -192,15 +191,10 @@ class EvalRepository
                   const sim::PerfModel *backend = nullptr)
         ADAPTSIM_EXCLUDES(mutex_);
 
-    /**
-     * Profiling-configuration run with counters (cached).  The
-     * counter bank needs per-cycle observer callbacks, so a
-     * @p backend without observer support (e.g. "interval") falls
-     * back to the cycle-level model (sim::profilingPerfModel), with
-     * one warning per backend.
-     */
-    ProfileRecord profile(const PhaseSpec &spec,
-                          const sim::PerfModel *backend = nullptr)
+    /** Profiling-configuration run with counters (cached).  The
+     *  counter bank needs per-cycle observer callbacks, so it always
+     *  runs on the cycle-level model. */
+    ProfileRecord profile(const PhaseSpec &spec)
         ADAPTSIM_EXCLUDES(mutex_);
 
     /** Persist any unsaved results now (incremental flushing also
@@ -233,9 +227,6 @@ class EvalRepository
     /** Records buffered per phase between incremental flushes
      *  (default 64, minimum 1). */
     void setFlushEvery(std::size_t n) ADAPTSIM_EXCLUDES(mutex_);
-
-    /** The interval-trace cache shared by all worker threads. */
-    workload::TraceCache &traceCache() { return traceCache_; }
 
     /** Root directory of the on-disk store (fixed at construction);
      *  sibling indices (the gather phase-memo) live alongside it. */
@@ -308,9 +299,6 @@ class EvalRepository
         ADAPTSIM_GUARDED_BY(mutex_);
     std::unordered_map<std::string, ProfileRecord> profiles_
         ADAPTSIM_GUARDED_BY(mutex_);
-    /** Backends already warned about missing observer support, so
-     *  profile() nags once per backend rather than per call. */
-    std::set<std::string> profileWarned_ ADAPTSIM_GUARDED_BY(mutex_);
     std::size_t flushEvery_ ADAPTSIM_GUARDED_BY(mutex_) = 64;
     std::map<std::string, std::uint64_t> simulatedByBackend_
         ADAPTSIM_GUARDED_BY(mutex_);

@@ -12,8 +12,6 @@ namespace adaptsim::harness
 namespace
 {
 
-#if ADAPTSIM_OBS_ENABLED
-
 /** Pool metrics, registered once per process.  Worker utilisation
  *  is busy.micros / capacity.micros (capacity = batch wall time ×
  *  participating workers), derived by the obs exit report. */
@@ -46,8 +44,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
                std::chrono::steady_clock::now() - t0)
         .count();
 }
-
-#endif // ADAPTSIM_OBS_ENABLED
 
 /** Pool whose job the current thread is executing, if any. */
 thread_local const ThreadPool *tls_running_pool = nullptr;
@@ -104,9 +100,7 @@ ThreadPool::runJobs(const std::function<void(std::size_t)> &fn,
         // running them so remaining_ still reaches zero.
         if (abort_.load(std::memory_order_relaxed))
             continue;
-#if ADAPTSIM_OBS_ENABLED
         const auto t0 = std::chrono::steady_clock::now();
-#endif
         try {
             fn(i);
         } catch (...) {
@@ -115,13 +109,11 @@ ThreadPool::runJobs(const std::function<void(std::size_t)> &fn,
             if (!firstError_)
                 firstError_ = std::current_exception();
         }
-#if ADAPTSIM_OBS_ENABLED
         auto &m = poolMetrics();
         const double secs = secondsSince(t0);
         m.jobSeconds.record(secs);
         m.busyMicros.add(
             static_cast<std::uint64_t>(secs * 1e6));
-#endif
     }
     return claimed;
 }
@@ -129,13 +121,9 @@ ThreadPool::runJobs(const std::function<void(std::size_t)> &fn,
 void
 ThreadPool::workerLoop(unsigned worker_index)
 {
-#if ADAPTSIM_OBS_ENABLED
     if (auto *writer = obs::TraceWriter::active())
         writer->nameCurrentThread(
             "pool-worker-" + std::to_string(worker_index));
-#else
-    (void)worker_index;
-#endif
     std::uint64_t seen_generation = 0;
     for (;;) {
         const std::function<void(std::size_t)> *job = nullptr;
@@ -161,10 +149,8 @@ ThreadPool::workerLoop(unsigned worker_index)
         if (!job)
             continue;
 
-#if ADAPTSIM_OBS_ENABLED
         poolMetrics().queueWaitSeconds.record(
             std::max(0.0, secondsSince(submitted)));
-#endif
 
         std::size_t claimed = 0;
         {
@@ -194,7 +180,6 @@ ThreadPool::parallelFor(std::size_t n,
         return;
 
     const bool inline_run = threads_ <= 1 || n == 1;
-#if ADAPTSIM_OBS_ENABLED
     // Record the batch on every exit path (including rethrow).
     struct BatchGuard
     {
@@ -214,22 +199,17 @@ ThreadPool::parallelFor(std::size_t n,
         }
     } batch_guard{std::chrono::steady_clock::now(),
                   inline_run ? 1u : threads_, n};
-#endif
 
     if (inline_run) {
         RunningScope scope(this);
         for (std::size_t i = 0; i < n; ++i) {
-#if ADAPTSIM_OBS_ENABLED
             const auto t0 = std::chrono::steady_clock::now();
-#endif
             fn(i);
-#if ADAPTSIM_OBS_ENABLED
             auto &m = poolMetrics();
             const double secs = secondsSince(t0);
             m.jobSeconds.record(secs);
             m.busyMicros.add(
                 static_cast<std::uint64_t>(secs * 1e6));
-#endif
         }
         return;
     }

@@ -118,12 +118,11 @@ minimiseCg(Objective &f, std::vector<double> &w, const CgOptions &opt)
         step = std::clamp(t * 2.0, 1e-6, 4.0);
     }
 
-    OBS_ONLY(OBS_COUNTER("ml/cg/runs").add(1);)
-    OBS_ONLY(OBS_COUNTER("ml/cg/iterations").add(result.iterations);)
-    OBS_ONLY(OBS_COUNTER("ml/cg/value_evals").add(result.valueEvals);)
-    OBS_ONLY(OBS_COUNTER("ml/cg/gradient_evals")
-                 .add(result.gradientEvals);)
-    OBS_ONLY(OBS_COUNTER("ml/cg/converged").add(result.converged);)
+    OBS_COUNTER("ml/cg/runs").add(1);
+    OBS_COUNTER("ml/cg/iterations").add(result.iterations);
+    OBS_COUNTER("ml/cg/value_evals").add(result.valueEvals);
+    OBS_COUNTER("ml/cg/gradient_evals").add(result.gradientEvals);
+    OBS_COUNTER("ml/cg/converged").add(result.converged);
     return result;
 }
 

@@ -58,10 +58,10 @@ initFromEnv()
     std::call_once(once, [] {
         // Touch the registry first so it outlives the atexit hook.
         Registry::global();
-        if (traceEnabled()) {
+        if (const std::string path = traceFile(); !path.empty()) {
             // Deliberately leaked: spans may still fire during
             // static destruction; flushTrace() persists the events.
-            auto *writer = new TraceWriter(traceFile());
+            auto *writer = new TraceWriter(path);
             writer->nameCurrentThread("main");
             TraceWriter::setActive(writer);
         }

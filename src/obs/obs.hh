@@ -12,17 +12,16 @@
  * histogram "<name>.seconds" and, when a TraceWriter is active,
  * emits a complete Chrome trace event with the calling thread's id.
  *
- * Building with -DADAPTSIM_OBS=OFF (ADAPTSIM_OBS_ENABLED == 0)
- * compiles every macro away entirely — no clock reads, no registry
- * lookups, no branches — so the uninstrumented hot path costs
- * nothing.  The obs library itself (registry, trace writer) is
- * always built; only call sites vanish.
+ * Instrumentation is always compiled in.  Every write site runs once
+ * per simulation, pool job, CG run or run(), never once per µop or
+ * cycle, so it costs nothing measurable.
  *
  * Env knobs (read by initFromEnv(), see common/env):
  *   ADAPTSIM_METRICS     exit summary ("1" default, "0"/"off",
  *                        anything else = also dump JSON to it)
- *   ADAPTSIM_TRACE       truthy = capture Chrome trace events
- *   ADAPTSIM_TRACE_FILE  trace path (default adaptsim_trace.json)
+ *   ADAPTSIM_TRACE       Chrome trace ("0"/"off"/unset = none,
+ *                        "1" = adaptsim_trace.json, anything
+ *                        else = trace to that path)
  */
 
 #ifndef ADAPTSIM_OBS_OBS_HH
@@ -34,10 +33,6 @@
 
 #include "obs/registry.hh"
 #include "obs/trace.hh"
-
-#ifndef ADAPTSIM_OBS_ENABLED
-#define ADAPTSIM_OBS_ENABLED 1
-#endif
 
 namespace adaptsim::obs
 {
@@ -93,8 +88,6 @@ void flushTrace();
 
 } // namespace adaptsim::obs
 
-#if ADAPTSIM_OBS_ENABLED
-
 #define ADAPTSIM_OBS_CAT2(a, b) a##b
 #define ADAPTSIM_OBS_CAT(a, b) ADAPTSIM_OBS_CAT2(a, b)
 
@@ -116,15 +109,5 @@ void flushTrace();
             ::adaptsim::obs::Registry::global().counter(name);       \
         return handle;                                               \
     }())
-
-/** Statement(s) present only in instrumented builds. */
-#define OBS_ONLY(...) __VA_ARGS__
-
-#else // !ADAPTSIM_OBS_ENABLED
-
-#define OBS_SPAN(name) ((void)0)
-#define OBS_ONLY(...)
-
-#endif // ADAPTSIM_OBS_ENABLED
 
 #endif // ADAPTSIM_OBS_OBS_HH

@@ -26,7 +26,6 @@ class CycleLevelModel final : public PerfModel
 
     const char *name() const override { return "cycle"; }
     std::uint64_t cacheTag() const override { return kCacheTag; }
-    bool supportsObservers() const override { return true; }
 
     std::unique_ptr<CoreSession>
     makeSession(const uarch::CoreConfig &cfg,

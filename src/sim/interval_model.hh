@@ -84,10 +84,8 @@ class IntervalModel final : public PerfModel
     const char *name() const override { return "interval"; }
     std::uint64_t cacheTag() const override { return kCacheTag; }
 
-    /** No per-cycle loop, so no per-cycle observer callbacks;
-     *  profiling must fall back to a cycle-level backend. */
-    bool supportsObservers() const override { return false; }
-
+    /** No per-cycle loop, so sessions ignore the observer;
+     *  profiling runs on "cycle". */
     std::unique_ptr<CoreSession>
     makeSession(const uarch::CoreConfig &cfg,
                 workload::WrongPathGenerator &wrong_path)

@@ -18,24 +18,20 @@ namespace
 struct Entry
 {
     std::unique_ptr<PerfModel> model;
-#if ADAPTSIM_OBS_ENABLED
     std::string spanName;            ///< "sim/run/<name>"
     obs::Counter *evals = nullptr;   ///< "backend/<name>/evals"
     obs::Histogram *runHist = nullptr;
-#endif
 };
 
 Entry
 makeEntry(std::unique_ptr<PerfModel> model)
 {
     Entry entry;
-#if ADAPTSIM_OBS_ENABLED
     const std::string name = model->name();
     entry.spanName = "sim/run/" + name;
     entry.evals =
         &obs::Registry::global().counter("backend/" + name + "/evals");
     entry.runHist = &obs::spanHistogram(entry.spanName.c_str());
-#endif
     entry.model = std::move(model);
     return entry;
 }
@@ -81,19 +77,11 @@ resolvePerfModel(const PerfModel *backend)
     return backend ? *backend : perfModel("cycle");
 }
 
-const PerfModel &
-profilingPerfModel(const PerfModel &requested)
-{
-    return requested.supportsObservers() ? requested
-                                         : perfModel("cycle");
-}
-
 uarch::SimResult
 PerfModel::run(CoreSession &session,
                std::span<const isa::MicroOp> trace,
                uarch::SimObserver *observer) const
 {
-#if ADAPTSIM_OBS_ENABLED
     // The table entry owns the stable span-name string and the
     // counter/histogram handles for the process lifetime.
     for (const auto &entry : table()) {
@@ -103,7 +91,6 @@ PerfModel::run(CoreSession &session,
         obs::ScopedSpan span(entry.spanName.c_str(), *entry.runHist);
         return session.run(trace, observer);
     }
-#endif
     return session.run(trace, observer);
 }
 

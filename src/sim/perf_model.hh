@@ -8,9 +8,9 @@
  * constructing the cycle-level uarch::Core directly.  Backends are
  * looked up by name in a fixed table of the two built-ins; every
  * entry point takes an optional backend, and a null one means
- * "cycle" (resolvePerfModel).  Profiling runs need observer
- * callbacks, so they run on profilingPerfModel() of the requested
- * backend.  The backends simulate one core; a multi-core chip runs
+ * "cycle" (resolvePerfModel).  Profiling runs need the per-cycle
+ * observer callbacks only "cycle" drives, so they always run on
+ * "cycle".  The backends simulate one core; a multi-core chip runs
  * on the cycle-level uarch::Chip (control/chip_controller).
  *
  * Two backends ship built in:
@@ -66,8 +66,8 @@ class CoreSession
 
     /**
      * Timing simulation of @p trace.  @p observer is the profiling
-     * counter sink; backends whose PerfModel::supportsObservers() is
-     * false ignore it.
+     * counter sink; only the "cycle" backend drives it, the others
+     * ignore it.
      */
     virtual uarch::SimResult
     run(std::span<const isa::MicroOp> trace,
@@ -96,10 +96,6 @@ class PerfModel
      */
     virtual std::uint64_t cacheTag() const = 0;
 
-    /** Whether run() drives SimObserver callbacks (per-cycle
-     *  samples, cache/branch probes) — required for profiling. */
-    virtual bool supportsObservers() const = 0;
-
     /** Create a fresh core session for @p cfg. */
     virtual std::unique_ptr<CoreSession>
     makeSession(const uarch::CoreConfig &cfg,
@@ -123,10 +119,6 @@ const PerfModel &perfModel(const std::string &name);
 
 /** @p backend, or the "cycle" reference model when it is null. */
 const PerfModel &resolvePerfModel(const PerfModel *backend);
-
-/** The backend profiling runs of @p requested use: @p requested
- *  itself if it supportsObservers(), else "cycle". */
-const PerfModel &profilingPerfModel(const PerfModel &requested);
 
 } // namespace adaptsim::sim
 

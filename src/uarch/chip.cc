@@ -44,12 +44,10 @@ Chip::Chip(const ChipConfig &cfg,
         cores_.push_back(std::make_unique<Core>(
             derived, *wrongPaths_[i], llc_.get(),
             static_cast<unsigned>(i)));
-        OBS_ONLY({
-            const std::string base = "chip/core/" + std::to_string(i);
-            auto &reg = obs::Registry::global();
-            counters_.push_back({&reg.counter(base + "/quanta"),
-                                 &reg.counter(base + "/committed_ops")});
-        });
+        const std::string base = "chip/core/" + std::to_string(i);
+        auto &reg = obs::Registry::global();
+        counters_.push_back({&reg.counter(base + "/quanta"),
+                             &reg.counter(base + "/committed_ops")});
     }
 }
 
@@ -96,7 +94,7 @@ Chip::run(const std::vector<std::span<const isa::MicroOp>> &traces)
             res.cores[i].events.merge(r.events);
             elapsed_[i] += r.cycles;
             pos[i] += len;
-            OBS_ONLY(counters_[i].quanta->add(1);)
+            counters_[i].quanta->add(1);
         }
         if (!any)
             break;
@@ -110,7 +108,7 @@ Chip::run(const std::vector<std::span<const isa::MicroOp>> &traces)
             ev.llcAccesses
                 ? double(ev.llcMisses) / double(ev.llcAccesses)
                 : 0.0;
-        OBS_ONLY(counters_[i].committedOps->add(ev.committedOps);)
+        counters_[i].committedOps->add(ev.committedOps);
     }
     return res;
 }

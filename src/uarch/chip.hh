@@ -95,8 +95,7 @@ class Chip
     std::vector<std::unique_ptr<Core>> cores_;
     std::vector<Cycles> elapsed_;
 
-    /** Per-core registry counters, resolved once at construction
-     *  (left empty when instrumentation is compiled out). */
+    /** Per-core registry counters, resolved once at construction. */
     struct CoreCounters
     {
         obs::Counter *quanta;

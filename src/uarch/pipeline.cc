@@ -579,7 +579,6 @@ Pipeline::nextEventCycle() const
     return next;
 }
 
-#if ADAPTSIM_OBS_ENABLED
 namespace
 {
 
@@ -612,7 +611,6 @@ pipelineMetrics()
 }
 
 } // namespace
-#endif // ADAPTSIM_OBS_ENABLED
 
 SimResult
 Pipeline::run(std::span<const isa::MicroOp> trace)
@@ -623,7 +621,7 @@ Pipeline::run(std::span<const isa::MicroOp> trace)
 
     // ev_ accumulates across runs of one Pipeline; publish the
     // per-run delta to the registry below.
-    OBS_ONLY(const EventCounts run_start = ev_;)
+    const EventCounts run_start = ev_;
 
     const Cycles cycle_cap =
         500 * static_cast<Cycles>(trace.size()) + 100000;
@@ -656,7 +654,6 @@ Pipeline::run(std::span<const isa::MicroOp> trace)
                   " ops fetched");
     }
 
-#if ADAPTSIM_OBS_ENABLED
     auto &m = pipelineMetrics();
     m.cycles.add(ev_.cycles - run_start.cycles);
     m.committedOps.add(ev_.committedOps - run_start.committedOps);
@@ -665,7 +662,6 @@ Pipeline::run(std::span<const isa::MicroOp> trace)
     m.stallFp.add(ev_.stallHeadFp - run_start.stallHeadFp);
     m.stallDiv.add(ev_.stallHeadDiv - run_start.stallHeadDiv);
     m.stallOther.add(ev_.stallHeadOther - run_start.stallHeadOther);
-#endif
 
     SimResult result;
     result.cycles = ev_.cycles;

@@ -6,8 +6,6 @@
 namespace adaptsim::workload
 {
 
-#if ADAPTSIM_OBS_ENABLED
-
 namespace
 {
 
@@ -33,8 +31,6 @@ traceCacheMetrics()
 
 } // namespace
 
-#endif // ADAPTSIM_OBS_ENABLED
-
 TraceCache::TraceCache(std::size_t capacity) : capacity_(capacity)
 {
     if (capacity_ == 0)
@@ -55,20 +51,20 @@ TraceCache::get(const Workload &wl, std::uint64_t start,
     const auto it = map_.find(key);
     if (it != map_.end()) {
         ++stats_.hits;
-        OBS_ONLY(traceCacheMetrics().hits.add(1);)
+        traceCacheMetrics().hits.add(1);
         lru_.splice(lru_.begin(), lru_, it->second);
         return it->second->trace;
     }
 
     ++stats_.misses;
-    OBS_ONLY(traceCacheMetrics().misses.add(1);)
+    traceCacheMetrics().misses.add(1);
     auto &cursor = cursors_[key.wid];
     const std::uint64_t skipped_before = cursor.skipped;
     auto trace = std::make_shared<const std::vector<isa::MicroOp>>(
         wl.generate(start, count, cursor));
     const std::uint64_t skipped = cursor.skipped - skipped_before;
     stats_.skipped += skipped;
-    OBS_ONLY(traceCacheMetrics().skipped.add(skipped);)
+    traceCacheMetrics().skipped.add(skipped);
     lru_.push_front(Entry{key, trace});
     map_[key] = lru_.begin();
 
@@ -76,7 +72,7 @@ TraceCache::get(const Workload &wl, std::uint64_t start,
         map_.erase(lru_.back().key);
         lru_.pop_back();
         ++stats_.evictions;
-        OBS_ONLY(traceCacheMetrics().evictions.add(1);)
+        traceCacheMetrics().evictions.add(1);
     }
     return trace;
 }

@@ -170,7 +170,7 @@ TEST(Controller, ProfilingOverheadIsCharged)
 TEST(Controller, NonObserverBackendProfilesAtCycleLevel)
 {
     // The interval backend drives no observer callbacks, so the
-    // controller's profiling intervals fall back to the cycle-level
+    // controller's profiling intervals always run on the cycle-level
     // model.  The phase and reconfiguration decisions therefore
     // follow the same counters on both backends; only the timing and
     // energy of the execution intervals differ.
@@ -191,6 +191,70 @@ TEST(Controller, NonObserverBackendProfilesAtCycleLevel)
     EXPECT_EQ(got.phaseChanges, ref.phaseChanges);
     EXPECT_EQ(got.reconfigurations, ref.reconfigurations);
     EXPECT_EQ(got.reconfigCycles, ref.reconfigCycles);
+}
+
+TEST(Controller, TrainedModelReconfigurationsMatchFrozenGolden)
+{
+    // A model trained on wupwise's own intervals predicts a different
+    // configuration for each of the three phases the detector finds
+    // in the first 120k µops (at intervals 0, 22 and 23), so the core
+    // reconfigures twice mid-run, each time right after profiling a
+    // new phase.  The frozen seconds pin the accounting order of
+    // those intervals: the profile's time is added before the
+    // reconfiguration penalty (the other order rounds the last
+    // interval one ulp lower).  A weak L2 penalty lets the dozen
+    // training phases separate their predictions.
+    constexpr std::uint64_t program_length = 200000;
+    constexpr std::uint64_t run_insts = 120000;
+    constexpr std::uint64_t interval = 5000;
+    const auto wl = workload::specBenchmark("wupwise", program_length);
+
+    std::vector<phase::Phase> phases;
+    for (std::uint64_t start = 0; start < run_insts; start += interval) {
+        phase::Phase ph;
+        ph.workload = "wupwise";
+        ph.index = phases.size();
+        ph.startInst = start;
+        ph.lengthInsts = interval;
+        ph.weight = double(interval) / double(run_insts);
+        phases.push_back(ph);
+    }
+    harness::GatherOptions gopt;
+    gopt.sharedRandomConfigs = 12;
+    gopt.localNeighbours = 4;
+    gopt.oneAtATimeSweep = false;
+    gopt.progress = false;
+
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "adaptsim_controller_reconfig_golden";
+    std::filesystem::remove_all(dir);
+    std::vector<harness::GatheredPhase> gathered;
+    {
+        harness::EvalRepository repo(
+            workload::specSuite(program_length), dir.string(), 1);
+        gathered = harness::gatherTrainingData(
+            repo, phases, program_length, 12000, gopt);
+    }
+    std::filesystem::remove_all(dir);
+    std::vector<ml::PhaseData> data;
+    for (const auto &g : gathered)
+        data.push_back(g.toPhaseData(counters::FeatureSet::Advanced));
+    ml::TrainerOptions topt;
+    topt.lambda = 0.01;
+    const auto model = ml::trainModel(data, topt);
+
+    ChipController controller({&wl}, model, soloOptions(interval));
+    const RunStats s = controller.run(run_insts).cores.at(0);
+    EXPECT_EQ(s.intervals, 24u);
+    EXPECT_EQ(s.instructions, run_insts);
+    EXPECT_EQ(s.phaseChanges, 3u);
+    EXPECT_EQ(s.profilingIntervals, 3u);
+    EXPECT_EQ(s.reconfigurations, 3u);
+    EXPECT_EQ(s.reconfigCycles, 3063u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(s.seconds),
+              0x3f106eef813fa125ULL);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(s.joules),
+              0x3f32cc8722df2da0ULL);
 }
 
 TEST(ChipController, StaticChipAccumulatesAllIntervalsPerCore)

@@ -111,18 +111,15 @@ TEST(Env, MetricsTristate)
 TEST(Env, TraceKnobs)
 {
     unsetenv("ADAPTSIM_TRACE");
-    EXPECT_FALSE(traceEnabled());
+    EXPECT_EQ(traceFile(), "");
     setenv("ADAPTSIM_TRACE", "0", 1);
-    EXPECT_FALSE(traceEnabled());
+    EXPECT_EQ(traceFile(), "");
     setenv("ADAPTSIM_TRACE", "off", 1);
-    EXPECT_FALSE(traceEnabled());
+    EXPECT_EQ(traceFile(), "");
     setenv("ADAPTSIM_TRACE", "1", 1);
-    EXPECT_TRUE(traceEnabled());
-    unsetenv("ADAPTSIM_TRACE");
-
-    unsetenv("ADAPTSIM_TRACE_FILE");
     EXPECT_EQ(traceFile(), "adaptsim_trace.json");
-    setenv("ADAPTSIM_TRACE_FILE", "t.json", 1);
-    EXPECT_EQ(traceFile(), "t.json");
-    unsetenv("ADAPTSIM_TRACE_FILE");
+    // Any other value is the trace path.
+    setenv("ADAPTSIM_TRACE", "out/t.json", 1);
+    EXPECT_EQ(traceFile(), "out/t.json");
+    unsetenv("ADAPTSIM_TRACE");
 }

@@ -491,8 +491,6 @@ TEST(Metrics, ReportTimerColumns)
     EXPECT_NE(text.find("test/report.seconds"), std::string::npos);
 }
 
-#if ADAPTSIM_OBS_ENABLED
-
 TEST(Span, RecordsIntoGlobalRegistryAndTrace)
 {
     const std::string dir = "/tmp/adaptsim_obs_test";
@@ -518,8 +516,6 @@ TEST(Span, RecordsIntoGlobalRegistryAndTrace)
     EXPECT_TRUE(JsonChecker(json).valid()) << json;
     EXPECT_NE(json.find("test/span"), std::string::npos);
 }
-
-#endif // ADAPTSIM_OBS_ENABLED
 
 TEST(Registry, PerCoreLabelledCountersMergeAcrossThreads)
 {
@@ -576,8 +572,6 @@ runTwoCoreChip()
 
 } // namespace
 
-#if ADAPTSIM_OBS_ENABLED
-
 TEST(ChipObs, ChipRunEmitsPerCoreLabelledCounters)
 {
     auto &reg = Registry::global();
@@ -605,22 +599,6 @@ TEST(ChipObs, ChipRunEmitsPerCoreLabelledCounters)
             << c;
     }
 }
-
-#else // !ADAPTSIM_OBS_ENABLED
-
-TEST(ChipObs, CompiledOutChipRunRegistersNothing)
-{
-    // -DADAPTSIM_OBS=OFF: the chip loop's OBS_ONLY blocks vanish, so
-    // a co-run must not create any per-core counters at all.
-    runTwoCoreChip();
-    EXPECT_EQ(
-        Registry::global().findCounter("chip/core/0/committed_ops"),
-        nullptr);
-    EXPECT_EQ(Registry::global().findCounter("chip/core/0/quanta"),
-              nullptr);
-}
-
-#endif // ADAPTSIM_OBS_ENABLED
 
 namespace
 {
@@ -660,8 +638,6 @@ const char *const kCgCounters[] = {
 
 } // namespace
 
-#if ADAPTSIM_OBS_ENABLED
-
 TEST(CgObs, CountsOneRunOnAKnownQuadratic)
 {
     auto &reg = Registry::global();
@@ -680,14 +656,3 @@ TEST(CgObs, CountsOneRunOnAKnownQuadratic)
             << kCgCounters[i];
     }
 }
-
-#else // !ADAPTSIM_OBS_ENABLED
-
-TEST(CgObs, CompiledOutCgRegistersNothing)
-{
-    minimiseShiftedSquare();
-    for (const char *name : kCgCounters)
-        EXPECT_EQ(Registry::global().findCounter(name), nullptr) << name;
-}
-
-#endif // ADAPTSIM_OBS_ENABLED

@@ -497,20 +497,16 @@ TEST_F(RepositoryTest, WarmMemoEvictionKeepsRecordsBitExact)
     std::filesystem::remove_all(dir_);
 
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
-#if ADAPTSIM_OBS_ENABLED
     const obs::Counter &builds =
         obs::Registry::global().counter("repo/warm_memo/builds");
     const std::uint64_t builds_before = builds.value();
-#endif
     std::vector<EvalRecord> got{repo.evaluate(phases[0], configs[0])};
     for (std::size_t p = 1; p < phases.size(); ++p)
         (void)repo.evaluate(phases[p], configs[0]);
     for (std::size_t i = 1; i < configs.size(); ++i)
         got.push_back(repo.evaluate(phases[0], configs[i]));
-#if ADAPTSIM_OBS_ENABLED
     // One memo per phase, then the first phase's once more.
     EXPECT_EQ(builds.value() - builds_before, phases.size() + 1);
-#endif
     for (std::size_t i = 0; i < configs.size(); ++i)
         EXPECT_TRUE(bitIdentical(got[i], reference[i])) << i;
 }
@@ -800,51 +796,6 @@ TEST_F(RepositoryTest, BackendsNeverShareCacheEntries)
         repo2.evaluate(spec(), paperBaselineConfig());
     EXPECT_EQ(repo2.simulationsRun(), 0u);
     EXPECT_TRUE(bitIdentical(default_again, by_cycle));
-}
-
-TEST_F(RepositoryTest, ObserverlessBackendProfileFallsBack)
-{
-    // Profiling needs per-cycle observer callbacks; the interval
-    // backend has none, so profile() transparently uses the
-    // cycle-level model and produces identical features.
-    ProfileRecord via_cycle;
-    {
-        EvalRepository repo(workload::specSuite(60000), dir_, 0);
-        via_cycle = repo.profile(spec());
-    }
-    std::filesystem::remove_all(dir_);
-
-    EvalRepository repo(workload::specSuite(60000), dir_, 0);
-    const auto via_interval =
-        repo.profile(spec(), &sim::perfModel("interval"));
-    ASSERT_EQ(via_interval.advanced.size(),
-              via_cycle.advanced.size());
-    for (std::size_t i = 0; i < via_cycle.advanced.size(); ++i)
-        EXPECT_EQ(via_interval.advanced[i], via_cycle.advanced[i]);
-}
-
-TEST_F(RepositoryTest, ProfileFallbackWarnsOncePerBackend)
-{
-    // Regression: the fallback used to warn on every profiling call,
-    // flooding stderr in batch gathers.  One warning per backend per
-    // repository, and the features must be unaffected.
-    EvalRepository repo(workload::specSuite(60000), dir_, 0);
-    ::testing::internal::CaptureStderr();
-    const auto a = repo.profile(spec(), &sim::perfModel("interval"));
-    const std::string first = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(first.find("cannot drive profiling counters"),
-              std::string::npos);
-
-    ::testing::internal::CaptureStderr();
-    const auto b = repo.profile(spec(), &sim::perfModel("interval"));
-    auto other = spec();
-    other.startInst = 30000;
-    (void)repo.profile(other, &sim::perfModel("interval"));
-    const std::string rest = ::testing::internal::GetCapturedStderr();
-    EXPECT_EQ(rest.find("cannot drive profiling counters"),
-              std::string::npos)
-        << rest;
-    EXPECT_EQ(a.advanced, b.advanced);
 }
 
 TEST_F(RepositoryTest, TwoBackendTagsNeverCollide)

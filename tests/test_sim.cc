@@ -61,26 +61,21 @@ TEST(Sim, RegistryHasBuiltins)
 {
     const auto &cycle = sim::perfModel("cycle");
     EXPECT_STREQ(cycle.name(), "cycle");
-    EXPECT_TRUE(cycle.supportsObservers());
     // Tag 0 is the reference model's: stored cycle records carry
     // it, so they stay valid for exactly this backend.
     EXPECT_EQ(cycle.cacheTag(), 0u);
 
     const auto &interval = sim::perfModel("interval");
     EXPECT_STREQ(interval.name(), "interval");
-    EXPECT_FALSE(interval.supportsObservers());
     EXPECT_NE(interval.cacheTag(), cycle.cacheTag());
 
     EXPECT_EXIT((void)sim::perfModel("no-such-backend"),
                 ::testing::ExitedWithCode(1),
                 "known: cycle, interval");
 
-    // A null backend means "cycle"; profiling needs observers, so it
-    // falls back to "cycle" from a backend without them.
+    // A null backend means "cycle".
     EXPECT_EQ(&sim::resolvePerfModel(nullptr), &cycle);
     EXPECT_EQ(&sim::resolvePerfModel(&interval), &interval);
-    EXPECT_EQ(&sim::profilingPerfModel(cycle), &cycle);
-    EXPECT_EQ(&sim::profilingPerfModel(interval), &cycle);
 }
 
 TEST(Sim, CycleBackendBitIdenticalToDirectCore)
@@ -258,8 +253,7 @@ TEST(Sim, RegistryConcurrentLookupIsSafe)
                 const auto &cycle = sim::perfModel("cycle");
                 const auto &interval = sim::perfModel("interval");
                 if (cycle.cacheTag() != interval.cacheTag() &&
-                    &sim::resolvePerfModel(nullptr) == &cycle &&
-                    &sim::profilingPerfModel(interval) == &cycle)
+                    &sim::resolvePerfModel(nullptr) == &cycle)
                     ok.fetch_add(1, std::memory_order_relaxed);
             }
         });

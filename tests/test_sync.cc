@@ -2,10 +2,10 @@
  * @file
  * Runtime tests of the annotated synchronisation wrappers in
  * common/sync.hh: mutual exclusion through Mutex/MutexLock, the
- * drop-and-reacquire cycle, try_lock, predicate-only CondVar waits,
- * and shared/exclusive locking through SharedMutex.  The clang
- * thread-safety build checks these types statically; this file checks
- * that the wrappers actually delegate to the underlying primitives.
+ * drop-and-reacquire cycle, try_lock and predicate-only CondVar
+ * waits.  The clang thread-safety build checks these types
+ * statically; this file checks that the wrappers actually delegate to
+ * the underlying primitives.
  */
 
 #include <gtest/gtest.h>
@@ -21,9 +21,6 @@ namespace
 using adaptsim::CondVar;
 using adaptsim::Mutex;
 using adaptsim::MutexLock;
-using adaptsim::ReaderLock;
-using adaptsim::SharedMutex;
-using adaptsim::WriterLock;
 
 TEST(Sync, MutexLockProvidesMutualExclusion)
 {
@@ -114,27 +111,6 @@ TEST(Sync, CondVarPredicateWaitHandsOff)
     cv.notify_one();
     consumer.join();
     EXPECT_EQ(observed, 42);
-}
-
-TEST(Sync, SharedMutexAllowsConcurrentReaders)
-{
-    SharedMutex rw;
-    int value = 0;
-    {
-        WriterLock w(rw);
-        value = 5;
-    }
-    // Two readers hold the shared lock at once; if lock_shared were
-    // exclusive this would deadlock (reader A waits for reader B).
-    ReaderLock a(rw);
-    int seen = 0;
-    std::thread peer([&] {
-        ReaderLock b(rw);
-        seen = value;
-    });
-    peer.join();
-    EXPECT_EQ(seen, 5);
-    EXPECT_EQ(value, 5);
 }
 
 } // namespace

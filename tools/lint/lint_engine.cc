@@ -635,9 +635,8 @@ lintSource(const std::string &path, const std::string &text)
                     {path, ln, "mutex-annotated",
                      "raw " + type +
                          " declaration; use the annotated wrappers "
-                         "from common/sync.hh (Mutex / SharedMutex / "
-                         "CondVar) so the clang thread-safety build "
-                         "can see the lock"});
+                         "from common/sync.hh (Mutex / CondVar) so the "
+                         "clang thread-safety build can see the lock"});
         }
     }
 
