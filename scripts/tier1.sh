@@ -7,7 +7,8 @@
 #      (thread pool, shared simulation repository, shared trace
 #      cache, metrics registry, first-use construction of the fixed
 #      perf-model backend table, the gather scheduler, the multi-core
-#      chip model with its shared LLC, and the shared warm memo)
+#      chip model with its shared LLC, the shared warm memo, and the
+#      pooled leave-one-program-out folds)
 #   3. AddressSanitizer+UBSan pass over the full test suite
 #   4. -DADAPTSIM_WERROR=ON hardened compile: the whole tree (library,
 #      tools, tests, benches, examples) must be -Wshadow -Werror clean
@@ -41,9 +42,10 @@ if san_available thread; then
     cmake --build build-tsan -j"$(nproc)" \
         --target test_thread_pool test_repository test_trace_cache \
                  test_obs test_sim test_gather_scheduler \
-                 test_shared_llc test_chip test_warm_memo
+                 test_shared_llc test_chip test_warm_memo \
+                 test_cross_validation
     ctest --test-dir build-tsan --output-on-failure \
-        -R 'test_thread_pool|test_repository|test_trace_cache|test_obs|test_sim$|test_gather_scheduler|test_shared_llc|test_chip|test_warm_memo'
+        -R 'test_thread_pool|test_repository|test_trace_cache|test_obs|test_sim$|test_gather_scheduler|test_shared_llc|test_chip|test_warm_memo|test_cross_validation'
 else
     echo "tier1: ThreadSanitizer unavailable; skipping TSan pass"
 fi

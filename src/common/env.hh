@@ -27,7 +27,8 @@ double experimentScale();
 /** ADAPTSIM_DATA_DIR: shared on-disk simulation cache (default ./data). */
 std::string dataDir();
 
-/** ADAPTSIM_THREADS: evaluation threads (default hw concurrency). */
+/** ADAPTSIM_THREADS: evaluation threads, also used by the
+ *  leave-one-program-out folds (default hw concurrency). */
 unsigned numThreads();
 
 /** ADAPTSIM_METRICS: exit metrics summary.  Unset/"1" enables the

@@ -1,4 +1,4 @@
-#include "harness/thread_pool.hh"
+#include "common/thread_pool.hh"
 
 #include <algorithm>
 #include <stdexcept>
@@ -6,7 +6,7 @@
 
 #include "obs/obs.hh"
 
-namespace adaptsim::harness
+namespace adaptsim
 {
 
 namespace
@@ -245,4 +245,4 @@ ThreadPool::parallelFor(std::size_t n,
         std::rethrow_exception(error);
 }
 
-} // namespace adaptsim::harness
+} // namespace adaptsim

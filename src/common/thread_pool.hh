@@ -1,7 +1,9 @@
 /**
  * @file
  * Minimal fixed-size thread pool with a blocking parallel-for, used
- * to spread independent simulations over cores.
+ * to spread independent work over cores: the repository's
+ * simulations and the folds of leave-one-program-out training.
+ * Every batch counts in the `pool/` metrics, whoever submits it.
  *
  * Failure semantics: if a job throws, no further unstarted indices
  * are run, the first exception is captured and rethrown on the
@@ -17,8 +19,8 @@
  * function.
  */
 
-#ifndef ADAPTSIM_HARNESS_THREAD_POOL_HH
-#define ADAPTSIM_HARNESS_THREAD_POOL_HH
+#ifndef ADAPTSIM_COMMON_THREAD_POOL_HH
+#define ADAPTSIM_COMMON_THREAD_POOL_HH
 
 #include <atomic>
 #include <chrono>
@@ -29,7 +31,7 @@
 
 #include "common/sync.hh"
 
-namespace adaptsim::harness
+namespace adaptsim
 {
 
 /** Fixed pool executing parallelFor batches. */
@@ -97,6 +99,6 @@ class ThreadPool
     bool stopping_ ADAPTSIM_GUARDED_BY(mutex_) = false;
 };
 
-} // namespace adaptsim::harness
+} // namespace adaptsim
 
-#endif // ADAPTSIM_HARNESS_THREAD_POOL_HH
+#endif // ADAPTSIM_COMMON_THREAD_POOL_HH

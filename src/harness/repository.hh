@@ -49,8 +49,8 @@
 #include <vector>
 
 #include "common/sync.hh"
+#include "common/thread_pool.hh"
 #include "counters/feature_vector.hh"
-#include "harness/thread_pool.hh"
 #include "space/configuration.hh"
 #include "workload/trace_cache.hh"
 #include "workload/workload.hh"

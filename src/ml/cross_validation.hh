@@ -25,6 +25,13 @@ struct CvPrediction
 /**
  * For every phase in @p phases, train on all *other programs'* phases
  * and predict.  Returns one prediction per input phase, in order.
+ *
+ * The folds, one per held-out program, run on a ThreadPool of
+ * min(numThreads(), programs) workers (ADAPTSIM_THREADS).  Each
+ * fold trains serially and fills only its own phases' slots, so the
+ * result is bit-identical for every thread count.  Fewer than two
+ * programs, empty features or mismatched feature dimensions are
+ * fatal, checked on the calling thread before any fold starts.
  */
 std::vector<CvPrediction>
 leaveOneProgramOut(const std::vector<PhaseData> &phases,

@@ -6,10 +6,10 @@
  * O(100) configurations; caching the generated µops makes replay the
  * only per-configuration cost.  The cache is thread-safe (one
  * internal mutex) so a single instance can be shared by every
- * ThreadPool worker of a gather: the first worker to need a trace
- * generates it while the others block on the lock and then hit, so
- * each distinct (workload, start, count) interval is generated
- * exactly once per residency.
+ * worker of a gather's ThreadPool (common/thread_pool.hh): the first
+ * worker to need a trace generates it while the others block on the
+ * lock and then hit, so each distinct (workload, start, count)
+ * interval is generated exactly once per residency.
  *
  * Lookups are keyed by a cheap POD TraceKey — the workload's 64-bit
  * uid plus the interval bounds — rather than a per-lookup string

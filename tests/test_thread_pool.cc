@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "harness/thread_pool.hh"
+#include "common/thread_pool.hh"
 
-using adaptsim::harness::ThreadPool;
+using adaptsim::ThreadPool;
 
 TEST(ThreadPool, InlineWhenSingleThreaded)
 {

@@ -195,6 +195,35 @@ TEST(Trainer, RejectsEmptyAndInconsistent)
                 ::testing::ExitedWithCode(1), "");
 }
 
+TEST(Trainer, LoocvRejectsFewerThanTwoProgramsOnCaller)
+{
+    // The message names leaveOneProgramOut, not trainModel: the check
+    // ran on the calling thread before any fold started.
+    EXPECT_EXIT((void)leaveOneProgramOut({}, {}),
+                ::testing::ExitedWithCode(1),
+                "leaveOneProgramOut needs at least two programs, got 0");
+    auto phases = syntheticPhases(6, 4);
+    for (auto &ph : phases)
+        ph.workload = "only";
+    EXPECT_EXIT((void)leaveOneProgramOut(phases, {}),
+                ::testing::ExitedWithCode(1),
+                "leaveOneProgramOut needs at least two programs, got 1");
+}
+
+TEST(Trainer, LoocvRejectsInconsistentFeaturesOnCaller)
+{
+    auto phases = syntheticPhases(8, 2);
+    phases[5].features.push_back(9.0);
+    EXPECT_EXIT((void)leaveOneProgramOut(phases, {}),
+                ::testing::ExitedWithCode(1),
+                "leaveOneProgramOut: inconsistent feature dimensions");
+    for (auto &ph : phases)
+        ph.features.clear();
+    EXPECT_EXIT((void)leaveOneProgramOut(phases, {}),
+                ::testing::ExitedWithCode(1),
+                "leaveOneProgramOut: phases have no features");
+}
+
 TEST(Trainer, WeightsMatchFrozenGolden)
 {
     // Recorded before the sparse / value-only / fixed-K training
