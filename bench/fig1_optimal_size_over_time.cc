@@ -86,7 +86,6 @@ main()
                             .c_str());
         }
     }
-    std::printf("cache: %s\n", repo.statsSummary().c_str());
     std::printf(
         "Paper observations: the optimal sizes vary over time, "
         "differ between widths (gap's RF: 113 -> 67 at width 4), "

@@ -108,7 +108,6 @@ main()
                     bank.lsqMisSpecFrac() * 100);
     }
     repo.flush();
-    std::printf("cache: %s\n", repo.statsSummary().c_str());
     std::printf("Paper: best sizes mgrid 32, swim 72, parser 16, "
                 "vortex 16; parser/vortex show heavy "
                 "mis-speculation that makes raw usage misleading.\n");

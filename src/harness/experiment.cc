@@ -119,8 +119,8 @@ Experiment::prepare()
     for (std::size_t i = 0; i < phases_.size(); ++i)
         byProgram_[phases_[i].phase.workload].push_back(i);
 
-    inform("experiment: gather complete (", repo_->statsSummary(),
-           ")");
+    inform("experiment: gather complete (", phases_.size(),
+           " phases)");
 }
 
 const std::vector<GatheredPhase> &
@@ -180,28 +180,32 @@ Experiment::computeModelResults(counters::FeatureSet set)
     {
         std::ifstream in(path);
         if (in) {
-            // Served only if every phase index has a line: a file
-            // that repeats one index and lacks another would leave
-            // the missing phase on a default configuration.
+            // Served only if every line is exactly `index,code` and
+            // every phase index has one: decode() accepts any code,
+            // so a damaged line would be served as a prediction, and
+            // a missing phase would keep a default configuration.
             std::vector<bool> seen(results.size(), false);
             std::size_t count = 0;
+            bool damaged = false;
             std::string line;
             while (std::getline(in, line)) {
                 std::istringstream ls(line);
                 std::size_t idx;
                 std::uint64_t code;
                 char comma;
-                if (ls >> idx >> comma >> code &&
-                    idx < results.size()) {
-                    results[idx].config =
-                        space::Configuration::decode(code);
-                    if (!seen[idx]) {
-                        seen[idx] = true;
-                        ++count;
-                    }
+                if (!(ls >> std::noskipws >> idx >> comma >> code) ||
+                    comma != ',' || !ls.eof() ||
+                    idx >= results.size()) {
+                    damaged = true;
+                    break;
+                }
+                results[idx].config = space::Configuration::decode(code);
+                if (!seen[idx]) {
+                    seen[idx] = true;
+                    ++count;
                 }
             }
-            loaded = count == results.size();
+            loaded = !damaged && count == results.size();
         }
     }
 

@@ -287,15 +287,17 @@ gatherTrainingData(EvalRepository &repo,
                                        options);
                     if (g) {
                         was_hit = true;
-                        sched->noteHit(hit->memo.evals.size());
+                        OBS_COUNTER("gather/memo/hit").add(1);
+                        OBS_COUNTER("gather/memo/reused_evals")
+                            .add(hit->memo.evals.size());
                     } else {
-                        sched->noteEscalation();
+                        OBS_COUNTER("gather/memo/escalated").add(1);
                     }
                 }
             }
             if (!g) {
                 if (sig && !recognised)
-                    sched->noteMiss();
+                    OBS_COUNTER("gather/memo/miss").add(1);
                 g = gatherOnePhase(repo, shared, ph, program_length,
                                    warm_length, options);
                 if (sig)
@@ -354,11 +356,9 @@ gatherTrainingData(EvalRepository &repo,
                                   : 0.0;
                 const double eta = double(rem_misses) * mean_miss +
                                    double(rem_hits) * mean_hit;
-                const auto ms = sched->stats();
                 inform("gather: ", done, "/", phases.size(),
-                       " phases (", repo.statsSummary(), "), memo ",
-                       ms.hits, " hit/", ms.misses, " miss/",
-                       ms.escalations, " escalated, elapsed ",
+                       " phases, memo ", hit_count, " hit/",
+                       miss_count, " miss, elapsed ",
                        prettySeconds(elapsed), ", eta ",
                        prettySeconds(eta));
             }

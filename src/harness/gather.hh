@@ -33,7 +33,7 @@ struct GatherOptions
     std::size_t sharedRandomConfigs = 64;   ///< paper: 1000
     std::size_t localNeighbours = 16;       ///< paper: 200
     bool oneAtATimeSweep = true;            ///< paper: yes (~93)
-    bool progress = true;      ///< per-phase cache/progress lines
+    bool progress = true;      ///< per-phase progress lines
     std::uint64_t seed = 2010;
 
     /** Backend for the evaluation batches; nullptr selects

@@ -3,7 +3,6 @@
 #include "common/logging.hh"
 #include "common/serial.hh"
 #include "harness/gather.hh"
-#include "obs/obs.hh"
 
 namespace adaptsim::harness
 {
@@ -182,45 +181,6 @@ GatherScheduler::record(std::uint64_t backend, const PhaseSpec &spec,
         b.entries[obs.phaseId] = std::move(memo);
         b.fromDisk[obs.phaseId] = false;
     }
-}
-
-void
-GatherScheduler::noteHit(std::uint64_t reused_evals)
-{
-    {
-        MutexLock lock(mutex_);
-        ++stats_.hits;
-        stats_.reusedEvals += reused_evals;
-    }
-    OBS_COUNTER("gather/memo/hit").add(1);
-    OBS_COUNTER("gather/memo/reused_evals").add(reused_evals);
-}
-
-void
-GatherScheduler::noteMiss()
-{
-    {
-        MutexLock lock(mutex_);
-        ++stats_.misses;
-    }
-    OBS_COUNTER("gather/memo/miss").add(1);
-}
-
-void
-GatherScheduler::noteEscalation()
-{
-    {
-        MutexLock lock(mutex_);
-        ++stats_.escalations;
-    }
-    OBS_COUNTER("gather/memo/escalated").add(1);
-}
-
-GatherScheduler::Stats
-GatherScheduler::stats() const
-{
-    MutexLock lock(mutex_);
-    return stats_;
 }
 
 std::size_t

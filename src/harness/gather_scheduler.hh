@@ -30,6 +30,11 @@
  * (`<dataDir>/gather_memo.idx`, atomic replace, FNV-checksummed) and
  * a corrupt or truncated file is discarded with a warning — the memo
  * is a cache, never ground truth.
+ *
+ * The scheduler keeps no traffic counters: the gather counts each
+ * classification once, in the obs registry, as gather/memo/hit (with
+ * the samples it reused in gather/memo/reused_evals),
+ * gather/memo/miss or gather/memo/escalated.
  */
 
 #ifndef ADAPTSIM_HARNESS_GATHER_SCHEDULER_HH
@@ -92,16 +97,6 @@ class GatherScheduler
         double distance = 0.0;
     };
 
-    /** Running memo-traffic totals (one scheduler instance). */
-    struct Stats
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t escalations = 0;
-        /** Samples satisfied from memo entries on hits. */
-        std::uint64_t reusedEvals = 0;
-    };
-
     /**
      * @param index_path the serialized index file; loaded now when
      *        present (corrupt files are discarded with a warning)
@@ -124,8 +119,8 @@ class GatherScheduler
      * (workload, geometry) as gathered on the backend whose
      * sim::PerfModel::cacheTag() is @p backend.  Returns the matched
      * entry (a copy — the caller works lock-free) or nullopt for a
-     * novel phase.  Read-only: hit/miss accounting happens via
-     * noteHit()/noteMiss() once the caller commits to a path.
+     * novel phase.  Read-only: the gather counts the hit, miss or
+     * escalation once it commits to a path.
      */
     std::optional<Lookup> lookup(std::uint64_t backend,
                                  const PhaseSpec &spec,
@@ -147,12 +142,6 @@ class GatherScheduler
     void record(std::uint64_t backend, const PhaseSpec &spec,
                 const phase::Bbv &sig, const GatheredPhase &gathered)
         ADAPTSIM_EXCLUDES(mutex_);
-
-    void noteHit(std::uint64_t reused_evals) ADAPTSIM_EXCLUDES(mutex_);
-    void noteMiss() ADAPTSIM_EXCLUDES(mutex_);
-    void noteEscalation() ADAPTSIM_EXCLUDES(mutex_);
-
-    Stats stats() const ADAPTSIM_EXCLUDES(mutex_);
 
     /** Total memo entries across all buckets. */
     std::size_t size() const ADAPTSIM_EXCLUDES(mutex_);
@@ -199,7 +188,6 @@ class GatherScheduler
 
     mutable Mutex mutex_;
     std::map<std::string, Bucket> buckets_ ADAPTSIM_GUARDED_BY(mutex_);
-    Stats stats_ ADAPTSIM_GUARDED_BY(mutex_);
 };
 
 } // namespace adaptsim::harness

@@ -1,11 +1,9 @@
 #include "harness/repository.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <optional>
 #include <sstream>
 
@@ -81,9 +79,9 @@ hasMagic(const std::string &bytes)
            std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0;
 }
 
-/** Process-wide mirror of the per-instance CacheStats counters, so
- *  the obs exit report and gather progress can source repository
- *  activity from the registry. */
+/** The registry counters of repository activity, the one record of
+ *  it, resolved together on first use so the exit report lists every
+ *  one (zeros included) once the repository has done anything. */
 struct RepoMetrics
 {
     obs::Counter &hit = obs::Registry::global().counter("repo/hit");
@@ -207,10 +205,8 @@ EvalRepository::loadBinaryCache(const std::string &path,
         warn("cache ", path, ": dropped ", bad,
              " corrupt record(s) and ", tail,
              " torn tail byte(s); they will be re-simulated");
-        dropped_ += bad + (tail > 0 ? 1 : 0);
         repoMetrics().dropped.add(bad + (tail > 0 ? 1 : 0));
     }
-    loaded_ += count;
     repoMetrics().loaded.add(count);
     // A damaged file is not appended to: records written after a torn
     // tail would sit misaligned and fail their checksums on every
@@ -255,7 +251,6 @@ EvalRepository::simulate(const PhaseSpec &spec,
                          const sim::PerfModel &backend,
                          uarch::SimObserver *observer)
 {
-    const auto t0 = std::chrono::steady_clock::now();
     const auto &wl = workload(spec.workload);
     // Each simulation gets its own wrong-path stream (the generator
     // is stateful); seeding is canonical so results are reproducible.
@@ -280,16 +275,7 @@ EvalRepository::simulate(const PhaseSpec &spec,
     const auto trace =
         traceCache_.get(wl, spec.startInst, spec.detailLength);
     const auto result = backend.run(*session, *trace, observer);
-
-    const double secs =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
     repoMetrics().miss.add(1);
-    MutexLock lock(mutex_);
-    simSeconds_ += secs;
-    ++simulated_;
-    ++simulatedByBackend_[backend.name()];
     return result;
 }
 
@@ -306,7 +292,6 @@ EvalRepository::evaluate(const PhaseSpec &spec,
         auto &cache = cacheFor(spec_key);
         const auto it = cache.records.find(key);
         if (it != cache.records.end()) {
-            ++hits_;
             repoMetrics().hit.add(1);
             return it->second;
         }
@@ -353,9 +338,10 @@ EvalRepository::evaluate(const PhaseSpec &spec,
     // Fast path: the phase has a valid file, so its batch can be
     // appended without the global lock.  Swap the batch out under
     // mutex_, do the I/O under the phase's file mutex only, then
-    // relock to update counters.  Other phase caches keep evaluating
-    // meanwhile.  Once valid, the file is only ever appended to, so
-    // no atomic rewrite can rename it away underneath this append.
+    // relock to requeue a failed batch.  Other phase caches keep
+    // evaluating meanwhile.  Once valid, the file is only ever
+    // appended to, so no atomic rewrite can rename it away
+    // underneath this append.
     std::vector<std::pair<EvalKey, EvalRecord>> batch;
     batch.swap(cache.unsaved);
     Mutex &file_mutex = cache.fileMutex;
@@ -373,7 +359,6 @@ EvalRepository::evaluate(const PhaseSpec &spec,
 
     lock.lock();
     if (ok) {
-        flushed_ += batch.size();
         repoMetrics().flushed.add(batch.size());
     } else {
         warn("cannot persist cache ", path);
@@ -412,7 +397,6 @@ EvalRepository::profile(const PhaseSpec &spec)
         MutexLock lock(mutex_);
         const auto it = profiles_.find(spec_key);
         if (it != profiles_.end()) {
-            ++hits_;
             repoMetrics().hit.add(1);
             return it->second;
         }
@@ -447,7 +431,6 @@ EvalRepository::profile(const PhaseSpec &spec)
             if (parsed && rec.basic.size() == want_basic &&
                 rec.advanced.size() == want_advanced) {
                 MutexLock lock(mutex_);
-                ++hits_;
                 repoMetrics().hit.add(1);
                 profiles_[spec_key] = rec;
                 return rec;
@@ -535,61 +518,9 @@ EvalRepository::flushLocked()
             warn("cannot persist cache ", path);
             continue;
         }
-        flushed_ += written;
         repoMetrics().flushed.add(written);
         cache.unsaved.clear();
     }
-}
-
-CacheStats
-EvalRepository::stats() const
-{
-    MutexLock lock(mutex_);
-    CacheStats s;
-    s.hits = hits_;
-    s.misses = simulated_;
-    s.loaded = loaded_;
-    s.flushed = flushed_;
-    s.dropped = dropped_;
-    s.simSeconds = simSeconds_;
-    const auto tc = traceCache_.stats();
-    s.traceHits = tc.hits;
-    s.traceMisses = tc.misses;
-    s.traceEvictions = tc.evictions;
-    s.traceSkipped = tc.skipped;
-    s.backendEvals.assign(simulatedByBackend_.begin(),
-                          simulatedByBackend_.end());
-    return s;
-}
-
-std::string
-EvalRepository::statsSummary() const
-{
-    const CacheStats s = stats();
-    std::ostringstream os;
-    os << s.hits << " hits, " << s.misses << " simulated ("
-       << std::fixed << std::setprecision(1) << s.simSeconds
-       << "s), " << s.loaded << " loaded, " << s.flushed
-       << " flushed";
-    if (s.dropped > 0)
-        os << ", " << s.dropped << " dropped";
-    if (s.traceHits + s.traceMisses > 0) {
-        os << "; traces " << s.traceHits << " replayed / "
-           << s.traceMisses << " generated";
-        if (s.traceEvictions > 0)
-            os << " (" << s.traceEvictions << " evicted)";
-        os << ", " << s.traceSkipped << " µops skipped on reseek";
-    }
-    // Per-backend split, shown once more than one fidelity (or a
-    // non-default backend) produced results this process.
-    if (!s.backendEvals.empty() &&
-        (s.backendEvals.size() > 1 ||
-         s.backendEvals.front().first != "cycle")) {
-        os << "; backends";
-        for (const auto &[name, n] : s.backendEvals)
-            os << ' ' << name << '=' << n;
-    }
-    return os.str();
 }
 
 void

@@ -36,12 +36,18 @@
  * different phases never serialize on one flush.  The store is a
  * regenerable cache: a file of any other version (or a corrupt
  * header) is ignored and atomically replaced on the next flush.
+ *
+ * The repository keeps no counters of its own: the obs registry is
+ * the one record of its activity.  Cache hits count into repo/hit,
+ * simulations into repo/miss (and backend/<name>/evals), store
+ * records into repo/loaded, repo/flushed and repo/dropped, and warm
+ * memos into repo/warm_memo/hits|builds; the repo/simulate and
+ * repo/profile spans time the simulations.
  */
 
 #ifndef ADAPTSIM_HARNESS_REPOSITORY_HH
 #define ADAPTSIM_HARNESS_REPOSITORY_HH
 
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -129,34 +135,6 @@ struct EvalKeyHash
     }
 };
 
-/** Running counters of repository activity (see stats()).  Every
- *  increment is mirrored into the process-wide obs registry under
- *  repo/hit, repo/miss, repo/loaded, repo/flushed and
- *  repo/dropped (plus the repo/simulate and repo/profile span
- *  histograms, inside both the repo/session and repo/warm spans, and
- *  inside repo/simulate repo/metrics), so the exit metrics report
- *  and traces see the same numbers.  Warm-ups served by the current
- *  warm memo count into repo/warm_memo/hits, new memos into
- *  repo/warm_memo/builds. */
-struct CacheStats
-{
-    std::uint64_t hits = 0;        ///< served from memory/disk cache
-    std::uint64_t misses = 0;      ///< simulations actually run
-    std::uint64_t loaded = 0;      ///< records read from disk
-    std::uint64_t flushed = 0;     ///< records persisted this process
-    std::uint64_t dropped = 0;     ///< malformed/corrupt records skipped
-    double simSeconds = 0.0;       ///< wall time spent simulating
-
-    std::uint64_t traceHits = 0;       ///< interval traces replayed
-    std::uint64_t traceMisses = 0;     ///< interval traces generated
-    std::uint64_t traceEvictions = 0;  ///< traces dropped by the LRU
-    std::uint64_t traceSkipped = 0;    ///< µops replayed by reseeks
-
-    /** Simulations actually run, split by backend name (sorted).
-     *  Mirrored into the obs registry as backend/<name>/evals. */
-    std::vector<std::pair<std::string, std::uint64_t>> backendEvals;
-};
-
 /** Memoising simulation evaluator shared by all benches. */
 class EvalRepository
 {
@@ -204,26 +182,6 @@ class EvalRepository
 
     const workload::Workload &workload(const std::string &name) const;
 
-    std::uint64_t
-    simulationsRun() const
-    {
-        MutexLock lock(mutex_);
-        return simulated_;
-    }
-
-    std::uint64_t
-    cacheHits() const
-    {
-        MutexLock lock(mutex_);
-        return hits_;
-    }
-
-    /** Snapshot of the activity counters. */
-    CacheStats stats() const;
-
-    /** One-line human-readable stats() rendering for progress. */
-    std::string statsSummary() const;
-
     /** Records buffered per phase between incremental flushes
      *  (default 64, minimum 1). */
     void setFlushEvery(std::size_t n) ADAPTSIM_EXCLUDES(mutex_);
@@ -252,12 +210,12 @@ class EvalRepository
 
     /** Simulate @p spec's detail window on @p cc through
      *  @p backend after its warm window, with @p observer attached
-     *  (no caching; counted in stats()). */
+     *  (no caching). */
     uarch::SimResult simulate(const PhaseSpec &spec,
                               const uarch::CoreConfig &cc,
                               const sim::PerfModel &backend,
                               uarch::SimObserver *observer = nullptr)
-        ADAPTSIM_EXCLUDES(mutex_);
+        ADAPTSIM_EXCLUDES(memoMutex_);
 
     /** The warm memo of @p warm, @p wl's trace of @p length µops
      *  from @p start: the current one, or a new one that replaces
@@ -294,20 +252,12 @@ class EvalRepository
     std::shared_ptr<uarch::WarmMemo> warmMemo_
         ADAPTSIM_GUARDED_BY(memoMutex_);
 
-    mutable Mutex mutex_;
+    Mutex mutex_;
     std::unordered_map<std::string, PhaseCache> caches_
         ADAPTSIM_GUARDED_BY(mutex_);
     std::unordered_map<std::string, ProfileRecord> profiles_
         ADAPTSIM_GUARDED_BY(mutex_);
     std::size_t flushEvery_ ADAPTSIM_GUARDED_BY(mutex_) = 64;
-    std::map<std::string, std::uint64_t> simulatedByBackend_
-        ADAPTSIM_GUARDED_BY(mutex_);
-    std::uint64_t simulated_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
-    std::uint64_t hits_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
-    std::uint64_t loaded_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
-    std::uint64_t flushed_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
-    std::uint64_t dropped_ ADAPTSIM_GUARDED_BY(mutex_) = 0;
-    double simSeconds_ ADAPTSIM_GUARDED_BY(mutex_) = 0.0;
 };
 
 } // namespace adaptsim::harness

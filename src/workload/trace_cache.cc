@@ -9,7 +9,9 @@ namespace adaptsim::workload
 namespace
 {
 
-/** Process-wide mirror of per-instance cache activity. */
+/** The registry counters of trace-cache activity, the one record of
+ *  it, resolved together on first use so the exit report lists every
+ *  one (zeros included) once any cache has been used. */
 struct TraceCacheMetrics
 {
     obs::Counter &hits =
@@ -50,28 +52,23 @@ TraceCache::get(const Workload &wl, std::uint64_t start,
     MutexLock lock(mutex_);
     const auto it = map_.find(key);
     if (it != map_.end()) {
-        ++stats_.hits;
         traceCacheMetrics().hits.add(1);
         lru_.splice(lru_.begin(), lru_, it->second);
         return it->second->trace;
     }
 
-    ++stats_.misses;
     traceCacheMetrics().misses.add(1);
     auto &cursor = cursors_[key.wid];
     const std::uint64_t skipped_before = cursor.skipped;
     auto trace = std::make_shared<const std::vector<isa::MicroOp>>(
         wl.generate(start, count, cursor));
-    const std::uint64_t skipped = cursor.skipped - skipped_before;
-    stats_.skipped += skipped;
-    traceCacheMetrics().skipped.add(skipped);
+    traceCacheMetrics().skipped.add(cursor.skipped - skipped_before);
     lru_.push_front(Entry{key, trace});
     map_[key] = lru_.begin();
 
     while (map_.size() > capacity_) {
         map_.erase(lru_.back().key);
         lru_.pop_back();
-        ++stats_.evictions;
         traceCacheMetrics().evictions.add(1);
     }
     return trace;
@@ -82,34 +79,6 @@ TraceCache::size() const
 {
     MutexLock lock(mutex_);
     return map_.size();
-}
-
-std::uint64_t
-TraceCache::hits() const
-{
-    MutexLock lock(mutex_);
-    return stats_.hits;
-}
-
-std::uint64_t
-TraceCache::misses() const
-{
-    MutexLock lock(mutex_);
-    return stats_.misses;
-}
-
-std::uint64_t
-TraceCache::evictions() const
-{
-    MutexLock lock(mutex_);
-    return stats_.evictions;
-}
-
-TraceCacheStats
-TraceCache::stats() const
-{
-    MutexLock lock(mutex_);
-    return stats_;
 }
 
 } // namespace adaptsim::workload

@@ -21,9 +21,11 @@
  * the program rather than a replay from each segment start per
  * miss.  Misses that jump around fall back to a cold reseek.
  *
- * Capacity is fixed at construction (default 48 traces).  Hits,
- * misses, evictions and reseek-replayed µops are mirrored into the
- * obs registry under the tracecache/ prefix.
+ * Capacity is fixed at construction (default 48 traces).  The cache
+ * keeps no counters of its own: hits, misses, evictions and
+ * reseek-replayed µops are counted only in the obs registry, as
+ * tracecache/hits, tracecache/misses, tracecache/evictions and
+ * tracecache/skipped.
  */
 
 #ifndef ADAPTSIM_WORKLOAD_TRACE_CACHE_HH
@@ -75,16 +77,6 @@ struct TraceKeyHash
     }
 };
 
-/** Running counters of cache activity (see TraceCache::stats()). */
-struct TraceCacheStats
-{
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    /// µops replayed by reseeks to reach a miss's start
-    std::uint64_t skipped = 0;
-};
-
 /** Thread-safe LRU cache of interval traces. */
 class TraceCache
 {
@@ -104,10 +96,6 @@ class TraceCache
                  std::uint64_t count);
 
     std::size_t size() const;
-    std::uint64_t hits() const;
-    std::uint64_t misses() const;
-    std::uint64_t evictions() const;
-    TraceCacheStats stats() const;
     std::size_t capacity() const { return capacity_; }
 
   private:
@@ -124,7 +112,6 @@ class TraceCache
     std::unordered_map<TraceKey, std::list<Entry>::iterator,
                        TraceKeyHash>
         map_ ADAPTSIM_GUARDED_BY(mutex_);
-    TraceCacheStats stats_ ADAPTSIM_GUARDED_BY(mutex_);
     /// one generation cursor per workload, keyed by Workload::uid()
     std::unordered_map<std::uint64_t, Workload::Cursor>
         cursors_ ADAPTSIM_GUARDED_BY(mutex_);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "control/chip_controller.hh"
+#include "counter_delta.hh"
 #include "harness/gather.hh"
 #include "harness/repository.hh"
 #include "ml/trainer.hh"
@@ -22,6 +23,7 @@
 
 using namespace adaptsim;
 using namespace adaptsim::control;
+using adaptsim::test::CounterDelta;
 
 namespace
 {
@@ -110,11 +112,12 @@ TEST(Controller, TraceCachedRunsMatchUncachedBitExactly)
     workload::TraceCache cache;
 
     const auto plain = runStaticSolo(wl, 30000, 5000);
+    const CounterDelta d;
     const auto cached = runStaticSolo(wl, 30000, 5000, &cache);
     EXPECT_EQ(cached.seconds, plain.seconds);
     EXPECT_EQ(cached.joules, plain.joules);
     EXPECT_EQ(cached.instructions, plain.instructions);
-    EXPECT_EQ(cache.misses(), 6u);   // one generation per interval
+    EXPECT_EQ(d("tracecache/misses"), 6u);   // one per interval
 
     const auto model = dummyModel();
     auto opt = soloOptions(5000);
@@ -122,13 +125,14 @@ TEST(Controller, TraceCachedRunsMatchUncachedBitExactly)
     const auto a = uncached_ctl.run(30000).cores.at(0);
     opt.traceCache = &cache;   // pre-warmed by the static runs
     ChipController cached_ctl({&wl}, model, opt);
+    const CounterDelta cached_run;
     const auto b = cached_ctl.run(30000).cores.at(0);
     EXPECT_EQ(a.seconds, b.seconds);
     EXPECT_EQ(a.joules, b.joules);
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.intervals, b.intervals);
     EXPECT_EQ(a.reconfigurations, b.reconfigurations);
-    EXPECT_EQ(cache.misses(), 6u);   // adaptive run was all hits
+    EXPECT_EQ(cached_run("tracecache/misses"), 0u);   // all hits
 }
 
 TEST(Controller, ReconfiguresOncePerNewPhaseAtMost)

@@ -11,13 +11,16 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "counter_delta.hh"
 #include "harness/experiment.hh"
 #include "sim/perf_model.hh"
 
 using namespace adaptsim;
 using namespace adaptsim::harness;
+using adaptsim::test::CounterDelta;
 
 namespace
 {
@@ -102,9 +105,10 @@ TEST(Experiment, EndToEndTinyScale)
 
     // A second Experiment over the same directory reuses everything.
     {
+        const CounterDelta d;
         Experiment exp(tinyOptions(dir));
         exp.phases();
-        EXPECT_EQ(exp.repository().simulationsRun(), 0u);
+        EXPECT_EQ(d("repo/miss"), 0u);
     }
 
     std::filesystem::remove_all(dir);
@@ -139,7 +143,10 @@ TEST(Experiment, LoocvCacheWithAMissingPhaseIsRetrained)
 {
     // A prediction file whose line count is right but which repeats
     // one phase index and lacks another must not be served: the
-    // missing phase would silently get a default configuration.
+    // missing phase would silently get a default configuration.  Nor
+    // may a damaged line (wrong separator, trailing junk): any code
+    // decodes to some configuration, which would be served as the
+    // phase's prediction.
     const std::string dir =
         std::filesystem::temp_directory_path() /
         "adaptsim_experiment_loocv_missing";
@@ -170,14 +177,22 @@ TEST(Experiment, LoocvCacheWithAMissingPhaseIsRetrained)
             lines.push_back(line);
     }
     ASSERT_EQ(lines.size(), first.size());
-    lines.back() = lines.front();
-    {
-        std::ofstream out(path, std::ios::trunc);
-        for (const auto &line : lines)
-            out << line << '\n';
+    ASSERT_NE(first.front(), 0u);   // "0,0" would be a real change
+    const std::pair<std::size_t, std::string> damage[] = {
+        {lines.size() - 1, lines.front()},   // phase 0 twice
+        {0, "0;0"},
+        {0, "0,0 junk"},
+    };
+    for (const auto &[at, replacement] : damage) {
+        auto damaged = lines;
+        damaged[at] = replacement;
+        {
+            std::ofstream out(path, std::ios::trunc);
+            for (const auto &line : damaged)
+                out << line << '\n';
+        }
+        EXPECT_EQ(codes(), first) << replacement;
     }
-
-    EXPECT_EQ(codes(), first);
     std::filesystem::remove_all(dir);
 }
 
@@ -220,17 +235,10 @@ TEST(Experiment, PredictionsAreEvaluatedOnTheGatherBackend)
     opt.gather.backend = &sim::perfModel("interval");
     Experiment exp(opt);
     exp.phases();
-    auto simulated = [&exp](const std::string &backend) {
-        for (const auto &[name, n] : exp.repository().stats().backendEvals)
-            if (name == backend)
-                return n;
-        return std::uint64_t(0);
-    };
-    const std::uint64_t cycle_before = simulated("cycle");
-    const std::uint64_t interval_before = simulated("interval");
+    const CounterDelta d;
     ASSERT_FALSE(exp.modelResults(counters::FeatureSet::Basic).empty());
-    EXPECT_EQ(simulated("cycle"), cycle_before);
-    EXPECT_GT(simulated("interval"), interval_before);
+    EXPECT_EQ(d("backend/cycle/evals"), 0u);
+    EXPECT_GT(d("backend/interval/evals"), 0u);
 
     std::filesystem::remove_all(dir);
 }

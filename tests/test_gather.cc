@@ -6,14 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 #include <unordered_set>
+#include <utility>
 
+#include "counter_delta.hh"
 #include "harness/gather.hh"
+#include "obs/registry.hh"
 #include "phase/simpoint.hh"
+#include "sim/perf_model.hh"
 #include "workload/spec_suite.hh"
 
 using namespace adaptsim;
 using namespace adaptsim::harness;
+using adaptsim::test::CounterDelta;
 
 namespace
 {
@@ -156,4 +162,71 @@ TEST_F(GatherTest, ToPhaseDataSelectsFeatureSet)
     EXPECT_EQ(bas.features, gathered[0].features.basic);
     EXPECT_EQ(adv.evals.size(), gathered[0].evals.size());
     EXPECT_EQ(adv.workload, "eon");
+}
+
+TEST_F(GatherTest, RegistryCountsEveryEventPerfbenchReads)
+{
+    // The obs registry is the only record of repository, trace-cache
+    // and memo activity, and perfbench/layers.cc reads these names
+    // from it: a renamed or dropped count would read 0 there, not
+    // fail.  A cold two-phase cycle gather into a fresh store, the
+    // same gather over that store from a fresh repository, then one
+    // interval evaluation, each count pinned exactly.
+    constexpr std::uint64_t len = 60000;
+    phase::SimPointOptions sp;
+    sp.intervalLength = 1500;
+    sp.maxPhases = 2;
+    GatherOptions opt;
+    opt.sharedRandomConfigs = 4;
+    opt.localNeighbours = 2;
+    opt.oneAtATimeSweep = false;
+    opt.progress = false;
+    opt.backend = &sim::perfModel("cycle");
+
+    auto &reg = obs::Registry::global();
+    const auto samples = [&reg](const char *span) {
+        return reg.histogram(std::string(span) + ".seconds")
+            .stats()
+            .count;
+    };
+    const std::uint64_t simulate0 = samples("repo/simulate");
+    const std::uint64_t profile0 = samples("repo/profile");
+    const CounterDelta d;
+    PhaseSpec first_spec;
+    for (int pass = 0; pass < 2; ++pass) {
+        EvalRepository repo(workload::specSuite(len), dir_, 0);
+        const auto phases =
+            phase::extractPhases(repo.workload("gzip"), sp);
+        ASSERT_EQ(phases.size(), 2u);
+        first_spec = gatherTrainingData(repo, phases, len, 1000, opt)
+                         .front()
+                         .spec;
+    }
+    {
+        EvalRepository repo(workload::specSuite(len), dir_, 0);
+        (void)repo.evaluate(first_spec, paperBaselineConfig(),
+                            &sim::perfModel("interval"));
+    }
+
+    // The cold pass simulates 7 configurations and a profile per
+    // phase; the warm pass hits the memo and probes each phase's
+    // best from the 14 stored records; the evaluation loads the
+    // first phase's 7 records and simulates on interval.
+    const std::pair<const char *, std::uint64_t> want[] = {
+        {"repo/hit", 2},
+        {"repo/miss", 17},
+        {"repo/loaded", 21},
+        {"repo/flushed", 15},
+        {"tracecache/hits", 28},
+        {"tracecache/misses", 6},
+        {"gather/memo/hit", 2},
+        {"gather/memo/miss", 2},
+        {"gather/memo/escalated", 0},
+        {"backend/cycle/evals", 16},
+        {"backend/interval/evals", 1},
+    };
+    for (const auto &[name, count] : want)
+        EXPECT_EQ(d(name), count) << name;
+    EXPECT_EQ(samples("repo/simulate") - simulate0, 15u);
+    EXPECT_EQ(samples("repo/profile") - profile0, 2u);
 }

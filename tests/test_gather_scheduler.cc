@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/serial.hh"
+#include "counter_delta.hh"
 #include "harness/gather.hh"
 #include "harness/gather_scheduler.hh"
 #include "phase/bbv.hh"
@@ -24,6 +25,7 @@
 
 using namespace adaptsim;
 using namespace adaptsim::harness;
+using adaptsim::test::CounterDelta;
 
 namespace
 {
@@ -285,6 +287,7 @@ TEST_F(GatherSchedulerTest, RecognisedPhaseReusesCharacterisation)
     opt.progress = false;
     GatherScheduler sched(GatherScheduler::indexPathFor(repo));
     opt.scheduler = &sched;
+    const CounterDelta d;
 
     // Cold: every phase is novel, and the full path lands on the
     // frozen pre-memo output — memoisation must not perturb a
@@ -292,9 +295,8 @@ TEST_F(GatherSchedulerTest, RecognisedPhaseReusesCharacterisation)
     const auto first =
         gatherTrainingData(repo, phases, len, 1000, opt);
     EXPECT_EQ(hashGather(first), kGoldenHash);
-    auto st = sched.stats();
-    EXPECT_EQ(st.hits, 0u);
-    EXPECT_EQ(st.misses, phases.size());
+    EXPECT_EQ(d("gather/memo/hit"), 0u);
+    EXPECT_EQ(d("gather/memo/miss"), phases.size());
     EXPECT_EQ(sched.size(), phases.size());
     EXPECT_TRUE(std::filesystem::exists(sched.indexPath()));
 
@@ -305,11 +307,10 @@ TEST_F(GatherSchedulerTest, RecognisedPhaseReusesCharacterisation)
     // incumbent best, which the cold pass only discovered mid-sweep.
     const auto second =
         gatherTrainingData(repo, phases, len, 1000, opt);
-    st = sched.stats();
-    EXPECT_EQ(st.hits, phases.size());
-    EXPECT_EQ(st.misses, phases.size()); // from the cold pass
-    EXPECT_EQ(st.escalations, 0u);
-    EXPECT_GT(st.reusedEvals, 0u);
+    EXPECT_EQ(d("gather/memo/hit"), phases.size());
+    EXPECT_EQ(d("gather/memo/miss"), phases.size()); // the cold pass
+    EXPECT_EQ(d("gather/memo/escalated"), 0u);
+    EXPECT_GT(d("gather/memo/reused_evals"), 0u);
     ASSERT_EQ(second.size(), first.size());
     for (std::size_t i = 0; i < first.size(); ++i) {
         const auto &cold = first[i];
@@ -329,7 +330,7 @@ TEST_F(GatherSchedulerTest, RecognisedPhaseReusesCharacterisation)
     // the third output is bit-identical to the second.
     const auto third =
         gatherTrainingData(repo, phases, len, 1000, opt);
-    EXPECT_EQ(sched.stats().hits, 2 * phases.size());
+    EXPECT_EQ(d("gather/memo/hit"), 2 * phases.size());
     EXPECT_EQ(hashGather(third), hashGather(second));
 }
 
@@ -356,13 +357,13 @@ TEST_F(GatherSchedulerTest, LowConfidenceHitsEscalate)
         o.tolerance = -1.0;
         GatherScheduler sched("", o);
         opt.scheduler = &sched;
+        const CounterDelta d;
         const auto cold =
             gatherTrainingData(repo, phases, len, 1000, opt);
         const auto warm =
             gatherTrainingData(repo, phases, len, 1000, opt);
-        const auto st = sched.stats();
-        EXPECT_EQ(st.hits, 0u);
-        EXPECT_EQ(st.escalations, phases.size());
+        EXPECT_EQ(d("gather/memo/hit"), 0u);
+        EXPECT_EQ(d("gather/memo/escalated"), phases.size());
         // Full re-characterisation of the exact spec is
         // deterministic.
         EXPECT_EQ(hashGather(warm), hashGather(cold));
@@ -401,13 +402,13 @@ TEST_F(GatherSchedulerTest, IndexWarmsAFreshSchedulerFromDisk)
     GatherScheduler sched(GatherScheduler::indexPathFor(repo));
     EXPECT_EQ(sched.size(), phases.size());
     opt.scheduler = &sched;
+    const CounterDelta d;
     const auto warm =
         gatherTrainingData(repo, phases, len, 1000, opt);
-    const auto st = sched.stats();
-    EXPECT_EQ(st.hits, phases.size());
-    EXPECT_EQ(st.misses, 0u);
+    EXPECT_EQ(d("gather/memo/hit"), phases.size());
+    EXPECT_EQ(d("gather/memo/miss"), 0u);
     // The warm gather is served entirely from the store on disk.
-    EXPECT_EQ(repo.simulationsRun(), 0u);
+    EXPECT_EQ(d("repo/miss"), 0u);
     EXPECT_EQ(hashGather(warm), cold_hash);
 }
 
@@ -431,6 +432,7 @@ TEST_F(GatherSchedulerTest, ConcurrentGathersShareOneScheduler)
 
     // Seed once so the concurrent gathers exercise the hit path as
     // well as lookup/record interleavings.
+    const CounterDelta d;
     const auto seed =
         gatherTrainingData(repo, phases, len, 1000, opt);
     const std::uint64_t seed_hash = hashGather(seed);
@@ -451,8 +453,8 @@ TEST_F(GatherSchedulerTest, ConcurrentGathersShareOneScheduler)
     // classified exactly once.
     for (const auto h : hashes)
         EXPECT_EQ(h, seed_hash);
-    const auto st = sched.stats();
-    EXPECT_EQ(st.hits + st.misses + st.escalations,
+    EXPECT_EQ(d("gather/memo/hit") + d("gather/memo/miss") +
+                  d("gather/memo/escalated"),
               3 * phases.size());
     EXPECT_EQ(sched.size(), phases.size());
 }

@@ -14,11 +14,11 @@
 
 #include "common/rng.hh"
 #include "common/serial.hh"
+#include "counter_delta.hh"
 #include "counters/counter_bank.hh"
 #include "counters/feature_vector.hh"
 #include "harness/gather.hh"
 #include "harness/repository.hh"
-#include "obs/registry.hh"
 #include "power/metrics.hh"
 #include "sim/cycle_level_model.hh"
 #include "sim/perf_model.hh"
@@ -28,6 +28,7 @@
 
 using namespace adaptsim;
 using namespace adaptsim::harness;
+using adaptsim::test::CounterDelta;
 
 namespace
 {
@@ -73,6 +74,7 @@ bitIdentical(const EvalRecord &a, const EvalRecord &b)
 
 TEST_F(RepositoryTest, EvaluateProducesSaneMetrics)
 {
+    const CounterDelta d;
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
     const auto r = repo.evaluate(spec(),
                                  paperBaselineConfig());
@@ -81,16 +83,17 @@ TEST_F(RepositoryTest, EvaluateProducesSaneMetrics)
     EXPECT_GT(r.ipc, 0.0);
     EXPECT_GT(r.watts, 0.1);
     EXPECT_GT(r.efficiency, 0.0);
-    EXPECT_EQ(repo.simulationsRun(), 1u);
+    EXPECT_EQ(d("repo/miss"), 1u);
 }
 
 TEST_F(RepositoryTest, SecondEvaluateHitsCache)
 {
+    const CounterDelta d;
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
     const auto a = repo.evaluate(spec(), paperBaselineConfig());
     const auto b = repo.evaluate(spec(), paperBaselineConfig());
-    EXPECT_EQ(repo.simulationsRun(), 1u);
-    EXPECT_EQ(repo.cacheHits(), 1u);
+    EXPECT_EQ(d("repo/miss"), 1u);
+    EXPECT_EQ(d("repo/hit"), 1u);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.efficiency, b.efficiency);
 }
@@ -100,6 +103,7 @@ TEST_F(RepositoryTest, WarmDetailPairReplaysOnlyTheWarmOffset)
     // The warm window ends where the detail window starts, so the
     // detail miss resumes the warm-up's stream: the only µops
     // replayed are the warm start's offset into its segment.
+    const CounterDelta d;
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
     const PhaseSpec s = spec();
     (void)repo.evaluate(s, paperBaselineConfig());
@@ -112,10 +116,8 @@ TEST_F(RepositoryTest, WarmDetailPairReplaysOnlyTheWarmOffset)
         seg_start += seg.length;
     }
     ASSERT_GT(warm_start, seg_start);   // a real mid-segment reseek
-    EXPECT_EQ(repo.stats().traceMisses, 2u);
-    EXPECT_EQ(repo.stats().traceSkipped, warm_start - seg_start);
-    EXPECT_NE(repo.statsSummary().find("skipped on reseek"),
-              std::string::npos);
+    EXPECT_EQ(d("tracecache/misses"), 2u);
+    EXPECT_EQ(d("tracecache/skipped"), warm_start - seg_start);
 }
 
 TEST_F(RepositoryTest, CacheSurvivesRestart)
@@ -127,11 +129,12 @@ TEST_F(RepositoryTest, CacheSurvivesRestart)
         repo.flush();
     }
     {
+        const CounterDelta d;
         EvalRepository repo(workload::specSuite(60000), dir_, 0);
         const auto again =
             repo.evaluate(spec(), paperBaselineConfig());
-        EXPECT_EQ(repo.simulationsRun(), 0u);
-        EXPECT_EQ(repo.cacheHits(), 1u);
+        EXPECT_EQ(d("repo/miss"), 0u);
+        EXPECT_EQ(d("repo/hit"), 1u);
         EXPECT_NEAR(again.efficiency, first.efficiency,
                     first.efficiency * 1e-9);
     }
@@ -156,14 +159,15 @@ TEST_F(RepositoryTest, ProfileIsCachedInMemoryAndOnDisk)
     const auto a = repo.profile(spec());
     EXPECT_FALSE(a.basic.empty());
     EXPECT_FALSE(a.advanced.empty());
-    const auto sims = repo.simulationsRun();
+    const CounterDelta memoised;
     const auto b = repo.profile(spec());
-    EXPECT_EQ(repo.simulationsRun(), sims);   // memoised
+    EXPECT_EQ(memoised("repo/miss"), 0u);
     EXPECT_EQ(a.advanced, b.advanced);
 
+    const CounterDelta from_disk;
     EvalRepository repo2(workload::specSuite(60000), dir_, 0);
     const auto c = repo2.profile(spec());
-    EXPECT_EQ(repo2.simulationsRun(), 0u);    // from disk
+    EXPECT_EQ(from_disk("repo/miss"), 0u);
     ASSERT_EQ(c.advanced.size(), a.advanced.size());
     for (std::size_t i = 0; i < c.advanced.size(); ++i)
         EXPECT_NEAR(c.advanced[i], a.advanced[i], 1e-6);
@@ -199,12 +203,13 @@ TEST_F(RepositoryTest, ProfileMatchesHandBuiltCounterBankRun)
 
 TEST_F(RepositoryTest, DistinctSpecsAreDistinctEntries)
 {
+    const CounterDelta d;
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
     auto other = spec();
     other.startInst = 30000;
     (void)repo.evaluate(spec(), paperBaselineConfig());
     (void)repo.evaluate(other, paperBaselineConfig());
-    EXPECT_EQ(repo.simulationsRun(), 2u);
+    EXPECT_EQ(d("repo/miss"), 2u);
 }
 
 TEST_F(RepositoryTest, CacheHitIsBitIdenticalToFreshSimulation)
@@ -214,27 +219,30 @@ TEST_F(RepositoryTest, CacheHitIsBitIdenticalToFreshSimulation)
         EvalRepository repo(workload::specSuite(60000), dir_, 0);
         fresh = repo.evaluate(spec(), paperBaselineConfig());
     }   // destructor flushes
+    const CounterDelta d;
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
     const auto cached = repo.evaluate(spec(), paperBaselineConfig());
-    EXPECT_EQ(repo.simulationsRun(), 0u);
-    EXPECT_EQ(repo.cacheHits(), 1u);
+    EXPECT_EQ(d("repo/miss"), 0u);
+    EXPECT_EQ(d("repo/hit"), 1u);
     EXPECT_TRUE(bitIdentical(fresh, cached));
 }
 
 TEST_F(RepositoryTest, IncrementalFlushPersistsBeforeShutdown)
 {
+    const CounterDelta d;
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
     repo.setFlushEvery(1);
     const auto fresh = repo.evaluate(spec(), paperBaselineConfig());
 
     // With the first repository still alive (never explicitly
     // flushed), a second one already sees the record on disk.
+    const CounterDelta reread;
     EvalRepository other(workload::specSuite(60000), dir_, 0);
     const auto cached =
         other.evaluate(spec(), paperBaselineConfig());
-    EXPECT_EQ(other.simulationsRun(), 0u);
+    EXPECT_EQ(reread("repo/miss"), 0u);
     EXPECT_TRUE(bitIdentical(fresh, cached));
-    EXPECT_GE(repo.stats().flushed, 1u);
+    EXPECT_GE(d("repo/flushed"), 1u);
 }
 
 TEST_F(RepositoryTest, InterruptedFlushKeepsCompletedRecords)
@@ -257,15 +265,15 @@ TEST_F(RepositoryTest, InterruptedFlushKeepsCompletedRecords)
     ASSERT_TRUE(atomicWriteFile(binPath() + ".orphan", "junk"));
     std::ofstream(binPath() + ".tmp") << "partial";
 
+    const CounterDelta d;
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
     for (std::size_t i = 0; i < configs.size(); ++i) {
         const auto cached = repo.evaluate(spec(), configs[i]);
         EXPECT_TRUE(bitIdentical(fresh[i], cached));
     }
-    EXPECT_EQ(repo.simulationsRun(), 0u);
-    const auto s = repo.stats();
-    EXPECT_EQ(s.loaded, configs.size());
-    EXPECT_EQ(s.dropped, 2u);   // corrupt record + torn tail
+    EXPECT_EQ(d("repo/miss"), 0u);
+    EXPECT_EQ(d("repo/loaded"), configs.size());
+    EXPECT_EQ(d("repo/dropped"), 2u);   // corrupt record + torn tail
 }
 
 TEST_F(RepositoryTest, DamagedStoreIsRewrittenNotAppendedTo)
@@ -284,25 +292,28 @@ TEST_F(RepositoryTest, DamagedStoreIsRewrittenNotAppendedTo)
     // New records must not land behind the torn tail, where they
     // would be misaligned and lost on every later load.
     {
+        const CounterDelta d;
         EvalRepository repo(workload::specSuite(60000), dir_, 0);
         for (const auto &cfg : configs)
             (void)repo.evaluate(spec(), cfg);
-        EXPECT_EQ(repo.simulationsRun(), 2u);
-        EXPECT_EQ(repo.stats().dropped, 1u);
+        EXPECT_EQ(d("repo/miss"), 2u);
+        EXPECT_EQ(d("repo/dropped"), 1u);
     }
     EXPECT_EQ(std::filesystem::file_size(binPath()), 24u + 4u * 88u);
 
+    const CounterDelta d;
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
     for (const auto &cfg : configs)
         (void)repo.evaluate(spec(), cfg);
-    EXPECT_EQ(repo.simulationsRun(), 0u);
-    EXPECT_EQ(repo.stats().loaded, 4u);
-    EXPECT_EQ(repo.stats().dropped, 0u);
+    EXPECT_EQ(d("repo/miss"), 0u);
+    EXPECT_EQ(d("repo/loaded"), 4u);
+    EXPECT_EQ(d("repo/dropped"), 0u);
 }
 
 TEST_F(RepositoryTest, FlushEveryBatchesFirstWriteThenAppends)
 {
     const auto &cycle = sim::perfModel("cycle");
+    const CounterDelta d;
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
     repo.setFlushEvery(2);
     Rng rng(43);
@@ -312,28 +323,29 @@ TEST_F(RepositoryTest, FlushEveryBatchesFirstWriteThenAppends)
 
     // One unsaved record stays buffered.
     (void)repo.evaluate(spec(), configs[0], &cycle);
-    EXPECT_EQ(repo.stats().flushed, 0u);
+    EXPECT_EQ(d("repo/flushed"), 0u);
     EXPECT_FALSE(std::filesystem::exists(binPath()));
 
     // The second reaches the threshold: the store file is created
     // atomically with both records.
     (void)repo.evaluate(spec(), configs[1], &cycle);
-    EXPECT_EQ(repo.stats().flushed, 2u);
+    EXPECT_EQ(d("repo/flushed"), 2u);
     EXPECT_TRUE(std::filesystem::exists(binPath()));
 
     // With the file in place, records 3-4 take the unlocked append
     // fast path, again only once the threshold is reached.
     (void)repo.evaluate(spec(), configs[2], &cycle);
-    EXPECT_EQ(repo.stats().flushed, 2u);
+    EXPECT_EQ(d("repo/flushed"), 2u);
     (void)repo.evaluate(spec(), configs[3], &cycle);
-    EXPECT_EQ(repo.stats().flushed, 4u);
+    EXPECT_EQ(d("repo/flushed"), 4u);
     EXPECT_EQ(std::filesystem::file_size(binPath()), 24u + 4u * 88u);
 
+    const CounterDelta reread;
     EvalRepository reopened(workload::specSuite(60000), dir_, 0);
     for (const auto &cfg : configs)
         (void)reopened.evaluate(spec(), cfg, &cycle);
-    EXPECT_EQ(reopened.simulationsRun(), 0u);
-    EXPECT_EQ(reopened.stats().loaded, 4u);
+    EXPECT_EQ(reread("repo/miss"), 0u);
+    EXPECT_EQ(reread("repo/loaded"), 4u);
 }
 
 TEST_F(RepositoryTest, CorruptHeaderRegeneratesCache)
@@ -349,16 +361,18 @@ TEST_F(RepositoryTest, CorruptHeaderRegeneratesCache)
                            std::ios::binary);
         f.put('X');
     }
+    const CounterDelta d;
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
     const auto r = repo.evaluate(spec(), paperBaselineConfig());
-    EXPECT_EQ(repo.simulationsRun(), 1u);
+    EXPECT_EQ(d("repo/miss"), 1u);
     EXPECT_GT(r.efficiency, 0.0);
 
     // The regenerated file is valid again after flush.
     repo.flush();
+    const CounterDelta reread;
     EvalRepository repo2(workload::specSuite(60000), dir_, 0);
     (void)repo2.evaluate(spec(), paperBaselineConfig());
-    EXPECT_EQ(repo2.simulationsRun(), 0u);
+    EXPECT_EQ(reread("repo/miss"), 0u);
 }
 
 TEST_F(RepositoryTest, ConcurrentGathersShareOneRepository)
@@ -386,11 +400,12 @@ TEST_F(RepositoryTest, ConcurrentGathersShareOneRepository)
     }
 
     // Re-running either batch is now pure cache hits, bit-exact.
+    const CounterDelta rerun;
     const auto again = repo.evaluateBatch(spec(), configs);
-    const auto sims = repo.simulationsRun();
     for (std::size_t i = 0; i < configs.size(); ++i)
         EXPECT_TRUE(bitIdentical(again[i], r1[i]));
-    EXPECT_EQ(repo.simulationsRun(), sims);
+    EXPECT_EQ(rerun("repo/miss"), 0u);
+    EXPECT_EQ(rerun("repo/hit"), configs.size());
 }
 
 TEST_F(RepositoryTest, ConcurrentInlineBatchesShareOneRepository)
@@ -454,6 +469,7 @@ TEST_F(RepositoryTest, ConcurrentWarmsOfOnePhaseMatchSerialEvaluation)
         std::filesystem::remove_all(dir_);
 
         {
+            const CounterDelta d;
             EvalRepository repo(workload::specSuite(60000), dir_, 0);
             std::vector<EvalRecord> got(configs.size());
             const auto every_other = [&](std::size_t first) {
@@ -464,7 +480,7 @@ TEST_F(RepositoryTest, ConcurrentWarmsOfOnePhaseMatchSerialEvaluation)
             std::thread t2(every_other, 1);
             t1.join();
             t2.join();
-            EXPECT_EQ(repo.simulationsRun(), configs.size()) << name;
+            EXPECT_EQ(d("repo/miss"), configs.size()) << name;
             for (std::size_t i = 0; i < configs.size(); ++i) {
                 EXPECT_TRUE(bitIdentical(got[i], serial[i]))
                     << name << ' ' << i;
@@ -496,17 +512,15 @@ TEST_F(RepositoryTest, WarmMemoEvictionKeepsRecordsBitExact)
     }
     std::filesystem::remove_all(dir_);
 
+    const CounterDelta d;
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
-    const obs::Counter &builds =
-        obs::Registry::global().counter("repo/warm_memo/builds");
-    const std::uint64_t builds_before = builds.value();
     std::vector<EvalRecord> got{repo.evaluate(phases[0], configs[0])};
     for (std::size_t p = 1; p < phases.size(); ++p)
         (void)repo.evaluate(phases[p], configs[0]);
     for (std::size_t i = 1; i < configs.size(); ++i)
         got.push_back(repo.evaluate(phases[0], configs[i]));
     // One memo per phase, then the first phase's once more.
-    EXPECT_EQ(builds.value() - builds_before, phases.size() + 1);
+    EXPECT_EQ(d("repo/warm_memo/builds"), phases.size() + 1);
     for (std::size_t i = 0; i < configs.size(); ++i)
         EXPECT_TRUE(bitIdentical(got[i], reference[i])) << i;
 }
@@ -520,6 +534,7 @@ TEST_F(RepositoryTest, TraceCacheReplayIsBitExact)
     // window, then the detail window.
     Rng rng(13);
     const auto configs = space::uniformRandomSet(rng, 4);
+    const CounterDelta d;
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
 
     const PhaseSpec s = spec();
@@ -545,8 +560,8 @@ TEST_F(RepositoryTest, TraceCacheReplayIsBitExact)
         EXPECT_TRUE(bitIdentical(got, want)) << i;
     }
     // One generation per window; every later evaluation replayed.
-    EXPECT_EQ(repo.stats().traceMisses, 2u);
-    EXPECT_EQ(repo.stats().traceHits, 2 * (configs.size() - 1));
+    EXPECT_EQ(d("tracecache/misses"), 2u);
+    EXPECT_EQ(d("tracecache/hits"), 2 * (configs.size() - 1));
 }
 
 TEST_F(RepositoryTest, TruncatedProfileIsReSimulated)
@@ -574,17 +589,19 @@ TEST_F(RepositoryTest, TruncatedProfileIsReSimulated)
         out << basic_line << "\n1.0 2.0 3.0\n";
     }
 
+    const CounterDelta d;
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
     const auto again = repo.profile(spec());
-    EXPECT_EQ(repo.simulationsRun(), 1u);   // fell back, re-simulated
+    EXPECT_EQ(d("repo/miss"), 1u);   // fell back, re-simulated
     ASSERT_EQ(again.advanced.size(), good.advanced.size());
     for (std::size_t i = 0; i < good.advanced.size(); ++i)
         EXPECT_NEAR(again.advanced[i], good.advanced[i], 1e-6);
 
     // The re-simulation repaired the on-disk record.
+    const CounterDelta reread;
     EvalRepository repo2(workload::specSuite(60000), dir_, 0);
     (void)repo2.profile(spec());
-    EXPECT_EQ(repo2.simulationsRun(), 0u);
+    EXPECT_EQ(reread("repo/miss"), 0u);
 }
 
 TEST_F(RepositoryTest, UnknownWorkloadIsFatal)
@@ -685,23 +702,25 @@ TEST_F(RepositoryTest, PreV3BinaryCacheIsRegenerated)
         std::filesystem::create_directories(dir_);
         ASSERT_TRUE(atomicWriteFile(binPath(), image));
         {
+            const CounterDelta d;
             EvalRepository repo(workload::specSuite(60000), dir_, 0);
             const auto r = repo.evaluate(spec(), paperBaselineConfig());
-            EXPECT_EQ(repo.simulationsRun(), 1u);
+            EXPECT_EQ(d("repo/miss"), 1u);
             EXPECT_FALSE(bitIdentical(r, fake));
             EXPECT_EQ(r.instructions, 1500.0);
-            EXPECT_EQ(repo.stats().loaded, 0u);
-            EXPECT_EQ(repo.stats().dropped, 0u);
+            EXPECT_EQ(d("repo/loaded"), 0u);
+            EXPECT_EQ(d("repo/dropped"), 0u);
             repo.flush();
         }
         const auto bytes = readFile(binPath());
         ASSERT_EQ(bytes.size(), 24u + 88u);
         EXPECT_EQ(getU64(bytes.data() + 8), 3u);
 
+        const CounterDelta reread;
         EvalRepository repo2(workload::specSuite(60000), dir_, 0);
         (void)repo2.evaluate(spec(), paperBaselineConfig());
-        EXPECT_EQ(repo2.simulationsRun(), 0u);
-        EXPECT_EQ(repo2.stats().loaded, 1u);
+        EXPECT_EQ(reread("repo/miss"), 0u);
+        EXPECT_EQ(reread("repo/loaded"), 1u);
     }
 }
 
@@ -716,11 +735,12 @@ TEST_F(RepositoryTest, V3BinaryCacheLoadsWithoutSimulation)
         binPath(),
         v3CacheImage(sim::CycleLevelModel::kCacheTag, code, fake)));
 
+    const CounterDelta d;
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
     const auto served = repo.evaluate(spec(), paperBaselineConfig());
-    EXPECT_EQ(repo.simulationsRun(), 0u);
-    EXPECT_EQ(repo.cacheHits(), 1u);
-    EXPECT_EQ(repo.stats().loaded, 1u);
+    EXPECT_EQ(d("repo/miss"), 0u);
+    EXPECT_EQ(d("repo/hit"), 1u);
+    EXPECT_EQ(d("repo/loaded"), 1u);
     EXPECT_TRUE(bitIdentical(served, fake));
 }
 
@@ -737,12 +757,13 @@ TEST_F(RepositoryTest, NonzeroReservedSlotIsNeverServed)
         binPath(), v3CacheImage(sim::CycleLevelModel::kCacheTag, code,
                                 fake, 0xfeedULL)));
 
+    const CounterDelta d;
     EvalRepository repo(workload::specSuite(60000), dir_, 0);
     const auto got = repo.evaluate(spec(), paperBaselineConfig());
-    EXPECT_EQ(repo.simulationsRun(), 1u);
-    EXPECT_EQ(repo.cacheHits(), 0u);
-    EXPECT_EQ(repo.stats().loaded, 0u);
-    EXPECT_EQ(repo.stats().dropped, 1u);
+    EXPECT_EQ(d("repo/miss"), 1u);
+    EXPECT_EQ(d("repo/hit"), 0u);
+    EXPECT_EQ(d("repo/loaded"), 0u);
+    EXPECT_EQ(d("repo/dropped"), 1u);
     EXPECT_FALSE(bitIdentical(got, fake));
 
     repo.flush();
@@ -760,41 +781,36 @@ TEST_F(RepositoryTest, BackendsNeverShareCacheEntries)
     const auto &interval = sim::perfModel("interval");
     EvalRecord by_cycle, by_interval;
     {
+        const CounterDelta d;
         EvalRepository repo(workload::specSuite(60000), dir_, 0);
         by_cycle =
             repo.evaluate(spec(), paperBaselineConfig(), &cycle);
         by_interval =
             repo.evaluate(spec(), paperBaselineConfig(), &interval);
-        EXPECT_EQ(repo.simulationsRun(), 2u);
-        EXPECT_EQ(repo.cacheHits(), 0u);
+        EXPECT_EQ(d("repo/miss"), 2u);
+        EXPECT_EQ(d("repo/hit"), 0u);
         EXPECT_NE(by_cycle.cycles, by_interval.cycles);
-
-        const auto s = repo.stats();
-        ASSERT_EQ(s.backendEvals.size(), 2u);
-        EXPECT_EQ(s.backendEvals[0].first, "cycle");
-        EXPECT_EQ(s.backendEvals[0].second, 1u);
-        EXPECT_EQ(s.backendEvals[1].first, "interval");
-        EXPECT_EQ(s.backendEvals[1].second, 1u);
-        EXPECT_NE(repo.statsSummary().find("backends"),
-                  std::string::npos);
+        EXPECT_EQ(d("backend/cycle/evals"), 1u);
+        EXPECT_EQ(d("backend/interval/evals"), 1u);
         repo.flush();
     }
 
     // Both records round-trip from disk to the right backend.
+    const CounterDelta reread;
     EvalRepository repo2(workload::specSuite(60000), dir_, 0);
     const auto cycle_again =
         repo2.evaluate(spec(), paperBaselineConfig(), &cycle);
     const auto interval_again =
         repo2.evaluate(spec(), paperBaselineConfig(), &interval);
-    EXPECT_EQ(repo2.simulationsRun(), 0u);
-    EXPECT_EQ(repo2.cacheHits(), 2u);
+    EXPECT_EQ(reread("repo/miss"), 0u);
+    EXPECT_EQ(reread("repo/hit"), 2u);
     EXPECT_TRUE(bitIdentical(cycle_again, by_cycle));
     EXPECT_TRUE(bitIdentical(interval_again, by_interval));
 
     // A default-backend evaluate hits the cycle-tagged entry.
     const auto default_again =
         repo2.evaluate(spec(), paperBaselineConfig());
-    EXPECT_EQ(repo2.simulationsRun(), 0u);
+    EXPECT_EQ(reread("repo/miss"), 0u);
     EXPECT_TRUE(bitIdentical(default_again, by_cycle));
 }
 
@@ -808,24 +824,22 @@ TEST_F(RepositoryTest, TwoBackendTagsNeverCollide)
 
     EvalRecord by_cycle, by_interval;
     {
+        const CounterDelta d;
         EvalRepository repo(workload::specSuite(60000), dir_, 0);
         by_cycle =
             repo.evaluate(spec(), paperBaselineConfig(), &cycle);
         by_interval =
             repo.evaluate(spec(), paperBaselineConfig(), &interval);
-        EXPECT_EQ(repo.simulationsRun(), 2u);
-        EXPECT_EQ(repo.cacheHits(), 0u);
-
-        const auto s = repo.stats();
-        std::uint64_t by_backend = 0;
-        for (const auto &[name, count] : s.backendEvals)
-            by_backend += count;
-        EXPECT_EQ(by_backend, repo.simulationsRun());
-        EXPECT_NE(repo.statsSummary().find("interval=1"),
-                  std::string::npos);
+        EXPECT_EQ(d("repo/miss"), 2u);
+        EXPECT_EQ(d("repo/hit"), 0u);
+        EXPECT_EQ(d("backend/interval/evals"), 1u);
+        EXPECT_EQ(d("backend/cycle/evals") +
+                      d("backend/interval/evals"),
+                  d("repo/miss"));
         repo.flush();
     }
 
+    const CounterDelta reread;
     EvalRepository repo2(workload::specSuite(60000), dir_, 0);
     EXPECT_TRUE(bitIdentical(
         repo2.evaluate(spec(), paperBaselineConfig(), &cycle),
@@ -833,8 +847,8 @@ TEST_F(RepositoryTest, TwoBackendTagsNeverCollide)
     EXPECT_TRUE(bitIdentical(
         repo2.evaluate(spec(), paperBaselineConfig(), &interval),
         by_interval));
-    EXPECT_EQ(repo2.simulationsRun(), 0u);
-    EXPECT_EQ(repo2.cacheHits(), 2u);
+    EXPECT_EQ(reread("repo/miss"), 0u);
+    EXPECT_EQ(reread("repo/hit"), 2u);
 }
 
 TEST_F(RepositoryTest, ZeroLengthDetailWindowYieldsFiniteRecord)

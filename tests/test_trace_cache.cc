@@ -8,19 +8,22 @@
 #include <thread>
 #include <vector>
 
+#include "counter_delta.hh"
 #include "workload/spec_suite.hh"
 #include "workload/trace_cache.hh"
 
 using namespace adaptsim::workload;
+using adaptsim::test::CounterDelta;
 
 TEST(TraceCache, MissThenHit)
 {
     const auto wl = specBenchmark("gzip", 50000);
+    const CounterDelta d;
     TraceCache cache(4);
     const auto a = cache.get(wl, 1000, 500);
-    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(d("tracecache/misses"), 1u);
     const auto b = cache.get(wl, 1000, 500);
-    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(d("tracecache/hits"), 1u);
     EXPECT_EQ(a.get(), b.get());   // shared, not regenerated
     EXPECT_EQ(a->size(), 500u);
 }
@@ -28,17 +31,19 @@ TEST(TraceCache, MissThenHit)
 TEST(TraceCache, DistinctKeysAreDistinctEntries)
 {
     const auto wl = specBenchmark("gzip", 50000);
+    const CounterDelta d;
     TraceCache cache(4);
     (void)cache.get(wl, 0, 100);
     (void)cache.get(wl, 100, 100);
     (void)cache.get(wl, 0, 200);
-    EXPECT_EQ(cache.misses(), 3u);
+    EXPECT_EQ(d("tracecache/misses"), 3u);
     EXPECT_EQ(cache.size(), 3u);
 }
 
 TEST(TraceCache, EvictsLeastRecentlyUsed)
 {
     const auto wl = specBenchmark("gzip", 50000);
+    const CounterDelta d;
     TraceCache cache(2);
     (void)cache.get(wl, 0, 64);      // A
     (void)cache.get(wl, 64, 64);     // B
@@ -46,19 +51,20 @@ TEST(TraceCache, EvictsLeastRecentlyUsed)
     (void)cache.get(wl, 128, 64);    // C — evicts B
     EXPECT_EQ(cache.size(), 2u);
     (void)cache.get(wl, 0, 64);      // A still cached
-    EXPECT_EQ(cache.hits(), 2u);
+    EXPECT_EQ(d("tracecache/hits"), 2u);
     (void)cache.get(wl, 64, 64);     // B was evicted
-    EXPECT_EQ(cache.misses(), 4u);
+    EXPECT_EQ(d("tracecache/misses"), 4u);
 }
 
 TEST(TraceCache, DifferentWorkloadsDoNotCollide)
 {
     const auto a = specBenchmark("gzip", 50000);
     const auto b = specBenchmark("mcf", 50000);
+    const CounterDelta d;
     TraceCache cache(4);
     const auto ta = cache.get(a, 0, 50);
     const auto tb = cache.get(b, 0, 50);
-    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(d("tracecache/misses"), 2u);
     // Same nominal code region, but the op streams must differ.
     int same = 0;
     for (std::size_t i = 0; i < 50; ++i)
@@ -77,31 +83,32 @@ TEST(TraceCache, DefaultCapacityIs48)
 TEST(TraceCache, CapacityOneStillServesHits)
 {
     const auto wl = specBenchmark("gzip", 50000);
+    const CounterDelta d;
     TraceCache cache(1);
     (void)cache.get(wl, 0, 64);
     const auto a = cache.get(wl, 0, 64);   // resident → hit
-    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(d("tracecache/hits"), 1u);
     (void)cache.get(wl, 64, 64);           // evicts the only entry
     EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.evictions(), 1u);
+    EXPECT_EQ(d("tracecache/evictions"), 1u);
     // The evicted trace stays alive through the shared_ptr.
     EXPECT_EQ(a->size(), 64u);
     (void)cache.get(wl, 0, 64);            // re-generated
-    EXPECT_EQ(cache.misses(), 3u);
+    EXPECT_EQ(d("tracecache/misses"), 3u);
 }
 
 TEST(TraceCache, StatsSnapshotIsConsistent)
 {
     const auto wl = specBenchmark("gzip", 50000);
+    const CounterDelta d;
     TraceCache cache(2);
     (void)cache.get(wl, 0, 32);
     (void)cache.get(wl, 0, 32);
     (void)cache.get(wl, 32, 32);
     (void)cache.get(wl, 64, 32);   // eviction
-    const auto s = cache.stats();
-    EXPECT_EQ(s.hits, 1u);
-    EXPECT_EQ(s.misses, 3u);
-    EXPECT_EQ(s.evictions, 1u);
+    EXPECT_EQ(d("tracecache/hits"), 1u);
+    EXPECT_EQ(d("tracecache/misses"), 3u);
+    EXPECT_EQ(d("tracecache/evictions"), 1u);
 }
 
 TEST(TraceCache, SharedAcrossThreads)
@@ -111,6 +118,7 @@ TEST(TraceCache, SharedAcrossThreads)
     // is generated at most once per residency.  Run under TSan via
     // scripts/tier1.sh to prove the locking discipline.
     const auto wl = specBenchmark("mcf", 50000);
+    const CounterDelta d;
     TraceCache cache(8);
     constexpr int threads = 4;
     constexpr int rounds = 32;
@@ -127,8 +135,8 @@ TEST(TraceCache, SharedAcrossThreads)
     for (auto &th : pool)
         th.join();
     // 4 distinct keys, capacity 8: generated exactly once each.
-    EXPECT_EQ(cache.misses(), 4u);
-    EXPECT_EQ(cache.hits(),
+    EXPECT_EQ(d("tracecache/misses"), 4u);
+    EXPECT_EQ(d("tracecache/hits"),
               static_cast<std::uint64_t>(threads * rounds - 4));
     for (int t = 1; t < threads; ++t)
         for (int r = 0; r < rounds; ++r)
@@ -149,27 +157,29 @@ TEST(TraceCache, SameNameDifferentSeedOrLengthDoNotCollide)
     const auto base = specBenchmark("gcc", 400000, 1);
     const auto reseeded = specBenchmark("gcc", 400000, 2);
     const auto shorter = specBenchmark("gcc", 100000, 1);
+    const CounterDelta d;
     TraceCache cache(8);
     for (const Workload *wl : {&base, &reseeded, &shorter})
         EXPECT_TRUE(*cache.get(*wl, 50000, 100) ==
                     wl->generate(50000, 100))
             << wl->seed() << " " << wl->totalInstructions();
-    EXPECT_EQ(cache.misses(), 3u);
-    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(d("tracecache/misses"), 3u);
+    EXPECT_EQ(d("tracecache/hits"), 0u);
 }
 
 TEST(TraceCache, SequentialWalkReplaysNothing)
 {
     const auto wl = specBenchmark("gcc", 60000);
+    const CounterDelta d;
     TraceCache cache(2);
     for (std::uint64_t start = 0; start < 60000; start += 5000)
         EXPECT_TRUE(*cache.get(wl, start, 5000) ==
                     wl.generate(start, 5000))
             << start;
-    EXPECT_EQ(cache.stats().skipped, 0u);
+    EXPECT_EQ(d("tracecache/skipped"), 0u);
     // A jump back mid-segment reseeks and counts the replay.
     (void)cache.get(wl, 1000, 500);
-    EXPECT_EQ(cache.stats().skipped, 1000u);
+    EXPECT_EQ(d("tracecache/skipped"), 1000u);
 }
 
 TEST(TraceCache, InterleavedWalksOfTwoWorkloadsStayLinear)
@@ -178,6 +188,7 @@ TEST(TraceCache, InterleavedWalksOfTwoWorkloadsStayLinear)
     // each resume their own stream.
     const auto a = specBenchmark("gzip", 40000);
     const auto b = specBenchmark("art", 40000);
+    const CounterDelta d;
     TraceCache cache(4);
     for (std::uint64_t start = 0; start < 40000; start += 2500) {
         EXPECT_TRUE(*cache.get(a, start, 2500) ==
@@ -187,8 +198,8 @@ TEST(TraceCache, InterleavedWalksOfTwoWorkloadsStayLinear)
                     b.generate(start, 2500))
             << "art " << start;
     }
-    EXPECT_EQ(cache.misses(), 32u);
-    EXPECT_EQ(cache.stats().skipped, 0u);
+    EXPECT_EQ(d("tracecache/misses"), 32u);
+    EXPECT_EQ(d("tracecache/skipped"), 0u);
 }
 
 TEST(TraceCache, ConcurrentWalksOfOneWorkloadMatchColdGeneration)
