@@ -36,16 +36,16 @@ cmake -B build -S .
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
-# 2. TSan over the concurrency tests.
+# 2. TSan over the concurrency tests: one list feeds both the build
+# targets and the exact-match ctest filter.
+tsan_tests=(test_thread_pool test_repository test_trace_cache test_obs
+            test_sim test_gather_scheduler test_shared_llc test_chip
+            test_warm_memo test_cross_validation)
 if san_available thread; then
     cmake -B build-tsan -S . -DADAPTSIM_SANITIZE=thread
-    cmake --build build-tsan -j"$(nproc)" \
-        --target test_thread_pool test_repository test_trace_cache \
-                 test_obs test_sim test_gather_scheduler \
-                 test_shared_llc test_chip test_warm_memo \
-                 test_cross_validation
+    cmake --build build-tsan -j"$(nproc)" --target "${tsan_tests[@]}"
     ctest --test-dir build-tsan --output-on-failure \
-        -R 'test_thread_pool|test_repository|test_trace_cache|test_obs|test_sim$|test_gather_scheduler|test_shared_llc|test_chip|test_warm_memo|test_cross_validation'
+        -R "^($(IFS='|'; echo "${tsan_tests[*]}"))\$"
 else
     echo "tier1: ThreadSanitizer unavailable; skipping TSan pass"
 fi

@@ -54,7 +54,6 @@ class SimulatedChip
         uarch::ChipResult res;
         res.cores.resize(1);
         res.occupancyShare.assign(1, 0.0);
-        res.sharedMissRatio.assign(1, 0.0);
         if (!traces.at(0).empty())
             res.cores[0] = backend_.run(*session_, traces[0]);
         return res;
@@ -78,23 +77,6 @@ class SimulatedChip
     std::unique_ptr<sim::CoreSession> session_;   ///< one-core chip
     std::optional<uarch::Chip> chip_;             ///< multi-core chip
 };
-
-/** Every core's interference in the chip run @p res. */
-std::vector<CoreInterference>
-interferenceOf(const uarch::ChipResult &res)
-{
-    std::vector<CoreInterference> out(res.cores.size());
-    for (std::size_t c = 0; c < out.size(); ++c) {
-        const auto &ev = res.cores[c].events;
-        out[c].occupancyShare = res.occupancyShare[c];
-        out[c].sharedMissRatio = res.sharedMissRatio[c];
-        out[c].avgQueueCycles =
-            ev.llcAccesses
-                ? double(ev.llcQueueCycles) / double(ev.llcAccesses)
-                : 0.0;
-    }
-    return out;
-}
 
 using WrongPaths =
     std::vector<std::unique_ptr<workload::WrongPathGenerator>>;
@@ -275,6 +257,22 @@ runIntervals(
 
 } // namespace
 
+std::vector<CoreInterference>
+interferenceOf(const uarch::ChipResult &res)
+{
+    std::vector<CoreInterference> out(res.cores.size());
+    for (std::size_t c = 0; c < out.size(); ++c) {
+        const auto &ev = res.cores[c].events;
+        out[c].occupancyShare = res.occupancyShare[c];
+        if (ev.llcAccesses) {
+            const double accesses = double(ev.llcAccesses);
+            out[c].sharedMissRatio = double(ev.llcMisses) / accesses;
+            out[c].avgQueueCycles = double(ev.llcQueueCycles) / accesses;
+        }
+    }
+    return out;
+}
+
 double
 RunStats::efficiency() const
 {
@@ -314,6 +312,8 @@ ChipController::ChipController(
     : workloads_(workloads), opt_(options),
       wrongPaths_(makeWrongPaths(workloads, 0x771ULL, "ChipController"))
 {
+    if (opt_.intervalLength == 0)
+        fatal("ChipController: intervalLength must be positive");
     policies_.reserve(workloads_.size());
     for (std::size_t i = 0; i < workloads_.size(); ++i)
         policies_.emplace_back(model, opt_.featureSet,
@@ -336,6 +336,8 @@ runStaticChip(const std::vector<const workload::Workload *> &workloads,
               workload::TraceCache *trace_cache,
               const sim::PerfModel *backend)
 {
+    if (interval_length == 0)
+        fatal("runStaticChip: interval_length must be positive");
     ChipControllerOptions opt;
     opt.intervalLength = interval_length;
     opt.initialConfig = config;

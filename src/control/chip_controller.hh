@@ -52,13 +52,18 @@
 #include "workload/trace_cache.hh"
 #include "workload/workload.hh"
 
+namespace adaptsim::uarch
+{
+struct ChipResult;
+} // namespace adaptsim::uarch
+
 namespace adaptsim::control
 {
 
 /** ChipController knobs. */
 struct ChipControllerOptions
 {
-    std::uint64_t intervalLength = 10000;
+    std::uint64_t intervalLength = 10000;   ///< µops; positive
     counters::FeatureSet featureSet =
         counters::FeatureSet::Advanced;
     double detectorThreshold = 1.0;
@@ -89,6 +94,12 @@ struct CoreInterference
     double sharedMissRatio = 0.0;  ///< LLC misses / LLC accesses
     double avgQueueCycles = 0.0;   ///< mean bank/MSHR wait per access
 };
+
+/** Every core's interference in the chip run @p res: its final LLC
+ *  occupancy, and the miss ratio and mean queueing of the LLC
+ *  accesses in its own events. */
+std::vector<CoreInterference>
+interferenceOf(const uarch::ChipResult &res);
 
 /** Whole-run outcome of one core's adaptive (or static) execution. */
 struct RunStats
@@ -169,7 +180,8 @@ class ChipController
  * pinned to @p config for the whole run on the same chip geometry.
  * @p trace_cache and @p backend mean what ChipControllerOptions'
  * traceCache and backend do: nullptr selects a run-owned cache and
- * "cycle", and a multi-core chip needs "cycle".
+ * "cycle", and a multi-core chip needs "cycle".  @p interval_length
+ * must be positive.
  */
 ChipRunStats
 runStaticChip(const std::vector<const workload::Workload *> &workloads,

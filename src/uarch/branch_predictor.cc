@@ -119,7 +119,7 @@ BranchPredictor::recover(std::uint32_t history, bool taken)
 }
 
 void
-BranchPredictor::warmAccess(Addr pc, bool taken)
+BranchPredictor::warm(Addr pc, bool taken)
 {
     warmDirection(pc, taken);
     warmTarget(pc, taken);

@@ -68,12 +68,12 @@ class BranchPredictor
 
     /** Warm-mode combined predict+update without statistics:
      *  warmDirection then warmTarget. */
-    void warmAccess(Addr pc, bool taken);
+    void warm(Addr pc, bool taken);
 
-    /** The PHT and global-history half of warmAccess. */
+    /** The PHT and global-history half of warm(). */
     void warmDirection(Addr pc, bool taken);
 
-    /** The BTB half of warmAccess. */
+    /** The BTB half of warm(). */
     void warmTarget(Addr pc, bool taken);
 
     std::uint32_t history() const { return history_; }

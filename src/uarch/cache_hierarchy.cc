@@ -47,7 +47,7 @@ CacheHierarchy::CacheHierarchy(const CoreConfig &cfg, Cache icache,
         static_cast<std::uint64_t>(power::latchOverheadFo4);
     corePeriodUnits_ = std::uint64_t(cfg.depthFo4) + overhead;
     llcPeriodUnits_ =
-        std::uint64_t(LlcConfig::referenceDepthFo4) + overhead;
+        std::uint64_t(SharedLlc::referenceDepthFo4) + overhead;
 }
 
 int
@@ -123,17 +123,16 @@ CacheHierarchy::dataAccess(Addr addr, bool write, EventCounts &ev,
 void
 CacheHierarchy::warmFetch(Addr pc)
 {
-    if (!icache_.access(pc, false).hit &&
-        !l2_.access(pc, false).hit && llc_)
-        llc_->warmAccess(physical(pc), false, coreId_);
+    if (!icache_.access(pc, false).hit)
+        l2_.access(pc, false);
 }
 
 void
 CacheHierarchy::warmData(Addr addr, bool write)
 {
     const auto l1 = dcache_.access(addr, write);
-    if (!l1.hit && !l2_.access(addr, l1.writeback).hit && llc_)
-        llc_->warmAccess(physical(addr), l1.writeback, coreId_);
+    if (!l1.hit)
+        l2_.access(addr, l1.writeback);
 }
 
 } // namespace adaptsim::uarch

@@ -7,8 +7,12 @@
  * On a multi-core chip the private hierarchy instead drains its L2
  * misses into a SharedLlc (attach one via the constructor): the flat
  * DRAM latency is replaced by the LLC's contention-aware timing, and
- * DRAM is only charged on an LLC miss.  Without an attached LLC the
- * behaviour is bit-identical to the original single-core model.
+ * DRAM is only charged on an LLC miss.  Each LLC access is counted
+ * here, once, in the core's EventCounts (llcAccesses, llcMisses,
+ * llcQueueCycles).  Without an attached LLC the behaviour is
+ * bit-identical to the original single-core model.  Functional
+ * warm-up (warmFetch/warmData) fills the private levels only: a
+ * chip's cores start cold and every LLC access is timed.
  */
 
 #ifndef ADAPTSIM_UARCH_CACHE_HIERARCHY_HH
@@ -59,7 +63,8 @@ class CacheHierarchy
     int dataAccess(Addr addr, bool write, EventCounts &ev,
                    SimObserver *obs, Cycles now = 0);
 
-    /** Warm-mode access without timing or statistics. */
+    /** Warm-mode access to the private levels, without timing or
+     *  statistics. */
     void warmFetch(Addr pc);
     void warmData(Addr addr, bool write);
 
@@ -73,8 +78,6 @@ class CacheHierarchy
     const Cache &icache() const { return icache_; }
     const Cache &dcache() const { return dcache_; }
     const Cache &l2cache() const { return l2_; }
-    const SharedLlc *llc() const { return llc_; }
-    unsigned coreId() const { return coreId_; }
 
   private:
     CacheHierarchy(const CoreConfig &cfg, Cache icache, Cache dcache,
@@ -99,7 +102,7 @@ class CacheHierarchy
     /**
      * Core-clock ↔ LLC-reference-clock conversion.  LLC timing is
      * specified in cycles of the fixed 12 FO4/stage reference clock
-     * (LlcConfig::referenceDepthFo4): the shared fabric and the DRAM
+     * (SharedLlc::referenceDepthFo4): the shared fabric and the DRAM
      * behind it take the same wall-time no matter how deep — and
      * therefore how slowly clocked — the requesting core's pipeline
      * is.  Clock period is proportional to depthFo4 plus the latch

@@ -12,9 +12,9 @@ namespace adaptsim::uarch
 Chip::Chip(const ChipConfig &cfg,
            const std::vector<workload::WrongPathGenerator *>
                &wrong_paths)
-    : cfg_(cfg), wrongPaths_(wrong_paths)
+    : wrongPaths_(wrong_paths)
 {
-    const std::size_t n = cfg_.numCores();
+    const std::size_t n = cfg.numCores();
     if (n < 2)
         panic("Chip: need at least two cores (got ", n, ")");
     if (wrong_paths.size() != n)
@@ -24,23 +24,13 @@ Chip::Chip(const ChipConfig &cfg,
         if (!wrong_paths[i])
             panic("Chip: null wrong-path source for core ", i);
     }
-
-    LlcConfig llc;
-    llc.bytes = cfg_.llcBytes;
-    llc.assoc = cfg_.llcAssoc;
-    llc.lineBytes = CoreConfig::cacheLineBytes;
-    llc.banks = cfg_.llcBanks;
-    llc.mshrsPerBank = cfg_.llcMshrsPerBank;
-    llc.hitLatency = cfg_.llcLatency;
-    llc.busLatency = cfg_.busLatency;
-    llc.bankService = cfg_.llcBankService;
-    llc_ = std::make_unique<SharedLlc>(llc, static_cast<unsigned>(n));
+    llc_ = std::make_unique<SharedLlc>(cfg);
 
     cores_.reserve(n);
     elapsed_.assign(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
         const CoreConfig derived =
-            CoreConfig::fromConfiguration(cfg_.coreConfigs[i]);
+            CoreConfig::fromConfiguration(cfg.coreConfigs[i]);
         cores_.push_back(std::make_unique<Core>(
             derived, *wrongPaths_[i], llc_.get(),
             static_cast<unsigned>(i)));
@@ -49,15 +39,6 @@ Chip::Chip(const ChipConfig &cfg,
         counters_.push_back({&reg.counter(base + "/quanta"),
                              &reg.counter(base + "/committed_ops")});
     }
-}
-
-void
-Chip::warm(std::size_t core, std::span<const isa::MicroOp> trace)
-{
-    if (core >= cores_.size())
-        panic("Chip: warm of core ", core, " on a ", cores_.size(),
-              "-core chip");
-    cores_[core]->warm(trace);
 }
 
 ChipResult
@@ -71,10 +52,6 @@ Chip::run(const std::vector<std::span<const isa::MicroOp>> &traces)
     ChipResult res;
     res.cores.resize(n);
     res.occupancyShare.assign(n, 0.0);
-    res.sharedMissRatio.assign(n, 0.0);
-
-    const std::uint64_t quantum =
-        std::max<std::uint64_t>(1, cfg_.quantum);
 
     std::vector<std::size_t> pos(n, 0);
     for (;;) {
@@ -101,14 +78,9 @@ Chip::run(const std::vector<std::span<const isa::MicroOp>> &traces)
     }
 
     for (std::size_t i = 0; i < n; ++i) {
-        const EventCounts &ev = res.cores[i].events;
         res.occupancyShare[i] =
             llc_->occupancyShare(static_cast<unsigned>(i));
-        res.sharedMissRatio[i] =
-            ev.llcAccesses
-                ? double(ev.llcMisses) / double(ev.llcAccesses)
-                : 0.0;
-        counters_[i].committedOps->add(ev.committedOps);
+        counters_[i].committedOps->add(res.cores[i].events.committedOps);
     }
     return res;
 }
@@ -119,7 +91,6 @@ Chip::reconfigureCore(std::size_t core, const space::Configuration &c)
     if (core >= cores_.size())
         panic("Chip: reconfigure of core ", core, " on a ",
               cores_.size(), "-core chip");
-    cfg_.coreConfigs[core] = c;
     const CoreConfig derived = CoreConfig::fromConfiguration(c);
     cores_[core] = std::make_unique<Core>(
         derived, *wrongPaths_[core], llc_.get(),

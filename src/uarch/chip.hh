@@ -5,12 +5,14 @@
  * loop (DESIGN.md §15).
  *
  * Interleaving is quantum-based in the Graphite/Pac-Sim lax-
- * synchronisation style: each core advances `quantum` µops per turn
- * on its own private clock, and cross-core timing only meets at the
- * shared LLC, where accesses are stamped with the owning core's
- * absolute elapsed time.  Chip models multi-core chips only
- * (construction panics below two cores): a one-core processor runs
- * on a backend's own core session (control/chip_controller).
+ * synchronisation style: each core advances Chip::quantum µops per
+ * turn on its own private clock, and cross-core timing only meets at
+ * the shared LLC, where accesses are stamped with the owning core's
+ * absolute elapsed time.  Every core starts cold and every µop is
+ * timed: there is no functional warm-up.  Chip models multi-core
+ * chips only (construction panics below two cores): a one-core
+ * processor runs on a backend's own core session
+ * (control/chip_controller).
  */
 
 #ifndef ADAPTSIM_UARCH_CHIP_HH
@@ -40,15 +42,15 @@ struct ChipResult
 
     /** Per-core fraction of LLC lines owned at the end of the run. */
     std::vector<double> occupancyShare;
-
-    /** Per-core LLC miss ratio over this run's accesses. */
-    std::vector<double> sharedMissRatio;
 };
 
 /** N cores + shared LLC, round-robin interleaved. */
 class Chip
 {
   public:
+    /** µops per core per round-robin slice of the loop. */
+    static constexpr std::uint64_t quantum = 2000;
+
     /**
      * @param cfg chip geometry; one core config per core, at least
      *        two cores.
@@ -58,10 +60,6 @@ class Chip
     Chip(const ChipConfig &cfg,
          const std::vector<workload::WrongPathGenerator *>
              &wrong_paths);
-
-    /** Functionally warm one core's private hierarchy (and the
-     *  shared LLC) with @p trace. */
-    void warm(std::size_t core, std::span<const isa::MicroOp> trace);
 
     /** Timed co-run: one trace per core (empty spans are allowed
      *  and leave that core idle). */
@@ -77,11 +75,6 @@ class Chip
     void reconfigureCore(std::size_t core,
                          const space::Configuration &c);
 
-    const ChipConfig &config() const { return cfg_; }
-    std::size_t numCores() const { return cores_.size(); }
-    Core &core(std::size_t i) { return *cores_[i]; }
-    const Core &core(std::size_t i) const { return *cores_[i]; }
-
     /** The shared LLC. */
     const SharedLlc &llc() const { return *llc_; }
 
@@ -89,7 +82,6 @@ class Chip
     Cycles elapsed(std::size_t i) const { return elapsed_[i]; }
 
   private:
-    ChipConfig cfg_;
     std::vector<workload::WrongPathGenerator *> wrongPaths_;
     std::unique_ptr<SharedLlc> llc_;
     std::vector<std::unique_ptr<Core>> cores_;

@@ -53,7 +53,6 @@ class Core
                   SimObserver *observer = nullptr);
 
     const CoreConfig &config() const { return cfg_; }
-    const CacheHierarchy &caches() const { return caches_; }
 
     /** Absolute-time base for shared-LLC contention timing; the chip
      *  loop sets this to the core's elapsed cycles each quantum. */

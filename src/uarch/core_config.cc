@@ -7,6 +7,7 @@
 #include "common/logging.hh"
 #include "power/cacti.hh"
 #include "power/frequency.hh"
+#include "uarch/chip.hh"
 
 namespace adaptsim::uarch
 {
@@ -105,7 +106,7 @@ ChipConfig::toString() const
         os << " [" << c.key() << "]";
     if (!singleCore())
         os << " llc" << llcBytes / 1024 << "K/" << llcAssoc << "w/"
-           << llcBanks << "b q" << quantum;
+           << llcBanks << "b q" << Chip::quantum;
     return os.str();
 }
 

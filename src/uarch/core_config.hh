@@ -79,9 +79,12 @@ struct CoreConfig
 
 /**
  * One multi-core chip: per-core design-space points plus the shared
- * LLC and interconnect geometry below the private L2s.  A one-core
- * chip has no shared LLC: the controller runs it on a backend's own
- * core session, not on uarch::Chip (DESIGN.md §15).
+ * LLC and interconnect geometry below the private L2s, the one
+ * geometry uarch::SharedLlc is built from (its lines are
+ * CoreConfig::cacheLineBytes; its latencies are cycles of the
+ * SharedLlc reference clock).  A one-core chip has no shared LLC:
+ * the controller runs it on a backend's own core session, not on
+ * uarch::Chip (DESIGN.md §15).
  */
 struct ChipConfig
 {
@@ -91,14 +94,11 @@ struct ChipConfig
     // Shared L3 geometry (unused when numCores() == 1).
     std::uint64_t llcBytes = 8 * 1024 * 1024;
     int llcAssoc = 16;
-    int llcBanks = 8;
-    int llcMshrsPerBank = 8;
+    int llcBanks = 8;          ///< power of two
+    int llcMshrsPerBank = 8;   ///< outstanding misses per bank
     int llcLatency = 30;       ///< LLC hit latency (cycles)
     int busLatency = 8;        ///< core↔LLC transfer (cycles)
     int llcBankService = 4;    ///< bank busy time per request
-
-    /** µops per core per round-robin slice of the chip loop. */
-    std::uint64_t quantum = 2000;
 
     std::size_t numCores() const { return coreConfigs.size(); }
 
@@ -109,7 +109,8 @@ struct ChipConfig
     static ChipConfig homogeneous(const space::Configuration &c,
                                   std::size_t cores);
 
-    /** "2xCore{...} LLC=8MB/16w/8b" style summary. */
+    /** "2 core(s) [...] [...] llc8192K/16w/8b q2000" style summary
+     *  (q: Chip::quantum). */
     std::string toString() const;
 };
 

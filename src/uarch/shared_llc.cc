@@ -18,37 +18,44 @@ isPow2(std::uint64_t v)
 
 } // namespace
 
-SharedLlc::SharedLlc(const LlcConfig &cfg, unsigned num_cores)
-    : cfg_(cfg), numCores_(num_cores)
+SharedLlc::SharedLlc(const ChipConfig &cfg) : cfg_(cfg)
 {
-    if (num_cores == 0)
+    if (cfg_.numCores() == 0)
         fatal("SharedLlc: need at least one core");
-    if (cfg_.assoc <= 0 || cfg_.lineBytes <= 0 || cfg_.banks <= 0 ||
-        cfg_.mshrsPerBank <= 0)
+    if (cfg_.llcAssoc <= 0 || cfg_.llcBanks <= 0 ||
+        cfg_.llcMshrsPerBank <= 0)
         fatal("SharedLlc: non-positive geometry parameter");
-    numSets_ = cfg_.bytes /
-               (std::uint64_t(cfg_.assoc) * cfg_.lineBytes);
+    numSets_ = cfg_.llcBytes / (std::uint64_t(cfg_.llcAssoc) *
+                                CoreConfig::cacheLineBytes);
     if (numSets_ == 0 || !isPow2(numSets_))
         fatal("SharedLlc: sets must be a positive power of two "
-              "(bytes=", cfg_.bytes, " assoc=", cfg_.assoc,
-              " line=", cfg_.lineBytes, ")");
-    if (!isPow2(std::uint64_t(cfg_.banks)))
+              "(bytes=", cfg_.llcBytes, " assoc=", cfg_.llcAssoc,
+              " line=", CoreConfig::cacheLineBytes, ")");
+    if (!isPow2(std::uint64_t(cfg_.llcBanks)))
         fatal("SharedLlc: banks must be a power of two (",
-              cfg_.banks, ")");
-    lines_.resize(numSets_ * cfg_.assoc);
-    banks_.resize(std::size_t(cfg_.banks));
+              cfg_.llcBanks, ")");
+    lines_.resize(numSets_ * cfg_.llcAssoc);
+    banks_.resize(std::size_t(cfg_.llcBanks));
     for (auto &b : banks_)
-        b.mshrs.reserve(std::size_t(cfg_.mshrsPerBank));
-    stats_.resize(num_cores);
+        b.mshrs.reserve(std::size_t(cfg_.llcMshrsPerBank));
+    linesOwned_.resize(cfg_.numCores());
+}
+
+void
+SharedLlc::checkCore(unsigned core) const
+{
+    if (core >= cfg_.numCores())
+        panic("SharedLlc: core ", core, " out of range (",
+              cfg_.numCores(), " cores)");
 }
 
 bool
 SharedLlc::lookupFill(Addr addr, bool write, unsigned core)
 {
-    const Addr block = addr / std::uint64_t(cfg_.lineBytes);
-    Line *base = &lines_[setIndex(addr) * cfg_.assoc];
+    const Addr block = blockOf(addr);
+    Line *base = &lines_[setIndex(addr) * cfg_.llcAssoc];
     Line *victim = base;
-    for (int w = 0; w < cfg_.assoc; ++w) {
+    for (int w = 0; w < cfg_.llcAssoc; ++w) {
         Line &line = base[w];
         if (line.tag == block) {
             line.lruStamp = ++lruClock_;
@@ -60,15 +67,13 @@ SharedLlc::lookupFill(Addr addr, bool write, unsigned core)
              line.lruStamp < victim->lruStamp))
             victim = &line;
     }
-    if (victim->tag == invalidAddr)
-        ++validLines_;
-    else
-        --stats_[victim->owner].linesOwned;
+    if (victim->tag != invalidAddr)
+        --linesOwned_[victim->owner];
     victim->tag = block;
     victim->lruStamp = ++lruClock_;
     victim->owner = static_cast<std::uint16_t>(core);
     victim->dirty = write;
-    ++stats_[core].linesOwned;
+    ++linesOwned_[core];
     return false;
 }
 
@@ -76,38 +81,30 @@ SharedLlc::Outcome
 SharedLlc::access(Addr addr, bool write, unsigned core, Cycles now)
 {
     MutexLock lock(mu_);
-    if (core >= numCores_)
-        panic("SharedLlc: core ", core, " out of range (",
-              numCores_, " cores)");
+    checkCore(core);
 
-    CoreStats &cs = stats_[core];
-    ++cs.accesses;
-
-    // Bank queue: one request per bankService cycles.
+    // Bank queue: one request per llcBankService cycles.
     Bank &bank = banks_[bankIndex(addr)];
     const Cycles start = std::max(now, bank.nextFree);
     Cycles wait = start - now;
-    bank.nextFree = start + Cycles(cfg_.bankService);
+    bank.nextFree = start + Cycles(cfg_.llcBankService);
 
     Outcome out;
     out.hit = lookupFill(addr, write, core);
     if (out.hit) {
-        ++cs.hits;
         out.queueCycles = static_cast<int>(wait);
         out.latency =
-            cfg_.busLatency + cfg_.hitLatency + out.queueCycles;
-        cs.queueCycles += std::uint64_t(out.queueCycles);
+            cfg_.busLatency + cfg_.llcLatency + out.queueCycles;
         return out;
     }
 
-    ++cs.misses;
     // MSHR admission: prune completed misses, then wait for the
     // earliest outstanding one if all MSHRs are busy.
     auto &mshrs = bank.mshrs;
     Cycles issue = start;
     std::erase_if(mshrs,
                   [issue](Cycles done) { return done <= issue; });
-    if (mshrs.size() >= std::size_t(cfg_.mshrsPerBank)) {
+    if (mshrs.size() >= std::size_t(cfg_.llcMshrsPerBank)) {
         const Cycles earliest =
             *std::min_element(mshrs.begin(), mshrs.end());
         wait += earliest - issue;
@@ -117,84 +114,22 @@ SharedLlc::access(Addr addr, bool write, unsigned core, Cycles now)
         });
     }
     const Cycles done =
-        issue + Cycles(cfg_.hitLatency) + Cycles(cfg_.memLatency);
+        issue + Cycles(cfg_.llcLatency) + Cycles(memLatency);
     mshrs.push_back(done);
 
     out.queueCycles = static_cast<int>(wait);
-    out.latency = cfg_.busLatency + cfg_.hitLatency +
-                  cfg_.memLatency + out.queueCycles;
-    cs.queueCycles += std::uint64_t(out.queueCycles);
+    out.latency = cfg_.busLatency + cfg_.llcLatency + memLatency +
+                  out.queueCycles;
     return out;
-}
-
-void
-SharedLlc::warmAccess(Addr addr, bool write, unsigned core)
-{
-    MutexLock lock(mu_);
-    if (core >= numCores_)
-        panic("SharedLlc: core ", core, " out of range (",
-              numCores_, " cores)");
-    lookupFill(addr, write, core);
-}
-
-SharedLlc::CoreStats
-SharedLlc::coreStats(unsigned core) const
-{
-    MutexLock lock(mu_);
-    if (core >= numCores_)
-        panic("SharedLlc: core ", core, " out of range (",
-              numCores_, " cores)");
-    return stats_[core];
 }
 
 double
 SharedLlc::occupancyShare(unsigned core) const
 {
     MutexLock lock(mu_);
-    if (core >= numCores_)
-        panic("SharedLlc: core ", core, " out of range (",
-              numCores_, " cores)");
-    const std::uint64_t total = numSets_ * std::uint64_t(cfg_.assoc);
-    return total ? double(stats_[core].linesOwned) / double(total)
-                 : 0.0;
-}
-
-double
-SharedLlc::sharedMissRatio(unsigned core) const
-{
-    MutexLock lock(mu_);
-    if (core >= numCores_)
-        panic("SharedLlc: core ", core, " out of range (",
-              numCores_, " cores)");
-    const CoreStats &cs = stats_[core];
-    return cs.accesses ? double(cs.misses) / double(cs.accesses)
-                       : 0.0;
-}
-
-void
-SharedLlc::resetStats()
-{
-    MutexLock lock(mu_);
-    for (auto &cs : stats_) {
-        const std::uint64_t owned = cs.linesOwned;
-        cs = CoreStats{};
-        cs.linesOwned = owned;
-    }
-}
-
-void
-SharedLlc::flush()
-{
-    MutexLock lock(mu_);
-    for (auto &line : lines_)
-        line = Line{};
-    for (auto &bank : banks_) {
-        bank.nextFree = 0;
-        bank.mshrs.clear();
-    }
-    for (auto &cs : stats_)
-        cs.linesOwned = 0;
-    validLines_ = 0;
+    checkCore(core);
+    return double(linesOwned_[core]) /
+           double(numSets_ * std::uint64_t(cfg_.llcAssoc));
 }
 
 } // namespace adaptsim::uarch

@@ -3,18 +3,23 @@
  * Shared last-level cache with bank and MSHR contention.
  *
  * One SharedLlc sits below every core's private L2 on a chip
- * (DESIGN.md §15).  Tags are set-associative with true LRU, like the
- * private uarch::Cache, but each line additionally records the core
- * that filled it so per-core occupancy can be read back as a model
+ * (DESIGN.md §15); its geometry is the ChipConfig's llc* and bus*
+ * fields.  Tags are set-associative with true LRU, like the private
+ * uarch::Cache, but each line additionally records the core that
+ * filled it so per-core occupancy can be read back as a model
  * feature.  Timing adds three contention terms on top of the hit
  * latency:
  *
  *   bus        fixed request/response transfer latency
- *   bank queue a bank serves one request per `bankService` cycles;
- *              requests arriving while it is busy wait
- *   MSHRs      each bank tracks `mshrsPerBank` outstanding misses; a
- *              miss arriving with all MSHRs busy waits for the
- *              earliest one to complete
+ *   bank queue a bank serves one request per `llcBankService`
+ *              cycles; requests arriving while it is busy wait
+ *   MSHRs      each bank tracks `llcMshrsPerBank` outstanding
+ *              misses; a miss arriving with all MSHRs busy waits
+ *              for the earliest one to complete
+ *
+ * The LLC counts nothing per access: each Outcome is counted once,
+ * by the requesting core's CacheHierarchy, into its EventCounts
+ * (llcAccesses, llcMisses, llcQueueCycles).
  *
  * Thread-safe by construction: every public entry point takes the one
  * internal Mutex (annotated, common/sync.hh), so concurrent cores —
@@ -31,40 +36,31 @@
 
 #include "common/sync.hh"
 #include "common/types.hh"
+#include "uarch/core_config.hh"
 
 namespace adaptsim::uarch
 {
-
-/**
- * Geometry and timing of one shared LLC instance.
- *
- * All latencies are cycles of the chip's fixed *reference clock* —
- * the mid-range 12 FO4/stage design point — not of any particular
- * core's clock.  Cores whose pipeline depth (and therefore clock)
- * differs convert at the boundary: the shared fabric and DRAM take
- * the same wall-time regardless of how any one core is clocked.
- */
-struct LlcConfig
-{
-    /** Pipeline depth whose clock defines the LLC's cycle unit. */
-    static constexpr int referenceDepthFo4 = 12;
-
-    std::uint64_t bytes = 8 * 1024 * 1024;
-    int assoc = 16;
-    int lineBytes = 64;
-    int banks = 8;            ///< power of two
-    int mshrsPerBank = 8;     ///< outstanding misses per bank
-    int hitLatency = 30;      ///< tag+data access (reference cycles)
-    int busLatency = 8;       ///< core→LLC→core transfer (ref cycles)
-    int bankService = 4;      ///< bank busy time per request
-    int memLatency = 200;     ///< DRAM latency below the LLC
-};
 
 /** Banked, multi-core-aware shared L3 model. */
 class SharedLlc
 {
   public:
-    SharedLlc(const LlcConfig &cfg, unsigned num_cores);
+    /**
+     * All latencies are cycles of the chip's fixed *reference clock*
+     * — the clock of a pipeline this deep (the mid-range 12
+     * FO4/stage design point) — not of any particular core's clock.
+     * Cores whose pipeline depth (and therefore clock) differs
+     * convert at the boundary: the shared fabric and DRAM take the
+     * same wall-time regardless of how any one core is clocked.
+     */
+    static constexpr int referenceDepthFo4 = 12;
+
+    /** DRAM latency below the LLC (reference cycles). */
+    static constexpr int memLatency = 200;
+
+    /** An LLC with @p cfg's llc and bus geometry, shared by its
+     *  cores. */
+    explicit SharedLlc(const ChipConfig &cfg);
 
     /** Timing and outcome of one access. */
     struct Outcome
@@ -80,36 +76,8 @@ class SharedLlc
      */
     Outcome access(Addr addr, bool write, unsigned core, Cycles now);
 
-    /** Functional warm access: fills tags/ownership, no timing. */
-    void warmAccess(Addr addr, bool write, unsigned core);
-
-    /** Per-core accounting since construction (or reset). */
-    struct CoreStats
-    {
-        std::uint64_t accesses = 0;
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t queueCycles = 0;
-        std::uint64_t linesOwned = 0;
-    };
-
-    CoreStats coreStats(unsigned core) const;
-
-    /** Fraction of valid LLC lines currently owned by @p core. */
+    /** Fraction of LLC lines currently owned by @p core. */
     double occupancyShare(unsigned core) const;
-
-    /** @p core's miss ratio at the shared level (misses/accesses). */
-    double sharedMissRatio(unsigned core) const;
-
-    /** Zero every per-core counter (occupancy/tags are kept). */
-    void resetStats();
-
-    /** Invalidate all lines and ownership (stats are kept). */
-    void flush();
-
-    unsigned numCores() const { return numCores_; }
-    const LlcConfig &config() const { return cfg_; }
-    std::uint64_t numSets() const { return numSets_; }
 
   private:
     struct Line
@@ -127,30 +95,37 @@ class SharedLlc
     };
 
     /** Tag lookup + fill under mu_; returns hit and updates owner
-     *  accounting.  @p now stamps LRU recency deterministically. */
+     *  accounting.  A global clock stamps LRU recency
+     *  deterministically. */
     bool lookupFill(Addr addr, bool write, unsigned core)
         ADAPTSIM_REQUIRES(mu_);
 
+    /** Panics unless @p core is one of this LLC's cores. */
+    void checkCore(unsigned core) const;
+
+    static std::uint64_t blockOf(Addr addr)
+    {
+        return addr / std::uint64_t(CoreConfig::cacheLineBytes);
+    }
+
     std::uint64_t setIndex(Addr addr) const
     {
-        return (addr / std::uint64_t(cfg_.lineBytes)) & (numSets_ - 1);
+        return blockOf(addr) & (numSets_ - 1);
     }
 
     std::uint64_t bankIndex(Addr addr) const
     {
-        return (addr / std::uint64_t(cfg_.lineBytes)) &
-               (std::uint64_t(cfg_.banks) - 1);
+        return blockOf(addr) & (std::uint64_t(cfg_.llcBanks) - 1);
     }
 
-    LlcConfig cfg_;
-    unsigned numCores_;
+    const ChipConfig cfg_;   ///< geometry: its llc* and bus* fields
     std::uint64_t numSets_;
 
     mutable Mutex mu_;
     std::vector<Line> lines_ ADAPTSIM_GUARDED_BY(mu_);
     std::vector<Bank> banks_ ADAPTSIM_GUARDED_BY(mu_);
-    std::vector<CoreStats> stats_ ADAPTSIM_GUARDED_BY(mu_);
-    std::uint64_t validLines_ ADAPTSIM_GUARDED_BY(mu_) = 0;
+    /** Lines each core filled and still holds. */
+    std::vector<std::uint64_t> linesOwned_ ADAPTSIM_GUARDED_BY(mu_);
     std::uint32_t lruClock_ ADAPTSIM_GUARDED_BY(mu_) = 0;
 };
 

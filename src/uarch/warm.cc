@@ -23,7 +23,7 @@ warmStructures(CacheHierarchy &caches, BranchPredictor &bpred,
         if (op.isMem())
             caches.warmData(op.effAddr, op.isStore());
         else if (op.isBranch())
-            bpred.warmAccess(op.pc, op.taken);
+            bpred.warm(op.pc, op.taken);
     }
 }
 

@@ -32,8 +32,8 @@ namespace adaptsim::uarch
  * Functionally warm @p caches and @p bpred with @p trace (no timing,
  * no statistics) — the "warm for 10M instructions" step of Sec. V-A,
  * scaled.  This is the reference warm-up: a WarmMemo reproduces its
- * result on fresh structures, and the multi-core chip, whose L2
- * misses also warm a shared LLC, warms through it directly.
+ * result on fresh structures.  It fills the private levels only; a
+ * multi-core chip is never warmed functionally.
  */
 void warmStructures(CacheHierarchy &caches, BranchPredictor &bpred,
                     std::span<const isa::MicroOp> trace);

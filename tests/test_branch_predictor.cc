@@ -17,7 +17,7 @@ TEST(BranchPredictor, LearnsBiasedBranch)
     const Addr pc = 0x400010;
     // Train always-taken.
     for (int i = 0; i < 16; ++i)
-        bp.warmAccess(pc, true);
+        bp.warm(pc, true);
     int correct = 0;
     for (int i = 0; i < 100; ++i) {
         const auto pred = bp.predict(pc);
@@ -33,7 +33,7 @@ TEST(BranchPredictor, LearnsShortLoopPattern)
     const Addr pc = 0x400020;
     auto outcome = [](int i) { return i % 4 != 3; };   // TTTN
     for (int i = 0; i < 4000; ++i)
-        bp.warmAccess(pc, outcome(i));
+        bp.warm(pc, outcome(i));
     int correct = 0;
     const int n = 400;
     for (int i = 0; i < n; ++i) {
@@ -96,15 +96,15 @@ TEST(BranchPredictor, HistoryRecovery)
 
 TEST(BranchPredictor, WarmMatchesPredictUpdateLoop)
 {
-    // warmAccess must leave the same PHT/BTB state as a correct
+    // warm() must leave the same PHT/BTB state as a correct
     // predict+update loop with no mispredict recovery.
-    BranchPredictor warm(4096, 1024, 4);
+    BranchPredictor warmed(4096, 1024, 4);
     BranchPredictor loop(4096, 1024, 4);
     Rng rng(3);
     for (int i = 0; i < 500; ++i) {
         const Addr pc = 0x2000 + 4 * rng.nextBounded(32);
         const bool taken = rng.nextBool(0.7);
-        warm.warmAccess(pc, taken);
+        warmed.warm(pc, taken);
         const auto pred = loop.predict(pc);
         if (pred.taken != taken)
             loop.recover(pred.history, taken);
@@ -112,7 +112,7 @@ TEST(BranchPredictor, WarmMatchesPredictUpdateLoop)
     }
     // Equal subsequent predictions on every trained pc.
     for (Addr pc = 0x2000; pc < 0x2000 + 4 * 32; pc += 4)
-        EXPECT_EQ(warm.predict(pc).taken, loop.predict(pc).taken);
+        EXPECT_EQ(warmed.predict(pc).taken, loop.predict(pc).taken);
 }
 
 TEST(BranchPredictor, RejectsNonPowerOfTwo)

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "control/chip_controller.hh"
 #include "harness/gather.hh"
 #include "uarch/chip.hh"
 #include "workload/spec_suite.hh"
@@ -43,7 +44,7 @@ struct CoRunSetup
     std::vector<std::unique_ptr<workload::WrongPathGenerator>> wps;
     std::vector<workload::WrongPathGenerator *> wpp;
     std::vector<std::vector<isa::MicroOp>> warm, detail;
-    std::vector<std::span<const isa::MicroOp>> traces;
+    std::vector<std::span<const isa::MicroOp>> warmTraces, traces;
 };
 
 CoRunSetup
@@ -62,6 +63,8 @@ coRunSetup(const std::vector<std::string> &benches)
     }
     for (auto &wp : s.wps)
         s.wpp.push_back(wp.get());
+    for (auto &w : s.warm)
+        s.warmTraces.emplace_back(w);
     for (auto &d : s.detail)
         s.traces.emplace_back(d);
     return s;
@@ -86,8 +89,7 @@ TEST(Chip, CoRunIsDeterministic)
         auto s = coRunSetup({"mcf", "gcc"});
         Chip chip(smallChip(harness::paperBaselineConfig(), 2),
                   s.wpp);
-        chip.warm(0, s.warm[0]);
-        chip.warm(1, s.warm[1]);
+        chip.run(s.warmTraces);
         return chip.run(s.traces);
     };
     const auto a = runOnce();
@@ -104,19 +106,19 @@ TEST(Chip, CoRunShowsInterference)
 {
     // The controlled comparison: the same core, same chip geometry,
     // with and without a co-runner.  Contention (bank queueing, LLC
-    // competition) can only slow the measured core down.
+    // competition) can only slow the measured core down.  Each chip
+    // warms up on a timed run of the warm-up traces.
+    const std::span<const isa::MicroOp> idle;
     auto solo = coRunSetup({"mcf", "gcc"});
     Chip alone(smallChip(harness::paperBaselineConfig(), 2),
                solo.wpp);
-    alone.warm(0, solo.warm[0]);
-    const auto solo_res =
-        alone.run({solo.traces[0], std::span<const isa::MicroOp>{}});
+    alone.run({solo.warmTraces[0], idle});
+    const auto solo_res = alone.run({solo.traces[0], idle});
 
     auto both = coRunSetup({"mcf", "gcc"});
     Chip chip(smallChip(harness::paperBaselineConfig(), 2),
               both.wpp);
-    chip.warm(0, both.warm[0]);
-    chip.warm(1, both.warm[1]);
+    chip.run(both.warmTraces);
     const auto corun = chip.run(both.traces);
 
     EXPECT_EQ(solo_res.cores[0].events.committedOps, 4000u);
@@ -135,19 +137,27 @@ TEST(Chip, CoRunShowsInterference)
     EXPECT_GT(corun.cores[0].events.llcQueueCycles +
                   corun.cores[1].events.llcQueueCycles,
               0u);
+    // The controller's shared-level miss ratio is each core's own
+    // LLC misses over its own LLC accesses.
+    const auto interference = control::interferenceOf(corun);
+    for (std::size_t c = 0; c < 2; ++c) {
+        const auto &ev = corun.cores[c].events;
+        EXPECT_EQ(interference[c].sharedMissRatio,
+                  double(ev.llcMisses) / double(ev.llcAccesses))
+            << c;
+    }
 }
 
 TEST(Chip, ReconfigureCoreKeepsElapsedAndLlcContents)
 {
     auto s = coRunSetup({"mcf", "gcc"});
     Chip chip(smallChip(harness::paperBaselineConfig(), 2), s.wpp);
-    chip.warm(0, s.warm[0]);
-    chip.warm(1, s.warm[1]);
+    chip.run(s.warmTraces);
     chip.run(s.traces);
     const Cycles elapsed0 = chip.elapsed(0);
     ASSERT_GT(elapsed0, 0u);
-    const auto before = chip.llc().coreStats(1).linesOwned;
-    ASSERT_GT(before, 0u);
+    const double before = chip.llc().occupancyShare(1);
+    ASSERT_GT(before, 0.0);
 
     auto narrow = harness::paperBaselineConfig();
     narrow.setValue(space::Param::Width, 2);
@@ -156,7 +166,7 @@ TEST(Chip, ReconfigureCoreKeepsElapsedAndLlcContents)
     // The core restarted cold but its clock and the shared LLC
     // contents (including the *other* core's lines) survived.
     EXPECT_EQ(chip.elapsed(0), elapsed0);
-    EXPECT_EQ(chip.llc().coreStats(1).linesOwned, before);
+    EXPECT_EQ(chip.llc().occupancyShare(1), before);
     const auto res2 = chip.run(s.traces);
     EXPECT_EQ(res2.cores[0].events.committedOps, 4000u);
 }

@@ -10,6 +10,7 @@
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,36 @@ runStaticSolo(const workload::Workload &wl,
             harness::paperBaselineConfig(), 1),
         max_instructions, interval_length, trace_cache);
     return stats.cores.at(0);
+}
+
+/** Growth over @p work of every count under "uarch/" and
+ *  "control/" that perfbench/layers.cc reads, plus the cycle
+ *  backend's evaluations: counters by name, spans by their sample
+ *  count. */
+template <class Work>
+std::map<std::string, std::uint64_t>
+perfbenchCounts(Work &&work)
+{
+    static const char *const counters[] = {
+        "uarch/cycles", "uarch/committed_ops",
+        "control/reconfigurations", "backend/cycle/evals"};
+    static const char *const spans[] = {"uarch/run", "uarch/chip_run",
+                                        "control/profile",
+                                        "control/predict"};
+    auto &reg = obs::Registry::global();
+    const auto samples = [&reg](const std::string &span) {
+        return reg.histogram(span + ".seconds").stats().count;
+    };
+    std::map<std::string, std::uint64_t> out;
+    for (const char *s : spans)
+        out[s] = samples(s);
+    const CounterDelta d;
+    work();
+    for (const char *s : spans)
+        out[s] = samples(s) - out[s];
+    for (const char *c : counters)
+        out[c] = d(c);
+    return out;
 }
 
 } // namespace
@@ -325,6 +356,20 @@ TEST(ChipController, MultiCoreChipNeedsTheCycleBackend)
                 "2-core chip needs the \"cycle\" backend");
 }
 
+TEST(ChipController, ZeroIntervalLengthIsFatal)
+{
+    // Both entry points divide the run into intervals, so a zero
+    // length is refused by name rather than dividing by zero.
+    const auto wl = workload::specBenchmark("gzip", 100000);
+    const auto model = dummyModel();
+    EXPECT_EXIT((void)ChipController({&wl}, model, soloOptions(0)),
+                ::testing::ExitedWithCode(1),
+                "ChipController: intervalLength must be positive");
+    EXPECT_EXIT((void)runStaticSolo(wl, 10000, 0),
+                ::testing::ExitedWithCode(1),
+                "runStaticChip: interval_length must be positive");
+}
+
 TEST(ChipController, SingleCoreChipMatchesFrozenSingleCoreGolden)
 {
     // A one-core chip is the single-core controller.  These values
@@ -493,4 +538,54 @@ TEST(ChipController, TwoCoreChipMatchesFrozenGolden)
             0x3f418018cbb4da68ULL, 0x3f81900000000000ULL},
            {1, 1, 1, 2966, 0x3f1e12bfbf2af538ULL,
             0x3f406b04009747bdULL, 0x3f71c80000000000ULL}});
+}
+
+TEST(ChipController, RegistryCountsEveryEventPerfbenchReads)
+{
+    // perfbench reads these names from the obs registry: a renamed or
+    // dropped count would read 0 there, not fail.  A one-core static
+    // and adaptive pair, then a two-core pair (gzip + gap, 30k µops
+    // in 5k intervals, dummy model), each count pinned exactly.
+    const auto a = workload::specBenchmark("gzip", 100000);
+    const auto b = workload::specBenchmark("gap", 100000);
+    const auto model = dummyModel();
+    const auto pair = [&](std::vector<const workload::Workload *> wl) {
+        const auto chip = uarch::ChipConfig::homogeneous(
+            harness::paperBaselineConfig(), wl.size());
+        return perfbenchCounts([&] {
+            (void)runStaticChip(wl, harness::paperBaselineConfig(),
+                                chip, 30000, 5000);
+            ChipControllerOptions opt = soloOptions(5000);
+            opt.chip = chip;
+            (void)ChipController(wl, model, opt).run(30000);
+        });
+    };
+
+    // One core: 6 static and 4 adaptive intervals on the core's
+    // cycle session plus 2 solo profiles, each one backend run.
+    const std::map<std::string, std::uint64_t> one_core = {
+        {"uarch/cycles", 235923},
+        {"uarch/committed_ops", 60000},
+        {"control/reconfigurations", 1},
+        {"backend/cycle/evals", 12},
+        {"uarch/run", 12},
+        {"uarch/chip_run", 0},
+        {"control/profile", 2},
+        {"control/predict", 2},
+    };
+    EXPECT_EQ(pair({&a}), one_core);
+
+    // Two cores: 11 chip runs of 2000-µop quanta (3 per core and
+    // interval) over 21 core-intervals, plus 3 solo profiles.
+    const std::map<std::string, std::uint64_t> two_core = {
+        {"uarch/cycles", 921666},
+        {"uarch/committed_ops", 120000},
+        {"control/reconfigurations", 2},
+        {"backend/cycle/evals", 3},
+        {"uarch/run", 66},
+        {"uarch/chip_run", 11},
+        {"control/profile", 3},
+        {"control/predict", 3},
+    };
+    EXPECT_EQ(pair({&a, &b}), two_core);
 }

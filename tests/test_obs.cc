@@ -592,7 +592,7 @@ TEST(ChipObs, ChipRunEmitsPerCoreLabelledCounters)
                       ops_before[c],
                   committed[c])
             << c;
-        // 5000 µops at the default 2000-µop quantum: 3 slices.
+        // 5000 µops at the 2000-µop Chip::quantum: 3 slices.
         EXPECT_EQ(reg.counter(base + "/quanta").value() -
                       quanta_before[c],
                   3u)
