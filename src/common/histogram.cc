@@ -1,7 +1,6 @@
 #include "common/histogram.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/logging.hh"
 
@@ -58,24 +57,8 @@ Histogram::add(std::uint64_t value, std::uint64_t weight)
         panic("add() on default-constructed Histogram");
     counts_[binIndex(value)] += weight;
     totalWeight_ += weight;
-    numSamples_ += 1;
     weightedValueSum_ += static_cast<double>(value) *
                          static_cast<double>(weight);
-}
-
-void
-Histogram::merge(const Histogram &other)
-{
-    if (other.counts_.size() != counts_.size() ||
-        other.binning_ != binning_ || other.lo_ != lo_ ||
-        other.step_ != step_) {
-        panic("Histogram::merge with mismatched geometry");
-    }
-    for (std::size_t i = 0; i < counts_.size(); ++i)
-        counts_[i] += other.counts_[i];
-    totalWeight_ += other.totalWeight_;
-    numSamples_ += other.numSamples_;
-    weightedValueSum_ += other.weightedValueSum_;
 }
 
 void
@@ -83,7 +66,6 @@ Histogram::clear()
 {
     std::fill(counts_.begin(), counts_.end(), 0);
     totalWeight_ = 0;
-    numSamples_ = 0;
     weightedValueSum_ = 0.0;
 }
 
@@ -105,45 +87,6 @@ Histogram::mean() const
     if (totalWeight_ == 0)
         return 0.0;
     return weightedValueSum_ / static_cast<double>(totalWeight_);
-}
-
-std::uint64_t
-Histogram::quantile(double fraction) const
-{
-    if (totalWeight_ == 0)
-        return binLowerEdge(0);
-    fraction = std::clamp(fraction, 0.0, 1.0);
-    const double target = fraction * static_cast<double>(totalWeight_);
-    double cumulative = 0.0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        cumulative += static_cast<double>(counts_[i]);
-        if (cumulative >= target)
-            return binLowerEdge(i);
-    }
-    return binLowerEdge(counts_.size() - 1);
-}
-
-std::size_t
-Histogram::modeBin() const
-{
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < counts_.size(); ++i) {
-        if (counts_[i] > counts_[best])
-            best = i;
-    }
-    return best;
-}
-
-std::string
-Histogram::toString() const
-{
-    std::ostringstream os;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        if (i)
-            os << ' ';
-        os << binLowerEdge(i) << ':' << counts_[i];
-    }
-    return os.str();
 }
 
 } // namespace adaptsim

@@ -12,7 +12,6 @@
 #define ADAPTSIM_COMMON_HISTOGRAM_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace adaptsim
@@ -40,9 +39,6 @@ class Histogram
     /** Record @p value with weight @p weight (e.g. cycles). */
     void add(std::uint64_t value, std::uint64_t weight = 1);
 
-    /** Merge another histogram with identical geometry. */
-    void merge(const Histogram &other);
-
     /** Reset all counts, keeping geometry. */
     void clear();
 
@@ -51,12 +47,6 @@ class Histogram
 
     /** Raw count of bin @p i. */
     std::uint64_t count(std::size_t i) const { return counts_.at(i); }
-
-    /** Total recorded weight. */
-    std::uint64_t totalWeight() const { return totalWeight_; }
-
-    /** Number of add() calls' weight-less count. */
-    std::uint64_t numSamples() const { return numSamples_; }
 
     /** Bin index a given value falls into. */
     std::size_t binIndex(std::uint64_t value) const;
@@ -70,18 +60,6 @@ class Histogram
     /** Weighted mean of recorded values (bin lower edges for log2). */
     double mean() const;
 
-    /**
-     * Smallest value v such that at least @p fraction of the recorded
-     * weight lies at or below v's bin.  fraction in [0, 1].
-     */
-    std::uint64_t quantile(double fraction) const;
-
-    /** Index of the most populated bin (first on ties). */
-    std::size_t modeBin() const;
-
-    /** Render as "lo:count lo:count ..." for debugging. */
-    std::string toString() const;
-
     Binning binning() const { return binning_; }
     std::uint64_t lo() const { return lo_; }
     std::uint64_t step() const { return step_; }
@@ -92,7 +70,6 @@ class Histogram
     std::uint64_t step_ = 1;
     std::vector<std::uint64_t> counts_;
     std::uint64_t totalWeight_ = 0;
-    std::uint64_t numSamples_ = 0;
     double weightedValueSum_ = 0.0;
 };
 

@@ -107,26 +107,6 @@ Rng::nextBool(double p)
     return nextDouble() < p;
 }
 
-std::size_t
-Rng::nextWeighted(const std::vector<double> &weights)
-{
-    double total = 0.0;
-    for (double w : weights) {
-        if (w < 0.0)
-            panic("Rng::nextWeighted: negative weight");
-        total += w;
-    }
-    if (total <= 0.0)
-        panic("Rng::nextWeighted: weights sum to zero");
-    double target = nextDouble() * total;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        target -= weights[i];
-        if (target < 0.0)
-            return i;
-    }
-    return weights.size() - 1;
-}
-
 Rng
 Rng::split(std::uint64_t tag)
 {

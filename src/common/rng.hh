@@ -13,7 +13,6 @@
 #define ADAPTSIM_COMMON_RNG_HH
 
 #include <cstdint>
-#include <vector>
 
 namespace adaptsim
 {
@@ -40,13 +39,10 @@ class Rng
     double nextDouble();
 
     /** Standard normal deviate (Box-Muller, cached pair). */
-    double nextGaussian();
+    double nextGaussian(); // lint:allow(unused-api) makes test data
 
     /** Bernoulli trial with probability p of true. */
     bool nextBool(double p = 0.5);
-
-    /** Pick an index according to non-negative weights (sum > 0). */
-    std::size_t nextWeighted(const std::vector<double> &weights);
 
     /**
      * Split off an independent child stream.  Deterministic: the child

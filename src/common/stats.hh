@@ -1,52 +1,15 @@
 /**
  * @file
- * Streaming statistics helpers used by counters, benches and tests.
+ * Summary statistics over sample vectors, for benches and results.
  */
 
 #ifndef ADAPTSIM_COMMON_STATS_HH
 #define ADAPTSIM_COMMON_STATS_HH
 
-#include <cstdint>
-#include <limits>
 #include <vector>
 
 namespace adaptsim
 {
-
-/** Welford-style streaming mean/variance with min/max tracking. */
-class RunningStat
-{
-  public:
-    /** Record one sample. */
-    void add(double x);
-
-    /** Number of samples so far. */
-    std::uint64_t count() const { return n_; }
-
-    /** Mean of samples, 0 when empty. */
-    double mean() const { return n_ ? mean_ : 0.0; }
-
-    /** Unbiased sample variance, 0 when fewer than 2 samples. */
-    double variance() const;
-
-    /** Sample standard deviation. */
-    double stddev() const;
-
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-    double sum() const { return sum_; }
-
-    /** Merge another accumulator (parallel Welford combination). */
-    void merge(const RunningStat &other);
-
-  private:
-    std::uint64_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double sum_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /** Geometric mean of strictly positive values; 0 for empty input. */
 double geomean(const std::vector<double> &values);

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
-#include <fstream>
 #include <sstream>
-
-#include "common/logging.hh"
 
 namespace adaptsim
 {
@@ -110,27 +107,6 @@ TextTable::render() const
     for (const auto &row : rows_)
         emit(row, true);
     return os.str();
-}
-
-void
-writeCsv(const std::string &path,
-         const std::vector<std::string> &header,
-         const std::vector<std::vector<std::string>> &rows)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open CSV for writing: ", path);
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                out << ',';
-            out << row[c];
-        }
-        out << '\n';
-    };
-    emit(header);
-    for (const auto &row : rows)
-        emit(row);
 }
 
 } // namespace adaptsim

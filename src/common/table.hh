@@ -38,17 +38,10 @@ class TextTable
     /** Render the full table, with separator under the header. */
     std::string render() const;
 
-    std::size_t numRows() const { return rows_.size(); }
-
   private:
     std::vector<std::string> header_;
     std::vector<std::vector<std::string>> rows_;
 };
-
-/** Write a CSV file (throws via fatal() on I/O failure). */
-void writeCsv(const std::string &path,
-              const std::vector<std::string> &header,
-              const std::vector<std::vector<std::string>> &rows);
 
 } // namespace adaptsim
 

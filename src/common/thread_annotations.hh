@@ -35,15 +35,9 @@
 /** Data member readable/writable only with the capability held. */
 #define ADAPTSIM_GUARDED_BY(x) ADAPTSIM_THREAD_ANNOTATION(guarded_by(x))
 
-/** Pointer member whose pointee is guarded by the capability. */
-#define ADAPTSIM_PT_GUARDED_BY(x) \
-    ADAPTSIM_THREAD_ANNOTATION(pt_guarded_by(x))
-
 /** Documents (and checks) a required lock acquisition order. */
 #define ADAPTSIM_ACQUIRED_BEFORE(...) \
     ADAPTSIM_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
-#define ADAPTSIM_ACQUIRED_AFTER(...) \
-    ADAPTSIM_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
 
 /** Function may only be called with the capabilities already held. */
 #define ADAPTSIM_REQUIRES(...) \
@@ -71,10 +65,6 @@
  *  analysis about contexts it cannot follow (lambda bodies). */
 #define ADAPTSIM_ASSERT_CAPABILITY(x) \
     ADAPTSIM_THREAD_ANNOTATION(assert_capability(x))
-
-/** Function returns a reference to the named capability. */
-#define ADAPTSIM_RETURN_CAPABILITY(x) \
-    ADAPTSIM_THREAD_ANNOTATION(lock_returned(x))
 
 /** Escape hatch: function body is not analysed.  Every use must
  *  carry a comment stating the invariant that makes it safe. */

@@ -161,7 +161,8 @@ class ChipController
 
     /** Core @p i's predictions so far, by detector phase id. */
     const std::unordered_map<std::size_t, space::Configuration> &
-    phasePredictions(std::size_t core) const
+    phasePredictions( // lint:allow(unused-api) per-core policy tests
+        std::size_t core) const
     {
         return policies_[core].predictions();
     }

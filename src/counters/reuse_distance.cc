@@ -25,17 +25,7 @@ ReuseDistanceMonitor::accessAt(std::uint64_t key,
     if (!inserted) {
         hist_.add(position - it->second);
         it->second = position;
-        ++reuses_;
     }
-}
-
-double
-ReuseDistanceMonitor::reuseFraction() const
-{
-    if (accessCount_ == 0)
-        return 0.0;
-    return static_cast<double>(reuses_) /
-           static_cast<double>(accessCount_);
 }
 
 void
@@ -44,7 +34,6 @@ ReuseDistanceMonitor::clear()
     hist_.clear();
     lastAccess_.clear();
     accessCount_ = 0;
-    reuses_ = 0;
 }
 
 SetReuseMonitor::SetReuseMonitor(std::uint64_t num_sets,

@@ -48,16 +48,12 @@ class ReuseDistanceMonitor
 
     std::uint64_t accesses() const { return accessCount_; }
 
-    /** Fraction of accesses that were re-references (not first). */
-    double reuseFraction() const;
-
     void clear();
 
   private:
     Histogram hist_;
     std::unordered_map<std::uint64_t, std::uint64_t> lastAccess_;
     std::uint64_t accessCount_ = 0;
-    std::uint64_t reuses_ = 0;
 };
 
 /**

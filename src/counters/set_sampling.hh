@@ -39,19 +39,8 @@ class SetSampler
         return sampled((addr / line_bytes) & (totalSets_ - 1));
     }
 
-    std::uint64_t totalSets() const { return totalSets_; }
-    std::uint64_t sampledSets() const { return sampledSets_; }
-
-    /** Fraction of sets monitored. */
-    double fraction() const
-    {
-        return static_cast<double>(sampledSets_) /
-               static_cast<double>(totalSets_);
-    }
-
   private:
     std::uint64_t totalSets_;
-    std::uint64_t sampledSets_;
     std::uint64_t strideMask_;
 };
 

@@ -67,20 +67,6 @@ StackDistanceMonitor::access(Addr addr)
     it->second = now;
 }
 
-double
-StackDistanceMonitor::missRatioFor(std::uint64_t capacity_blocks) const
-{
-    if (accesses_ == 0)
-        return 0.0;
-    std::uint64_t misses = cold_;
-    for (std::size_t i = 0; i < hist_.numBins(); ++i) {
-        if (hist_.binLowerEdge(i) >= capacity_blocks)
-            misses += hist_.count(i);
-    }
-    return static_cast<double>(misses) /
-           static_cast<double>(accesses_);
-}
-
 void
 StackDistanceMonitor::clear()
 {

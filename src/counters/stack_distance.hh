@@ -44,15 +44,13 @@ class StackDistanceMonitor
     const Histogram &histogram() const { return hist_; }
 
     /** Accesses to never-before-seen blocks (infinite distance). */
-    std::uint64_t coldAccesses() const { return cold_; }
+    std::uint64_t
+    coldAccesses() const // lint:allow(unused-api) naive-LRU test
+    {
+        return cold_;
+    }
 
     std::uint64_t accesses() const { return accesses_; }
-
-    /**
-     * Estimated miss ratio of a fully-associative LRU cache with
-     * @p capacity_blocks blocks (cold misses included).
-     */
-    double missRatioFor(std::uint64_t capacity_blocks) const;
 
     void clear();
 

@@ -33,12 +33,6 @@ class TemporalHistogram
     /** Record @p cycles cycles spent at usage level @p value. */
     void record(std::uint64_t value, std::uint64_t cycles = 1);
 
-    /** Cycle count in bin @p i. */
-    std::uint64_t cyclesAt(std::size_t i) const
-    {
-        return hist_.count(i);
-    }
-
     /** Lowest usage level of bin @p i. */
     std::uint64_t binValue(std::size_t i) const
     {
@@ -46,22 +40,9 @@ class TemporalHistogram
     }
 
     std::size_t numBins() const { return hist_.numBins(); }
-    std::uint64_t totalCycles() const { return hist_.totalWeight(); }
 
     /** Cycle-weighted mean usage. */
     double meanUsage() const { return hist_.mean(); }
-
-    /** Usage level not exceeded in @p fraction of cycles. */
-    std::uint64_t usageQuantile(double fraction) const
-    {
-        return hist_.quantile(fraction);
-    }
-
-    /** Usage level of the most common bin. */
-    std::uint64_t modeUsage() const
-    {
-        return hist_.binLowerEdge(hist_.modeBin());
-    }
 
     /** Bin fractions (sum to 1 over recorded cycles). */
     std::vector<double> normalised() const

@@ -150,8 +150,6 @@ class GatherScheduler
      *  False when the write failed. */
     bool save() const ADAPTSIM_EXCLUDES(mutex_);
 
-    const std::string &indexPath() const { return path_; }
-
     const Options &options() const { return opt_; }
 
   private:

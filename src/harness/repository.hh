@@ -184,7 +184,8 @@ class EvalRepository
 
     /** Records buffered per phase between incremental flushes
      *  (default 64, minimum 1). */
-    void setFlushEvery(std::size_t n) ADAPTSIM_EXCLUDES(mutex_);
+    void setFlushEvery( // lint:allow(unused-api) crash-safety tests
+        std::size_t n) ADAPTSIM_EXCLUDES(mutex_);
 
     /** Root directory of the on-disk store (fixed at construction);
      *  sibling indices (the gather phase-memo) live alongside it. */

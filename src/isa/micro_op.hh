@@ -14,7 +14,6 @@
 #define ADAPTSIM_ISA_MICRO_OP_HH
 
 #include <cstdint>
-#include <string>
 
 #include "common/types.hh"
 
@@ -42,9 +41,6 @@ inline constexpr int numArchRegs = 32;
 
 /** Sentinel for "no register". */
 inline constexpr std::int16_t noReg = -1;
-
-/** Human-readable name of an op class. */
-const char *opClassName(OpClass c);
 
 /** True for Load and Store. */
 constexpr bool
@@ -108,9 +104,6 @@ struct MicroOp
 
     /** True when sources live in the FP register file. */
     bool readsFp() const { return isFpOp(opClass); }
-
-    /** Compact one-line rendering for debugging. */
-    std::string toString() const;
 };
 
 } // namespace adaptsim::isa

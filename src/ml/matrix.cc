@@ -8,15 +8,6 @@ Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
 {
 }
 
-double
-Matrix::squaredNorm() const
-{
-    double total = 0.0;
-    for (double v : data_)
-        total += v * v;
-    return total;
-}
-
 void
 Matrix::transposeMultiply(const double *x, double *y) const
 {

@@ -38,9 +38,6 @@ class Matrix
     std::vector<double> &data() { return data_; }
     const std::vector<double> &data() const { return data_; }
 
-    /** Frobenius inner product tr(AᵀB) with itself: tr(WᵀW). */
-    double squaredNorm() const;
-
     /**
      * y = Aᵀx where A is this (rows=D, cols=K) and x is length D;
      * y has length K.  The soft-max logit computation (eq. 8).

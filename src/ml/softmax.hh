@@ -63,7 +63,9 @@ class SoftmaxClassifier
     std::vector<double> logits(std::span<const double> x) const;
 
     /** Full posterior P(y = s_k | x) (eq. 3). */
-    std::vector<double> probabilities(std::span<const double> x) const;
+    std::vector<double>
+    probabilities( // lint:allow(unused-api) planned decision log
+        std::span<const double> x) const;
 
     std::size_t dim() const { return weights_.rows(); }
     std::size_t numClasses() const { return weights_.cols(); }

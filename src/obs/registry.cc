@@ -27,15 +27,6 @@ findOrCreate(std::map<std::string, std::unique_ptr<Metric>> &own,
     return *slot;
 }
 
-template <typename Metric>
-Metric *
-findIn(const std::map<std::string, std::unique_ptr<Metric>> &map,
-       const std::string &name)
-{
-    const auto it = map.find(name);
-    return it == map.end() ? nullptr : it->second.get();
-}
-
 } // namespace
 
 Registry &
@@ -57,33 +48,6 @@ Registry::histogram(const std::string &name)
 {
     MutexLock lock(mutex_);
     return findOrCreate(histograms_, counters_, name, "counter");
-}
-
-Counter *
-Registry::findCounter(const std::string &name)
-{
-    MutexLock lock(mutex_);
-    return findIn(counters_, name);
-}
-
-Histogram *
-Registry::findHistogram(const std::string &name)
-{
-    MutexLock lock(mutex_);
-    return findIn(histograms_, name);
-}
-
-void
-Registry::reset()
-{
-    MutexLock lock(mutex_);
-    for (auto &entry : counters_)
-        entry.second->value_.store(0, std::memory_order_relaxed);
-    for (auto &entry : histograms_) {
-        Histogram &h = *entry.second;
-        MutexLock hlock(h.mutex_);
-        h.stats_ = HistogramStats{};
-    }
 }
 
 Snapshot

@@ -60,8 +60,6 @@ class Counter
     Counter &operator=(const Counter &) = delete;
 
   private:
-    friend class Registry;
-
     std::string name_;
     std::atomic<std::uint64_t> value_{0};
 };
@@ -80,8 +78,6 @@ class Histogram
     Histogram &operator=(const Histogram &) = delete;
 
   private:
-    friend class Registry;
-
     std::string name_;
     mutable Mutex mutex_;
     HistogramStats stats_ ADAPTSIM_GUARDED_BY(mutex_);
@@ -110,15 +106,8 @@ class Registry
     Counter &counter(const std::string &name);
     Histogram &histogram(const std::string &name);
 
-    /** Existing metric by name, or nullptr (never creates). */
-    Counter *findCounter(const std::string &name);
-    Histogram *findHistogram(const std::string &name);
-
     /** Values of every registered metric. */
     Snapshot snapshot() const;
-
-    /** Zero every value; handles stay valid (testing aid). */
-    void reset();
 
   private:
     mutable Mutex mutex_;

@@ -126,13 +126,6 @@ TraceWriter::nameCurrentThread(const std::string &name)
     events_.push_back(std::move(e));
 }
 
-std::size_t
-TraceWriter::eventCount() const
-{
-    MutexLock lock(mutex_);
-    return events_.size();
-}
-
 bool
 TraceWriter::finish()
 {

@@ -59,7 +59,6 @@ class TraceWriter
     bool finish();
 
     const std::string &path() const { return path_; }
-    std::size_t eventCount() const;
 
     /** Process-wide writer used by spans (nullptr when disabled). */
     static TraceWriter *active();

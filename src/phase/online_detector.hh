@@ -66,8 +66,6 @@ class OnlinePhaseDetector
     /** Number of distinct phases seen so far. */
     std::size_t numPhases() const { return signatures_.size(); }
 
-    std::size_t currentPhase() const { return current_; }
-
     double threshold() const { return threshold_; }
 
     std::size_t capacity() const { return maxPhases_; }
@@ -76,12 +74,6 @@ class OnlinePhaseDetector
     const Bbv &signature(std::size_t id) const
     {
         return signatures_[id];
-    }
-
-    /** How many intervals matched phase @p id. */
-    std::uint64_t observations(std::size_t id) const
-    {
-        return observations_[id];
     }
 
     /**

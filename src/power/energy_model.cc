@@ -32,25 +32,6 @@ constexpr int btbEntryBytes = 8;
 
 } // namespace
 
-const char *
-structureName(Structure s)
-{
-    switch (s) {
-      case Structure::ICache: return "icache";
-      case Structure::DCache: return "dcache";
-      case Structure::L2Cache: return "l2";
-      case Structure::RegFile: return "regfile";
-      case Structure::Rob: return "rob";
-      case Structure::IssueQueue: return "iq";
-      case Structure::Lsq: return "lsq";
-      case Structure::Bpred: return "bpred";
-      case Structure::FuncUnits: return "fu";
-      case Structure::ClockTree: return "clock";
-      case Structure::Dram: return "dram";
-      default: return "invalid";
-    }
-}
-
 double
 EnergyBreakdown::totalDynamicJ() const
 {
@@ -97,12 +78,6 @@ EnergyModel::EnergyModel(const uarch::CoreConfig &cfg)
         // Wider, deeper cores leak more through datapath logic.
         0.05 * static_cast<double>(cfg.width) +
         0.01 * static_cast<double>(cfg.numStages);
-}
-
-double
-EnergyModel::clockTreeWattsAtFullSpeed() const
-{
-    return clockPerCycleNj_ * 1e-9 * cfg_.clockHz;
 }
 
 EnergyBreakdown

@@ -43,9 +43,6 @@ enum class Structure : std::uint8_t
 inline constexpr std::size_t numStructures =
     static_cast<std::size_t>(Structure::NumStructures);
 
-/** Name of a breakdown structure. */
-const char *structureName(Structure s);
-
 /** Energy totals of one simulated interval. */
 struct EnergyBreakdown
 {
@@ -64,12 +61,6 @@ class EnergyModel
 
     /** Convert event counts into an energy breakdown. */
     EnergyBreakdown evaluate(const uarch::EventCounts &ev) const;
-
-    /** Total leakage power of the configuration in watts. */
-    double leakageWatts() const { return leakageW_; }
-
-    /** Peak dynamic power estimate in watts (all events maximal). */
-    double clockTreeWattsAtFullSpeed() const;
 
   private:
     uarch::CoreConfig cfg_;

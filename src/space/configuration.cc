@@ -13,21 +13,6 @@ Configuration::Configuration()
 }
 
 Configuration
-Configuration::fromIndices(const std::array<std::uint8_t, numParams> &idx)
-{
-    const auto &ds = DesignSpace::the();
-    Configuration cfg;
-    for (std::size_t i = 0; i < numParams; ++i) {
-        const auto p = static_cast<Param>(i);
-        if (idx[i] >= ds.numValues(p))
-            fatal("index ", int(idx[i]), " out of range for ",
-                  ds.name(p));
-        cfg.indices_[i] = idx[i];
-    }
-    return cfg;
-}
-
-Configuration
 Configuration::fromValues(const std::array<std::uint64_t, numParams> &vals)
 {
     const auto &ds = DesignSpace::the();
@@ -94,15 +79,6 @@ Configuration::decode(std::uint64_t code)
         code /= radix;
     }
     return cfg;
-}
-
-std::uint64_t
-Configuration::hash() const
-{
-    std::uint64_t z = encode() + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
 }
 
 std::string

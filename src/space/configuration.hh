@@ -26,10 +26,6 @@ class Configuration
     /** Default: smallest value of every parameter. */
     Configuration();
 
-    /** Build from per-parameter value indices. */
-    static Configuration fromIndices(
-        const std::array<std::uint8_t, numParams> &indices);
-
     /** Build from concrete values (each must be legal). */
     static Configuration fromValues(
         const std::array<std::uint64_t, numParams> &values);
@@ -66,9 +62,6 @@ class Configuration
 
     /** Inverse of encode(). */
     static Configuration decode(std::uint64_t code);
-
-    /** Stable 64-bit hash (mixes encode()). */
-    std::uint64_t hash() const;
 
     /** "Width=4 ROB=144 ..." rendering. */
     std::string toString() const;

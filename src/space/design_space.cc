@@ -112,22 +112,6 @@ DesignSpace::indexOf(Param p, std::uint64_t v) const
     return static_cast<std::size_t>(it - vals.begin());
 }
 
-std::size_t
-DesignSpace::closestIndex(Param p, std::uint64_t v) const
-{
-    const auto &vals = values_[static_cast<std::size_t>(p)];
-    std::size_t best = 0;
-    std::uint64_t best_dist = ~std::uint64_t(0);
-    for (std::size_t i = 0; i < vals.size(); ++i) {
-        const std::uint64_t d = vals[i] > v ? vals[i] - v : v - vals[i];
-        if (d < best_dist) {
-            best_dist = d;
-            best = i;
-        }
-    }
-    return best;
-}
-
 double
 DesignSpace::totalPoints() const
 {

@@ -74,9 +74,6 @@ class DesignSpace
      */
     std::size_t indexOf(Param p, std::uint64_t v) const;
 
-    /** Index of the legal value closest to @p v. */
-    std::size_t closestIndex(Param p, std::uint64_t v) const;
-
     /** Total number of configurations (~627 billion). */
     double totalPoints() const;
 

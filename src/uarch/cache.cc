@@ -34,12 +34,4 @@ Cache::probe(Addr addr) const
     return false;
 }
 
-void
-Cache::flush()
-{
-    for (auto &line : lines_)
-        line = Line{};
-    clock_ = 0;
-}
-
 } // namespace adaptsim::uarch

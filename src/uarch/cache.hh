@@ -73,12 +73,8 @@ class Cache
     /** Probe without fill or LRU update (used by monitors). */
     bool probe(Addr addr) const;
 
-    /** Invalidate everything (reconfiguration flush). */
-    void flush();
-
     std::uint64_t numSets() const { return numSets_; }
     int assoc() const { return assoc_; }
-    int lineBytes() const { return 1 << lineShift_; }
     std::uint64_t sizeBytes() const { return bytes_; }
 
     /** Set index of @p addr in this geometry. */

@@ -51,15 +51,14 @@ CacheHierarchy::CacheHierarchy(const CoreConfig &cfg, Cache icache,
 }
 
 int
-CacheHierarchy::beyondL2(Addr addr, bool write, EventCounts &ev,
-                         Cycles now)
+CacheHierarchy::beyondL2(Addr addr, EventCounts &ev, Cycles now)
 {
     if (!llc_) {
         ++ev.memAccesses;
         return cfg_.memLatency;
     }
     ++ev.llcAccesses;
-    const auto out = llc_->access(physical(addr), write, coreId_,
+    const auto out = llc_->access(physical(addr), coreId_,
                                   toLlcTicks(timeBase_ + now));
     ev.llcQueueCycles +=
         std::uint64_t(toCoreCycles(out.queueCycles));
@@ -91,7 +90,7 @@ CacheHierarchy::fetchAccess(Addr pc, EventCounts &ev, SimObserver *obs,
 
     ++ev.l2Misses;
     return cfg_.icacheLatency + cfg_.l2Latency +
-           beyondL2(pc, false, ev, now);
+           beyondL2(pc, ev, now);
 }
 
 int
@@ -117,7 +116,7 @@ CacheHierarchy::dataAccess(Addr addr, bool write, EventCounts &ev,
 
     ++ev.l2Misses;
     return cfg_.dcacheLatency + cfg_.l2Latency +
-           beyondL2(addr, l1.writeback, ev, now);
+           beyondL2(addr, ev, now);
 }
 
 void

@@ -77,14 +77,18 @@ class CacheHierarchy
 
     const Cache &icache() const { return icache_; }
     const Cache &dcache() const { return dcache_; }
-    const Cache &l2cache() const { return l2_; }
+    const Cache &
+    l2cache() const // lint:allow(unused-api) warm-memo state test
+    {
+        return l2_;
+    }
 
   private:
     CacheHierarchy(const CoreConfig &cfg, Cache icache, Cache dcache,
                    Cache l2, SharedLlc *llc, unsigned core_id);
 
     /** Timing below a missing L2: shared LLC or flat DRAM. */
-    int beyondL2(Addr addr, bool write, EventCounts &ev, Cycles now);
+    int beyondL2(Addr addr, EventCounts &ev, Cycles now);
 
     /**
      * Per-program physical placement at the shared level: co-run

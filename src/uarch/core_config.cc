@@ -7,16 +7,9 @@
 #include "common/logging.hh"
 #include "power/cacti.hh"
 #include "power/frequency.hh"
-#include "uarch/chip.hh"
 
 namespace adaptsim::uarch
 {
-
-int
-CoreConfig::intRenameRegs() const
-{
-    return std::max(rfSize - 32, 1);
-}
 
 CoreConfig
 CoreConfig::fromConfiguration(const space::Configuration &c)
@@ -95,19 +88,6 @@ ChipConfig::homogeneous(const space::Configuration &c,
     ChipConfig chip;
     chip.coreConfigs.assign(cores, c);
     return chip;
-}
-
-std::string
-ChipConfig::toString() const
-{
-    std::ostringstream os;
-    os << numCores() << " core(s)";
-    for (const auto &c : coreConfigs)
-        os << " [" << c.key() << "]";
-    if (!singleCore())
-        os << " llc" << llcBytes / 1024 << "K/" << llcAssoc << "w/"
-           << llcBanks << "b q" << Chip::quantum;
-    return os.str();
 }
 
 } // namespace adaptsim::uarch

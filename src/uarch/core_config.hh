@@ -64,9 +64,6 @@ struct CoreConfig
     int latFpMul = 5;
     int latFpDiv = 24;
 
-    /** Number of physical registers beyond architectural state. */
-    int intRenameRegs() const;
-
     /** Build a fully derived CoreConfig from a design-space point. */
     static CoreConfig fromConfiguration(const space::Configuration &c);
 
@@ -108,10 +105,6 @@ struct ChipConfig
     /** All cores at the same design point. */
     static ChipConfig homogeneous(const space::Configuration &c,
                                   std::size_t cores);
-
-    /** "2 core(s) [...] [...] llc8192K/16w/8b q2000" style summary
-     *  (q: Chip::quantum). */
-    std::string toString() const;
 };
 
 } // namespace adaptsim::uarch

@@ -8,8 +8,7 @@ namespace adaptsim::uarch
 {
 
 RegisterFile::RegisterFile(int phys_regs)
-    : physRegs_(phys_regs),
-      renameRegs_(std::max(phys_regs - isa::numArchRegs, 1))
+    : renameRegs_(std::max(phys_regs - isa::numArchRegs, 1))
 {
 }
 

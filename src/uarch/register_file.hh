@@ -50,12 +50,14 @@ class RegisterFile
     /** Registers currently holding live state (arch + in-flight). */
     int used() const { return isa::numArchRegs + inFlight_; }
 
-    int inFlight() const { return inFlight_; }
-    int physRegs() const { return physRegs_; }
+    int
+    inFlight() const // lint:allow(unused-api) squash-accounting tests
+    {
+        return inFlight_;
+    }
 
   private:
-    int physRegs_;
-    int renameRegs_;   ///< physRegs - architectural
+    int renameRegs_;   ///< physical registers beyond architectural
     int inFlight_ = 0;
 };
 

@@ -50,7 +50,7 @@ SharedLlc::checkCore(unsigned core) const
 }
 
 bool
-SharedLlc::lookupFill(Addr addr, bool write, unsigned core)
+SharedLlc::lookupFill(Addr addr, unsigned core)
 {
     const Addr block = blockOf(addr);
     Line *base = &lines_[setIndex(addr) * cfg_.llcAssoc];
@@ -59,7 +59,6 @@ SharedLlc::lookupFill(Addr addr, bool write, unsigned core)
         Line &line = base[w];
         if (line.tag == block) {
             line.lruStamp = ++lruClock_;
-            line.dirty = line.dirty || write;
             return true;
         }
         if (victim->tag != invalidAddr &&
@@ -72,13 +71,12 @@ SharedLlc::lookupFill(Addr addr, bool write, unsigned core)
     victim->tag = block;
     victim->lruStamp = ++lruClock_;
     victim->owner = static_cast<std::uint16_t>(core);
-    victim->dirty = write;
     ++linesOwned_[core];
     return false;
 }
 
 SharedLlc::Outcome
-SharedLlc::access(Addr addr, bool write, unsigned core, Cycles now)
+SharedLlc::access(Addr addr, unsigned core, Cycles now)
 {
     MutexLock lock(mu_);
     checkCore(core);
@@ -90,7 +88,7 @@ SharedLlc::access(Addr addr, bool write, unsigned core, Cycles now)
     bank.nextFree = start + Cycles(cfg_.llcBankService);
 
     Outcome out;
-    out.hit = lookupFill(addr, write, core);
+    out.hit = lookupFill(addr, core);
     if (out.hit) {
         out.queueCycles = static_cast<int>(wait);
         out.latency =

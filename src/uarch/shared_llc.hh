@@ -74,7 +74,7 @@ class SharedLlc
      * Timed access by @p core at absolute core-clock time @p now.
      * Misses fill the line (evicting LRU) and mark @p core as owner.
      */
-    Outcome access(Addr addr, bool write, unsigned core, Cycles now);
+    Outcome access(Addr addr, unsigned core, Cycles now);
 
     /** Fraction of LLC lines currently owned by @p core. */
     double occupancyShare(unsigned core) const;
@@ -85,7 +85,6 @@ class SharedLlc
         Addr tag = invalidAddr;
         std::uint32_t lruStamp = 0;
         std::uint16_t owner = 0;
-        bool dirty = false;
     };
 
     struct Bank
@@ -97,7 +96,7 @@ class SharedLlc
     /** Tag lookup + fill under mu_; returns hit and updates owner
      *  accounting.  A global clock stamps LRU recency
      *  deterministically. */
-    bool lookupFill(Addr addr, bool write, unsigned core)
+    bool lookupFill(Addr addr, unsigned core)
         ADAPTSIM_REQUIRES(mu_);
 
     /** Panics unless @p core is one of this LLC's cores. */

@@ -67,12 +67,6 @@ struct KernelParams
     double randomAccessFrac = 0.1; ///< random vs strided accesses
     int strideBytes = 8;           ///< stride of the regular stream
     double pointerChaseFrac = 0.0; ///< loads dependent on prior load
-
-    /** Bytes of static code implied by the block layout. */
-    std::uint64_t codeFootprint() const
-    {
-        return std::uint64_t(numBlocks) * blockSize * 4;
-    }
 };
 
 /**
@@ -99,7 +93,6 @@ class Kernel
     void skip(std::uint64_t count);
 
     const KernelParams &params() const { return params_; }
-    std::uint32_t kernelId() const { return kernelId_; }
 
   private:
     /** Emit the terminating branch of the current basic block. */

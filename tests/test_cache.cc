@@ -15,14 +15,13 @@ TEST(Cache, Geometry)
     Cache c(32 * 1024, 2, 64);
     EXPECT_EQ(c.numSets(), 256u);
     EXPECT_EQ(c.assoc(), 2);
-    EXPECT_EQ(c.lineBytes(), 64);
+    EXPECT_EQ(c.blockAddr(64), 1u);
 }
 
 TEST(Cache, BlockAndSetIndexFollowTheLineSize)
 {
     for (const int line : {16, 32, 64, 128}) {
         Cache c(8 * 1024, 2, line);
-        EXPECT_EQ(c.lineBytes(), line);
         for (const Addr a : {Addr(0), Addr(0x1234567), Addr(0xfedcba98),
                              Addr(0x7fff'ffff'ffffULL)}) {
             EXPECT_EQ(c.blockAddr(a), a / Addr(line));
@@ -93,18 +92,6 @@ TEST(Cache, ProbeDoesNotDisturbLru)
     (void)c.probe(0x0);        // must NOT refresh 0x0
     c.access(2 * set_stride, false);   // evicts true LRU (0x0)
     EXPECT_FALSE(c.probe(0x0));
-}
-
-TEST(Cache, FlushEmptiesEverything)
-{
-    Cache c(8 * 1024, 2, 64);
-    for (Addr a = 0; a < 4096; a += 64)
-        c.access(a, true);
-    c.flush();
-    for (Addr a = 0; a < 4096; a += 64)
-        EXPECT_FALSE(c.probe(a));
-    // And no stale dirty bits: filling after flush evicts cleanly.
-    EXPECT_FALSE(c.access(0x0, false).writeback);
 }
 
 TEST(Cache, RejectsBadGeometry)

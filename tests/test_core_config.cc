@@ -71,13 +71,6 @@ TEST(CoreConfig, FuCountsScaleWithWidth)
     EXPECT_EQ(cc2.numMul, 1);
 }
 
-TEST(CoreConfig, IntRenameRegs)
-{
-    CoreConfig cc;
-    cc.rfSize = 40;
-    EXPECT_EQ(cc.intRenameRegs(), 8);
-}
-
 TEST(CoreConfig, ToStringIsCompact)
 {
     const auto cc = CoreConfig::fromConfiguration(

@@ -69,18 +69,6 @@ TEST(DesignSpace, IndexOfRoundTrips)
     }
 }
 
-TEST(DesignSpace, ClosestIndex)
-{
-    const auto &ds = DesignSpace::the();
-    // 100 is between RF values 96 and 104; 96 is closer.
-    EXPECT_EQ(ds.value(Param::RfSize,
-                       ds.closestIndex(Param::RfSize, 100)),
-              96u);
-    EXPECT_EQ(ds.closestIndex(Param::Width, 0), 0u);
-    EXPECT_EQ(ds.closestIndex(Param::Width, 100),
-              ds.numValues(Param::Width) - 1);
-}
-
 TEST(DesignSpace, NamesNonEmptyAndUnique)
 {
     const auto &ds = DesignSpace::the();

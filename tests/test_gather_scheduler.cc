@@ -298,7 +298,8 @@ TEST_F(GatherSchedulerTest, RecognisedPhaseReusesCharacterisation)
     EXPECT_EQ(d("gather/memo/hit"), 0u);
     EXPECT_EQ(d("gather/memo/miss"), phases.size());
     EXPECT_EQ(sched.size(), phases.size());
-    EXPECT_TRUE(std::filesystem::exists(sched.indexPath()));
+    EXPECT_TRUE(std::filesystem::exists(
+        GatherScheduler::indexPathFor(repo)));
 
     // Warm: every phase is a genuine recurrence.  The memo satisfies
     // the cold samples bit-exactly (an identical prefix — probes and

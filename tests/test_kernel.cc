@@ -115,7 +115,9 @@ TEST(Kernel, PcsStayInsideCodeFootprint)
         lo = std::min(lo, pc);
         hi = std::max(hi, pc);
     }
-    EXPECT_LE(hi - lo, testParams().codeFootprint());
+    const auto &p = testParams();
+    // Static code: numBlocks blocks of blockSize 4-byte µops.
+    EXPECT_LE(hi - lo, Addr(p.numBlocks) * p.blockSize * 4);
 }
 
 TEST(Kernel, BranchTargetsMatchNextPc)

@@ -2,7 +2,8 @@
  * @file
  * Tests of the adaptsim-lint rule engine: each rule on violating and
  * clean snippets, the lint:allow escape hatch, comment/string-literal
- * awareness, and the tree walker.
+ * awareness, the tree-level unused-api rule on in-memory trees, and
+ * the tree walker.
  */
 
 #include <gtest/gtest.h>
@@ -19,9 +20,11 @@ using adaptsim::lint::Diagnostic;
 using adaptsim::lint::lintFileInto;
 using adaptsim::lint::lintSource;
 using adaptsim::lint::lintTree;
+using adaptsim::lint::lintUnusedApi;
 using adaptsim::lint::render;
 using adaptsim::lint::renderGithub;
 using adaptsim::lint::ruleCatalogue;
+using adaptsim::lint::SourceTree;
 using adaptsim::lint::TreeResult;
 
 namespace
@@ -31,6 +34,40 @@ std::vector<Diagnostic>
 lint(const std::string &path, const std::string &text)
 {
     return lintSource(path, text);
+}
+
+/** A header declaring one accessor, and its house-style column-0
+ *  out-of-line definition. */
+SourceTree
+cacheTree()
+{
+    return {
+        {"src/uarch/cache.hh", "#pragma once\n"
+                               "class Cache\n"
+                               "{\n"
+                               "  public:\n"
+                               "    int lineBytes() const;\n"
+                               "};\n"},
+        {"src/uarch/cache.cc", "#include \"uarch/cache.hh\"\n"
+                               "\n"
+                               "int\n"
+                               "Cache::lineBytes() const\n"
+                               "{\n"
+                               "    return 64;\n"
+                               "}\n"},
+    };
+}
+
+/** Names of the functions unused-api flags in @p tree. */
+std::vector<std::string>
+flagged(const SourceTree &tree)
+{
+    std::vector<std::string> names;
+    for (const auto &d : lintUnusedApi(tree)) {
+        EXPECT_EQ(d.rule, "unused-api");
+        names.push_back(d.message.substr(0, d.message.find("()")));
+    }
+    return names;
 }
 
 } // namespace
@@ -340,7 +377,7 @@ TEST(Lint, RuleCatalogueListsEveryRule)
         "determinism",        "env",
         "logging",            "header-guard",
         "header-using-namespace", "mutex-annotated",
-        "condvar-predicate",
+        "condvar-predicate",  "unused-api",
     };
     EXPECT_EQ(names, expected);
 }
@@ -410,6 +447,159 @@ TEST(Lint, UnreadableFileIsReportedAndScanContinues)
     EXPECT_EQ(res.filesScanned, 1u);
     ASSERT_EQ(res.diagnostics.size(), 1u);
     EXPECT_EQ(res.diagnostics[0].file, "src/uarch/bad.cc");
+    fs::remove_all(root);
+}
+
+TEST(Lint, UnusedApiFlagsAFunctionOnlyItsDefinitionNames)
+{
+    const auto d = lintUnusedApi(cacheTree());
+    ASSERT_EQ(d.size(), 1u);
+    EXPECT_EQ(d[0].file, "src/uarch/cache.hh");
+    EXPECT_EQ(d[0].line, 5u);
+    EXPECT_EQ(d[0].rule, "unused-api");
+    EXPECT_EQ(d[0].message.rfind("lineBytes()", 0), 0u) << d[0].message;
+}
+
+TEST(Lint, UnusedApiColumnZeroDefinitionIsNotAUse)
+{
+    // The definition head names the function at column 0; the same
+    // name indented in a body is a call.
+    auto tree = cacheTree();
+    tree["src/uarch/other.cc"] = "int\n"
+                                 "Other::lineBytes() const\n"
+                                 "{\n"
+                                 "    return 1;\n"
+                                 "}\n";
+    EXPECT_EQ(flagged(tree), std::vector<std::string>{"lineBytes"});
+    tree["src/uarch/other.cc"] = "int\n"
+                                 "twice(const Cache &c)\n"
+                                 "{\n"
+                                 "    return 2 * c.lineBytes();\n"
+                                 "}\n";
+    EXPECT_TRUE(flagged(tree).empty());
+}
+
+TEST(Lint, UnusedApiUseInAnyReferenceDirClears)
+{
+    for (const char *dir : {"bench", "perfbench", "examples", "tools"}) {
+        auto tree = cacheTree();
+        tree[std::string(dir) + "/main.cc"] =
+            "int f(const Cache &c) { return c.lineBytes(); }\n";
+        EXPECT_TRUE(lintUnusedApi(tree).empty()) << dir;
+    }
+}
+
+TEST(Lint, UnusedApiUseOnlyInTestsIsStillFlagged)
+{
+    auto tree = cacheTree();
+    tree["tests/test_cache.cc"] =
+        "TEST(Cache, Line) { EXPECT_EQ(Cache().lineBytes(), 64); }\n";
+    EXPECT_EQ(flagged(tree), std::vector<std::string>{"lineBytes"});
+}
+
+TEST(Lint, UnusedApiPrivateHelperCalledFromItsOwnCcIsUsed)
+{
+    SourceTree tree = {
+        {"src/a/pool.hh", "#pragma once\n"
+                          "class Pool\n"
+                          "{\n"
+                          "  public:\n"
+                          "    int run();\n"
+                          "    int size() const { return grow(); }\n"
+                          "  private:\n"
+                          "    int helper() const;\n"
+                          "    int grow() const;\n"
+                          "};\n"},
+        {"src/a/pool.cc", "int\n"
+                          "Pool::run()\n"
+                          "{\n"
+                          "    return helper();\n"
+                          "}\n"
+                          "\n"
+                          "int\n"
+                          "Pool::helper() const\n"
+                          "{\n"
+                          "    return 1;\n"
+                          "}\n"},
+        {"bench/main.cc", "int main() { return Pool().run(); }\n"},
+    };
+    // helper() is called from pool.cc and grow() from an inline body
+    // in the header; only size() has no caller.
+    EXPECT_EQ(flagged(tree), std::vector<std::string>{"size"});
+}
+
+TEST(Lint, UnusedApiSkipsWhatIsNotANamedFunction)
+{
+    const SourceTree tree = {
+        {"src/a/x.hh",
+         "#pragma once\n"
+         "#define ADAPTSIM_WRAP(x) wrap(x)\n"
+         "namespace a\n"
+         "{\n"
+         "template <class T> int pick(T t);\n"
+         "class ADAPTSIM_CAPABILITY(\"mutex\") X : public Base\n"
+         "{\n"
+         "  public:\n"
+         "    explicit X(int n) : n_{n}, m_(n) {}\n"
+         "    ~X();\n"
+         "    X(const X &) = delete;\n"
+         "    bool operator==(const X &) const = default;\n"
+         "    void reset(int) = delete;\n"
+         "    std::function<void(int)> cb_;\n"
+         "    int n_ ADAPTSIM_GUARDED_BY(mu_);\n"
+         "    int m_ = compute(3);\n"
+         "    using Fn = void (*)(int);\n"
+         "};\n"
+         "} // namespace a\n"},
+    };
+    // Constructors, destructors, operators, deleted functions, macros,
+    // members and initializers are no declarations; the template is.
+    EXPECT_EQ(flagged(tree), std::vector<std::string>{"pick"});
+}
+
+TEST(Lint, UnusedApiAllowNeedsAReason)
+{
+    auto tree = cacheTree();
+    auto &header = tree["src/uarch/cache.hh"];
+    const std::string decl = "    int lineBytes() const;\n";
+    header.replace(header.find(decl), decl.size(),
+                   "    int lineBytes() const; "
+                   "// lint:allow(unused-api) debugging aid\n");
+    EXPECT_TRUE(lintUnusedApi(tree).empty());
+
+    header.replace(header.find(" debugging aid"),
+                   std::string(" debugging aid").size(), "");
+    const auto d = lintUnusedApi(tree);
+    ASSERT_EQ(d.size(), 1u);
+    EXPECT_NE(d[0].message.find("must say why"), std::string::npos)
+        << d[0].message;
+}
+
+TEST(Lint, TreeWalkReadsTheReferenceSetWithoutLintingIt)
+{
+    // perfbench/ and tools/ supply uses for unused-api but are not
+    // linted: their raw stderr write and getenv stay unreported.
+    namespace fs = std::filesystem;
+    const fs::path root =
+        fs::path(testing::TempDir()) / "adaptsim_lint_reference";
+    fs::remove_all(root);
+    fs::create_directories(root / "src" / "a");
+    fs::create_directories(root / "perfbench");
+    fs::create_directories(root / "tools");
+    std::ofstream(root / "src" / "a" / "x.hh")
+        << "#pragma once\nint used();\nint unused();\n";
+    std::ofstream(root / "perfbench" / "bench.cc")
+        << "void f() { std::cerr << used(); }\n";
+    std::ofstream(root / "tools" / "tool.cc")
+        << "const char *v = getenv(\"X\");\n";
+
+    const auto res = lintTree(root.string(), {"src"});
+    EXPECT_EQ(res.filesScanned, 1u);
+    EXPECT_TRUE(res.errors.empty());
+    ASSERT_EQ(res.diagnostics.size(), 1u);
+    EXPECT_EQ(res.diagnostics[0].file, "src/a/x.hh");
+    EXPECT_EQ(res.diagnostics[0].line, 3u);
+    EXPECT_EQ(res.diagnostics[0].rule, "unused-api");
     fs::remove_all(root);
 }
 

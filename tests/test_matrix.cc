@@ -21,16 +21,6 @@ TEST(Matrix, ConstructionAndIndexing)
     EXPECT_EQ(m.data()[1 * 2 + 0], -2.0);
 }
 
-TEST(Matrix, SquaredNorm)
-{
-    Matrix m(2, 2);
-    m(0, 0) = 1.0;
-    m(0, 1) = 2.0;
-    m(1, 0) = 3.0;
-    m(1, 1) = 4.0;
-    EXPECT_NEAR(m.squaredNorm(), 30.0, 1e-12);
-}
-
 TEST(Matrix, TransposeMultiply)
 {
     // A is D(2) × K(3): y = Aᵀx.

@@ -26,13 +26,6 @@ TEST(OpClass, FpPredicate)
     EXPECT_FALSE(isFpOp(OpClass::IntMul));
 }
 
-TEST(OpClass, NamesDistinct)
-{
-    EXPECT_STRNE(opClassName(OpClass::IntAlu),
-                 opClassName(OpClass::FpAlu));
-    EXPECT_STREQ(opClassName(OpClass::Load), "Load");
-}
-
 TEST(MicroOp, FlagHelpers)
 {
     MicroOp op;
@@ -66,18 +59,4 @@ TEST(MicroOp, FpDestination)
     op.destReg = noReg;
     op.opClass = OpClass::FpAlu;
     EXPECT_FALSE(op.writesFp());  // no destination at all
-}
-
-TEST(MicroOp, ToStringMentionsFields)
-{
-    MicroOp op;
-    op.pc = 0x1000;
-    op.opClass = OpClass::Branch;
-    op.isCond = true;
-    op.taken = true;
-    op.target = 0x2000;
-    const auto s = op.toString();
-    EXPECT_NE(s.find("Branch"), std::string::npos);
-    EXPECT_NE(s.find("taken"), std::string::npos);
-    EXPECT_NE(s.find("1000"), std::string::npos);
 }

@@ -135,13 +135,6 @@ TEST(Registry, SameNameReturnsSameHandle)
     Registry reg;
     EXPECT_EQ(&reg.counter("dup"), &reg.counter("dup"));
     EXPECT_EQ(&reg.histogram("duph"), &reg.histogram("duph"));
-    EXPECT_EQ(reg.findHistogram("duph"), &reg.histogram("duph"));
-    EXPECT_EQ(reg.findCounter("dup"), &reg.counter("dup"));
-    EXPECT_EQ(reg.findCounter("absent"), nullptr);
-    EXPECT_EQ(reg.findHistogram("absent"), nullptr);
-    // A name found as one kind is absent as the other.
-    EXPECT_EQ(reg.findHistogram("dup"), nullptr);
-    EXPECT_EQ(reg.findCounter("duph"), nullptr);
 }
 
 TEST(Registry, NameOfTheOtherKindPanics)
@@ -153,24 +146,6 @@ TEST(Registry, NameOfTheOtherKindPanics)
                  "already registered as a counter");
     EXPECT_DEATH(reg.counter("taken/h"),
                  "already registered as a histogram");
-}
-
-TEST(Registry, ResetZeroesButKeepsHandles)
-{
-    Registry reg;
-    auto &c = reg.counter("r/c");
-    auto &h = reg.histogram("r/h");
-    c.add(7);
-    h.record(1.5);
-    reg.reset();
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(h.stats().count, 0u);
-    EXPECT_EQ(h.stats().max, 0.0);
-    c.add(2);
-    EXPECT_EQ(c.value(), 2u);
-    // The first record after a reset sets min, not min(0, v).
-    h.record(2.5);
-    EXPECT_EQ(h.stats().min, 2.5);
 }
 
 TEST(Registry, SnapshotSortedByName)
@@ -375,7 +350,6 @@ TEST(Trace, ChromeTraceIsValidJsonOfCompleteEvents)
         });
         other.join();
 
-        EXPECT_EQ(writer.eventCount(), 5u);   // 3 X + 2 M
         EXPECT_TRUE(writer.finish());
     }
 
@@ -505,9 +479,9 @@ TEST(Span, RecordsIntoGlobalRegistryAndTrace)
     }
     TraceWriter::setActive(nullptr);
 
-    auto *hist = Registry::global().findHistogram("test/span.seconds");
-    ASSERT_NE(hist, nullptr);
-    EXPECT_GE(hist->stats().count, 1u);
+    EXPECT_GE(
+        Registry::global().histogram("test/span.seconds").stats().count,
+        1u);
     EXPECT_GE(
         Registry::global().counter("test/span.visits").value(), 1u);
 

@@ -137,12 +137,13 @@ TEST(OnlineDetector, BestMatchIsConstAndThresholdFree)
     det.observe(bbvAt(wl, 250000));
 
     const auto &cdet = det;
+    const std::string before = det.serialize();
     const auto m = cdet.bestMatch(bbvAt(wl, 14000));
     ASSERT_TRUE(m.has_value());
     EXPECT_EQ(m->phaseId, 0u);
     EXPECT_LT(m->distance, cdet.threshold());
-    // Query must not count as an observation.
-    EXPECT_EQ(det.observations(0), 1u);
+    // The query counts no observation and moves no current phase.
+    EXPECT_EQ(det.serialize(), before);
 }
 
 TEST(OnlineDetector, SerializeRoundTripsBitExactly)
@@ -157,11 +158,9 @@ TEST(OnlineDetector, SerializeRoundTripsBitExactly)
     const auto back = OnlinePhaseDetector::deserialize(bytes);
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(back->numPhases(), det.numPhases());
-    EXPECT_EQ(back->currentPhase(), det.currentPhase());
     EXPECT_EQ(back->threshold(), det.threshold());
     EXPECT_EQ(back->capacity(), det.capacity());
     for (std::size_t i = 0; i < det.numPhases(); ++i) {
-        EXPECT_EQ(back->observations(i), det.observations(i));
         EXPECT_EQ(back->signature(i).values(),
                   det.signature(i).values());
         EXPECT_EQ(back->signature(i).opCount(),

@@ -94,17 +94,6 @@ TEST(Rng, GaussianMoments)
     EXPECT_NEAR(sq / n, 1.0, 0.05);
 }
 
-TEST(Rng, WeightedRespectsWeights)
-{
-    Rng rng(17);
-    const std::vector<double> w = {1.0, 0.0, 3.0};
-    int counts[3] = {0, 0, 0};
-    for (int i = 0; i < 8000; ++i)
-        ++counts[rng.nextWeighted(w)];
-    EXPECT_EQ(counts[1], 0);
-    EXPECT_NEAR(double(counts[2]) / double(counts[0]), 3.0, 0.4);
-}
-
 TEST(Rng, SplitIsDeterministicAndIndependent)
 {
     Rng a(5), b(5);

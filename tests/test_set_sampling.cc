@@ -12,10 +12,8 @@ using adaptsim::counters::SetSampler;
 TEST(SetSampler, ZeroMeansAllSets)
 {
     SetSampler s(256, 0);
-    EXPECT_EQ(s.sampledSets(), 256u);
     for (std::uint64_t i = 0; i < 256; ++i)
         EXPECT_TRUE(s.sampled(i));
-    EXPECT_DOUBLE_EQ(s.fraction(), 1.0);
 }
 
 TEST(SetSampler, StrideSampling)
@@ -29,7 +27,6 @@ TEST(SetSampler, StrideSampling)
     EXPECT_TRUE(s.sampled(0));
     EXPECT_TRUE(s.sampled(16));
     EXPECT_FALSE(s.sampled(1));
-    EXPECT_DOUBLE_EQ(s.fraction(), 16.0 / 256.0);
 }
 
 TEST(SetSampler, AddressMapping)

@@ -50,10 +50,10 @@ TEST(SharedLlc, GeometryMustBePowerOfTwo)
 TEST(SharedLlc, MissThenHitOnTheSameLine)
 {
     SharedLlc llc(tinyChip(2));
-    const auto miss = llc.access(0x1000, false, 0, 0);
+    const auto miss = llc.access(0x1000, 0, 0);
     EXPECT_FALSE(miss.hit);
     // A later access to the same line hits and is much cheaper.
-    const auto hit = llc.access(0x1000, false, 0, 1000);
+    const auto hit = llc.access(0x1000, 0, 1000);
     EXPECT_TRUE(hit.hit);
     EXPECT_LT(hit.latency, miss.latency);
     // Only the miss filled a line.
@@ -64,9 +64,9 @@ TEST(SharedLlc, HitLatencyIsBusPlusHit)
 {
     const ChipConfig cfg = tinyChip(1);
     SharedLlc llc(cfg);
-    llc.access(0x2000, false, 0, 0);
+    llc.access(0x2000, 0, 0);
     // An uncontended hit pays exactly the bus + hit latency.
-    const auto h = llc.access(0x2000, false, 0, 10000);
+    const auto h = llc.access(0x2000, 0, 10000);
     EXPECT_TRUE(h.hit);
     EXPECT_EQ(h.latency, cfg.busLatency + cfg.llcLatency);
     EXPECT_EQ(h.queueCycles, 0);
@@ -81,12 +81,12 @@ TEST(SharedLlc, BankQueueDelaysBackToBackRequests)
     const Addr a = 0x0;
     const Addr b =
         a + std::uint64_t(CoreConfig::cacheLineBytes) * cfg.llcBanks;
-    llc.access(a, false, 0, 0);
-    llc.access(b, false, 1, 0);
+    llc.access(a, 0, 0);
+    llc.access(b, 1, 0);
 
     // Same arrival time: the second request waits for the bank.
-    const auto first = llc.access(a, false, 0, 5000);
-    const auto second = llc.access(b, false, 1, 5000);
+    const auto first = llc.access(a, 0, 5000);
+    const auto second = llc.access(b, 1, 5000);
     EXPECT_TRUE(first.hit);
     EXPECT_TRUE(second.hit);
     EXPECT_EQ(first.queueCycles, 0);
@@ -103,9 +103,9 @@ TEST(SharedLlc, MshrExhaustionStallsFurtherMisses)
 
     // Fill both MSHRs of bank 0 with simultaneous misses, spaced so
     // the bank queue alone cannot explain the third one's wait.
-    const auto m1 = llc.access(0 * stride, false, 0, 0);
-    const auto m2 = llc.access(1 * stride, false, 0, 0);
-    const auto m3 = llc.access(2 * stride, false, 0, 0);
+    const auto m1 = llc.access(0 * stride, 0, 0);
+    const auto m2 = llc.access(1 * stride, 0, 0);
+    const auto m3 = llc.access(2 * stride, 0, 0);
     EXPECT_FALSE(m1.hit);
     EXPECT_FALSE(m2.hit);
     EXPECT_FALSE(m3.hit);
@@ -119,9 +119,9 @@ TEST(SharedLlc, OccupancyTracksLineOwnership)
 {
     SharedLlc llc(tinyChip(2));
     for (std::uint64_t i = 0; i < 32; ++i)
-        llc.access(i * 64, false, 0, 0);
+        llc.access(i * 64, 0, 0);
     for (std::uint64_t i = 32; i < 48; ++i)
-        llc.access(i * 64, false, 1, 0);
+        llc.access(i * 64, 1, 0);
 
     // Shares are over total capacity (64 sets x 16 ways = 1024
     // lines), so a mostly-empty cache reports small shares.
@@ -134,25 +134,25 @@ TEST(SharedLlc, OccupancyTracksLineOwnership)
 TEST(SharedLlc, OwnershipTransfersOnRefill)
 {
     SharedLlc llc(tinyChip(2));
-    llc.access(0x4000, false, 0, 0);
+    llc.access(0x4000, 0, 0);
     EXPECT_EQ(llc.occupancyShare(0), 1 / tinyLines);
 
     // Core 1 touching the same (present) line does NOT steal it —
     // ownership is fill-based, not access-based.
-    EXPECT_TRUE(llc.access(0x4000, false, 1, 100).hit);
+    EXPECT_TRUE(llc.access(0x4000, 1, 100).hit);
     EXPECT_EQ(llc.occupancyShare(0), 1 / tinyLines);
     EXPECT_EQ(llc.occupancyShare(1), 0.0);
 
     // Core 0 fills the rest of the set; core 1's miss in it evicts
     // the LRU line (0x4000) and owns the refill.
     for (Addr w = 1; w < 16; ++w)
-        llc.access(0x4000 + w * tinySetStride, false, 0, 0);
+        llc.access(0x4000 + w * tinySetStride, 0, 0);
     EXPECT_EQ(llc.occupancyShare(0), 16 / tinyLines);
     EXPECT_FALSE(
-        llc.access(0x4000 + 16 * tinySetStride, false, 1, 0).hit);
+        llc.access(0x4000 + 16 * tinySetStride, 1, 0).hit);
     EXPECT_EQ(llc.occupancyShare(0), 15 / tinyLines);
     EXPECT_EQ(llc.occupancyShare(1), 1 / tinyLines);
-    EXPECT_FALSE(llc.access(0x4000, false, 0, 0).hit);
+    EXPECT_FALSE(llc.access(0x4000, 0, 0).hit);
 }
 
 TEST(SharedLlc, SharedMissRatioPerCore)
@@ -160,11 +160,11 @@ TEST(SharedLlc, SharedMissRatioPerCore)
     // A core's shared-level miss ratio is over its own outcomes,
     // tallied the way CacheHierarchy counts each core's EventCounts.
     SharedLlc llc(tinyChip(2));
-    llc.access(0x8000, false, 0, 0);
+    llc.access(0x8000, 0, 0);
     std::uint64_t accesses[2] = {}, misses[2] = {};
     const auto access = [&](Addr addr, unsigned core, Cycles now) {
         ++accesses[core];
-        misses[core] += !llc.access(addr, false, core, now).hit;
+        misses[core] += !llc.access(addr, core, now).hit;
     };
     // Core 0: two hits.  Core 1: one miss, one hit.
     access(0x8000, 0, 0);
@@ -181,8 +181,8 @@ TEST(SharedLlc, Deterministic)
         SharedLlc llc(tinyChip(2));
         std::uint64_t sum = 0;
         for (std::uint64_t i = 0; i < 4096; ++i) {
-            const auto o = llc.access((i * 2654435761u) & 0x3ffffu,
-                                      (i & 3) == 0, i & 1, i * 2);
+            const auto o =
+                llc.access((i * 2654435761u) & 0x3ffffu, i & 1, i * 2);
             sum = sum * 31 + std::uint64_t(o.latency) + o.hit;
         }
         return sum;
@@ -207,8 +207,7 @@ TEST(SharedLlc, ConcurrentAccessIsSafe)
     for (unsigned t = 0; t < kThreads; ++t) {
         workers.emplace_back([&llc, t] {
             for (std::uint64_t i = 0; i < kAccesses; ++i) {
-                llc.access(((t * 977 + i) * 64) & 0xfffff,
-                           (i & 7) == 0, t, i);
+                llc.access(((t * 977 + i) * 64) & 0xfffff, t, i);
                 if ((i & 63) == 0)
                     llc.occupancyShare(t);
             }

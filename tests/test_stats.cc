@@ -1,63 +1,13 @@
 /**
  * @file
- * Tests of the streaming statistics helpers.
+ * Tests of the summary statistics helpers.
  */
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hh"
 #include "common/stats.hh"
 
 using namespace adaptsim;
-
-TEST(RunningStat, BasicMoments)
-{
-    RunningStat s;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(v);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_NEAR(s.mean(), 5.0, 1e-12);
-    EXPECT_NEAR(s.variance(), 4.571428571, 1e-6);
-    EXPECT_EQ(s.min(), 2.0);
-    EXPECT_EQ(s.max(), 9.0);
-    EXPECT_NEAR(s.sum(), 40.0, 1e-12);
-}
-
-TEST(RunningStat, EmptyIsZero)
-{
-    RunningStat s;
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.variance(), 0.0);
-    EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(RunningStat, MergeMatchesDirect)
-{
-    Rng rng(99);
-    RunningStat direct, a, b;
-    for (int i = 0; i < 1000; ++i) {
-        const double v = rng.nextGaussian() * 3.0 + 1.0;
-        direct.add(v);
-        (i % 2 ? a : b).add(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), direct.count());
-    EXPECT_NEAR(a.mean(), direct.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), direct.variance(), 1e-9);
-    EXPECT_EQ(a.min(), direct.min());
-    EXPECT_EQ(a.max(), direct.max());
-}
-
-TEST(RunningStat, MergeWithEmpty)
-{
-    RunningStat a, b;
-    a.add(3.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 1u);
-    b.merge(a);
-    EXPECT_EQ(b.count(), 1u);
-    EXPECT_EQ(b.mean(), 3.0);
-}
 
 TEST(Stats, Geomean)
 {

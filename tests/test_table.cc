@@ -1,13 +1,11 @@
 /**
  * @file
- * Tests of the ASCII table renderer and CSV writer.
+ * Tests of the ASCII table renderer.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <string>
 
 #include "common/table.hh"
 
@@ -49,19 +47,7 @@ TEST(TextTable, RaggedRowsHandled)
     TextTable t;
     t.setHeader({"a", "b", "c"});
     t.addRow({"only-one"});
-    EXPECT_NO_THROW({ auto s = t.render(); (void)s; });
-    EXPECT_EQ(t.numRows(), 1u);
-}
-
-TEST(Csv, WritesFile)
-{
-    const std::string path = "/tmp/adaptsim_test_table.csv";
-    adaptsim::writeCsv(path, {"x", "y"}, {{"1", "2"}, {"3", "4"}});
-    std::ifstream in(path);
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line, "x,y");
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line, "1,2");
-    std::filesystem::remove(path);
+    std::string s;
+    EXPECT_NO_THROW(s = t.render());
+    EXPECT_NE(s.find("only-one"), std::string::npos);
 }

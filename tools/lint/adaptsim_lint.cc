@@ -7,10 +7,11 @@
  *                   [--list-rules] [SUBDIR...]
  *
  * DIR defaults to the current directory; SUBDIRs default to
- * `src bench tests examples`.  --format=github renders violations as
- * GitHub Actions `::error` workflow commands so CI annotates the
- * offending lines in pull-request diffs; --list-rules prints the
- * rule catalogue and exits.  Unreadable files are reported but do
+ * `src bench tests examples`; the unused-api rule also reads, without
+ * linting them, perfbench/ and tools/ for uses.  --format=github
+ * renders violations as GitHub Actions `::error` workflow commands so
+ * CI annotates the offending lines in pull-request diffs;
+ * --list-rules prints the rule catalogue and exits.  Unreadable files are reported but do
  * not stop the scan.  Exit status: 0 clean, 1 violations found,
  * 2 usage or I/O error (I/O takes precedence over violations).
  * Registered as the ctest test `lint`.

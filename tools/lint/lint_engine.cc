@@ -4,8 +4,13 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 namespace adaptsim::lint
 {
@@ -498,6 +503,284 @@ checkUsingNamespace(const std::string &path,
     }
 }
 
+/** The directories whose files can use a src/ header's functions.
+ *  tests/ is absent on purpose: a test-only caller keeps nothing. */
+const char *const kApiReferenceDirs[] = {"src", "bench", "examples",
+                                         "perfbench", "tools"};
+
+bool
+inApiReferenceSet(const std::string &path)
+{
+    return std::any_of(std::begin(kApiReferenceDirs),
+                       std::end(kApiReferenceDirs),
+                       [&](const char *dir) {
+                           return startsWith(path,
+                                             std::string(dir) + "/");
+                       });
+}
+
+/** Words that can precede a declaration's `(` without naming it:
+ *  keywords, builtin types, attributes and macros. */
+bool
+isNonFunctionWord(const std::string &w)
+{
+    static const std::set<std::string> kWords = {
+        "__attribute__", "alignas",  "alignof",  "auto",
+        "bool",          "char",     "decltype", "deprecated",
+        "double",        "explicit", "float",    "int",
+        "long",          "noexcept", "requires", "short",
+        "signed",        "sizeof",   "static_assert",
+        "unsigned",      "void",
+    };
+    // No lower-case letter: a macro (ADAPTSIM_REQUIRES(m), ...).
+    return kWords.count(w) != 0 ||
+           std::none_of(w.begin(), w.end(), [](char c) {
+               return std::islower(static_cast<unsigned char>(c));
+           });
+}
+
+/** The identifier ending just before @p pos in @p s (spaces
+ *  skipped); @p begin receives its first column. */
+std::string
+identBefore(const std::string &s, std::size_t pos, std::size_t &begin)
+{
+    std::size_t end = pos;
+    while (end > 0 && s[end - 1] == ' ')
+        --end;
+    begin = end;
+    while (begin > 0 && isIdent(s[begin - 1]))
+        --begin;
+    return s.substr(begin, end - begin);
+}
+
+/** @p stmt without its leading `template <...>` headers, whose
+ *  `class T` parameters would otherwise read as a class head. */
+std::string
+stripTemplateHeads(std::string stmt)
+{
+    for (;;) {
+        stmt = trim(stmt);
+        if (!startsWith(stmt, "template") || stmt.size() == 8 ||
+            isIdent(stmt[8]))
+            return stmt;
+        const std::size_t open = stmt.find('<');
+        if (open == std::string::npos)
+            return stmt;
+        int depth = 0;
+        std::size_t i = open;
+        for (; i < stmt.size(); ++i) {
+            if (stmt[i] == '<')
+                ++depth;
+            else if (stmt[i] == '>' && --depth == 0)
+                break;
+        }
+        stmt.erase(0, i + 1);
+    }
+}
+
+/** True when @p stmt opens a class, struct, union or enum body. */
+bool
+isClassHead(const std::string &stmt)
+{
+    const std::string s = stripTemplateHeads(stmt);
+    const std::string head = s.substr(0, s.find('('));
+    return hasToken(head, "class") || hasToken(head, "struct") ||
+           hasToken(head, "union") || hasToken(head, "enum");
+}
+
+/** The first code character after column @p col of line @p li that
+ *  is not blank, or '\0' at the end of the file. */
+char
+nextCodeChar(const std::vector<ScanLine> &lines, std::size_t li,
+             std::size_t col)
+{
+    for (; li < lines.size(); ++li, col = 0) {
+        const std::string &code = lines[li].code;
+        for (; col < code.size(); ++col)
+            if (code[col] != ' ' && code[col] != '\t')
+                return code[col];
+    }
+    return '\0';
+}
+
+/** A function declared in a header: its name and the 0-based line
+ *  and column of the declaring token. */
+struct ApiDecl
+{
+    std::string name;
+    std::size_t line;
+    std::size_t col;
+};
+
+/**
+ * The functions a header declares at namespace or class scope.  Each
+ * statement's first `name(` that is not a keyword, macro, type,
+ * operator, alias or initializer is a declaration; function bodies
+ * are skipped, and `= delete`d declarations do not count.  House
+ * style names functions in lowerCamelCase, so a capitalised name
+ * before `(` is a constructor, a destructor or a function type.
+ */
+std::vector<ApiDecl>
+declaredFunctions(const std::vector<ScanLine> &lines)
+{
+    // One open brace.  A body brace (function, initializer) opened at
+    // declaration scope remembers the statement it interrupted, so a
+    // constructor's `a_{x}, b_(y)` initializer list resumes it.
+    struct Brace
+    {
+        bool body;
+        std::string stmt;
+        bool taken;
+    };
+    std::vector<Brace> braces;
+    std::vector<ApiDecl> out;
+    std::optional<ApiDecl> pending;
+    std::string stmt; // declaration-scope text since ; { or }
+    bool taken = false;    // the statement's name( is already decided
+    bool assigned = false; // a top-level `=` precedes: an initializer
+    int paren = 0;
+    int angle = 0;
+    bool continued = false; // inside a multi-line preprocessor line
+
+    const auto endStatement = [&] {
+        stmt.clear();
+        taken = assigned = false;
+        paren = angle = 0;
+    };
+
+    for (std::size_t li = 0; li < lines.size(); ++li) {
+        const std::string &code = lines[li].code;
+        const std::string t = trim(code);
+        if (continued || startsWith(t, "#")) {
+            continued = !t.empty() && t.back() == '\\';
+            continue;
+        }
+        for (std::size_t i = 0; i < code.size(); ++i) {
+            const char c = code[i];
+            if (!braces.empty() && braces.back().body) {
+                if (c == '{') {
+                    braces.push_back({true, "", false});
+                } else if (c == '}') {
+                    const Brace closed = braces.back();
+                    braces.pop_back();
+                    if (braces.empty() || !braces.back().body) {
+                        const char next = nextCodeChar(lines, li, i + 1);
+                        if (next == ',' || next == '{') {
+                            stmt = closed.stmt;
+                            taken = closed.taken;
+                        } else {
+                            endStatement();
+                        }
+                    }
+                }
+                continue;
+            }
+            if (c == '{' && paren == 0) {
+                const bool scope = hasToken(stmt, "namespace") ||
+                                   hasToken(stmt, "extern") ||
+                                   (!assigned && isClassHead(stmt));
+                if (!scope) {
+                    if (pending)
+                        out.push_back(*pending);
+                    pending.reset();
+                }
+                braces.push_back({!scope, stmt, taken});
+                if (scope)
+                    endStatement();
+            } else if (c == '}' && paren == 0) {
+                if (!braces.empty())
+                    braces.pop_back();
+                endStatement();
+            } else if (c == ';' && paren == 0) {
+                const bool deleted =
+                    assigned && hasToken(stmt, "delete");
+                if (pending && !deleted)
+                    out.push_back(*pending);
+                pending.reset();
+                endStatement();
+            } else {
+                if (c == '(' && paren == 0 && !taken) {
+                    std::size_t begin;
+                    const std::string name = identBefore(code, i, begin);
+                    // A keyword or macro defers to the next `(`.
+                    if (name.empty() || !isNonFunctionWord(name)) {
+                        taken = true;
+                        if (!name.empty() &&
+                            !std::isupper(
+                                static_cast<unsigned char>(name[0])) &&
+                            !assigned && !hasToken(stmt, "operator") &&
+                            !hasToken(stmt, "using") &&
+                            !hasToken(stmt, "typedef"))
+                            pending = ApiDecl{name, li, begin};
+                    }
+                }
+                if (c == '(')
+                    ++paren;
+                else if (c == ')' && paren > 0)
+                    --paren;
+                else if (paren == 0 && c == '<')
+                    ++angle;
+                else if (paren == 0 && c == '>' && angle > 0 &&
+                         (i == 0 || code[i - 1] != '-'))
+                    --angle;
+                else if (paren == 0 && angle == 0 && c == '=')
+                    assigned = true;
+                stmt += c;
+            }
+        }
+        if (braces.empty() || !braces.back().body)
+            stmt += ' '; // line break separates tokens
+    }
+    return out;
+}
+
+/**
+ * The column of the function name when line @p code is a column-0
+ * out-of-line definition head (`Class::name(`, `name(` or
+ * `Tmpl<T>::name(`), std::string::npos otherwise.
+ */
+std::size_t
+columnZeroDefinition(const std::string &code)
+{
+    if (code.empty() ||
+        !(std::isalpha(static_cast<unsigned char>(code[0])) ||
+          code[0] == '_'))
+        return std::string::npos;
+    const std::size_t open = code.find('(');
+    if (open == std::string::npos)
+        return std::string::npos;
+    int angle = 0;
+    for (std::size_t i = 0; i < open; ++i) {
+        const char c = code[i];
+        if (c == '<')
+            ++angle;
+        else if (c == '>')
+            --angle;
+        else if (c == ' ' ? angle == 0
+                          : !(isIdent(c) || c == ':' || c == ',' ||
+                              c == '~'))
+            return std::string::npos;
+    }
+    std::size_t begin = open;
+    while (begin > 0 && isIdent(code[begin - 1]))
+        --begin;
+    return begin == open ? std::string::npos : begin;
+}
+
+/** True when a `lint:allow(...)` comment says something besides the
+ *  marker itself: the reason an exemption holds. */
+bool
+allowGivesReason(const std::string &comment)
+{
+    std::string rest = comment;
+    const std::size_t pos = rest.find("lint:allow(");
+    if (pos != std::string::npos)
+        rest.erase(pos, rest.find(')', pos) - pos + 1);
+    return std::any_of(rest.begin(), rest.end(), [](char c) {
+        return std::isalnum(static_cast<unsigned char>(c));
+    });
+}
+
 } // namespace
 
 std::string
@@ -580,6 +863,10 @@ ruleCatalogue()
          "common/sync.hh"},
         {"condvar-predicate",
          "condition-variable wait() must use the predicate overload"},
+        {"unused-api",
+         "every function a src/ header declares has a use in src/, "
+         "bench/, examples/, perfbench/ or tools/ besides its "
+         "declaration and column-0 definition; tests/ do not count"},
     };
     return rules;
 }
@@ -665,23 +952,135 @@ lintSource(const std::string &path, const std::string &text)
     return kept;
 }
 
-void
-lintFileInto(const std::string &root, const std::string &rel,
-             TreeResult &res)
+std::vector<Diagnostic>
+lintUnusedApi(const SourceTree &tree)
 {
-    namespace fs = std::filesystem;
-    std::ifstream in(fs::path(root) / rel, std::ios::binary);
+    std::map<std::string, std::vector<ScanLine>> scanned;
+    for (const auto &[path, text] : tree)
+        if (inApiReferenceSet(path))
+            scanned.emplace(path, scan(text));
+
+    struct Site
+    {
+        std::string file;
+        ApiDecl decl;
+    };
+    std::vector<Site> decls;
+    std::set<std::string> names;
+    std::set<std::tuple<std::string, std::size_t, std::size_t>>
+        declTokens;
+    for (const auto &[path, lines] : scanned) {
+        if (!startsWith(path, "src/") || !classify(path).header)
+            continue;
+        for (ApiDecl &d : declaredFunctions(lines)) {
+            names.insert(d.name);
+            declTokens.insert({path, d.line, d.col});
+            decls.push_back({path, std::move(d)});
+        }
+    }
+
+    // A use is any code token naming a declared function, except the
+    // declaring tokens and the names of column-0 definition heads.
+    std::set<std::string> used;
+    for (const auto &[path, lines] : scanned) {
+        for (std::size_t li = 0; li < lines.size(); ++li) {
+            const std::string &code = lines[li].code;
+            const std::size_t defCol = columnZeroDefinition(code);
+            for (std::size_t i = 0; i < code.size(); ++i) {
+                if (!isIdent(code[i]) || (i > 0 && isIdent(code[i - 1])))
+                    continue;
+                std::size_t end = i;
+                while (end < code.size() && isIdent(code[end]))
+                    ++end;
+                const std::string tok = code.substr(i, end - i);
+                if (i != defCol && names.count(tok) != 0 &&
+                    declTokens.count({path, li, i}) == 0)
+                    used.insert(tok);
+                i = end;
+            }
+        }
+    }
+
+    std::vector<Diagnostic> out;
+    for (const Site &s : decls) {
+        if (used.count(s.decl.name) != 0)
+            continue;
+        const std::string &comment =
+            scanned.at(s.file)[s.decl.line].comment;
+        const auto allowed = allowedRules(comment);
+        const bool allow = std::find(allowed.begin(), allowed.end(),
+                                     "unused-api") != allowed.end();
+        if (allow && allowGivesReason(comment))
+            continue;
+        out.push_back(
+            {s.file, s.decl.line + 1, "unused-api",
+             allow ? "lint:allow(unused-api) must say why " +
+                         s.decl.name + "() is kept"
+                   : s.decl.name +
+                         "() has no use outside its declaration, "
+                         "its definition and tests/; delete it, or "
+                         "keep it with `// lint:allow(unused-api) "
+                         "<reason>`"});
+    }
+    return out;
+}
+
+namespace
+{
+
+/** The contents of @p rel under @p root, or std::nullopt (recorded
+ *  in res.errors) when it cannot be read. */
+std::optional<std::string>
+readSource(const std::string &root, const std::string &rel,
+           TreeResult &res)
+{
+    std::ifstream in(std::filesystem::path(root) / rel,
+                     std::ios::binary);
     if (!in) {
         res.errors.push_back("cannot read " + rel);
-        return;
+        return std::nullopt;
     }
     std::ostringstream ss;
     ss << in.rdbuf();
+    return ss.str();
+}
+
+/** Every .cc/.hh/.cpp/.hpp file under @p dir (relative to @p root),
+ *  as sorted repo-relative paths. */
+std::vector<std::string>
+listSources(const std::string &root, const std::string &dir)
+{
+    namespace fs = std::filesystem;
+    std::vector<std::string> files;
+    for (const auto &ent :
+         fs::recursive_directory_iterator(fs::path(root) / dir)) {
+        if (!ent.is_regular_file())
+            continue;
+        const std::string ext = ent.path().extension().string();
+        if (ext != ".cc" && ext != ".hh" && ext != ".cpp" &&
+            ext != ".hpp")
+            continue;
+        files.push_back(fs::relative(ent.path(), root).generic_string());
+    }
+    std::sort(files.begin(), files.end());
+    return files;
+}
+
+} // namespace
+
+std::optional<std::string>
+lintFileInto(const std::string &root, const std::string &rel,
+             TreeResult &res)
+{
+    auto text = readSource(root, rel, res);
+    if (!text)
+        return std::nullopt;
     ++res.filesScanned;
-    auto diags = lintSource(rel, ss.str());
+    auto diags = lintSource(rel, *text);
     res.diagnostics.insert(res.diagnostics.end(),
                            std::make_move_iterator(diags.begin()),
                            std::make_move_iterator(diags.end()));
+    return text;
 }
 
 TreeResult
@@ -689,28 +1088,39 @@ lintTree(const std::string &root,
          const std::vector<std::string> &subdirs)
 {
     namespace fs = std::filesystem;
-    TreeResult res;
-    std::vector<std::string> files;
+    std::vector<std::string> linted;
     for (const std::string &sub : subdirs) {
-        const fs::path dir = fs::path(root) / sub;
-        if (!fs::is_directory(dir))
-            throw std::runtime_error("lint: no such directory: " +
-                                     dir.string());
-        for (const auto &ent :
-             fs::recursive_directory_iterator(dir)) {
-            if (!ent.is_regular_file())
-                continue;
-            const std::string ext = ent.path().extension().string();
-            if (ext != ".cc" && ext != ".hh" && ext != ".cpp" &&
-                ext != ".hpp")
-                continue;
-            files.push_back(
-                fs::relative(ent.path(), root).generic_string());
-        }
+        if (!fs::is_directory(fs::path(root) / sub))
+            throw std::runtime_error(
+                "lint: no such directory: " +
+                (fs::path(root) / sub).string());
+        const auto files = listSources(root, sub);
+        linted.insert(linted.end(), files.begin(), files.end());
     }
-    std::sort(files.begin(), files.end());
-    for (const std::string &rel : files)
-        lintFileInto(root, rel, res);
+    std::sort(linted.begin(), linted.end());
+
+    TreeResult res;
+    SourceTree tree;
+    for (const std::string &rel : linted)
+        if (auto text = lintFileInto(root, rel, res))
+            tree.emplace(rel, std::move(*text));
+    // The unused-api reference set is read, not linted.
+    for (const char *dir : kApiReferenceDirs) {
+        if (!fs::is_directory(fs::path(root) / dir))
+            continue;
+        for (const std::string &rel : listSources(root, dir))
+            if (!std::binary_search(linted.begin(), linted.end(), rel))
+                if (auto text = readSource(root, rel, res))
+                    tree.emplace(rel, std::move(*text));
+    }
+    for (Diagnostic &d : lintUnusedApi(tree))
+        if (std::binary_search(linted.begin(), linted.end(), d.file))
+            res.diagnostics.push_back(std::move(d));
+    std::stable_sort(res.diagnostics.begin(), res.diagnostics.end(),
+                     [](const Diagnostic &a, const Diagnostic &b) {
+                         return std::tie(a.file, a.line) <
+                                std::tie(b.file, b.line);
+                     });
     return res;
 }
 

@@ -31,6 +31,12 @@
  *   condvar-predicate       condition-variable wait() must use the
  *                           predicate overload; a bare wait(lock)
  *                           invites lost/spurious-wakeup bugs
+ *   unused-api              (tree-level) every function declared in
+ *                           a src/ header has a use in src/, bench/,
+ *                           examples/, perfbench/ or tools/ besides
+ *                           its own declaration and its column-0
+ *                           out-of-line definition (`Class::name(`);
+ *                           a use in tests/ keeps nothing
  *
  * Scanning is comment- and string-literal-aware: banned tokens inside
  * comments, string literals, char literals, and raw strings are never
@@ -39,13 +45,16 @@
  *     // lint:allow(<rule>[, <rule>...])
  *
  * in a comment on the offending line (for header-guard: on the line
- * the diagnostic points at, i.e. the first non-comment line).
+ * the diagnostic points at, i.e. the first non-comment line).  An
+ * unused-api exemption must also say why the function stays.
  */
 
 #ifndef ADAPTSIM_TOOLS_LINT_ENGINE_HH
 #define ADAPTSIM_TOOLS_LINT_ENGINE_HH
 
 #include <cstddef>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,6 +96,20 @@ const std::vector<RuleInfo> &ruleCatalogue();
 std::vector<Diagnostic> lintSource(const std::string &path,
                                    const std::string &text);
 
+/** An in-memory source tree: repo-relative path → file contents. */
+using SourceTree = std::map<std::string, std::string>;
+
+/**
+ * The tree-level unused-api rule.  Flags each function declared in a
+ * src/ header of @p tree whose name has no use in the tree's src/,
+ * bench/, examples/, perfbench/ or tools/ files other than its
+ * declarations and the column-0 out-of-line definition heads
+ * (`Class::name(`) that carry its name.  The match is by name, so an
+ * overload shares its siblings' uses.  A same-line
+ * `// lint:allow(unused-api) <reason>` keeps a function.
+ */
+std::vector<Diagnostic> lintUnusedApi(const SourceTree &tree);
+
 /** Result of walking a source tree. */
 struct TreeResult
 {
@@ -99,20 +122,23 @@ struct TreeResult
 
 /**
  * Lint the single file @p rel (relative to @p root), appending its
- * diagnostics to @p res.  An unreadable file is recorded in
- * res.errors rather than thrown, so one bad file cannot mask
- * violations in the rest of the tree.
+ * per-file diagnostics to @p res, and return its contents for the
+ * tree-level rule.  An unreadable file is recorded in res.errors
+ * (and std::nullopt returned) rather than thrown, so one bad file
+ * cannot mask violations in the rest of the tree.
  */
-void lintFileInto(const std::string &root, const std::string &rel,
-                  TreeResult &res);
+std::optional<std::string> lintFileInto(const std::string &root,
+                                        const std::string &rel,
+                                        TreeResult &res);
 
 /**
  * Walk @p subdirs (relative to @p root) recursively and lint every
  * .cc/.hh/.cpp/.hpp file, in sorted path order for deterministic
- * output.  Missing subdirs are an error (throws std::runtime_error),
- * as a misspelt directory would otherwise pass vacuously; an
- * unreadable *file* is reported in TreeResult::errors and scanning
- * continues.
+ * output.  The unused-api rule also reads, without linting, those of
+ * src/ bench/ examples/ perfbench/ tools/ that exist under @p root.
+ * Missing subdirs are an error (throws std::runtime_error), as a
+ * misspelt directory would otherwise pass vacuously; an unreadable
+ * *file* is reported in TreeResult::errors and scanning continues.
  */
 TreeResult lintTree(const std::string &root,
                     const std::vector<std::string> &subdirs);
