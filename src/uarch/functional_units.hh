@@ -10,6 +10,8 @@
 #ifndef ADAPTSIM_UARCH_FUNCTIONAL_UNITS_HH
 #define ADAPTSIM_UARCH_FUNCTIONAL_UNITS_HH
 
+#include <array>
+
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "isa/micro_op.hh"
@@ -103,6 +105,13 @@ class FunctionalUnits
     int aluUsed() const { return aluUsed_; }
     int memPortsUsed() const { return memUsed_; }
     int fpUsed() const { return fpUsed_; }
+
+    /** First cycles the integer and FP dividers are free again. */
+    std::array<Cycles, 2>
+    divBusyUntil() const
+    {
+        return {intDivBusyUntil_, fpDivBusyUntil_};
+    }
 
   private:
     CoreConfig cfg_;

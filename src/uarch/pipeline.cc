@@ -195,6 +195,30 @@ Pipeline::squashAfter(std::int32_t branch_idx)
     frontQ_.clear();
 }
 
+void
+Pipeline::chargeHeadStall(OpClass cls, std::uint64_t cycles)
+{
+    switch (cls) {
+      case OpClass::Load:
+        ev_.stallHeadLoad += cycles;
+        break;
+      case OpClass::Store:
+        ev_.stallHeadStore += cycles;
+        break;
+      case OpClass::FpAlu:
+      case OpClass::FpMul:
+        ev_.stallHeadFp += cycles;
+        break;
+      case OpClass::FpDiv:
+      case OpClass::IntDiv:
+        ev_.stallHeadDiv += cycles;
+        break;
+      default:
+        ev_.stallHeadOther += cycles;
+        break;
+    }
+}
+
 bool
 Pipeline::commitStage()
 {
@@ -204,28 +228,8 @@ Pipeline::commitStage()
         const std::int32_t idx = rob_.headIndex();
         RobEntry &e = rob_.entry(idx);
         if (e.state != OpState::Done || e.doneCycle > now_) {
-            if (committed == 0) {
-                // Attribute the stalled cycle to the head's class.
-                switch (e.op.opClass) {
-                  case OpClass::Load:
-                    ++ev_.stallHeadLoad;
-                    break;
-                  case OpClass::Store:
-                    ++ev_.stallHeadStore;
-                    break;
-                  case OpClass::FpAlu:
-                  case OpClass::FpMul:
-                    ++ev_.stallHeadFp;
-                    break;
-                  case OpClass::FpDiv:
-                  case OpClass::IntDiv:
-                    ++ev_.stallHeadDiv;
-                    break;
-                  default:
-                    ++ev_.stallHeadOther;
-                    break;
-                }
-            }
+            if (committed == 0)
+                chargeHeadStall(e.op.opClass, 1);
             break;
         }
         if (e.wrongPath)
@@ -435,6 +439,7 @@ Pipeline::dispatchStage()
 bool
 Pipeline::fetchStage()
 {
+    fetchDrewWrongPath_ = false;
     if (now_ < fetchStallUntil_)
         return false;
 
@@ -451,6 +456,7 @@ Pipeline::fetchStage()
         const MicroOp *op;
         if (wrongPathMode_) {
             wp_op = wrongPathGen_.next();
+            fetchDrewWrongPath_ = true;
             op = &wp_op;
             if (op->isBranch() &&
                 inFlightBranches_ >= cfg_.maxBranches) {
@@ -579,6 +585,24 @@ Pipeline::nextEventCycle() const
     return next;
 }
 
+Cycles
+Pipeline::frozenHorizon() const
+{
+    Cycles horizon = ~Cycles(0);
+    const auto later = [&](Cycles c) {
+        if (c > now_)
+            horizon = std::min(horizon, c);
+    };
+    if (!completions_.empty())
+        later(completions_.top().cycle);   // stale ones count
+    if (!frontQ_.empty())
+        later(frontQ_.front().dispatchReady);
+    later(fetchStallUntil_);
+    for (const Cycles busy : fus_.divBusyUntil())
+        later(busy);
+    return horizon;
+}
+
 namespace
 {
 
@@ -631,6 +655,7 @@ Pipeline::run(std::span<const isa::MicroOp> trace)
             frontQ_.empty() && !wrongPathMode_) {
             break;
         }
+        const std::uint64_t searches = ev_.lsqSearches;
         const bool c1 = completeStage();
         const bool c2 = commitStage();
         const bool c3 = issueStage();
@@ -641,12 +666,33 @@ Pipeline::run(std::span<const isa::MicroOp> trace)
             observeCycle(1);
             ++ev_.cycles;
             ++now_;
-        } else {
-            const Cycles next = nextEventCycle();
+        } else if (const Cycles next = nextEventCycle();
+                   next > now_ + 1) {
             const std::uint64_t span = next - now_;
             observeCycle(span);
             ev_.cycles += span;
             now_ = next;
+        } else {
+            // A frozen stall: the n cycles after this one and before
+            // the horizon each repeat the next one, so they are
+            // charged at once (DESIGN §10).  A wrong-path draw moves
+            // the generator every cycle, so that step advances one.
+            const Cycles horizon =
+                fetchDrewWrongPath_ ? ~Cycles(0) : frozenHorizon();
+            observeCycle(1);
+            ++ev_.cycles;
+            ++now_;
+            if (horizon != ~Cycles(0) && horizon > now_) {
+                const std::uint64_t n = horizon - now_;
+                if (!rob_.empty()) {
+                    chargeHeadStall(
+                        rob_.entry(rob_.headIndex()).op.opClass, n);
+                }
+                ev_.lsqSearches += n * (ev_.lsqSearches - searches);
+                observeCycle(n);
+                ev_.cycles += n;
+                now_ = horizon;
+            }
         }
         if (now_ > cycle_cap)
             panic("pipeline deadlock: exceeded cycle cap at ",

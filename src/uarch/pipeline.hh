@@ -21,6 +21,18 @@
  * ops whose producers have all completed, so a waiting op costs
  * nothing per cycle.
  *
+ * A step in which no stage makes progress does not walk the idle
+ * cycles one by one.  If the next completion, front-end head or end
+ * of a fetch stall is more than a cycle away, it jumps there.  If
+ * the head is already due but dispatch is blocked by a full ROB, IQ,
+ * LSQ or register file (the usual memory stall), it jumps to the
+ * frozen horizon: the first cycle at which any stage can act again,
+ * which also counts a divider coming free.  Every cycle in between
+ * repeats the next one, so their head-of-ROB stalls, LSQ searches
+ * and observer samples are charged at once with a repeat count.  A
+ * step whose fetch drew a wrong-path µop moves the wrong-path
+ * generator, so it advances one cycle (DESIGN §10).
+ *
  * Nothing in the loop re-derives state, and only a write-back grant
  * past the end of the port ring allocates.  The front-end queue is a
  * fixed ring, the LSQ searches only a store FIFO, and mispredict
@@ -108,8 +120,12 @@ class Pipeline
     int execLatency(RobEntry &e);
     Cycles arbitrateWriteback(Cycles earliest);
     void growWritebackRing(Cycles ahead);
+    void chargeHeadStall(isa::OpClass cls, std::uint64_t cycles);
     void observeCycle(std::uint64_t repeat);
     Cycles nextEventCycle() const;
+    /** After a step without progress: the first cycle after now_
+     *  at which a stage can act again, or ~0 if none is pending. */
+    Cycles frozenHorizon() const;
 
     CoreConfig cfg_;
     CacheHierarchy &caches_;
@@ -178,6 +194,7 @@ class Pipeline
     Cycles now_ = 0;
     Cycles fetchStallUntil_ = 0;
     bool wrongPathMode_ = false;
+    bool fetchDrewWrongPath_ = false;   ///< in this cycle's fetch
     Addr lastFetchLine_ = invalidAddr;
 
     int inFlightBranches_ = 0;      ///< fetched, not resolved/squashed

@@ -39,21 +39,17 @@ void
 WarmMemo::build(const CoreConfig &cfg)
 {
     // Null where the snapshot already exists: this pass then skips
-    // that structure.
-    const auto l1 = [](std::uint64_t bytes) {
-        return L1Snapshot{Cache(bytes, CoreConfig::l1Assoc,
-                                CoreConfig::cacheLineBytes),
-                          {}};
-    };
+    // that structure.  try_emplace constructs a snapshot only when
+    // it inserts one.
     const auto added = [](auto &map, auto key, auto &&...args) {
         const auto [it, inserted] = map.try_emplace(
             key, std::forward<decltype(args)>(args)...);
         return inserted ? &it->second : nullptr;
     };
     L1Snapshot *icache =
-        added(icache_, cfg.icacheBytes, l1(cfg.icacheBytes));
+        added(icache_, cfg.icacheBytes, cfg.icacheBytes);
     L1Snapshot *dcache =
-        added(dcache_, cfg.dcacheBytes, l1(cfg.dcacheBytes));
+        added(dcache_, cfg.dcacheBytes, cfg.dcacheBytes);
     // Each predictor snapshot is only ever warmed on its own half;
     // the other half is the smallest legal one and stays unused.
     BranchPredictor *direction =

@@ -94,6 +94,13 @@ class WarmMemo
     /** One warmed L1 and the L2 requests its misses made. */
     struct L1Snapshot
     {
+        /** An empty L1 of @p bytes, before the warm pass. */
+        explicit L1Snapshot(std::uint64_t bytes)
+            : cache(bytes, CoreConfig::l1Assoc,
+                    CoreConfig::cacheLineBytes)
+        {
+        }
+
         Cache cache;
         std::vector<L2Request> misses;
     };

@@ -19,6 +19,7 @@
 #include "harness/gather.hh"
 #include "harness/repository.hh"
 #include "ml/trainer.hh"
+#include "scratch_dir.hh"
 #include "sim/perf_model.hh"
 #include "workload/spec_suite.hh"
 
@@ -260,13 +261,13 @@ TEST(Controller, TrainedModelReconfigurationsMatchFrozenGolden)
     gopt.oneAtATimeSweep = false;
     gopt.progress = false;
 
-    const auto dir = std::filesystem::temp_directory_path() /
-                     "adaptsim_controller_reconfig_golden";
+    const std::string dir =
+        test::scratchDir("adaptsim_controller_reconfig_golden");
     std::filesystem::remove_all(dir);
     std::vector<harness::GatheredPhase> gathered;
     {
         harness::EvalRepository repo(
-            workload::specSuite(program_length), dir.string(), 1);
+            workload::specSuite(program_length), dir, 1);
         gathered = harness::gatherTrainingData(
             repo, phases, program_length, 12000, gopt);
     }
@@ -444,13 +445,13 @@ TEST(ChipController, AdaptiveBeatsStaticOnContendedPair)
     gopt.progress = false;
     gopt.backend = &cycle;
 
-    const auto dir = std::filesystem::temp_directory_path() /
-                     "adaptsim_chip_controller_test";
+    const std::string dir =
+        test::scratchDir("adaptsim_chip_controller_test");
     std::filesystem::remove_all(dir);
     std::vector<harness::GatheredPhase> gathered;
     {
         harness::EvalRepository repo(
-            workload::specSuite(program_length), dir.string(), 1);
+            workload::specSuite(program_length), dir, 1);
         gathered = harness::gatherTrainingData(
             repo, phases, program_length, 12000, gopt);
     }

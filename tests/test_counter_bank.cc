@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "counters/counter_bank.hh"
+#include "counters/feature_vector.hh"
 #include "histogram_total.hh"
 #include "uarch/core.hh"
 #include "workload/spec_suite.hh"
@@ -113,4 +114,57 @@ TEST(CounterBank, FpCodeUsesFpRegisters)
     const auto crafty = profileBench("crafty");
     EXPECT_GT(swim.fpRegUsage().meanUsage(),
               crafty.fpRegUsage().meanUsage());
+}
+
+TEST(CounterBank, RepeatedSampleEqualsRepeatedCalls)
+{
+    // The pipeline reports k identical cycles as one onCycle call
+    // with repeat k; the bank must record exactly what k calls with
+    // repeat 1 record.
+    const auto cc = uarch::CoreConfig::fromConfiguration(
+        space::Configuration::profiling());
+    CounterBank merged(cc);
+    CounterBank split(cc);
+    std::uint64_t cycles = 0;
+    for (std::uint32_t i = 0; i < 40; ++i) {
+        uarch::CycleSample s;
+        s.robOcc = 1 + (i * 37) % 144;
+        s.iqOcc = 1 + (i * 11) % 48;
+        s.lsqOcc = 1 + (i * 7) % 32;
+        s.intRegsUsed = 1 + (i * 29) % 160;
+        s.fpRegsUsed = 1 + (i * 13) % 160;
+        s.rdPortsUsed = 1 + i % 8;
+        s.wrPortsUsed = 1 + i % 4;
+        s.aluUsed = 1 + i % 6;
+        s.memPortsUsed = 1 + i % 2;
+        s.fpUnitsUsed = 1 + i % 3;
+        s.iqSpecOps = s.iqOcc / 2;
+        s.lsqSpecOps = s.lsqOcc / 3;
+        const std::uint64_t k = 1 + (i * 53) % 97;
+        merged.onCycle(s, k);
+        for (std::uint64_t j = 0; j < k; ++j)
+            split.onCycle(s, 1);
+        cycles += k;
+    }
+
+    uarch::EventCounts ev;
+    ev.cycles = cycles;
+    ev.committedOps = cycles / 2;
+    ev.condBranches = 300;
+    ev.mispredicts = 17;
+    ev.btbLookups = 400;
+    ev.btbHits = 350;
+    ev.iqWrites = 1000;
+    ev.iqSquashed = 90;
+    ev.lsqInserts = 500;
+    ev.lsqSquashed = 40;
+    merged.finalise(ev);
+    split.finalise(ev);
+
+    for (const auto set : {FeatureSet::Basic, FeatureSet::Advanced}) {
+        EXPECT_EQ(assembleFeatures(merged, set),
+                  assembleFeatures(split, set))
+            << featureSetName(set);
+    }
+    EXPECT_EQ(histogramTotal(merged.robUsage().raw()), cycles);
 }

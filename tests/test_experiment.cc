@@ -16,6 +16,7 @@
 
 #include "counter_delta.hh"
 #include "harness/experiment.hh"
+#include "scratch_dir.hh"
 #include "sim/perf_model.hh"
 
 using namespace adaptsim;
@@ -58,7 +59,7 @@ predictedCodes(const ExperimentOptions &opt)
 
 TEST(Experiment, EndToEndTinyScale)
 {
-    const std::string dir = "/tmp/adaptsim_experiment_test";
+    const std::string dir = test::scratchDir("adaptsim_experiment_test");
     std::filesystem::remove_all(dir);
 
     {
@@ -120,9 +121,10 @@ TEST(Experiment, LoocvPredictionsNeverLeakBetweenExperiments)
     // than B; everything else, gather included, is the same.  B run
     // where A already cached its predictions must train afresh,
     // exactly as B in an empty directory does.
-    const auto tmp = std::filesystem::temp_directory_path();
-    const std::string shared = tmp / "adaptsim_experiment_loocv_shared";
-    const std::string fresh = tmp / "adaptsim_experiment_loocv_fresh";
+    const std::string shared =
+        test::scratchDir("adaptsim_experiment_loocv_shared");
+    const std::string fresh =
+        test::scratchDir("adaptsim_experiment_loocv_fresh");
     std::filesystem::remove_all(shared);
     std::filesystem::remove_all(fresh);
 
@@ -148,8 +150,7 @@ TEST(Experiment, LoocvCacheWithAMissingPhaseIsRetrained)
     // decodes to some configuration, which would be served as the
     // phase's prediction.
     const std::string dir =
-        std::filesystem::temp_directory_path() /
-        "adaptsim_experiment_loocv_missing";
+        test::scratchDir("adaptsim_experiment_loocv_missing");
     std::filesystem::remove_all(dir);
 
     const auto codes = [&] {
@@ -202,9 +203,10 @@ TEST(Experiment, CycleGatherNeverReusesIntervalMemoEntries)
     // experiment in the same directory must not recognise its
     // phases there and train on interval efficiencies: it predicts
     // exactly what it predicts in an empty directory.
-    const auto tmp = std::filesystem::temp_directory_path();
-    const std::string shared = tmp / "adaptsim_experiment_memo_shared";
-    const std::string fresh = tmp / "adaptsim_experiment_memo_fresh";
+    const std::string shared =
+        test::scratchDir("adaptsim_experiment_memo_shared");
+    const std::string fresh =
+        test::scratchDir("adaptsim_experiment_memo_fresh");
     std::filesystem::remove_all(shared);
     std::filesystem::remove_all(fresh);
 
@@ -227,8 +229,8 @@ TEST(Experiment, PredictionsAreEvaluatedOnTheGatherBackend)
 {
     // An interval experiment's profiling runs fall back to cycle,
     // but evaluating its predictions must simulate on interval only.
-    const std::string dir = std::filesystem::temp_directory_path() /
-                            "adaptsim_experiment_backend";
+    const std::string dir =
+        test::scratchDir("adaptsim_experiment_backend");
     std::filesystem::remove_all(dir);
 
     auto opt = tinyOptions(dir);

@@ -14,6 +14,7 @@
 #include "harness/gather.hh"
 #include "obs/registry.hh"
 #include "phase/simpoint.hh"
+#include "scratch_dir.hh"
 #include "sim/perf_model.hh"
 #include "workload/spec_suite.hh"
 
@@ -30,7 +31,7 @@ class GatherTest : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = "/tmp/adaptsim_gather_test";
+        dir_ = test::scratchDir("adaptsim_gather_test");
         std::filesystem::remove_all(dir_);
     }
 

@@ -21,6 +21,7 @@
 #include "harness/gather_scheduler.hh"
 #include "phase/bbv.hh"
 #include "phase/simpoint.hh"
+#include "scratch_dir.hh"
 #include "workload/spec_suite.hh"
 
 using namespace adaptsim;
@@ -108,7 +109,7 @@ class GatherSchedulerTest : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = "/tmp/adaptsim_gather_sched_test";
+        dir_ = test::scratchDir("adaptsim_gather_sched_test");
         std::filesystem::remove_all(dir_);
     }
 

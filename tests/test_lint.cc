@@ -15,6 +15,7 @@
 
 #include "common/thread_annotations.hh"
 #include "lint_engine.hh"
+#include "scratch_dir.hh"
 
 using adaptsim::lint::Diagnostic;
 using adaptsim::lint::lintFileInto;
@@ -399,7 +400,7 @@ TEST(Lint, TreeWalkFindsViolationsAndCounts)
 {
     namespace fs = std::filesystem;
     const fs::path root =
-        fs::path(testing::TempDir()) / "adaptsim_lint_tree";
+        adaptsim::test::scratchDir("adaptsim_lint_tree");
     fs::remove_all(root);
     fs::create_directories(root / "src" / "uarch");
     std::ofstream(root / "src" / "uarch" / "bad.cc")
@@ -432,7 +433,7 @@ TEST(Lint, UnreadableFileIsReportedAndScanContinues)
     // root.)
     namespace fs = std::filesystem;
     const fs::path root =
-        fs::path(testing::TempDir()) / "adaptsim_lint_unreadable";
+        adaptsim::test::scratchDir("adaptsim_lint_unreadable");
     fs::remove_all(root);
     fs::create_directories(root / "src" / "uarch");
     std::ofstream(root / "src" / "uarch" / "bad.cc")
@@ -581,7 +582,7 @@ TEST(Lint, TreeWalkReadsTheReferenceSetWithoutLintingIt)
     // linted: their raw stderr write and getenv stay unreported.
     namespace fs = std::filesystem;
     const fs::path root =
-        fs::path(testing::TempDir()) / "adaptsim_lint_reference";
+        adaptsim::test::scratchDir("adaptsim_lint_reference");
     fs::remove_all(root);
     fs::create_directories(root / "src" / "a");
     fs::create_directories(root / "perfbench");

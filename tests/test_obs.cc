@@ -25,12 +25,14 @@
 #include "obs/obs.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
+#include "scratch_dir.hh"
 #include "uarch/chip.hh"
 #include "workload/spec_suite.hh"
 
 using adaptsim::obs::Histogram;
 using adaptsim::obs::Registry;
 using adaptsim::obs::TraceWriter;
+using adaptsim::test::scratchDir;
 
 TEST(Registry, CounterMergesAcrossThreads)
 {
@@ -326,7 +328,7 @@ TEST(Trace, JsonEscape)
 
 TEST(Trace, ChromeTraceIsValidJsonOfCompleteEvents)
 {
-    const std::string dir = "/tmp/adaptsim_obs_test";
+    const std::string dir = scratchDir("adaptsim_obs_test");
     std::filesystem::create_directories(dir);
     const std::string path = dir + "/trace.json";
     std::filesystem::remove(path);
@@ -373,11 +375,12 @@ TEST(Trace, ChromeTraceIsValidJsonOfCompleteEvents)
     EXPECT_EQ(m, 2);
     EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
     EXPECT_NE(json.find("worker"), std::string::npos);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Trace, FinishFirstCallWins)
 {
-    const std::string dir = "/tmp/adaptsim_obs_test";
+    const std::string dir = scratchDir("adaptsim_obs_test");
     std::filesystem::create_directories(dir);
     const std::string path = dir + "/trace_twice.json";
 
@@ -393,6 +396,7 @@ TEST(Trace, FinishFirstCallWins)
                          t0 + std::chrono::microseconds(5));
     writer.finish();
     EXPECT_EQ(adaptsim::readFile(path), first);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Metrics, JsonCarriesEveryCounterAndTimer)
@@ -467,7 +471,7 @@ TEST(Metrics, ReportTimerColumns)
 
 TEST(Span, RecordsIntoGlobalRegistryAndTrace)
 {
-    const std::string dir = "/tmp/adaptsim_obs_test";
+    const std::string dir = scratchDir("adaptsim_obs_test");
     std::filesystem::create_directories(dir);
     const std::string path = dir + "/span_trace.json";
 
@@ -489,6 +493,7 @@ TEST(Span, RecordsIntoGlobalRegistryAndTrace)
     const std::string json = adaptsim::readFile(path);
     EXPECT_TRUE(JsonChecker(json).valid()) << json;
     EXPECT_NE(json.find("test/span"), std::string::npos);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Registry, PerCoreLabelledCountersMergeAcrossThreads)

@@ -165,6 +165,29 @@ TEST(Pipeline, ObserverCyclesMatchSimCycles)
     EXPECT_EQ(counter.cycles, r.cycles);
 }
 
+TEST(Pipeline, FrozenStallsAreOneStepEach)
+{
+    // A memory-bound run spends most cycles stalled behind a miss
+    // with dispatch blocked; each such stall must reach the
+    // observer as one call, not one call per cycle (DESIGN §10).
+    struct CallCounter : SimObserver
+    {
+        std::uint64_t calls = 0;
+        std::uint64_t cycles = 0;
+        void
+        onCycle(const CycleSample &, std::uint64_t repeat) override
+        {
+            ++calls;
+            cycles += repeat;
+        }
+    } counter;
+    const auto r = runOn("mcf", harness::paperBaselineConfig(), 8000,
+                         4000, &counter);
+    EXPECT_EQ(counter.cycles, r.cycles);
+    EXPECT_LT(counter.calls, r.cycles / 3)
+        << counter.calls << " calls for " << r.cycles << " cycles";
+}
+
 TEST(Pipeline, ObserverOccupanciesRespectCapacities)
 {
     struct Checker : SimObserver
@@ -397,6 +420,54 @@ TEST(Pipeline, SquashRestoresRenameMappingOfPreBranchProducer)
         EXPECT_GE(r->events.squashedOps, 31u);
     }
     EXPECT_GT(dep.cycles, indep.cycles + mem / 2);
+}
+
+TEST(Pipeline, WaitingLoadSearchesTheLsqEveryStalledCycle)
+{
+    // L0 misses to memory and feeds the address of store S; L1, a
+    // younger load from S's word, is ready at once but must wait for
+    // S, so it searches the LSQ in every cycle until L0 returns.
+    // ALU filler fills the small ROB behind L0 within a few cycles,
+    // so nearly all of them are one frozen stall, and the
+    // fast-forward must charge each of them a search.
+    using isa::MicroOp;
+    using isa::OpClass;
+
+    std::vector<MicroOp> trace;
+    auto add = [&](OpClass cls, std::int16_t dest, std::int16_t src,
+                   Addr addr) {
+        MicroOp op;
+        op.pc = 0x40'0000 + 4 * trace.size();
+        op.opClass = cls;
+        op.destReg = dest;
+        op.srcReg0 = src;
+        op.effAddr = addr;
+        op.bbId = 1;
+        trace.push_back(op);
+    };
+    add(OpClass::Load, 5, 0, 0x2000'0000);            // L0
+    add(OpClass::Store, isa::noReg, 5, 0x3000'0000);  // S
+    add(OpClass::Load, 6, 0, 0x3000'0000);            // L1
+    for (int i = 0; i < 600; ++i)
+        add(OpClass::IntAlu, std::int16_t(7 + i % 20), 0, invalidAddr);
+
+    // Warm only the I-cache: the same code with no memory ops.
+    auto code = trace;
+    for (auto &op : code)
+        op.opClass = OpClass::IntAlu;
+
+    auto cfg = harness::paperBaselineConfig();
+    cfg.setValue(space::Param::RobSize, 32);
+    workload::KernelParams mix;
+    workload::WrongPathGenerator wp(mix, 7);
+    const auto cc = CoreConfig::fromConfiguration(cfg);
+    Core core(cc, wp);
+    core.warm(code);
+    const auto r = core.run(trace);
+
+    EXPECT_EQ(r.events.committedOps, trace.size());
+    EXPECT_GE(r.events.lsqSearches, Cycles(cc.memLatency));
+    EXPECT_LT(r.events.lsqSearches, r.cycles);
 }
 
 TEST(Pipeline, GoldenResultsAreFrozen)

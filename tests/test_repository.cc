@@ -20,6 +20,7 @@
 #include "harness/gather.hh"
 #include "harness/repository.hh"
 #include "power/metrics.hh"
+#include "scratch_dir.hh"
 #include "sim/cycle_level_model.hh"
 #include "sim/perf_model.hh"
 #include "space/sampling.hh"
@@ -39,7 +40,7 @@ class RepositoryTest : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = "/tmp/adaptsim_repo_test";
+        dir_ = test::scratchDir("adaptsim_repo_test");
         std::filesystem::remove_all(dir_);
     }
 

@@ -12,6 +12,7 @@
 #include <limits>
 
 #include "common/serial.hh"
+#include "scratch_dir.hh"
 
 using namespace adaptsim;
 
@@ -24,7 +25,7 @@ class SerialFileTest : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = "/tmp/adaptsim_serial_test";
+        dir_ = test::scratchDir("adaptsim_serial_test");
         std::filesystem::remove_all(dir_);
         std::filesystem::create_directories(dir_);
     }
