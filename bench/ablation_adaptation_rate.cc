@@ -10,6 +10,8 @@
  * adapting it, from the Fig. 8 machinery).
  */
 
+#include "sections.hh"
+
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -18,12 +20,12 @@
 #include "common/table.hh"
 #include "harness/experiment.hh"
 
-using namespace adaptsim;
-
-int
-main()
+namespace adaptsim::paper
 {
-    harness::Experiment exp;
+
+void
+ablation_adaptation_rate(harness::Experiment &exp)
+{
     const auto &phases = exp.phases();
     const auto &ds = space::DesignSpace::the();
 
@@ -102,5 +104,6 @@ main()
         "efficiency need fast reconfiguration; ones with low rates "
         "could be adapted rarely — the per-resource frequency the "
         "paper's Sec. X anticipates.\n");
-    return 0;
 }
+
+} // namespace adaptsim::paper

@@ -18,7 +18,7 @@
 #include "common/stats.hh"
 #include "harness/experiment.hh"
 
-namespace adaptsim::benchutil
+namespace adaptsim::paper
 {
 
 /** Optional feature transform (e.g. zero a group for ablation). */
@@ -77,6 +77,6 @@ splitHalfRelative(harness::Experiment &exp,
     return adaptsim::geomean(per_program);
 }
 
-} // namespace adaptsim::benchutil
+} // namespace adaptsim::paper
 
 #endif // ADAPTSIM_BENCH_ABLATION_COMMON_HH

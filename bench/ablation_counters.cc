@@ -7,21 +7,22 @@
  * granularity).
  */
 
+#include "sections.hh"
+
 #include <cstdio>
 
 #include "ablation_common.hh"
 #include "common/table.hh"
 
-using namespace adaptsim;
-
-int
-main()
+namespace adaptsim::paper
 {
-    harness::Experiment exp;
 
-    const double full = benchutil::splitHalfRelative(
+void
+ablation_counters(harness::Experiment &exp)
+{
+    const double full = splitHalfRelative(
         exp, counters::FeatureSet::Advanced, {});
-    const double basic = benchutil::splitHalfRelative(
+    const double basic = splitHalfRelative(
         exp, counters::FeatureSet::Basic, {});
 
     TextTable table;
@@ -54,7 +55,7 @@ main()
                 }
                 return y;
             };
-        const double rel = benchutil::splitHalfRelative(
+        const double rel = splitHalfRelative(
             exp, counters::FeatureSet::Advanced, {}, transform);
         table.addRow({group.name, TextTable::num(rel),
                       TextTable::num(rel - full)});
@@ -63,5 +64,6 @@ main()
     std::printf("Ablation: advanced counter groups (zeroed one at a "
                 "time; more negative delta = more important)\n\n%s\n",
                 table.render().c_str());
-    return 0;
 }
+
+} // namespace adaptsim::paper

@@ -5,24 +5,26 @@
  * counters.
  */
 
+#include "sections.hh"
+
 #include <cstdio>
 
 #include "ablation_common.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 
-using namespace adaptsim;
-
-int
-main()
+namespace adaptsim::paper
 {
-    harness::Experiment exp;
+
+void
+ablation_lambda(harness::Experiment &exp)
+{
     TextTable table;
     table.setHeader({"lambda", "Held-out efficiency (x baseline)"});
     for (double lambda : {0.0, 0.05, 0.5, 5.0, 50.0}) {
         ml::TrainerOptions opt;
         opt.lambda = lambda;
-        const double rel = benchutil::splitHalfRelative(
+        const double rel = splitHalfRelative(
             exp, counters::FeatureSet::Advanced, opt);
         table.addRow({TextTable::num(lambda),
                       TextTable::num(rel)});
@@ -30,5 +32,6 @@ main()
     std::printf("Ablation: regularisation weight (paper uses "
                 "lambda = 0.5)\n\n%s\n",
                 table.render().c_str());
-    return 0;
 }
+
+} // namespace adaptsim::paper

@@ -7,6 +7,8 @@
  * quantised predictions on held-out programs.
  */
 
+#include "sections.hh"
+
 #include <cstdio>
 #include <set>
 
@@ -14,12 +16,12 @@
 #include "common/table.hh"
 #include "ml/quantised.hh"
 
-using namespace adaptsim;
-
-int
-main()
+namespace adaptsim::paper
 {
-    harness::Experiment exp;
+
+void
+ablation_quantisation(harness::Experiment &exp)
+{
     const auto &phases = exp.phases();
 
     // Split-half training (same protocol as the other ablations).
@@ -89,5 +91,6 @@ main()
     table.addRow({"full precision", TextTable::num(full_rel)});
     table.addRow({"int8 quantised", TextTable::num(quant_rel)});
     std::printf("%s\n", table.render().c_str());
-    return 0;
 }
+
+} // namespace adaptsim::paper

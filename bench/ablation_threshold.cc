@@ -5,24 +5,26 @@
  * this sweeps the cut-off.
  */
 
+#include "sections.hh"
+
 #include <cstdio>
 
 #include "ablation_common.hh"
 #include "common/table.hh"
 
-using namespace adaptsim;
-
-int
-main()
+namespace adaptsim::paper
 {
-    harness::Experiment exp;
+
+void
+ablation_threshold(harness::Experiment &exp)
+{
     TextTable table;
     table.setHeader({"Good threshold",
                      "Held-out efficiency (x baseline)"});
     for (double threshold : {0.995, 0.95, 0.9, 0.8, 0.6}) {
         ml::TrainerOptions opt;
         opt.goodThreshold = threshold;
-        const double rel = benchutil::splitHalfRelative(
+        const double rel = splitHalfRelative(
             exp, counters::FeatureSet::Advanced, opt);
         table.addRow({TextTable::num(threshold),
                       TextTable::num(rel)});
@@ -30,5 +32,6 @@ main()
     std::printf("Ablation: good-set threshold (paper: within 5%% of "
                 "best, i.e. 0.95)\n\n%s\n",
                 table.render().c_str());
-    return 0;
 }
+
+} // namespace adaptsim::paper

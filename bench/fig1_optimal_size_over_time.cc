@@ -6,17 +6,19 @@
  * the Table III baseline, width overridden) and report the argmax.
  */
 
+#include "sections.hh"
+
 #include <cstdio>
 #include <vector>
 
 #include "common/ascii_plot.hh"
-#include "common/env.hh"
 #include "harness/gather.hh"
 #include "harness/repository.hh"
 #include "space/sampling.hh"
 #include "workload/spec_suite.hh"
 
-using namespace adaptsim;
+namespace adaptsim::paper
+{
 
 namespace
 {
@@ -58,12 +60,12 @@ optimalOverTime(harness::EvalRepository &repo,
 
 } // namespace
 
-int
-main()
+void
+fig1_optimal_size_over_time(harness::Experiment &exp)
 {
     harness::EvalRepository repo(
-        workload::specSuite(programLength), dataDir(),
-        numThreads());
+        workload::specSuite(programLength), exp.options().dataDir,
+        exp.options().threads);
 
     std::vector<double> xs;
     for (std::size_t i = 0; i < numIntervals; ++i)
@@ -90,5 +92,6 @@ main()
         "Paper observations: the optimal sizes vary over time, "
         "differ between widths (gap's RF: 113 -> 67 at width 4), "
         "and applu's demand is width-insensitive.\n");
-    return 0;
 }
+
+} // namespace adaptsim::paper

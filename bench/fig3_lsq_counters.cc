@@ -9,6 +9,8 @@
  * correction.
  */
 
+#include "sections.hh"
+
 #include <cstdio>
 #include <vector>
 
@@ -19,12 +21,12 @@
 #include "space/sampling.hh"
 #include "uarch/core.hh"
 
-using namespace adaptsim;
-
-int
-main()
+namespace adaptsim::paper
 {
-    harness::Experiment exp;
+
+void
+fig3_lsq_counters(harness::Experiment &exp)
+{
     auto &repo = exp.repository();
 
     for (const char *program : {"mgrid", "swim", "parser",
@@ -111,5 +113,6 @@ main()
     std::printf("Paper: best sizes mgrid 32, swim 72, parser 16, "
                 "vortex 16; parser/vortex show heavy "
                 "mis-speculation that makes raw usage misleading.\n");
-    return 0;
 }
+
+} // namespace adaptsim::paper

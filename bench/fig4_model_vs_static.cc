@@ -7,6 +7,8 @@
  * eon and lucas slightly below 1.
  */
 
+#include "sections.hh"
+
 #include <cstdio>
 
 #include "common/ascii_plot.hh"
@@ -14,12 +16,12 @@
 #include "common/table.hh"
 #include "harness/experiment.hh"
 
-using namespace adaptsim;
-
-int
-main()
+namespace adaptsim::paper
 {
-    harness::Experiment exp;
+
+void
+fig4_model_vs_static(harness::Experiment &exp)
+{
     const auto &basic =
         exp.modelResults(counters::FeatureSet::Basic);
     const auto &advanced =
@@ -62,5 +64,6 @@ main()
     std::printf("Average improvement   advanced: %.2fx (paper ~2x)\n"
                 "                      basic:    %.2fx (paper ~1.3x)\n",
                 mean_adv, mean_basic);
-    return 0;
 }
+
+} // namespace adaptsim::paper

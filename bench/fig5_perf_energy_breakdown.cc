@@ -6,6 +6,8 @@
  * equal performance; art −15% energy at 2x performance).
  */
 
+#include "sections.hh"
+
 #include <cmath>
 #include <cstdio>
 
@@ -14,12 +16,12 @@
 #include "common/table.hh"
 #include "harness/experiment.hh"
 
-using namespace adaptsim;
-
-int
-main()
+namespace adaptsim::paper
 {
-    harness::Experiment exp;
+
+void
+fig5_perf_energy_breakdown(harness::Experiment &exp)
+{
     const auto &advanced =
         exp.modelResults(counters::FeatureSet::Advanced);
     auto &repo = exp.repository();
@@ -77,5 +79,6 @@ main()
     std::printf("Average: performance %+.0f%% (paper +15%%), energy "
                 "%+.0f%% (paper -21%%)\n",
                 (mean_perf - 1.0) * 100, (mean_energy - 1.0) * 100);
-    return 0;
 }
+
+} // namespace adaptsim::paper

@@ -7,6 +7,8 @@
  * improvement).
  */
 
+#include "sections.hh"
+
 #include <cmath>
 #include <cstdio>
 
@@ -15,12 +17,12 @@
 #include "common/table.hh"
 #include "harness/experiment.hh"
 
-using namespace adaptsim;
-
-int
-main()
+namespace adaptsim::paper
 {
-    harness::Experiment exp;
+
+void
+fig6_vs_ideal(harness::Experiment &exp)
+{
     const auto &advanced =
         exp.modelResults(counters::FeatureSet::Advanced);
 
@@ -90,5 +92,6 @@ main()
         "Model captures %.0f%% of the available improvement "
         "(paper 74%%)\n",
         mean_model, mean_spec, mean_dyn, captured * 100);
-    return 0;
 }
+
+} // namespace adaptsim::paper

@@ -9,6 +9,8 @@
  *     beat the sampled best).
  */
 
+#include "sections.hh"
+
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -18,7 +20,8 @@
 #include "common/table.hh"
 #include "harness/experiment.hh"
 
-using namespace adaptsim;
+namespace adaptsim::paper
+{
 
 namespace
 {
@@ -50,10 +53,9 @@ printDistribution(const char *title,
 
 } // namespace
 
-int
-main()
+void
+fig7_phase_accuracy(harness::Experiment &exp)
 {
-    harness::Experiment exp;
     const auto &advanced =
         exp.modelResults(counters::FeatureSet::Advanced);
 
@@ -95,5 +97,6 @@ main()
         100.0 * ecdfFromRight(vs_best, 0.74),
         100.0 * ecdfFromRight(vs_best, 1.0 + 1e-12),
         median(vs_best));
-    return 0;
 }
+
+} // namespace adaptsim::paper

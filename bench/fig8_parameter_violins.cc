@@ -8,13 +8,16 @@
  * value is optimal.
  */
 
+#include "sections.hh"
+
 #include <cstdio>
 #include <vector>
 
 #include "common/ascii_plot.hh"
 #include "harness/experiment.hh"
 
-using namespace adaptsim;
+namespace adaptsim::paper
+{
 
 namespace
 {
@@ -69,10 +72,9 @@ violinFor(harness::Experiment &exp, space::Param p)
 
 } // namespace
 
-int
-main()
+void
+fig8_parameter_violins(harness::Experiment &exp)
 {
-    harness::Experiment exp;
     exp.phases();
 
     std::printf("Fig. 8: efficiency distributions with one parameter "
@@ -85,5 +87,6 @@ main()
                 "best for all phases; width 4 best for ~32%% of "
                 "phases; small I-cache best for ~28%% with the "
                 "highest median but also the worst tail.\n");
-    return 0;
 }
+
+} // namespace adaptsim::paper

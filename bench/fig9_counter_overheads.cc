@@ -6,6 +6,8 @@
  * the profiling configuration runs.
  */
 
+#include "sections.hh"
+
 #include <cstdio>
 
 #include "common/ascii_plot.hh"
@@ -13,11 +15,13 @@
 #include "counters/overhead_model.hh"
 #include "uarch/core_config.hh"
 
-using namespace adaptsim;
+namespace adaptsim::paper
+{
+
 using counters::MonitorOverhead;
 
-int
-main()
+void
+fig9_counter_overheads(harness::Experiment &)
 {
     // Profiling configuration cache geometry (largest caches).
     constexpr int line = uarch::CoreConfig::cacheLineBytes;
@@ -69,5 +73,6 @@ main()
                 "max leakage 1.4%%.\n"
                 "Overheads apply only while the profiling "
                 "configuration runs (~1 interval in 10).\n");
-    return 0;
 }
+
+} // namespace adaptsim::paper

@@ -4,15 +4,18 @@
  * range, and the total number of design points (~627 billion).
  */
 
+#include "sections.hh"
+
 #include <cstdio>
 
 #include "common/table.hh"
 #include "space/design_space.hh"
 
-using namespace adaptsim;
+namespace adaptsim::paper
+{
 
-int
-main()
+void
+table1_design_space(harness::Experiment &)
 {
     const auto &ds = space::DesignSpace::the();
 
@@ -47,5 +50,6 @@ main()
                 ds.totalPoints());
     std::printf("Sum of per-parameter value counts: %zu\n",
                 ds.totalValueCount());
-    return 0;
 }
+
+} // namespace adaptsim::paper

@@ -7,17 +7,19 @@
  * full Sec. V-C training-data gather.
  */
 
+#include "sections.hh"
+
 #include <cstdio>
 
 #include "common/table.hh"
 #include "harness/experiment.hh"
 
-using namespace adaptsim;
-
-int
-main()
+namespace adaptsim::paper
 {
-    harness::Experiment exp;
+
+void
+table3_baseline_static(harness::Experiment &exp)
+{
     const auto &baseline = exp.baselineConfig();
     const auto &ds = space::DesignSpace::the();
 
@@ -52,5 +54,6 @@ main()
     std::printf("\nCandidates examined: %zu (shared pool incl. the "
                 "paper's Table III config)\n",
                 exp.sharedPool().size());
-    return 0;
 }
+
+} // namespace adaptsim::paper

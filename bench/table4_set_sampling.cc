@@ -8,6 +8,8 @@
  * spread of workloads.
  */
 
+#include "sections.hh"
+
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -20,7 +22,8 @@
 #include "uarch/core.hh"
 #include "workload/spec_suite.hh"
 
-using namespace adaptsim;
+namespace adaptsim::paper
+{
 
 namespace
 {
@@ -63,8 +66,8 @@ profileWith(const workload::Workload &wl,
 
 } // namespace
 
-int
-main()
+void
+table4_set_sampling(harness::Experiment &)
 {
     const std::vector<std::string> programs = {
         "mcf", "crafty", "swim", "gcc", "eon", "art"};
@@ -186,5 +189,6 @@ main()
                 "size the sampled histograms see far fewer events, "
                 "so more sets are needed for the same fidelity "
                 "(especially for the sparsely-accessed L2).\n");
-    return 0;
 }
+
+} // namespace adaptsim::paper

@@ -6,6 +6,8 @@
  * Also prints the Sec. VIII model-storage estimate.
  */
 
+#include "sections.hh"
+
 #include <cstdio>
 
 #include "common/table.hh"
@@ -13,10 +15,11 @@
 #include "harness/gather.hh"
 #include "space/design_space.hh"
 
-using namespace adaptsim;
+namespace adaptsim::paper
+{
 
-int
-main()
+void
+table5_reconfig_overheads(harness::Experiment &)
 {
     const auto baseline = harness::paperBaselineConfig();
     const auto cc = uarch::CoreConfig::fromConfiguration(baseline);
@@ -57,5 +60,6 @@ main()
                 " (paper: ~3%%)\n",
                 control::ReconfigCostModel::intervalEnergyOverhead *
                     100);
-    return 0;
 }
+
+} // namespace adaptsim::paper

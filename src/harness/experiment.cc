@@ -44,11 +44,6 @@ loocvCachePath(const std::string &dir, counters::FeatureSet set,
     putDouble(bytes, t.lambda);
     putDouble(bytes, t.goodThreshold);
     putU64(bytes, t.cg.maxIterations);
-    putDouble(bytes, t.cg.gradTolerance);
-    putDouble(bytes, t.cg.initialStep);
-    putDouble(bytes, t.cg.armijoC);
-    putDouble(bytes, t.cg.backtrackFactor);
-    putU64(bytes, t.cg.maxBacktracks);
 
     std::ostringstream os;
     os << dir << "/loocv_" << counters::featureSetName(set)

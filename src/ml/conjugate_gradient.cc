@@ -11,6 +11,12 @@ namespace adaptsim::ml
 namespace
 {
 
+constexpr double gradTolerance = 1e-5;   ///< stop when ‖g‖∞ < tol
+constexpr double initialStep = 1.0;
+constexpr double armijoC = 1e-4;
+constexpr double backtrackFactor = 0.5;
+constexpr std::size_t maxBacktracks = 40;
+
 /** What an iteration tests before its line search. */
 struct Probe
 {
@@ -54,10 +60,10 @@ minimiseCg(Objective &f, std::vector<double> &w, const CgOptions &opt)
         dir[i] = -grad[i];
     Probe at = probe(grad, dir);
 
-    double step = opt.initialStep;
+    double step = initialStep;
     for (std::size_t iter = 0; iter < opt.maxIterations; ++iter) {
         result.iterations = iter + 1;
-        if (at.gradNorm < opt.gradTolerance) {
+        if (at.gradNorm < gradTolerance) {
             result.converged = true;
             break;
         }
@@ -77,16 +83,16 @@ minimiseCg(Objective &f, std::vector<double> &w, const CgOptions &opt)
         double t = step;
         double f_trial = 0.0;
         bool accepted = false;
-        for (std::size_t bt = 0; bt < opt.maxBacktracks; ++bt) {
+        for (std::size_t bt = 0; bt < maxBacktracks; ++bt) {
             for (std::size_t i = 0; i < n; ++i)
                 trial[i] = w[i] + t * dir[i];
             f_trial = f.value(trial);
             ++result.valueEvals;
-            if (f_trial <= fw + opt.armijoC * t * at.slope) {
+            if (f_trial <= fw + armijoC * t * at.slope) {
                 accepted = true;
                 break;
             }
-            t *= opt.backtrackFactor;
+            t *= backtrackFactor;
         }
         if (!accepted)
             break;   // no further progress possible

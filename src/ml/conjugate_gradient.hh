@@ -36,15 +36,11 @@ class Objective
     virtual void gradient(std::vector<double> &grad) = 0;
 };
 
-/** Optimiser knobs. */
+/** Optimiser knobs; the tolerance and line-search constants are
+ *  fixed in conjugate_gradient.cc. */
 struct CgOptions
 {
     std::size_t maxIterations = 150;
-    double gradTolerance = 1e-5;     ///< stop when ‖g‖∞ < tol
-    double initialStep = 1.0;
-    double armijoC = 1e-4;
-    double backtrackFactor = 0.5;
-    std::size_t maxBacktracks = 40;
 };
 
 /** Result diagnostics. */

@@ -71,9 +71,8 @@ class ScopedSpan
 /**
  * Read the env knobs, install the active trace writer, and register
  * the process-exit report (summary table on stderr, optional JSON
- * dump, trace flush).  Idempotent; benches call it from a static
- * initializer (bench/obs_init.cc), long-lived tools may call it
- * explicitly.
+ * dump, trace flush).  Idempotent; the `paper` driver and
+ * long-lived tools call it at the start of main().
  */
 void initFromEnv();
 

@@ -90,12 +90,8 @@ struct ChipConfig
 
     // Shared L3 geometry (unused when numCores() == 1).
     std::uint64_t llcBytes = 8 * 1024 * 1024;
-    int llcAssoc = 16;
     int llcBanks = 8;          ///< power of two
     int llcMshrsPerBank = 8;   ///< outstanding misses per bank
-    int llcLatency = 30;       ///< LLC hit latency (cycles)
-    int busLatency = 8;        ///< core↔LLC transfer (cycles)
-    int llcBankService = 4;    ///< bank busy time per request
 
     std::size_t numCores() const { return coreConfigs.size(); }
 

@@ -22,19 +22,18 @@ SharedLlc::SharedLlc(const ChipConfig &cfg) : cfg_(cfg)
 {
     if (cfg_.numCores() == 0)
         fatal("SharedLlc: need at least one core");
-    if (cfg_.llcAssoc <= 0 || cfg_.llcBanks <= 0 ||
-        cfg_.llcMshrsPerBank <= 0)
+    if (cfg_.llcBanks <= 0 || cfg_.llcMshrsPerBank <= 0)
         fatal("SharedLlc: non-positive geometry parameter");
-    numSets_ = cfg_.llcBytes / (std::uint64_t(cfg_.llcAssoc) *
-                                CoreConfig::cacheLineBytes);
+    numSets_ = cfg_.llcBytes /
+               (std::uint64_t(assoc) * CoreConfig::cacheLineBytes);
     if (numSets_ == 0 || !isPow2(numSets_))
         fatal("SharedLlc: sets must be a positive power of two "
-              "(bytes=", cfg_.llcBytes, " assoc=", cfg_.llcAssoc,
+              "(bytes=", cfg_.llcBytes, " assoc=", assoc,
               " line=", CoreConfig::cacheLineBytes, ")");
     if (!isPow2(std::uint64_t(cfg_.llcBanks)))
         fatal("SharedLlc: banks must be a power of two (",
               cfg_.llcBanks, ")");
-    lines_.resize(numSets_ * cfg_.llcAssoc);
+    lines_.resize(numSets_ * assoc);
     banks_.resize(std::size_t(cfg_.llcBanks));
     for (auto &b : banks_)
         b.mshrs.reserve(std::size_t(cfg_.llcMshrsPerBank));
@@ -53,9 +52,9 @@ bool
 SharedLlc::lookupFill(Addr addr, unsigned core)
 {
     const Addr block = blockOf(addr);
-    Line *base = &lines_[setIndex(addr) * cfg_.llcAssoc];
+    Line *base = &lines_[setIndex(addr) * assoc];
     Line *victim = base;
-    for (int w = 0; w < cfg_.llcAssoc; ++w) {
+    for (int w = 0; w < assoc; ++w) {
         Line &line = base[w];
         if (line.tag == block) {
             line.lruStamp = ++lruClock_;
@@ -81,18 +80,17 @@ SharedLlc::access(Addr addr, unsigned core, Cycles now)
     MutexLock lock(mu_);
     checkCore(core);
 
-    // Bank queue: one request per llcBankService cycles.
+    // Bank queue: one request per bankService cycles.
     Bank &bank = banks_[bankIndex(addr)];
     const Cycles start = std::max(now, bank.nextFree);
     Cycles wait = start - now;
-    bank.nextFree = start + Cycles(cfg_.llcBankService);
+    bank.nextFree = start + Cycles(bankService);
 
     Outcome out;
     out.hit = lookupFill(addr, core);
     if (out.hit) {
         out.queueCycles = static_cast<int>(wait);
-        out.latency =
-            cfg_.busLatency + cfg_.llcLatency + out.queueCycles;
+        out.latency = busLatency + hitLatency + out.queueCycles;
         return out;
     }
 
@@ -112,12 +110,12 @@ SharedLlc::access(Addr addr, unsigned core, Cycles now)
         });
     }
     const Cycles done =
-        issue + Cycles(cfg_.llcLatency) + Cycles(memLatency);
+        issue + Cycles(hitLatency) + Cycles(memLatency);
     mshrs.push_back(done);
 
     out.queueCycles = static_cast<int>(wait);
-    out.latency = cfg_.busLatency + cfg_.llcLatency + memLatency +
-                  out.queueCycles;
+    out.latency =
+        busLatency + hitLatency + memLatency + out.queueCycles;
     return out;
 }
 
@@ -127,7 +125,7 @@ SharedLlc::occupancyShare(unsigned core) const
     MutexLock lock(mu_);
     checkCore(core);
     return double(linesOwned_[core]) /
-           double(numSets_ * std::uint64_t(cfg_.llcAssoc));
+           double(numSets_ * std::uint64_t(assoc));
 }
 
 } // namespace adaptsim::uarch

@@ -3,15 +3,15 @@
  * Shared last-level cache with bank and MSHR contention.
  *
  * One SharedLlc sits below every core's private L2 on a chip
- * (DESIGN.md §15); its geometry is the ChipConfig's llc* and bus*
- * fields.  Tags are set-associative with true LRU, like the private
+ * (DESIGN.md §15); its size, banks and MSHRs are the ChipConfig's
+ * llc* fields, and its associativity and latencies are constants.  Tags are set-associative with true LRU, like the private
  * uarch::Cache, but each line additionally records the core that
  * filled it so per-core occupancy can be read back as a model
  * feature.  Timing adds three contention terms on top of the hit
  * latency:
  *
  *   bus        fixed request/response transfer latency
- *   bank queue a bank serves one request per `llcBankService`
+ *   bank queue a bank serves one request per `bankService`
  *              cycles; requests arriving while it is busy wait
  *   MSHRs      each bank tracks `llcMshrsPerBank` outstanding
  *              misses; a miss arriving with all MSHRs busy waits
@@ -58,8 +58,19 @@ class SharedLlc
     /** DRAM latency below the LLC (reference cycles). */
     static constexpr int memLatency = 200;
 
-    /** An LLC with @p cfg's llc and bus geometry, shared by its
-     *  cores. */
+    /** Ways per set. */
+    static constexpr int assoc = 16;
+
+    /** LLC hit latency (reference cycles). */
+    static constexpr int hitLatency = 30;
+
+    /** Core↔LLC transfer latency (reference cycles). */
+    static constexpr int busLatency = 8;
+
+    /** Bank busy time per request (reference cycles). */
+    static constexpr int bankService = 4;
+
+    /** An LLC with @p cfg's llc geometry, shared by its cores. */
     explicit SharedLlc(const ChipConfig &cfg);
 
     /** Timing and outcome of one access. */
@@ -117,7 +128,7 @@ class SharedLlc
         return blockOf(addr) & (std::uint64_t(cfg_.llcBanks) - 1);
     }
 
-    const ChipConfig cfg_;   ///< geometry: its llc* and bus* fields
+    const ChipConfig cfg_;   ///< geometry: its llc* fields
     std::uint64_t numSets_;
 
     mutable Mutex mu_;

@@ -28,7 +28,7 @@ tinyChip(std::size_t cores)
 }
 
 /** tinyChip's capacity in lines. */
-constexpr double tinyLines = 64 * 16;
+constexpr double tinyLines = 64 * SharedLlc::assoc;
 
 /** Distance between two lines of one set in tinyChip. */
 constexpr Addr tinySetStride = 64 * CoreConfig::cacheLineBytes;
@@ -62,13 +62,12 @@ TEST(SharedLlc, MissThenHitOnTheSameLine)
 
 TEST(SharedLlc, HitLatencyIsBusPlusHit)
 {
-    const ChipConfig cfg = tinyChip(1);
-    SharedLlc llc(cfg);
+    SharedLlc llc(tinyChip(1));
     llc.access(0x2000, 0, 0);
     // An uncontended hit pays exactly the bus + hit latency.
     const auto h = llc.access(0x2000, 0, 10000);
     EXPECT_TRUE(h.hit);
-    EXPECT_EQ(h.latency, cfg.busLatency + cfg.llcLatency);
+    EXPECT_EQ(h.latency, SharedLlc::busLatency + SharedLlc::hitLatency);
     EXPECT_EQ(h.queueCycles, 0);
 }
 
