@@ -4,6 +4,7 @@
  * for gap, applu and apsi at pipeline widths 8 and 4.  For each
  * interval of the program we sweep the parameter (others pinned to
  * the Table III baseline, width overridden) and report the argmax.
+ * The program, interval and warm-up lengths follow ADAPTSIM_SCALE.
  */
 
 #include "sections.hh"
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "common/ascii_plot.hh"
+#include "common/env.hh"
 #include "harness/gather.hh"
 #include "harness/repository.hh"
 #include "space/sampling.hh"
@@ -23,14 +25,30 @@ namespace adaptsim::paper
 namespace
 {
 
-constexpr std::uint64_t programLength = 400000;
-constexpr std::uint64_t intervalLength = 6000;
-constexpr std::uint64_t warmLength = 8000;
 constexpr std::size_t numIntervals = 20;
+
+/** Program, interval and warm-up lengths, scaled by ADAPTSIM_SCALE
+ *  as ExperimentOptions scales the experiment's. */
+struct Geometry
+{
+    std::uint64_t programLength;
+    std::uint64_t intervalLength;
+    std::uint64_t warmLength;
+};
+
+Geometry
+scaledGeometry()
+{
+    const double scale = experimentScale();
+    const auto scaled = [scale](std::uint64_t length) {
+        return static_cast<std::uint64_t>(length * scale);
+    };
+    return {scaled(400000), scaled(6000), scaled(8000)};
+}
 
 /** Optimal value of @p swept at each interval for a pinned width. */
 std::vector<double>
-optimalOverTime(harness::EvalRepository &repo,
+optimalOverTime(harness::EvalRepository &repo, const Geometry &geo,
                 const std::string &program, int width,
                 space::Param swept)
 {
@@ -40,11 +58,11 @@ optimalOverTime(harness::EvalRepository &repo,
 
     std::vector<double> best_vals;
     const std::uint64_t stride =
-        programLength / (numIntervals + 1);
+        geo.programLength / (numIntervals + 1);
     for (std::size_t i = 0; i < numIntervals; ++i) {
-        harness::PhaseSpec spec{program, programLength,
-                                (i + 1) * stride, warmLength,
-                                intervalLength};
+        harness::PhaseSpec spec{program, geo.programLength,
+                                (i + 1) * stride, geo.warmLength,
+                                geo.intervalLength};
         const auto evals = repo.evaluateBatch(spec, sweep);
         std::size_t best = 0;
         for (std::size_t c = 1; c < evals.size(); ++c) {
@@ -63,8 +81,9 @@ optimalOverTime(harness::EvalRepository &repo,
 void
 fig1_optimal_size_over_time(harness::Experiment &exp)
 {
+    const Geometry geo = scaledGeometry();
     harness::EvalRepository repo(
-        workload::specSuite(programLength), exp.options().dataDir,
+        workload::specSuite(geo.programLength), exp.options().dataDir,
         exp.options().threads);
 
     std::vector<double> xs;
@@ -76,9 +95,9 @@ fig1_optimal_size_over_time(harness::Experiment &exp)
              {std::pair{space::Param::IqSize, "IQ size"},
               std::pair{space::Param::RfSize, "RF size"}}) {
             const auto w8 =
-                optimalOverTime(repo, program, 8, param);
+                optimalOverTime(repo, geo, program, 8, param);
             const auto w4 =
-                optimalOverTime(repo, program, 4, param);
+                optimalOverTime(repo, geo, program, 4, param);
             std::printf("%s\n",
                         linePlot(std::string(program) +
                                      ": optimal " + pname +

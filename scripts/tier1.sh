@@ -7,8 +7,9 @@
 #      (thread pool, shared simulation repository, shared trace
 #      cache, metrics registry, first-use construction of the fixed
 #      perf-model backend table, the gather scheduler, the multi-core
-#      chip model with its shared LLC, the shared warm memo, and the
-#      pooled leave-one-program-out folds)
+#      chip model with its shared LLC, the shared warm memo, the
+#      pooled per-segment SimPoint walk, and the pooled classifier
+#      jobs of training and leave-one-program-out)
 #   3. AddressSanitizer+UBSan pass over the full test suite
 #   4. -DADAPTSIM_WERROR=ON hardened compile: the whole tree (library,
 #      tools, tests, benches, examples) must be -Wshadow -Werror clean
@@ -40,7 +41,8 @@ ctest --test-dir build --output-on-failure -j"$(nproc)"
 # targets and the exact-match ctest filter.
 tsan_tests=(test_thread_pool test_repository test_trace_cache test_obs
             test_sim test_gather_scheduler test_shared_llc test_chip
-            test_warm_memo test_cross_validation)
+            test_warm_memo test_cross_validation test_simpoint
+            test_trainer)
 if san_available thread; then
     cmake -B build-tsan -S . -DADAPTSIM_SANITIZE=thread
     cmake --build build-tsan -j"$(nproc)" --target "${tsan_tests[@]}"

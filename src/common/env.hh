@@ -27,8 +27,9 @@ double experimentScale();
 /** ADAPTSIM_DATA_DIR: shared on-disk simulation cache (default ./data). */
 std::string dataDir();
 
-/** ADAPTSIM_THREADS: evaluation threads, also used by the
- *  leave-one-program-out folds (default hw concurrency). */
+/** ADAPTSIM_THREADS: evaluation threads, also the cap on the local
+ *  pools of the SimPoint walk and of training (default hw
+ *  concurrency). */
 unsigned numThreads();
 
 /** ADAPTSIM_METRICS: exit metrics summary.  Unset/"1" enables the

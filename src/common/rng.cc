@@ -20,12 +20,6 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -36,34 +30,10 @@ Rng::Rng(std::uint64_t seed)
         word = splitMix64(sm);
 }
 
-std::uint64_t
-Rng::next()
+void
+Rng::zeroBound()
 {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::nextBounded(std::uint64_t bound)
-{
-    if (bound == 0)
-        panic("Rng::nextBounded called with bound 0");
-    // Rejection sampling to remove modulo bias.
-    const std::uint64_t threshold = (~bound + 1) % bound;
-    for (;;) {
-        const std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
+    panic("Rng::nextBounded called with bound 0");
 }
 
 std::int64_t
@@ -74,13 +44,6 @@ Rng::nextRange(std::int64_t lo, std::int64_t hi)
     const std::uint64_t span =
         static_cast<std::uint64_t>(hi - lo) + 1ULL;
     return lo + static_cast<std::int64_t>(nextBounded(span));
-}
-
-double
-Rng::nextDouble()
-{
-    // 53 high bits give a uniform double in [0, 1).
-    return (next() >> 11) * (1.0 / 9007199254740992.0);
 }
 
 double
@@ -99,12 +62,6 @@ Rng::nextGaussian()
     cachedGaussian_ = r * std::sin(theta);
     hasCachedGaussian_ = true;
     return r * std::cos(theta);
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
 }
 
 Rng

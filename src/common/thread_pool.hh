@@ -2,7 +2,9 @@
  * @file
  * Minimal fixed-size thread pool with a blocking parallel-for, used
  * to spread independent work over cores: the repository's
- * simulations and the folds of leave-one-program-out training.
+ * simulations, the segments of the SimPoint BBV walk, and the
+ * per-parameter classifier jobs of training and leave-one-program-
+ * out.
  * Every batch counts in the `pool/` metrics, whoever submits it.
  *
  * Failure semantics: if a job throws, no further unstarted indices

@@ -4,9 +4,7 @@
 #include <set>
 #include <string>
 
-#include "common/env.hh"
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "obs/obs.hh"
 
 namespace adaptsim::ml
@@ -20,8 +18,8 @@ leaveOneProgramOut(const std::vector<PhaseData> &phases,
 
     // Every input check runs here, on the calling thread: fatal()
     // exits the process, which a pool worker must never do while
-    // other folds are still running.  With these passed, no fold's
-    // trainModel can fail.
+    // training jobs are still running.  With these passed, no fold's
+    // training can fail.
     std::set<std::string> program_set;
     for (const auto &ph : phases)
         program_set.insert(ph.workload);
@@ -37,31 +35,31 @@ leaveOneProgramOut(const std::vector<PhaseData> &phases,
             fatal("leaveOneProgramOut: inconsistent feature dimensions");
     }
 
-    // One fold per held-out program.  A fold writes only the slots of
-    // its own program's phases, so no two folds share a slot, and
-    // each trains serially exactly as a one-thread run would.
+    // One fold per held-out program, its training set built once.
+    // The folds' programs × 14 classifiers train together as one
+    // batch of jobs; each phase is then predicted by its own fold's
+    // model, exactly as a one-fold-at-a-time run would.
     const std::vector<std::string> programs(program_set.begin(),
                                             program_set.end());
-    std::vector<CvPrediction> out(phases.size());
-    ThreadPool pool(static_cast<unsigned>(
-        std::min<std::size_t>(numThreads(), programs.size())));
-    pool.parallelFor(programs.size(), [&](std::size_t fold) {
-        OBS_SPAN("ml/loocv/fold");
-        const std::string &held_out = programs[fold];
-        std::vector<PhaseData> train;
-        train.reserve(phases.size());
+    std::vector<TrainingSet> train(programs.size());
+    for (std::size_t fold = 0; fold < programs.size(); ++fold) {
+        train[fold].reserve(phases.size());
         for (const auto &ph : phases) {
-            if (ph.workload != held_out)
-                train.push_back(ph);
+            if (ph.workload != programs[fold])
+                train[fold].push_back(&ph);
         }
-        const AdaptivityModel model = trainModel(train, options);
-        for (std::size_t i = 0; i < phases.size(); ++i) {
-            if (phases[i].workload != held_out)
-                continue;
-            out[i].phaseIdx = i;
-            out[i].predicted = model.predict(phases[i].features);
-        }
-    });
+    }
+    const auto models = trainModels(train, options, "ml/loocv/job");
+
+    std::vector<CvPrediction> out(phases.size());
+    for (std::size_t i = 0; i < phases.size(); ++i) {
+        const auto fold = static_cast<std::size_t>(
+            std::lower_bound(programs.begin(), programs.end(),
+                             phases[i].workload) -
+            programs.begin());
+        out[i].phaseIdx = i;
+        out[i].predicted = models[fold].predict(phases[i].features);
+    }
     return out;
 }
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 
+#include "common/env.hh"
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
+#include "obs/obs.hh"
 
 namespace adaptsim::ml
 {
@@ -85,7 +88,7 @@ AdaptivityModel::totalWeights() const
 }
 
 std::vector<GroupedExample>
-buildExamples(const std::vector<PhaseData> &phases, space::Param p,
+buildExamples(std::span<const PhaseData *const> phases, space::Param p,
               double good_threshold)
 {
     const auto &ds = space::DesignSpace::the();
@@ -93,14 +96,14 @@ buildExamples(const std::vector<PhaseData> &phases, space::Param p,
 
     std::vector<GroupedExample> examples;
     examples.reserve(phases.size());
-    for (const auto &phase : phases) {
-        if (phase.evals.empty())
+    for (const PhaseData *phase : phases) {
+        if (phase->evals.empty())
             continue;
         GroupedExample ex;
-        ex.x = phase.features;
+        ex.x = phase->features;
         ex.classCount.assign(K, 0.0);
         for (const ConfigEval *good :
-             phase.goodConfigs(good_threshold)) {
+             phase->goodConfigs(good_threshold)) {
             ex.classCount[good->config.index(p)] += 1.0;
         }
         examples.push_back(std::move(ex));
@@ -108,33 +111,88 @@ buildExamples(const std::vector<PhaseData> &phases, space::Param p,
     return examples;
 }
 
+std::vector<AdaptivityModel>
+trainModels(std::span<const TrainingSet> sets,
+            const TrainerOptions &options, const char *job_span)
+{
+    // Inputs are checked here, on the calling thread: fatal() exits
+    // the process, which a pool worker must never do mid-batch.
+    std::vector<std::size_t> dims;
+    dims.reserve(sets.size());
+    for (const TrainingSet &set : sets) {
+        if (set.empty())
+            fatal("trainModel with no phases");
+        const std::size_t dim = set.front()->features.size();
+        for (const PhaseData *ph : set) {
+            if (ph->features.size() != dim)
+                fatal("trainModel: inconsistent feature dimensions");
+        }
+        dims.push_back(dim);
+    }
+
+    // One job per (set, parameter) classifier, largest class count
+    // first: K changes no result, and the longest fits then start
+    // early instead of forming the batch's tail.
+    struct Job
+    {
+        std::size_t set;
+        space::Param param;
+        std::size_t classes;
+    };
+    const auto &ds = space::DesignSpace::the();
+    std::vector<Job> jobs;
+    jobs.reserve(sets.size() * space::numParams);
+    for (std::size_t s = 0; s < sets.size(); ++s) {
+        for (auto p : space::allParams())
+            jobs.push_back(Job{s, p, ds.numValues(p)});
+    }
+    std::stable_sort(jobs.begin(), jobs.end(),
+                     [](const Job &a, const Job &b) {
+                         return a.classes > b.classes;
+                     });
+
+    // Each job fits exactly what a one-classifier-at-a-time run fits
+    // (same examples, all-ones start, CG) and writes only its own
+    // slot, so the weights are bit-identical for every thread count.
+    std::vector<std::vector<double>> weights(jobs.size());
+    obs::Histogram &span_hist = obs::spanHistogram(job_span);
+    ThreadPool pool(static_cast<unsigned>(
+        std::min<std::size_t>(numThreads(), jobs.size())));
+    pool.parallelFor(jobs.size(), [&](std::size_t j) {
+        obs::ScopedSpan span(job_span, span_hist);
+        const Job &job = jobs[j];
+        const std::size_t dim = dims[job.set];
+        const auto examples = buildExamples(sets[job.set], job.param,
+                                            options.goodThreshold);
+        SoftmaxObjective objective(examples, dim, job.classes,
+                                   options.lambda);
+        // Deterministic all-ones initialisation (Sec. IV-D).
+        std::vector<double> w(dim * job.classes, 1.0);
+        minimiseCg(objective, w, options.cg);
+        weights[j] = std::move(w);
+    });
+
+    std::vector<AdaptivityModel> models;
+    models.reserve(sets.size());
+    for (std::size_t dim : dims)
+        models.emplace_back(dim);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        models[jobs[j].set].classifier(jobs[j].param).weights().data() =
+            std::move(weights[j]);
+    }
+    return models;
+}
+
 AdaptivityModel
 trainModel(const std::vector<PhaseData> &phases,
            const TrainerOptions &options)
 {
-    if (phases.empty())
-        fatal("trainModel with no phases");
-    const std::size_t dim = phases.front().features.size();
-    for (const auto &ph : phases) {
-        if (ph.features.size() != dim)
-            fatal("trainModel: inconsistent feature dimensions");
-    }
-
-    AdaptivityModel model(dim);
-    for (auto p : space::allParams()) {
-        const auto examples =
-            buildExamples(phases, p, options.goodThreshold);
-        const std::size_t K =
-            space::DesignSpace::the().numValues(p);
-
-        SoftmaxObjective objective(examples, dim, K, options.lambda);
-
-        // Deterministic all-ones initialisation (Sec. IV-D).
-        std::vector<double> w(dim * K, 1.0);
-        minimiseCg(objective, w, options.cg);
-        model.classifier(p).weights().data() = std::move(w);
-    }
-    return model;
+    TrainingSet set;
+    set.reserve(phases.size());
+    for (const auto &ph : phases)
+        set.push_back(&ph);
+    return std::move(
+        trainModels({&set, 1}, options, "ml/train/job").front());
 }
 
 } // namespace adaptsim::ml

@@ -3,7 +3,10 @@
  * Training of the full adaptivity model: one soft-max classifier per
  * microarchitectural parameter (eq. 1's conditional-independence
  * factorisation), fit by conjugate gradients on the good-configuration
- * sets (within 5% of each phase's best, Sec. IV-D).
+ * sets (within 5% of each phase's best, Sec. IV-D).  The
+ * classifiers are independent, so trainModels fits each (training
+ * set, parameter) pair as one job on a local thread pool; LOOCV
+ * trains all its folds through it in one batch.
  */
 
 #ifndef ADAPTSIM_ML_TRAINER_HH
@@ -48,6 +51,9 @@ struct PhaseData
     goodConfigs(double threshold) const;
 };
 
+/** A training set: phases owned elsewhere, in training order. */
+using TrainingSet = std::vector<const PhaseData *>;
+
 /** Training knobs (paper defaults). */
 struct TrainerOptions
 {
@@ -86,17 +92,31 @@ class AdaptivityModel
 
 /**
  * Fit the model on @p phases (each contributes its good-config set).
- * Grouped-likelihood training; deterministic.
+ * Grouped-likelihood training; deterministic.  trainModels over the
+ * one set, its jobs timed as `ml/train/job` spans.
  */
 AdaptivityModel trainModel(const std::vector<PhaseData> &phases,
                            const TrainerOptions &options = {});
+
+/**
+ * Fit one model per training set in @p sets, each bit-identical to
+ * trainModel on that set alone.  The sets × 14 (set, parameter)
+ * classifiers are one job each, queued largest class count first,
+ * on a local ThreadPool of min(numThreads(), jobs) workers
+ * (ADAPTSIM_THREADS); each job records a @p job_span span.  An empty
+ * set or mismatched feature dimensions within a set are fatal,
+ * checked on the calling thread before any job starts.
+ */
+std::vector<AdaptivityModel>
+trainModels(std::span<const TrainingSet> sets,
+            const TrainerOptions &options, const char *job_span);
 
 /**
  * Build the grouped training examples of one parameter (exposed for
  * tests and ablation studies).
  */
 std::vector<GroupedExample>
-buildExamples(const std::vector<PhaseData> &phases, space::Param p,
+buildExamples(std::span<const PhaseData *const> phases, space::Param p,
               double good_threshold);
 
 } // namespace adaptsim::ml

@@ -39,6 +39,15 @@ Bbv::ofTrace(std::span<const isa::MicroOp> trace)
     return bbv;
 }
 
+Bbv &
+Bbv::operator+=(const Bbv &other)
+{
+    for (std::size_t i = 0; i < dimension; ++i)
+        values_[i] += other.values_[i];
+    ops_ += other.ops_;
+    return *this;
+}
+
 Bbv
 Bbv::fromValues(const std::vector<double> &values, std::uint64_t ops)
 {

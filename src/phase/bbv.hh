@@ -38,6 +38,13 @@ class Bbv
     static Bbv ofTrace(std::span<const isa::MicroOp> trace);
 
     /**
+     * Add another unnormalised BBV's counts (merges the partial
+     * vectors of one interval split across pieces of work).  The
+     * counts are whole numbers, so merged sums are exact.
+     */
+    Bbv &operator+=(const Bbv &other);
+
+    /**
      * Rebuild from previously exported values() / opCount() (used
      * when deserializing signature tables).  @p values must hold
      * exactly @ref dimension entries; extra entries are ignored and

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/env.hh"
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "phase/kmeans.hh"
 
 namespace adaptsim::phase
@@ -17,17 +19,53 @@ intervalBbvs(const workload::Workload &wl,
     const std::uint64_t num_intervals = total / interval_length;
     if (num_intervals == 0)
         fatal("workload ", wl.name(), " shorter than one interval");
+    const std::uint64_t end = num_intervals * interval_length;
 
-    std::vector<Bbv> bbvs;
-    bbvs.reserve(num_intervals);
-    // Generate the whole program once, interval by interval; the
-    // cursor makes the walk a single pass over the program.
-    workload::Workload::Cursor cursor;
-    for (std::uint64_t i = 0; i < num_intervals; ++i) {
-        const auto trace =
-            wl.generate(i * interval_length, interval_length, cursor);
-        bbvs.push_back(Bbv::ofTrace(trace));
+    // A segment's stream restarts at the segment start, so every
+    // segment overlapping [0, end) is one job: job j walks
+    // [bounds[j], bounds[j + 1]) from its start with its own cursor.
+    std::vector<std::uint64_t> bounds{0};
+    for (const auto &seg : wl.segments()) {
+        if (bounds.back() == end)
+            break;
+        bounds.push_back(std::min(end, bounds.back() + seg.length));
     }
+    const std::size_t jobs = bounds.size() - 1;
+    const auto first_interval = [&](std::size_t j) {
+        return bounds[j] / interval_length;
+    };
+
+    // Job j counts blocks into unnormalised partials of the intervals
+    // it touches, in chunks that end at interval boundaries.
+    std::vector<std::vector<Bbv>> partials(jobs);
+    ThreadPool pool(static_cast<unsigned>(
+        std::min<std::size_t>(numThreads(), jobs)));
+    pool.parallelFor(jobs, [&](std::size_t j) {
+        const std::uint64_t first = first_interval(j);
+        auto &mine = partials[j];
+        mine.resize((bounds[j + 1] - 1) / interval_length - first + 1);
+        workload::Workload::Cursor cursor;
+        for (std::uint64_t pos = bounds[j]; pos < bounds[j + 1];) {
+            const std::uint64_t i = pos / interval_length;
+            const std::uint64_t stop =
+                std::min(bounds[j + 1], (i + 1) * interval_length);
+            Bbv &bbv = mine[i - first];
+            for (const auto &op : wl.generate(pos, stop - pos, cursor))
+                bbv.addOp(op);
+            pos = stop;
+        }
+    });
+
+    // An interval straddling segment ends sums its partials in
+    // segment order.  The counts are whole numbers, so each sum is
+    // exact and every BBV equals Bbv::ofTrace of its interval.
+    std::vector<Bbv> bbvs(num_intervals);
+    for (std::size_t j = 0; j < jobs; ++j) {
+        for (std::size_t k = 0; k < partials[j].size(); ++k)
+            bbvs[first_interval(j) + k] += partials[j][k];
+    }
+    for (auto &bbv : bbvs)
+        bbv.normalise();
     return bbvs;
 }
 

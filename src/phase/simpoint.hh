@@ -3,7 +3,9 @@
  * SimPoint-style phase extraction (Sec. V-A): split a program into
  * fixed-length intervals, cluster their BBVs with k-means, and keep
  * one representative interval per cluster, weighted by cluster size.
- * The paper extracts 10 phases per program.
+ * The paper extracts 10 phases per program.  The BBV walk runs one
+ * job per program segment on a local thread pool and is bit-exact
+ * for every thread count (DESIGN §10).
  */
 
 #ifndef ADAPTSIM_PHASE_SIMPOINT_HH
@@ -44,7 +46,13 @@ struct SimPointOptions
 std::vector<Phase> extractPhases(const workload::Workload &wl,
                                  const SimPointOptions &options);
 
-/** Per-interval BBVs of the whole program (used by the detector). */
+/**
+ * Normalised BBVs of every whole interval of the program.  Each
+ * segment overlapping the intervals is one job on a ThreadPool of
+ * min(numThreads(), jobs) workers (ADAPTSIM_THREADS); every BBV
+ * equals Bbv::ofTrace(wl.generate(i * interval_length,
+ * interval_length)) exactly.
+ */
 std::vector<Bbv> intervalBbvs(const workload::Workload &wl,
                               std::uint64_t interval_length);
 

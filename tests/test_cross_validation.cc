@@ -209,13 +209,14 @@ TEST(CrossValidation, ResultIndependentOfThreadCount)
     EXPECT_EQ(hashes[2], hashes[0]);
 }
 
-TEST(CrossValidation, FoldSpanCountsOneSamplePerProgram)
+TEST(CrossValidation, JobSpanCountsOneSamplePerFoldAndParameter)
 {
     auto &whole = obs::spanHistogram("ml/loocv");
-    auto &fold = obs::spanHistogram("ml/loocv/fold");
+    auto &job = obs::spanHistogram("ml/loocv/job");
     const auto whole_before = whole.stats().count;
-    const auto fold_before = fold.stats().count;
+    const auto job_before = job.stats().count;
     (void)leaveOneProgramOut(unevenPhases(), {});
     EXPECT_EQ(whole.stats().count - whole_before, 1u);
-    EXPECT_EQ(fold.stats().count - fold_before, 8u);   // 8 programs
+    // 8 programs × 14 per-parameter classifiers.
+    EXPECT_EQ(job.stats().count - job_before, 8u * space::numParams);
 }

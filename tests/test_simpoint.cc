@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "phase/simpoint.hh"
 #include "workload/spec_suite.hh"
 
@@ -86,6 +88,50 @@ TEST(SimPoint, IntervalBbvCount)
     EXPECT_EQ(bbvs.size(), 10u);
     for (const auto &b : bbvs)
         EXPECT_EQ(b.opCount(), 10000u);
+}
+
+TEST(SimPoint, IntervalBbvsMatchSerialReference)
+{
+    // Programs that repeat kernels, an interval length that divides
+    // neither the program nor its segments (so intervals straddle
+    // segment ends and the tail is dropped): the per-segment walk
+    // must rebuild every interval's BBV bit for bit, whatever the
+    // worker count.
+    constexpr std::uint64_t kLength = 400000;
+    constexpr std::uint64_t kInterval = 7000;
+    const char *const thread_counts[] = {"1", "3", nullptr};
+    for (const char *program : {"galgel", "equake", "apsi"}) {
+        const auto wl = workload::specBenchmark(program, kLength);
+        std::size_t straddling = 0;
+        std::uint64_t seg_end = 0;
+        for (const auto &seg : wl.segments()) {
+            seg_end += seg.length;
+            straddling += seg_end % kInterval != 0 &&
+                          seg_end < kLength / kInterval * kInterval;
+        }
+        EXPECT_GE(straddling, 2u) << program;
+
+        std::vector<Bbv> reference;
+        for (std::uint64_t i = 0; i < kLength / kInterval; ++i) {
+            reference.push_back(Bbv::ofTrace(
+                wl.generate(i * kInterval, kInterval)));
+        }
+        for (const char *threads : thread_counts) {
+            if (threads)
+                setenv("ADAPTSIM_THREADS", threads, 1);
+            else
+                unsetenv("ADAPTSIM_THREADS");
+            const auto bbvs = intervalBbvs(wl, kInterval);
+            ASSERT_EQ(bbvs.size(), reference.size());
+            for (std::size_t i = 0; i < bbvs.size(); ++i) {
+                EXPECT_EQ(bbvs[i].values(), reference[i].values())
+                    << program << " interval " << i << " threads "
+                    << (threads ? threads : "unset");
+                EXPECT_EQ(bbvs[i].opCount(), reference[i].opCount());
+            }
+        }
+    }
+    unsetenv("ADAPTSIM_THREADS");
 }
 
 TEST(SimPoint, TooShortProgramIsFatal)

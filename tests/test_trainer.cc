@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdlib>
 
 #include "common/rng.hh"
 #include "common/serial.hh"
@@ -135,8 +136,10 @@ TEST(PhaseData, BestAndGoodSet)
 TEST(Trainer, BuildExamplesCountsGoodConfigs)
 {
     const auto phases = syntheticPhases(10, 3);
-    const auto examples =
-        buildExamples(phases, Param::IqSize, 0.95);
+    TrainingSet set;
+    for (const auto &ph : phases)
+        set.push_back(&ph);
+    const auto examples = buildExamples(set, Param::IqSize, 0.95);
     ASSERT_EQ(examples.size(), 10u);
     for (const auto &ex : examples) {
         double total = 0.0;
@@ -237,4 +240,51 @@ TEST(Trainer, WeightsMatchFrozenGolden)
         h = fnv1a64(&code, sizeof code, h);
     }
     EXPECT_EQ(h, 0x1d5b14e7aa312b95ULL) << std::hex << "0x" << h;
+}
+
+TEST(Trainer, ModelIndependentOfThreadCount)
+{
+    // One worker fits the 14 classifiers inline; three leave more
+    // jobs than workers; unset uses every hardware thread.
+    const auto phases = sparsePaperPhases();
+    const char *const thread_counts[] = {"1", "3", nullptr};
+    std::vector<AdaptivityModel> models;
+    for (const char *threads : thread_counts) {
+        if (threads)
+            setenv("ADAPTSIM_THREADS", threads, 1);
+        else
+            unsetenv("ADAPTSIM_THREADS");
+        models.push_back(trainModel(phases, {}));
+    }
+    unsetenv("ADAPTSIM_THREADS");
+    for (std::size_t m = 1; m < models.size(); ++m) {
+        for (auto p : space::allParams()) {
+            EXPECT_EQ(models[m].classifier(p).weights().data(),
+                      models[0].classifier(p).weights().data())
+                << "threads " << (thread_counts[m] ? thread_counts[m]
+                                                   : "unset");
+        }
+    }
+}
+
+TEST(Trainer, TrainModelsMatchesTrainModelOnEachSet)
+{
+    // Two sets of different feature dimensions in one batch: each
+    // model equals the one trainModel fits on its set alone.
+    const std::vector<std::vector<PhaseData>> phases = {
+        sparsePaperPhases(), syntheticPhases(10, 3)};
+    std::vector<TrainingSet> sets(phases.size());
+    for (std::size_t s = 0; s < phases.size(); ++s) {
+        for (const auto &ph : phases[s])
+            sets[s].push_back(&ph);
+    }
+    const auto models = trainModels(sets, {}, "ml/train/job");
+    ASSERT_EQ(models.size(), phases.size());
+    for (std::size_t s = 0; s < phases.size(); ++s) {
+        EXPECT_EQ(models[s].featureDim(),
+                  phases[s].front().features.size());
+        EXPECT_EQ(hashWeights(models[s]),
+                  hashWeights(trainModel(phases[s], {})))
+            << "set " << s;
+    }
 }
